@@ -191,31 +191,10 @@ let explain_cmd =
     | Some stmt ->
       print_endline (Sql.to_string stmt);
       print_endline "--";
-      print_string (Engine.explain store.Loader.db stmt);
+      let plan, result, stats = Engine.explain_analyze store.Loader.db stmt in
+      print_string plan;
       print_endline "--";
-      let result, profiles, stats = Engine.run_profiled store.Loader.db stmt in
-      List.iter
-        (fun (p : Engine.step_profile) ->
-          Printf.printf "step %s(%s): %s — examined %d, passed %d, %.6fs\n"
-            p.Engine.table p.Engine.alias p.Engine.access p.Engine.examined
-            p.Engine.passed p.Engine.seconds)
-        profiles;
-      Printf.printf
-        "scanned %d, probed %d, emitted %d, plan regex evals %d, exec regex evals %d, \
-         dfa execs %d, hash builds %d, reductions %d\n"
-        stats.Engine.rows_scanned stats.Engine.rows_probed stats.Engine.rows_emitted
-        stats.Engine.regex_plan_evals stats.Engine.regex_exec_evals
-        stats.Engine.dfa_execs stats.Engine.hash_builds stats.Engine.reductions;
-      Printf.printf
-        "merge probes %d, merge steps %d, merge backtracks %d, partitions scanned %d, \
-         partitions pruned %d, peak bytes %d\n"
-        stats.Engine.merge_probes stats.Engine.merge_steps
-        stats.Engine.merge_backtracks stats.Engine.partitions_scanned
-        stats.Engine.partitions_pruned stats.Engine.peak_bytes;
-      Printf.printf
-        "content probes %d, content candidates %d, content verified %d\n"
-        stats.Engine.content_probes stats.Engine.content_candidates
-        stats.Engine.content_verified;
+      print_endline (Engine.stats_to_string stats);
       Printf.printf "%d result rows\n" (List.length result.Engine.rows)
   in
   let term = Term.(const run $ doc_arg $ schema_arg $ query_arg) in

@@ -42,151 +42,91 @@ let default_opts =
    ctx (including sub-query plans). Mutable on purpose: they sit in the
    innermost loops. A plan is executed by one domain at a time (the
    cluster hands each shard plan to a single worker), so plain mutation
-   is safe. *)
-type counters = {
-  mutable c_scanned : int;
-  mutable c_probed : int;
-  mutable c_emitted : int;
-  mutable c_regex_plan_evals : int;
-  mutable c_regex_exec_evals : int;
-  mutable c_dfa_execs : int;
-  mutable c_hash_builds : int;
-  mutable c_reductions : int;
-  mutable c_merge_probes : int;
-  mutable c_merge_steps : int;
-  mutable c_merge_backtracks : int;
-  mutable c_parts_scanned : int;
-  mutable c_parts_pruned : int;
-  mutable c_content_probes : int;
-  mutable c_content_candidates : int;
-  mutable c_content_verified : int;
-  mutable c_peak_bytes : int;
-}
-
-let counters_create () =
-  {
-    c_scanned = 0;
-    c_probed = 0;
-    c_emitted = 0;
-    c_regex_plan_evals = 0;
-    c_regex_exec_evals = 0;
-    c_dfa_execs = 0;
-    c_hash_builds = 0;
-    c_reductions = 0;
-    c_merge_probes = 0;
-    c_merge_steps = 0;
-    c_merge_backtracks = 0;
-    c_parts_scanned = 0;
-    c_parts_pruned = 0;
-    c_content_probes = 0;
-    c_content_candidates = 0;
-    c_content_verified = 0;
-    c_peak_bytes = 0;
-  }
-
+   is safe. The interface exports the record [private], so outside this
+   module a snapshot is read-only. *)
 type exec_stats = {
-  rows_scanned : int;
-  rows_probed : int;
-  rows_emitted : int;
-  regex_plan_evals : int;
-  regex_exec_evals : int;
-  dfa_execs : int;
-  hash_builds : int;
-  reductions : int;
-  merge_probes : int;
-  merge_steps : int;
-  merge_backtracks : int;
-  partitions_scanned : int;
-  partitions_pruned : int;
-  content_probes : int;
-  content_candidates : int;
-  content_verified : int;
-  peak_bytes : int;
+  mutable rows_scanned : int;
+  mutable rows_probed : int;
+  mutable rows_emitted : int;
+  mutable regex_plan_evals : int;
+  mutable regex_exec_evals : int;
+  mutable dfa_execs : int;
+  mutable hash_builds : int;
+  mutable reductions : int;
+  mutable merge_probes : int;
+  mutable merge_steps : int;
+  mutable merge_backtracks : int;
+  mutable partitions_scanned : int;
+  mutable partitions_pruned : int;
+  mutable content_probes : int;
+  mutable content_candidates : int;
+  mutable content_verified : int;
+  mutable peak_bytes : int;
 }
 
-let stats_of c =
+(* The counter table: each counter declared once, as (field and JSON
+   name, EXPLAIN label, accessor), in field order. [make f] builds a fresh
+   record by asking [f] for every counter in that order; zero, snapshot,
+   sum, difference and {!counters} itself are all instances of it. *)
+let make f =
+  let rows_scanned = f "rows_scanned" "scanned" (fun s -> s.rows_scanned) in
+  let rows_probed = f "rows_probed" "probed" (fun s -> s.rows_probed) in
+  let rows_emitted = f "rows_emitted" "emitted" (fun s -> s.rows_emitted) in
+  let regex_plan_evals =
+    f "regex_plan_evals" "plan regex evals" (fun s -> s.regex_plan_evals)
+  in
+  let regex_exec_evals =
+    f "regex_exec_evals" "exec regex evals" (fun s -> s.regex_exec_evals)
+  in
+  let dfa_execs = f "dfa_execs" "dfa execs" (fun s -> s.dfa_execs) in
+  let hash_builds = f "hash_builds" "hash builds" (fun s -> s.hash_builds) in
+  let reductions = f "reductions" "reductions" (fun s -> s.reductions) in
+  let merge_probes = f "merge_probes" "merge probes" (fun s -> s.merge_probes) in
+  let merge_steps = f "merge_steps" "merge steps" (fun s -> s.merge_steps) in
+  let merge_backtracks =
+    f "merge_backtracks" "merge backtracks" (fun s -> s.merge_backtracks)
+  in
+  let partitions_scanned =
+    f "partitions_scanned" "partitions scanned" (fun s -> s.partitions_scanned)
+  in
+  let partitions_pruned =
+    f "partitions_pruned" "partitions pruned" (fun s -> s.partitions_pruned)
+  in
+  let content_probes = f "content_probes" "content probes" (fun s -> s.content_probes) in
+  let content_candidates =
+    f "content_candidates" "content candidates" (fun s -> s.content_candidates)
+  in
+  let content_verified =
+    f "content_verified" "content verified" (fun s -> s.content_verified)
+  in
+  let peak_bytes = f "peak_bytes" "peak bytes" (fun s -> s.peak_bytes) in
   {
-    rows_scanned = c.c_scanned;
-    rows_probed = c.c_probed;
-    rows_emitted = c.c_emitted;
-    regex_plan_evals = c.c_regex_plan_evals;
-    regex_exec_evals = c.c_regex_exec_evals;
-    dfa_execs = c.c_dfa_execs;
-    hash_builds = c.c_hash_builds;
-    reductions = c.c_reductions;
-    merge_probes = c.c_merge_probes;
-    merge_steps = c.c_merge_steps;
-    merge_backtracks = c.c_merge_backtracks;
-    partitions_scanned = c.c_parts_scanned;
-    partitions_pruned = c.c_parts_pruned;
-    content_probes = c.c_content_probes;
-    content_candidates = c.c_content_candidates;
-    content_verified = c.c_content_verified;
-    peak_bytes = c.c_peak_bytes;
+    rows_scanned; rows_probed; rows_emitted; regex_plan_evals; regex_exec_evals;
+    dfa_execs; hash_builds; reductions; merge_probes; merge_steps;
+    merge_backtracks; partitions_scanned; partitions_pruned; content_probes;
+    content_candidates; content_verified; peak_bytes;
   }
 
-let stats_zero =
-  {
-    rows_scanned = 0;
-    rows_probed = 0;
-    rows_emitted = 0;
-    regex_plan_evals = 0;
-    regex_exec_evals = 0;
-    dfa_execs = 0;
-    hash_builds = 0;
-    reductions = 0;
-    merge_probes = 0;
-    merge_steps = 0;
-    merge_backtracks = 0;
-    partitions_scanned = 0;
-    partitions_pruned = 0;
-    content_probes = 0;
-    content_candidates = 0;
-    content_verified = 0;
-    peak_bytes = 0;
-  }
+type counter = { name : string; label : string; get : exec_stats -> int }
 
-let stats_add a b =
-  {
-    rows_scanned = a.rows_scanned + b.rows_scanned;
-    rows_probed = a.rows_probed + b.rows_probed;
-    rows_emitted = a.rows_emitted + b.rows_emitted;
-    regex_plan_evals = a.regex_plan_evals + b.regex_plan_evals;
-    regex_exec_evals = a.regex_exec_evals + b.regex_exec_evals;
-    dfa_execs = a.dfa_execs + b.dfa_execs;
-    hash_builds = a.hash_builds + b.hash_builds;
-    reductions = a.reductions + b.reductions;
-    merge_probes = a.merge_probes + b.merge_probes;
-    merge_steps = a.merge_steps + b.merge_steps;
-    merge_backtracks = a.merge_backtracks + b.merge_backtracks;
-    partitions_scanned = a.partitions_scanned + b.partitions_scanned;
-    partitions_pruned = a.partitions_pruned + b.partitions_pruned;
-    content_probes = a.content_probes + b.content_probes;
-    content_candidates = a.content_candidates + b.content_candidates;
-    content_verified = a.content_verified + b.content_verified;
-    peak_bytes = a.peak_bytes + b.peak_bytes;
-  }
+let counters =
+  let acc = ref [] in
+  ignore
+    (make (fun name label get ->
+         acc := { name; label; get } :: !acc;
+         0));
+  List.rev !acc
 
-let stats_diff a b =
-  {
-    rows_scanned = a.rows_scanned - b.rows_scanned;
-    rows_probed = a.rows_probed - b.rows_probed;
-    rows_emitted = a.rows_emitted - b.rows_emitted;
-    regex_plan_evals = a.regex_plan_evals - b.regex_plan_evals;
-    regex_exec_evals = a.regex_exec_evals - b.regex_exec_evals;
-    dfa_execs = a.dfa_execs - b.dfa_execs;
-    hash_builds = a.hash_builds - b.hash_builds;
-    reductions = a.reductions - b.reductions;
-    merge_probes = a.merge_probes - b.merge_probes;
-    merge_steps = a.merge_steps - b.merge_steps;
-    merge_backtracks = a.merge_backtracks - b.merge_backtracks;
-    partitions_scanned = a.partitions_scanned - b.partitions_scanned;
-    partitions_pruned = a.partitions_pruned - b.partitions_pruned;
-    content_probes = a.content_probes - b.content_probes;
-    content_candidates = a.content_candidates - b.content_candidates;
-    content_verified = a.content_verified - b.content_verified;
-    peak_bytes = a.peak_bytes - b.peak_bytes;
-  }
+let counters_create () = make (fun _ _ _ -> 0)
+
+let stats_zero = counters_create ()
+
+let stats_add a b = make (fun _ _ get -> get a + get b)
+
+let stats_diff a b = make (fun _ _ get -> get a - get b)
+
+let stats_to_string s =
+  String.concat ", " (List.map (fun c -> Printf.sprintf "%s %d" c.label (c.get s)) counters)
 
 (* What a compiled plan depends on, per table. [Dep_paths] means every
    access the plan makes to the table is guarded by a pathid set probe
@@ -195,86 +135,6 @@ let stats_diff a b =
 type fp_dep = Dep_all | Dep_paths of (int, unit) Hashtbl.t
 
 type fp_entry = { mutable fe_version : int; mutable fe_dep : fp_dep }
-
-type ctx = {
-  db : Database.t;
-  slots : (string * Table.t) array;
-  naive : bool;
-  opts : opts;
-  counters : counters;
-  footprint : (string, fp_entry) Hashtbl.t;
-      (** accumulated across every [plan_select] under one compile *)
-  verdicts : (string * string, bool) Hashtbl.t;
-      (** plan-time regex verdict memo, (pattern, path string) -> matched;
-          shared across every reduction sweep of one compile (all UNION
-          branches, sub-selects) so no statement evaluates a pattern more
-          than once per distinct path *)
-}
-
-let fp_merge a b =
-  match a, b with
-  | Dep_all, _ | _, Dep_all -> Dep_all
-  | Dep_paths sa, Dep_paths sb ->
-    let u = Hashtbl.copy sa in
-    Hashtbl.iter (fun k () -> Hashtbl.replace u k ()) sb;
-    Dep_paths u
-
-let footprint_add ctx table dep =
-  let name = Table.name table in
-  match Hashtbl.find_opt ctx.footprint name with
-  | None ->
-    Hashtbl.add ctx.footprint name { fe_version = Table.version table; fe_dep = dep }
-  | Some e -> e.fe_dep <- fp_merge e.fe_dep dep
-
-let slot_of ctx alias =
-  (* Search from the end: inner FROM aliases shadow outer ones. *)
-  let rec go i =
-    if i < 0 then error "unknown alias %s" alias
-    else if String.equal (fst ctx.slots.(i)) alias then i
-    else go (i - 1)
-  in
-  go (Array.length ctx.slots - 1)
-
-let column_slot ctx alias col =
-  let slot = slot_of ctx alias in
-  let table = snd ctx.slots.(slot) in
-  match Table.column_index table col with
-  | Some i -> slot, i
-  | None -> error "table %s (alias %s) has no column %s" (Table.name table) alias col
-
-(* Static type of an expression, when derivable; used to gate EXISTS
-   decorrelation and hash joins on hash-compatible comparison types. *)
-let rec static_ty ctx = function
-  | Sql.Col (alias, col) ->
-    let slot = slot_of ctx alias in
-    Table.column_ty (snd ctx.slots.(slot)) col
-  | Sql.Const v -> Value.type_of v
-  | Sql.Concat (a, _) ->
-    (match static_ty ctx a with
-     | Some Value.Tbin -> Some Value.Tbin
-     | Some _ | None -> Some Value.Tstr)
-  | Sql.To_number _ -> Some Value.Tfloat
-  | Sql.Arith _ -> Some Value.Tfloat
-  | Sql.Length _ | Sql.Count_subquery _ -> Some Value.Tint
-  | Sql.Cmp _ | Sql.Between _ | Sql.And _ | Sql.Or _ | Sql.Not _
-  | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
-    None
-
-(* Canonical hash key for a value under a kind — shared by the hash-join
-   operator and EXISTS decorrelation. Complete w.r.t. {!Value.compare_sql}
-   on the gated type combinations: values equal under three-valued SQL
-   comparison canonicalize to the same key, so a hash lookup can never
-   miss a row the join would produce. [-0.] is folded into [0.] because
-   the two compare equal but print differently. *)
-let canon_key kind v =
-  match kind, v with
-  | _, Value.Null -> None
-  | `Str, (Value.Str s | Value.Bin s) -> Some s
-  | `Str, (Value.Int _ | Value.Float _) -> None
-  | `Num, v ->
-    (match Value.to_float v with
-     | Some f -> Some (if f = 0.0 then "0." else string_of_float f)
-     | None -> None)
 
 (* A hash-join access: build an in-memory hash of the step's table keyed
    on [hp_col] (once, lazily, cached on the plan — sound under the same
@@ -372,7 +232,12 @@ type step = {
          [st_filters] are pathid set probes, not residual conjuncts *)
   st_content : bool;
       (* the step is a content probe: bindings surviving the filters are
-         verified candidates, counted in [c_content_verified] *)
+         verified candidates, counted in [content_verified] *)
+  mutable st_examined : int;  (* live rows fetched through the access *)
+  mutable st_passed : int;  (* rows surviving the filters *)
+  mutable st_ns : int;
+      (* inclusive monotonic nanoseconds, accumulated only while the
+         plan's profile flag is set *)
 }
 
 (* One applied path-filter semi-join reduction (EXPLAIN reporting). *)
@@ -395,6 +260,13 @@ type probe_src = {
   pb_label : string;
 }
 
+(* How an EXISTS sub-plan is executed, fixed when the predicate is
+   compiled (see {!exists_shape}). *)
+type sub_shape =
+  | Once  (* uncorrelated: evaluated once, the boolean cached *)
+  | Semijoin of int  (* decorrelated: key tuples hashed once, probed per binding *)
+  | Per_binding  (* correlated: executed per outer binding, early exit *)
+
 type planned = {
   pl_ctx : ctx;
   pl_env : int;
@@ -408,7 +280,105 @@ type planned = {
          so the final stable sort is the identity and is skipped *)
   pl_total : int;
   pl_reductions : reduction list;
+  pl_subs : (sub_shape * planned) list;
+      (* the EXISTS sub-plans of this select's filters, in compile order *)
 }
+
+and ctx = {
+  db : Database.t;
+  slots : (string * Table.t) array;
+  naive : bool;
+  opts : opts;
+  counters : exec_stats;
+  profiling : bool ref;
+      (** per-plan: time each step entry (EXPLAIN ANALYZE); never set on
+          the served path *)
+  subs : (sub_shape * planned) list ref;
+      (** collects the EXISTS sub-plans compiled under the current select *)
+  footprint : (string, fp_entry) Hashtbl.t;
+      (** accumulated across every [plan_select] under one compile *)
+  verdicts : (string * string, bool) Hashtbl.t;
+      (** plan-time regex verdict memo, (pattern, path string) -> matched;
+          shared across every reduction sweep of one compile (all UNION
+          branches, sub-selects) so no statement evaluates a pattern more
+          than once per distinct path *)
+}
+
+
+let fp_merge a b =
+  match a, b with
+  | Dep_all, _ | _, Dep_all -> Dep_all
+  | Dep_paths sa, Dep_paths sb ->
+    let u = Hashtbl.copy sa in
+    Hashtbl.iter (fun k () -> Hashtbl.replace u k ()) sb;
+    Dep_paths u
+
+let footprint_add ctx table dep =
+  let name = Table.name table in
+  match Hashtbl.find_opt ctx.footprint name with
+  | None ->
+    Hashtbl.add ctx.footprint name { fe_version = Table.version table; fe_dep = dep }
+  | Some e -> e.fe_dep <- fp_merge e.fe_dep dep
+
+let slot_of ctx alias =
+  (* Search from the end: inner FROM aliases shadow outer ones. *)
+  let rec go i =
+    if i < 0 then error "unknown alias %s" alias
+    else if String.equal (fst ctx.slots.(i)) alias then i
+    else go (i - 1)
+  in
+  go (Array.length ctx.slots - 1)
+
+let column_slot ctx alias col =
+  let slot = slot_of ctx alias in
+  let table = snd ctx.slots.(slot) in
+  match Table.column_index table col with
+  | Some i -> slot, i
+  | None -> error "table %s (alias %s) has no column %s" (Table.name table) alias col
+
+(* The select's FROM list as (alias, table) pairs. *)
+let from_tables ctx (sel : Sql.select) =
+  List.map
+    (fun (table, alias) ->
+      match Database.table_opt ctx.db table with
+      | Some t -> alias, t
+      | None -> error "unknown table %s" table)
+    sel.Sql.from
+
+(* Static type of an expression, when derivable; used to gate EXISTS
+   decorrelation and hash joins on hash-compatible comparison types. *)
+let rec static_ty ctx = function
+  | Sql.Col (alias, col) ->
+    let slot = slot_of ctx alias in
+    Table.column_ty (snd ctx.slots.(slot)) col
+  | Sql.Const v -> Value.type_of v
+  | Sql.Concat (a, _) ->
+    (match static_ty ctx a with
+     | Some Value.Tbin -> Some Value.Tbin
+     | Some _ | None -> Some Value.Tstr)
+  | Sql.To_number _ -> Some Value.Tfloat
+  | Sql.Arith _ -> Some Value.Tfloat
+  | Sql.Length _ | Sql.Count_subquery _ -> Some Value.Tint
+  | Sql.Cmp _ | Sql.Between _ | Sql.And _ | Sql.Or _ | Sql.Not _
+  | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
+    None
+
+(* Canonical hash key for a value under a kind — shared by the hash-join
+   operator and EXISTS decorrelation. Complete w.r.t. {!Value.compare_sql}
+   on the gated type combinations: values equal under three-valued SQL
+   comparison canonicalize to the same key, so a hash lookup can never
+   miss a row the join would produce. [-0.] is folded into [0.] because
+   the two compare equal but print differently. *)
+let canon_key kind v =
+  match kind, v with
+  | _, Value.Null -> None
+  | `Str, (Value.Str s | Value.Bin s) -> Some s
+  | `Str, (Value.Int _ | Value.Float _) -> None
+  | `Num, v ->
+    (match Value.to_float v with
+     | Some f -> Some (if f = 0.0 then "0." else string_of_float f)
+     | None -> None)
+
 
 (* First column of the index backed by [tree] in [table], if any. *)
 let index_first_col table tree =
@@ -417,6 +387,16 @@ let index_first_col table tree =
       if tr == tree then match cols with c0 :: _ -> Some c0 | [] -> None
       else None)
     (Table.indexes table)
+
+(* Whether [access] over [table], run once per outer binding, emits rows
+   ascending on column [c]. *)
+let emits_ascending table (access : access) c =
+  match access with
+  | `Index_order tree | `Index_range (tree, [||], _, _) ->
+    index_first_col table tree = Some c
+  | `Merge_join mj -> String.equal mj.mj_suffix "" && String.equal mj.mj_key_col c
+  | `Partition_scan ps -> String.equal ps.ps_sort_col c
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Path-filter semi-join reduction                                     *)
@@ -518,7 +498,7 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
                  Table.iter_rows
                    (fun _ row ->
                      incr total;
-                     ctx.counters.c_scanned <- ctx.counters.c_scanned + 1;
+                     ctx.counters.rows_scanned <- ctx.counters.rows_scanned + 1;
                      match row.(ici) with
                      | Value.Null -> ()
                      | Value.Int id ->
@@ -534,8 +514,8 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
                             match Hashtbl.find_opt ctx.verdicts (pat, s) with
                             | Some v -> v
                             | None ->
-                              ctx.counters.c_regex_plan_evals <-
-                                ctx.counters.c_regex_plan_evals + 1;
+                              ctx.counters.regex_plan_evals <-
+                                ctx.counters.regex_plan_evals + 1;
                               let v = Ppfx_regex.Regex.search re s in
                               Hashtbl.add ctx.verdicts (pat, s) v;
                               v
@@ -550,9 +530,9 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
                with Exit -> ());
               if not !sound then acc
               else begin
-                ctx.counters.c_reductions <- ctx.counters.c_reductions + 1;
-                ctx.counters.c_peak_bytes <-
-                  ctx.counters.c_peak_bytes + (32 * Hashtbl.length set) + 64;
+                ctx.counters.reductions <- ctx.counters.reductions + 1;
+                ctx.counters.peak_bytes <-
+                  ctx.counters.peak_bytes + (32 * Hashtbl.length set) + 64;
                 let matched = Hashtbl.length set in
                 let label =
                   Printf.sprintf "pathid set probe (%d of %d paths)" matched !total
@@ -586,20 +566,20 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
 
 let iter_access counters table (access : access) (bind : binding) (f : int -> unit) =
   let f id =
-    counters.c_scanned <- counters.c_scanned + 1;
+    counters.rows_scanned <- counters.rows_scanned + 1;
     f id
   in
   match access with
   | `Scan -> Table.iter_rows (fun id _ -> f id) table
   | `Content_probe cp ->
-    counters.c_content_probes <- counters.c_content_probes + 1;
-    counters.c_content_candidates <-
-      counters.c_content_candidates + Array.length cp.cp_ids;
+    counters.content_probes <- counters.content_probes + 1;
+    counters.content_candidates <-
+      counters.content_candidates + Array.length cp.cp_ids;
     Array.iter f cp.cp_ids
   | `Partition_scan ps ->
-    counters.c_parts_scanned <- counters.c_parts_scanned + Array.length ps.ps_keys;
-    counters.c_parts_pruned <-
-      counters.c_parts_pruned + max 0 (ps.ps_total - Array.length ps.ps_keys);
+    counters.partitions_scanned <- counters.partitions_scanned + Array.length ps.ps_keys;
+    counters.partitions_pruned <-
+      counters.partitions_pruned + max 0 (ps.ps_total - Array.length ps.ps_keys);
     let n = Array.length ps.ps_keys in
     if n = 1 then begin
       let ids, len = Table.partition_view ps.ps_table ps.ps_keys.(0) in
@@ -692,11 +672,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
       match !(hp.hp_build) with
       | Some t -> t
       | None ->
-        counters.c_hash_builds <- counters.c_hash_builds + 1;
+        counters.hash_builds <- counters.hash_builds + 1;
         let t = Hashtbl.create (max 16 (Table.live_count hp.hp_table)) in
         Table.iter_rows
           (fun id row ->
-            counters.c_scanned <- counters.c_scanned + 1;
+            counters.rows_scanned <- counters.rows_scanned + 1;
             match canon_key hp.hp_kind row.(hp.hp_idx) with
             | Some k ->
               let prev = Option.value ~default:[] (Hashtbl.find_opt t k) in
@@ -711,11 +691,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
             (fun k ids acc -> acc + String.length k + 48 + (24 * List.length ids))
             t 64
         in
-        counters.c_peak_bytes <- counters.c_peak_bytes + bytes;
+        counters.peak_bytes <- counters.peak_bytes + bytes;
         hp.hp_build := Some t;
         t
     in
-    counters.c_probed <- counters.c_probed + 1;
+    counters.rows_probed <- counters.rows_probed + 1;
     (match canon_key hp.hp_kind (hp.hp_key bind) with
      | None -> ()
      | Some k ->
@@ -737,7 +717,7 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
         let acc = ref [] in
         Table.iter_rows
           (fun id row ->
-            counters.c_scanned <- counters.c_scanned + 1;
+            counters.rows_scanned <- counters.rows_scanned + 1;
             match row.(mj.mj_key_idx) with
             | Value.Bin s | Value.Str s -> acc := (s ^ mj.mj_suffix, id) :: !acc
             | Value.Null | Value.Int _ | Value.Float _ -> ())
@@ -750,11 +730,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
         let bytes =
           Array.fold_left (fun b (k, _) -> b + 48 + String.length k) 64 a
         in
-        counters.c_peak_bytes <- counters.c_peak_bytes + bytes;
+        counters.peak_bytes <- counters.peak_bytes + bytes;
         mj.mj_items := Some a;
         a
     in
-    counters.c_merge_probes <- counters.c_merge_probes + 1;
+    counters.merge_probes <- counters.merge_probes + 1;
     let n = Array.length items in
     let str_bound side =
       match side with
@@ -794,11 +774,11 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
           let pos = ref (min !(mj.mj_cursor) n) in
           while !pos > 0 && above_lo (fst items.(!pos - 1)) do
             decr pos;
-            counters.c_merge_backtracks <- counters.c_merge_backtracks + 1
+            counters.merge_backtracks <- counters.merge_backtracks + 1
           done;
           while !pos < n && not (above_lo (fst items.(!pos))) do
             incr pos;
-            counters.c_merge_steps <- counters.c_merge_steps + 1
+            counters.merge_steps <- counters.merge_steps + 1
           done;
           mj.mj_cursor := !pos);
        let i = ref !(mj.mj_cursor) in
@@ -811,27 +791,52 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
          else continue := false
        done)
 
-let rec exec_steps counters steps bind emit =
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
+(* The executor: the one loop over plan steps, shared by served
+   execution, sub-plans and EXPLAIN ANALYZE. Every step counts the rows
+   it examines and passes; only when the plan's profile flag is set does
+   a step entry also read the clock (once per entry, never per row). *)
+let rec exec_steps ctx steps bind emit =
+  let counters = ctx.counters in
   match steps with
   | [] ->
-    counters.c_emitted <- counters.c_emitted + 1;
+    counters.rows_emitted <- counters.rows_emitted + 1;
     emit bind
   | st :: rest ->
-    iter_access counters st.st_table st.st_access bind (fun row_id ->
-        let row = Table.row st.st_table row_id in
-        (* Memoized hash builds and merge arrays can outlive a retained
-           plan's rows: a fine-grained commit may tombstone a row whose id
-           they still hold. The commit's pathid-disjointness guarantees
-           such rows could never satisfy this plan's probes, so skipping
-           the tombstone is exact. *)
-        if Array.length row > 0 then begin
-          bind.(st.st_slot) <- row;
-          if List.for_all (fun p -> p bind = Some true) st.st_filters then begin
-            if st.st_content then
-              counters.c_content_verified <- counters.c_content_verified + 1;
-            exec_steps counters rest bind emit
-          end
-        end)
+    let body row_id =
+      let row = Table.row st.st_table row_id in
+      (* Memoized hash builds and merge arrays can outlive a retained
+         plan's rows: a fine-grained commit may tombstone a row whose id
+         they still hold. The commit's pathid-disjointness guarantees
+         such rows could never satisfy this plan's probes, so skipping
+         the tombstone is exact. *)
+      if Array.length row > 0 then begin
+        st.st_examined <- st.st_examined + 1;
+        bind.(st.st_slot) <- row;
+        if List.for_all (fun p -> p bind = Some true) st.st_filters then begin
+          st.st_passed <- st.st_passed + 1;
+          if st.st_content then
+            counters.content_verified <- counters.content_verified + 1;
+          exec_steps ctx rest bind emit
+        end
+      end
+    in
+    if !(ctx.profiling) then begin
+      let t0 = now_ns () in
+      Fun.protect
+        ~finally:(fun () -> st.st_ns <- st.st_ns + (now_ns () - t0))
+        (fun () -> iter_access counters st.st_table st.st_access bind body)
+    end
+    else iter_access counters st.st_table st.st_access bind body
+
+(* Execute a planned select under an outer binding (empty at top level):
+   check the constant filters, then run the steps. *)
+let run_planned p outer emit =
+  let bind = Array.make p.pl_total [||] in
+  Array.blit outer 0 bind 0 p.pl_env;
+  if List.for_all (fun f -> f bind = Some true) p.pl_pre then
+    exec_steps p.pl_ctx p.pl_steps bind emit
 
 (* ------------------------------------------------------------------ *)
 (* EXISTS shape analysis                                               *)
@@ -844,9 +849,8 @@ let rec exec_steps counters steps bind emit =
    hash-compatible types: evaluate [inner_sel] (the sub-select projecting
    the distinct inner key tuples) once and turn the EXISTS into hash-set
    membership. [`Correlated] — anything else: execute per binding.
-   Shared by {!decorrelate_exists} (which compiles the result) and
-   {!explain} (which recurses into the sub-plan it implies), so the
-   describing and the executing path can never disagree on the shape. *)
+   {!compile_exists} records the shape with the sub-plan it compiles, so
+   EXPLAIN prints the shape the executor runs. *)
 let exists_shape ctx (sel : Sql.select) :
     [ `Uncorrelated of Sql.select
     | `Semijoin of (Sql.expr * Sql.expr) list * [ `Str | `Num ] list * Sql.select
@@ -897,15 +901,7 @@ let exists_shape ctx (sel : Sql.select) :
         let inner_ctx =
           {
             ctx with
-            slots =
-              Array.append ctx.slots
-                (Array.of_list
-                   (List.map
-                      (fun (table, alias) ->
-                        match Database.table_opt ctx.db table with
-                        | Some t -> alias, t
-                        | None -> error "unknown table %s" table)
-                      sel.Sql.from));
+            slots = Array.append ctx.slots (Array.of_list (from_tables ctx sel));
           }
         in
         match static_ty ctx outer_e, static_ty inner_ctx inner_e with
@@ -983,16 +979,10 @@ let rec compile_value ctx (e : Sql.expr) : value_fn =
     (* Correlated scalar COUNT: plan once, count matching bindings per
        outer row. *)
     let p = plan_select ctx sel in
-    let counters = ctx.counters in
     fun outer ->
-      let bind = Array.make p.pl_total [||] in
-      Array.blit outer 0 bind 0 p.pl_env;
-      if not (List.for_all (fun f -> f bind = Some true) p.pl_pre) then Value.Int 0
-      else begin
-        let n = ref 0 in
-        exec_steps counters p.pl_steps bind (fun _ -> incr n);
-        Value.Int !n
-      end
+      let n = ref 0 in
+      run_planned p outer (fun _ -> incr n);
+      Value.Int !n
   | Sql.Cmp _ | Sql.Between _ | Sql.And _ | Sql.Or _ | Sql.Not _
   | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
     error "boolean expression used where a value is required: %s"
@@ -1052,8 +1042,8 @@ and compile_pred ctx (e : Sql.expr) : pred_fn =
       (match Value.text (fe bind) with
        | None -> None
        | Some s ->
-         if frozen then counters.c_dfa_execs <- counters.c_dfa_execs + 1
-         else counters.c_regex_exec_evals <- counters.c_regex_exec_evals + 1;
+         if frozen then counters.dfa_execs <- counters.dfa_execs + 1
+         else counters.regex_exec_evals <- counters.regex_exec_evals + 1;
          Some (Ppfx_regex.Regex.search re s))
   | Sql.Exists sel -> compile_exists ctx sel
   | Sql.Is_not_null a ->
@@ -1071,14 +1061,7 @@ and compile_pred ctx (e : Sql.expr) : pred_fn =
 
 and plan_select ctx (sel : Sql.select) : planned =
   (* Extend the slot table with the select's own aliases. *)
-  let local_aliases =
-    List.map
-      (fun (table, alias) ->
-        match Database.table_opt ctx.db table with
-        | Some t -> alias, t
-        | None -> error "unknown table %s" table)
-      sel.Sql.from
-  in
+  let local_aliases = from_tables ctx sel in
   (* Duplicate aliases in one FROM clause would make column references
      ambiguous and break slot binding. *)
   let seen = Hashtbl.create 8 in
@@ -1096,7 +1079,9 @@ and plan_select ctx (sel : Sql.select) : planned =
     else reduce_path_filters ctx sel local_aliases conjuncts
   in
   let env_slots = Array.length ctx.slots in
-  let ctx = { ctx with slots = Array.append ctx.slots (Array.of_list local_aliases) } in
+  let ctx =
+    { ctx with slots = Array.append ctx.slots (Array.of_list local_aliases); subs = ref [] }
+  in
   let local_names = List.map fst local_aliases in
   let is_local a = List.mem a local_names in
   (* Greedy join-order selection. *)
@@ -1232,7 +1217,7 @@ and plan_select ctx (sel : Sql.select) : planned =
         let set = pb.pb_set in
         let pred : pred_fn =
          fun bind ->
-          counters.c_probed <- counters.c_probed + 1;
+          counters.rows_probed <- counters.rows_probed + 1;
           match bind.(slot).(i) with
           | Value.Int v -> Some (Hashtbl.mem set v)
           | Value.Null | Value.Float _ | Value.Str _ | Value.Bin _ -> Some false
@@ -1326,20 +1311,20 @@ and plan_select ctx (sel : Sql.select) : planned =
             in
             List.iter
               (fun (pb, _) ->
-                ctx.counters.c_peak_bytes <-
-                  ctx.counters.c_peak_bytes - ((32 * Hashtbl.length pb.pb_set) + 64))
+                ctx.counters.peak_bytes <-
+                  ctx.counters.peak_bytes - ((32 * Hashtbl.length pb.pb_set) + 64))
               subsumed;
             if subsumed <> [] then
-              ctx.counters.c_peak_bytes <-
-                ctx.counters.c_peak_bytes + (8 * Array.length ps.ps_keys) + 48;
+              ctx.counters.peak_bytes <-
+                ctx.counters.peak_bytes + (8 * Array.length ps.ps_keys) + 48;
             kept
           | _ -> my_probes
         in
         (* The materialized candidate list is retained plan state. *)
         (match accesses.(i) with
          | `Content_probe cp ->
-           ctx.counters.c_peak_bytes <-
-             ctx.counters.c_peak_bytes + (8 * Array.length cp.cp_ids) + 48
+           ctx.counters.peak_bytes <-
+             ctx.counters.peak_bytes + (8 * Array.length cp.cp_ids) + 48
          | _ -> ());
         {
           st_slot = slot;
@@ -1349,6 +1334,9 @@ and plan_select ctx (sel : Sql.select) : planned =
           st_probe_labels = List.map (fun (pb, _) -> pb.pb_label) my_probes;
           st_content =
             (match accesses.(i) with `Content_probe _ -> true | _ -> false);
+          st_examined = 0;
+          st_passed = 0;
+          st_ns = 0;
         })
       order
   in
@@ -1367,13 +1355,7 @@ and plan_select ctx (sel : Sql.select) : planned =
     && (match sel.Sql.order_by, steps with
         | [ Sql.Col (oa, oc) ], st0 :: _ ->
           String.equal (alias_of_slot st0.st_slot) oa
-          && (match st0.st_access with
-              | `Index_order tree | `Index_range (tree, [||], _, _) ->
-                (match index_first_col st0.st_table tree with
-                 | Some c0 -> String.equal c0 oc
-                 | None -> false)
-              | `Partition_scan ps -> String.equal ps.ps_sort_col oc
-              | _ -> false)
+          && emits_ascending st0.st_table st0.st_access oc
         | _ -> false)
   in
   (* Record what this select depends on. An alias is pathid-guarded only
@@ -1420,6 +1402,7 @@ and plan_select ctx (sel : Sql.select) : planned =
     pl_order_preserved = order_preserved;
     pl_total = Array.length ctx.slots;
     pl_reductions = List.rev reductions;
+    pl_subs = List.rev !(ctx.subs);
   }
 
 (* Pick the best access for [table]/[alias], given that [bound] tells
@@ -1581,20 +1564,6 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
     | Sql.Concat (Sql.Col (a, c), Sql.Const _) -> Some [ a, c ]
     | Sql.Const _ -> Some []
     | _ -> None
-  in
-  let emits_ascending t access c =
-    match access with
-    | `Index_order tree ->
-      (match index_first_col t tree with
-       | Some c0 -> String.equal c0 c
-       | None -> false)
-    | `Index_range (tree, [||], _, _) ->
-      (match index_first_col t tree with
-       | Some c0 -> String.equal c0 c
-       | None -> false)
-    | `Merge_join mj -> String.equal mj.mj_suffix "" && String.equal mj.mj_key_col c
-    | `Partition_scan ps -> String.equal ps.ps_sort_col c
-    | _ -> false
   in
   let dep_status (a, c) =
     match List.find_opt (fun (pa, _, _) -> String.equal pa a) prev with
@@ -1891,57 +1860,42 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
 (* EXISTS                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Compile an EXISTS in the shape {!exists_shape} assigns it, recording
+   the sub-plan (and the shape) on the enclosing select for EXPLAIN.
+   [`Uncorrelated]: evaluate once, cache the boolean. [`Semijoin]: every
+   correlated conjunct is an inner = outer equality over hash-consistent
+   types, so evaluate the inner query once, hash its distinct key tuples
+   and test membership per binding. [`Correlated]: plan once, execute per
+   binding with early exit. *)
 and compile_exists ctx (sel : Sql.select) : pred_fn =
-  match (if ctx.naive then None else decorrelate_exists ctx sel) with
-  | Some pred -> pred
-  | None ->
-    (* Correlated evaluation with early exit. Plan once, execute per
-       binding. *)
+  let sub shape sel =
     let p = plan_select ctx sel in
-    let counters = ctx.counters in
-    let exception Found in
-    fun outer ->
-      let bind = Array.make p.pl_total [||] in
-      Array.blit outer 0 bind 0 p.pl_env;
-      if not (List.for_all (fun f -> f bind = Some true) p.pl_pre) then Some false
-      else
-        (try
-           exec_steps counters p.pl_steps bind (fun _ -> raise Found);
-           Some false
-         with Found -> Some true)
-
-(* Semi-join rewrite: if every correlated conjunct of the EXISTS is an
-   equality between an inner expression and an outer expression, and the
-   compared types hash consistently (both string-like or both numeric),
-   evaluate the inner query once, collect the distinct inner key tuples,
-   and turn the EXISTS into a hash-set membership test. *)
-and decorrelate_exists ctx (sel : Sql.select) : pred_fn option =
-  match exists_shape ctx sel with
-  | `Correlated -> None
+    ctx.subs := (shape, p) :: !(ctx.subs);
+    p
+  in
+  let exception Found in
+  let exists p outer =
+    try
+      run_planned p outer (fun _ -> raise Found);
+      false
+    with Found -> true
+  in
+  match if ctx.naive then `Correlated else exists_shape ctx sel with
+  | `Correlated ->
+    let p = sub Per_binding sel in
+    fun outer -> Some (exists p outer)
   | `Uncorrelated merged ->
-    (* Fully uncorrelated: evaluate once, cache the boolean. *)
-    let p = plan_select ctx merged in
-    let counters = ctx.counters in
+    let p = sub Once merged in
     let cache = ref None in
-    let exception Found in
-    Some
-      (fun outer ->
-        match !cache with
-        | Some b -> Some b
-        | None ->
-          let bind = Array.make p.pl_total [||] in
-          Array.blit outer 0 bind 0 p.pl_env;
-          let b =
-            List.for_all (fun f -> f bind = Some true) p.pl_pre
-            &&
-            (try
-               exec_steps counters p.pl_steps bind (fun _ -> raise Found);
-               false
-             with Found -> true)
-          in
-          cache := Some b;
-          Some b)
+    fun outer ->
+      (match !cache with
+       | Some b -> Some b
+       | None ->
+         let b = exists p outer in
+         cache := Some b;
+         Some b)
   | `Semijoin (pairs, kinds, inner_sel) ->
+    let p = sub (Semijoin (List.length pairs)) inner_sel in
     let outer_fns = List.map (fun (o, _) -> compile_value ctx o) pairs in
     let table = ref None in
     let build outer =
@@ -1951,32 +1905,20 @@ and decorrelate_exists ctx (sel : Sql.select) : pred_fn option =
         let t = Hashtbl.create 1024 in
         (* The inner query sees no outer slots it depends on; pass
            the current binding anyway (harmless). *)
-        iter_select_rows ctx inner_sel outer (fun row ->
-            let key =
-              List.map2 (fun kind v -> canon_key kind v) kinds (Array.to_list row)
-            in
+        run_planned p outer (fun b ->
+            let key = List.map2 (fun kind (fn, _) -> canon_key kind (fn b)) kinds p.pl_project in
             if List.for_all Option.is_some key then
               Hashtbl.replace t (List.map Option.get key) ());
         table := Some t;
         t
     in
-    Some
-      (fun outer ->
-        let t = build outer in
-        let key =
-          List.map2 (fun kind fn -> canon_key kind (fn outer)) kinds outer_fns
-        in
-        if List.exists Option.is_none key then Some false
-        else Some (Hashtbl.mem t (List.map Option.get key)))
-
-(* Run a select and emit each projected row (no distinct/order). *)
-and iter_select_rows ctx sel outer emit_row =
-  let p = plan_select ctx sel in
-  let bind = Array.make p.pl_total [||] in
-  Array.blit outer 0 bind 0 p.pl_env;
-  if List.for_all (fun f -> f bind = Some true) p.pl_pre then
-    exec_steps ctx.counters p.pl_steps bind (fun b ->
-        emit_row (Array.of_list (List.map (fun (fn, _) -> fn b) p.pl_project)))
+    fun outer ->
+      let t = build outer in
+      let key =
+        List.map2 (fun kind fn -> canon_key kind (fn outer)) kinds outer_fns
+      in
+      if List.exists Option.is_none key then Some false
+      else Some (Hashtbl.mem t (List.map Option.get key))
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -1999,43 +1941,29 @@ module Row_set = Set.Make (struct
   let compare = compare_rows
 end)
 
-(* Shared DISTINCT / ORDER BY tail for one select's emitted
+(* The items whose row has not been seen before, in order. *)
+let first_occurrences row_of items =
+  let seen = ref Row_set.empty in
+  List.filter
+    (fun item ->
+      let row = row_of item in
+      (not (Row_set.mem row !seen)) && (seen := Row_set.add row !seen; true))
+    items
+
+(* DISTINCT / ORDER BY tail for one select's emitted
    (sort keys, projected row) pairs, in emission order. DISTINCT keeps
    the first occurrence of each row. When the plan proved it emits rows
    nondecreasing on the sort keys ([pl_order_preserved]), the stable
    sort would be the identity and is skipped. *)
 let finalize_select p rows =
-  let rows =
-    if p.pl_distinct then begin
-      let seen = ref Row_set.empty in
-      List.filter
-        (fun (_, row) ->
-          if Row_set.mem row !seen then false
-          else begin
-            seen := Row_set.add row !seen;
-            true
-          end)
-        rows
-    end
-    else rows
-  in
+  let rows = if p.pl_distinct then first_occurrences snd rows else rows in
   if p.pl_order_by = [] || p.pl_order_preserved then rows
   else List.stable_sort (fun (ka, _) (kb, _) -> compare_rows ka kb) rows
 
-(* Shared UNION tail: distinct over whole rows (first occurrence wins),
-   then ORDER BY the given projection ordinals. *)
+(* UNION tail: distinct over whole rows (first occurrence wins), then
+   ORDER BY the given projection ordinals. *)
 let finalize_union order_cols all =
-  let seen = ref Row_set.empty in
-  let rows =
-    List.filter
-      (fun row ->
-        if Row_set.mem row !seen then false
-        else begin
-          seen := Row_set.add row !seen;
-          true
-        end)
-      all
-  in
+  let rows = first_occurrences Fun.id all in
   if order_cols = [] then rows
   else
     List.stable_sort
@@ -2048,95 +1976,103 @@ let finalize_union order_cols all =
         go order_cols)
       rows
 
-(* Compile a select once — planning, join ordering, access-path choice,
-   the semi-join reduction and predicate compilation all happen here —
-   and return a closure that executes the compiled pipeline. Memoized
-   state created at compile time (EXISTS caches, pathid sets, hash-join
-   build tables) is shared across executions, which is sound as long as
-   the database has not changed (enforced by {!run_plan}'s epoch check;
-   the one-shot entry points execute immediately). *)
-let compile_select ?(footprint = Hashtbl.create 8) ?(verdicts = Hashtbl.create 16)
-    ~naive ~opts ~counters db (sel : Sql.select) : unit -> result =
-  let ctx = { db; slots = [||]; naive; opts; counters; footprint; verdicts } in
+(* Plan a select once — planning, join ordering, access-path choice, the
+   semi-join reduction and predicate compilation all happen here — and
+   return the planned select with a closure executing it. Memoized state
+   created at compile time (EXISTS caches, pathid sets, hash-join build
+   tables) is shared across executions, which is sound as long as the
+   database has not changed (enforced by {!run_plan}'s epoch check; the
+   one-shot entry points execute immediately). *)
+let compile_select ctx (sel : Sql.select) =
   let p = plan_select ctx sel in
-  fun () ->
-    let bind = Array.make p.pl_total [||] in
-    let out = ref [] in
-    if List.for_all (fun f -> f bind = Some true) p.pl_pre then
-      exec_steps counters p.pl_steps bind (fun b ->
+  ( p,
+    fun () ->
+      let out = ref [] in
+      run_planned p [||] (fun b ->
           let row = Array.of_list (List.map (fun (fn, _) -> fn b) p.pl_project) in
           let keys = Array.of_list (List.map (fun fn -> fn b) p.pl_order_by) in
           out := (keys, row) :: !out);
-    let rows = finalize_select p (List.rev !out) in
-    { columns = List.map snd sel.Sql.projections; rows = List.map snd rows }
-
-let compile_statement ?(footprint = Hashtbl.create 8) ~naive ~opts ~counters db =
-  let verdicts = Hashtbl.create 16 in
-  function
-  | Sql.Select sel -> compile_select ~footprint ~verdicts ~naive ~opts ~counters db sel
-  | Sql.Select_count sel ->
-    let counted =
-      compile_select ~footprint ~verdicts ~naive ~opts ~counters db
-        {
-          sel with
-          Sql.distinct = false;
-          projections = [ Sql.Const (Value.Int 1), "one" ];
-          order_by = [];
-        }
-    in
-    fun () ->
-      { columns = [ "count" ]; rows = [ [| Value.Int (List.length (counted ()).rows) |] ] }
-  | Sql.Union (branches, order_cols) ->
-    (match branches with
-     | [] -> fun () -> { columns = []; rows = [] }
-     | first :: _ ->
-       let arity = List.length first.Sql.projections in
-       List.iter
-         (fun b ->
-           if List.length b.Sql.projections <> arity then
-             error "UNION branches project different arities")
-         branches;
-       let compiled =
-         List.map (compile_select ~footprint ~verdicts ~naive ~opts ~counters db) branches
-       in
-       fun () ->
-         let all = List.concat_map (fun run -> (run ()).rows) compiled in
-         let rows = finalize_union order_cols all in
-         { columns = List.map snd first.Sql.projections; rows })
-
-let run_statement ~naive ~opts db stmt =
-  Database.with_read db (fun () ->
-      compile_statement ~naive ~opts ~counters:(counters_create ()) db stmt ())
+      let rows = finalize_select p (List.rev !out) in
+      { columns = List.map snd sel.Sql.projections; rows = List.map snd rows } )
 
 (* ------------------------------------------------------------------ *)
 (* Prepared plans                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A compiled statement: the plan tree that EXPLAIN prints and EXPLAIN
+   ANALYZE reads back, the closure that executes it, and the root ctx
+   holding the counters, footprint and profile flag every sub-plan
+   shares. *)
 type plan = {
   plan_db : Database.t;
   mutable plan_epoch : int;
+  plan_tree : [ `Select of planned | `Union of planned list ];
   plan_exec : unit -> result;
-  plan_counters : counters;
-  plan_fp : (string, fp_entry) Hashtbl.t;
+  plan_ctx : ctx;
 }
 
+let compile ~naive ~opts db stmt =
+  let ctx =
+    {
+      db;
+      slots = [||];
+      naive;
+      opts;
+      counters = counters_create ();
+      profiling = ref false;
+      subs = ref [];
+      footprint = Hashtbl.create 8;
+      verdicts = Hashtbl.create 16;
+    }
+  in
+  let tree, exec =
+    match stmt with
+    | Sql.Select sel ->
+      let p, run = compile_select ctx sel in
+      `Select p, run
+    | Sql.Select_count sel ->
+      let p, counted =
+        compile_select ctx
+          {
+            sel with
+            Sql.distinct = false;
+            projections = [ Sql.Const (Value.Int 1), "one" ];
+            order_by = [];
+          }
+      in
+      ( `Select p,
+        fun () ->
+          { columns = [ "count" ]; rows = [ [| Value.Int (List.length (counted ()).rows) |] ] }
+      )
+    | Sql.Union (branches, order_cols) ->
+      let columns =
+        match branches with
+        | [] -> []
+        | first :: _ ->
+          let arity = List.length first.Sql.projections in
+          List.iter
+            (fun b ->
+              if List.length b.Sql.projections <> arity then
+                error "UNION branches project different arities")
+            branches;
+          List.map snd first.Sql.projections
+      in
+      let compiled = List.map (compile_select ctx) branches in
+      ( `Union (List.map fst compiled),
+        fun () ->
+          let all = List.concat_map (fun (_, run) -> (run ()).rows) compiled in
+          { columns; rows = finalize_union order_cols all } )
+  in
+  { plan_db = db; plan_epoch = Database.epoch db; plan_tree = tree; plan_exec = exec; plan_ctx = ctx }
+
 let prepare ?(opts = default_opts) db stmt =
-  Database.with_read db (fun () ->
-      let counters = counters_create () in
-      let footprint = Hashtbl.create 8 in
-      {
-        plan_db = db;
-        plan_epoch = Database.epoch db;
-        plan_exec = compile_statement ~footprint ~naive:false ~opts ~counters db stmt;
-        plan_counters = counters;
-        plan_fp = footprint;
-      })
+  Database.with_read db (fun () -> compile ~naive:false ~opts db stmt)
 
 let plan_epoch p = p.plan_epoch
 
 let plan_valid p = Database.epoch p.plan_db = p.plan_epoch
 
-let plan_stats p = stats_of p.plan_counters
+let plan_stats p = make (fun _ _ get -> get p.plan_ctx.counters)
 
 let plan_footprint p =
   Hashtbl.fold
@@ -2148,7 +2084,7 @@ let plan_footprint p =
           `Paths (List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) set []))
       in
       (table, dep) :: acc)
-    p.plan_fp []
+    p.plan_ctx.footprint []
   |> List.sort compare
 
 (* Fine-grained revalidation: the plan stays runnable after commits whose
@@ -2171,14 +2107,14 @@ let plan_compatible p =
              | None -> false
              | Some tbl -> Table.version tbl = e.fe_version)
            | Dep_paths set -> not (List.exists (Hashtbl.mem set) changed)))
-       p.plan_fp true
+       p.plan_ctx.footprint true
      && begin
           Hashtbl.iter
             (fun table e ->
               match Database.table_opt p.plan_db table with
               | Some tbl -> e.fe_version <- Table.version tbl
               | None -> ())
-            p.plan_fp;
+            p.plan_ctx.footprint;
           p.plan_epoch <- Database.epoch p.plan_db;
           true
         end
@@ -2191,7 +2127,7 @@ let run_plan p =
       p.plan_exec ())
 
 (* ------------------------------------------------------------------ *)
-(* Profiled execution and EXPLAIN                                      *)
+(* EXPLAIN and EXPLAIN ANALYZE: readings of the plan tree               *)
 (* ------------------------------------------------------------------ *)
 
 type step_profile = {
@@ -2205,252 +2141,127 @@ type step_profile = {
 
 let access_label : access -> string = function
   | `Scan -> "full scan"
-  | `Index_eq _ -> "index eq lookup"
-  | `Index_range _ -> "index range scan"
-  | `Index_order _ -> "index order scan"
-  | `Prefix_lookup _ -> "prefix lookups"
-  | `Hash_probe _ -> "hash join"
-  | `Merge_join _ -> "merge join (dewey)"
-  | `Partition_scan _ -> "partition scan"
-  | `Content_probe cp -> Printf.sprintf "content index probe (%s)" cp.cp_kinds
+  | `Index_eq (tree, fns) ->
+    Printf.sprintf "index eq lookup (%d cols, width %d)" (Array.length fns)
+      (Btree.width tree)
+  | `Index_range (tree, fns, lo, hi) ->
+    Printf.sprintf "index range scan (eq prefix %d, lo %s, hi %s, width %d)"
+      (Array.length fns)
+      (if lo = None then "-inf" else "bound")
+      (if hi = None then "+inf" else "bound")
+      (Btree.width tree)
+  | `Index_order tree -> Printf.sprintf "index order scan (width %d)" (Btree.width tree)
+  | `Prefix_lookup (tree, _, _) -> Printf.sprintf "prefix lookups (width %d)" (Btree.width tree)
+  | `Hash_probe hp -> Printf.sprintf "hash join (build %s.%s)" (Table.name hp.hp_table) hp.hp_col
+  | `Merge_join mj ->
+    Printf.sprintf "merge join (dewey) (sort %s.%s%s, lo %s, hi %s)"
+      (Table.name mj.mj_table) mj.mj_key_col
+      (if String.equal mj.mj_suffix "" then "" else " || sentinel")
+      (if mj.mj_lo = None then "-inf" else "bound")
+      (if mj.mj_hi = None then "+inf" else "bound")
+  | `Partition_scan ps ->
+    Printf.sprintf "partition scan (%s order), partitions: scanned %d/%d (pruned %d, %d rows)"
+      ps.ps_sort_col (Array.length ps.ps_keys) ps.ps_total
+      (ps.ps_total - Array.length ps.ps_keys)
+      ps.ps_rows
+  | `Content_probe cp ->
+    Printf.sprintf "content index probe (%s) on %s (%d literal groups -> %d candidates)"
+      cp.cp_kinds cp.cp_col cp.cp_groups (Array.length cp.cp_ids)
 
-(* EXPLAIN-ANALYZE style execution of one select: like the compiled
-   pipeline with per-step row counters and inclusive per-step wall time
-   (a step's seconds include the steps nested inside its loop). *)
-let run_select_profiled ~opts ~counters db (sel : Sql.select) =
-  let ctx =
-    {
-      db;
-      slots = [||];
-      naive = false;
-      opts;
-      counters;
-      footprint = Hashtbl.create 8;
-      verdicts = Hashtbl.create 16;
-    }
-  in
-  let p = plan_select ctx sel in
-  let steps_arr = Array.of_list p.pl_steps in
-  let nsteps = Array.length steps_arr in
-  let examined = Array.make nsteps 0 in
-  let passed = Array.make nsteps 0 in
-  let seconds = Array.make nsteps 0.0 in
-  let bind = Array.make p.pl_total [||] in
-  let out = ref [] in
-  let rec exec i =
-    if i >= nsteps then begin
-      counters.c_emitted <- counters.c_emitted + 1;
-      let row = Array.of_list (List.map (fun (fn, _) -> fn bind) p.pl_project) in
-      let keys = Array.of_list (List.map (fun fn -> fn bind) p.pl_order_by) in
-      out := (keys, row) :: !out
-    end
-    else begin
-      let st = steps_arr.(i) in
-      let t0 = Unix.gettimeofday () in
-      iter_access counters st.st_table st.st_access bind (fun row_id ->
-          let row = Table.row st.st_table row_id in
-          if Array.length row > 0 then begin
-            examined.(i) <- examined.(i) + 1;
-            bind.(st.st_slot) <- row;
-            if List.for_all (fun f -> f bind = Some true) st.st_filters then begin
-              passed.(i) <- passed.(i) + 1;
-              if st.st_content then
-                counters.c_content_verified <- counters.c_content_verified + 1;
-              exec (i + 1)
-            end
-          end);
-      seconds.(i) <- seconds.(i) +. (Unix.gettimeofday () -. t0)
-    end
-  in
-  if List.for_all (fun f -> f bind = Some true) p.pl_pre then exec 0;
-  let rows = finalize_select p (List.rev !out) in
-  let profiles =
-    List.mapi
-      (fun i st ->
-        {
-          table = Table.name st.st_table;
-          alias = fst p.pl_ctx.slots.(st.st_slot);
-          access =
-            access_label st.st_access
-            ^ (match st.st_probe_labels with
-               | [] -> ""
-               | ls -> " + " ^ String.concat " + " ls);
-          examined = examined.(i);
-          passed = passed.(i);
-          seconds = seconds.(i);
-        })
-      p.pl_steps
-  in
-  ( { columns = List.map snd sel.Sql.projections; rows = List.map snd rows },
-    profiles )
+let step_profile p st =
+  {
+    table = Table.name st.st_table;
+    alias = fst p.pl_ctx.slots.(st.st_slot);
+    access = String.concat " + " (access_label st.st_access :: st.st_probe_labels);
+    examined = st.st_examined;
+    passed = st.st_passed;
+    seconds = float_of_int st.st_ns *. 1e-9;
+  }
 
-let run_profiled ?(opts = default_opts) db stmt =
-  Database.with_read db @@ fun () ->
-  let counters = counters_create () in
-  let result, profiles =
-    match stmt with
-    | Sql.Select sel -> run_select_profiled ~opts ~counters db sel
-    | Sql.Select_count sel ->
-      let counted, profiles =
-        run_select_profiled ~opts ~counters db
-          {
-            sel with
-            Sql.distinct = false;
-            projections = [ Sql.Const (Value.Int 1), "one" ];
-            order_by = [];
-          }
-      in
-      ( { columns = [ "count" ]; rows = [ [| Value.Int (List.length counted.rows) |] ] },
-        profiles )
-    | Sql.Union (branches, order_cols) ->
-      (match branches with
-       | [] -> { columns = []; rows = [] }, []
-       | first :: _ ->
-         let arity = List.length first.Sql.projections in
-         List.iter
-           (fun b ->
-             if List.length b.Sql.projections <> arity then
-               error "UNION branches project different arities")
-           branches;
-         let results = List.map (run_select_profiled ~opts ~counters db) branches in
-         let all = List.concat_map (fun (r, _) -> r.rows) results in
-         let rows = finalize_union order_cols all in
-         ( { columns = List.map snd first.Sql.projections; rows },
-           List.concat_map snd results ))
-  in
-  result, profiles, stats_of counters
-
-let run ?(opts = default_opts) db stmt = run_statement ~naive:false ~opts db stmt
-
-let run_naive db stmt = run_statement ~naive:true ~opts:default_opts db stmt
-
-let explain ?(opts = default_opts) db stmt =
-  Database.with_read db @@ fun () ->
-  let buf = Buffer.create 256 in
-  let verdicts = Hashtbl.create 16 in
-  (* EXISTS sub-selects anywhere in a predicate tree, outermost first. *)
-  let rec exists_subs (e : Sql.expr) acc =
-    match e with
-    | Sql.Exists sub -> sub :: acc
-    | Sql.And (a, b) | Sql.Or (a, b) -> exists_subs a (exists_subs b acc)
-    | Sql.Not a -> exists_subs a acc
-    | _ -> acc
-  in
-  let rec describe_select ?(slots = [||]) prefix (sel : Sql.select) =
-    let ctx =
-      {
-        db;
-        slots;
-        naive = false;
-        opts;
-        counters = counters_create ();
-        footprint = Hashtbl.create 8;
-        verdicts;
-      }
-    in
-    let p = plan_select ctx sel in
+(* The one walk over a plan tree, in print order: [line indent text] for
+   each plan line that is not a step, [step indent planned step] for each
+   step. EXISTS sub-plans follow their select, indented. *)
+let walk_plan ~line ~step plan =
+  let rec select indent p =
     List.iter
       (fun rd ->
-        Buffer.add_string buf
+        line indent
           (Printf.sprintf
-             "%ssemi-join reduction: %s(%s) REGEXP '%s' -> %d of %d path ids, probed on %s.%s\n"
-             prefix rd.rd_dim_table rd.rd_dim_alias rd.rd_pattern rd.rd_matched
-             rd.rd_total rd.rd_fact_alias rd.rd_fact_col))
+             "semi-join reduction: %s(%s) REGEXP '%s' -> %d of %d path ids, probed on %s.%s"
+             rd.rd_dim_table rd.rd_dim_alias rd.rd_pattern rd.rd_matched rd.rd_total
+             rd.rd_fact_alias rd.rd_fact_col))
       p.pl_reductions;
     if p.pl_pre <> [] then
-      Buffer.add_string buf
-        (Printf.sprintf "%sconstant filters: %d\n" prefix (List.length p.pl_pre));
-    List.iter
-      (fun st ->
-        let alias = fst p.pl_ctx.slots.(st.st_slot) in
-        let access_str =
-          match st.st_access with
-          | `Scan -> "full scan"
-          | `Index_eq (tree, fns) ->
-            Printf.sprintf "index eq lookup (%d cols, width %d)" (Array.length fns)
-              (Btree.width tree)
-          | `Index_range (tree, fns, lo, hi) ->
-            Printf.sprintf "index range scan (eq prefix %d, lo %s, hi %s, width %d)"
-              (Array.length fns)
-              (if lo = None then "-inf" else "bound")
-              (if hi = None then "+inf" else "bound")
-              (Btree.width tree)
-          | `Index_order tree ->
-            Printf.sprintf "index order scan (width %d)" (Btree.width tree)
-          | `Prefix_lookup (tree, _, _) ->
-            Printf.sprintf "prefix lookups (width %d)" (Btree.width tree)
-          | `Hash_probe hp ->
-            Printf.sprintf "hash join (build %s.%s)" (Table.name hp.hp_table) hp.hp_col
-          | `Merge_join mj ->
-            Printf.sprintf "merge join (dewey) (sort %s.%s%s, lo %s, hi %s)"
-              (Table.name mj.mj_table) mj.mj_key_col
-              (if String.equal mj.mj_suffix "" then "" else " || sentinel")
-              (if mj.mj_lo = None then "-inf" else "bound")
-              (if mj.mj_hi = None then "+inf" else "bound")
-          | `Partition_scan ps ->
-            Printf.sprintf
-              "partition scan (%s order), partitions: scanned %d/%d (pruned %d, %d rows)"
-              ps.ps_sort_col (Array.length ps.ps_keys) ps.ps_total
-              (ps.ps_total - Array.length ps.ps_keys)
-              ps.ps_rows
-          | `Content_probe cp ->
-            Printf.sprintf
-              "content index probe (%s) on %s (%d literal groups -> %d candidates)"
-              cp.cp_kinds cp.cp_col cp.cp_groups (Array.length cp.cp_ids)
-        in
-        let probe_str =
-          match st.st_probe_labels with
-          | [] -> ""
-          | ls -> " + " ^ String.concat " + " ls
-        in
-        let residual = List.length st.st_filters - List.length st.st_probe_labels in
-        Buffer.add_string buf
-          (Printf.sprintf "%sstep %s(%s): %s%s, %d residual filters\n" prefix
-             (Table.name st.st_table) alias access_str probe_str residual))
-      p.pl_steps;
-    if p.pl_distinct then Buffer.add_string buf (Printf.sprintf "%sdistinct\n" prefix);
+      line indent (Printf.sprintf "constant filters: %d" (List.length p.pl_pre));
+    List.iter (step indent p) p.pl_steps;
+    if p.pl_distinct then line indent "distinct";
     if p.pl_order_by <> [] then
-      if p.pl_order_preserved then
-        Buffer.add_string buf
-          (Printf.sprintf "%sorder: preserved (%d keys, sort elided)\n" prefix
-             (List.length p.pl_order_by))
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "%ssort (%d keys)\n" prefix (List.length p.pl_order_by));
-    (* Recurse into EXISTS sub-selects with this select's aliases in
-       scope, classified exactly as decorrelate_exists will classify
-       them at run time. *)
-    let subs =
-      match sel.Sql.where with None -> [] | Some w -> exists_subs w []
-    in
+      line indent
+        (if p.pl_order_preserved then
+           Printf.sprintf "order: preserved (%d keys, sort elided)" (List.length p.pl_order_by)
+         else Printf.sprintf "sort (%d keys)" (List.length p.pl_order_by));
     List.iter
-      (fun sub ->
-        match exists_shape p.pl_ctx sub with
-        | `Uncorrelated merged ->
-          Buffer.add_string buf
-            (Printf.sprintf "%sexists subquery (uncorrelated, evaluated once):\n"
-               prefix);
-          describe_select ~slots:p.pl_ctx.slots (prefix ^ "  ") merged
-        | `Semijoin (pairs, _, inner_sel) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%sexists subquery (decorrelated semi-join, %d key%s):\n" prefix
-               (List.length pairs)
-               (if List.length pairs = 1 then "" else "s"));
-          describe_select ~slots:p.pl_ctx.slots (prefix ^ "  ") inner_sel
-        | `Correlated ->
-          Buffer.add_string buf
-            (Printf.sprintf "%sexists subquery (correlated, per binding):\n"
-               prefix);
-          describe_select ~slots:p.pl_ctx.slots (prefix ^ "  ") sub)
-      subs
+      (fun (shape, sub) ->
+        line indent
+          (match shape with
+           | Once -> "exists subquery (uncorrelated, evaluated once):"
+           | Semijoin n ->
+             Printf.sprintf "exists subquery (decorrelated semi-join, %d key%s):" n
+               (if n = 1 then "" else "s")
+           | Per_binding -> "exists subquery (correlated, per binding):");
+        select (indent ^ "  ") sub)
+      p.pl_subs
   in
-  (match stmt with
-   | Sql.Select sel | Sql.Select_count sel -> describe_select "" sel
-   | Sql.Union (branches, _) ->
-     List.iteri
-       (fun i b ->
-         Buffer.add_string buf (Printf.sprintf "union branch %d:\n" i);
-         describe_select "  " b)
-       branches);
+  match plan.plan_tree with
+  | `Select p -> select "" p
+  | `Union ps ->
+    List.iteri
+      (fun i p ->
+        line "" (Printf.sprintf "union branch %d:" i);
+        select "  " p)
+      ps
+
+let render ~analyze plan =
+  let buf = Buffer.create 256 in
+  walk_plan plan
+    ~line:(fun indent text -> Printf.bprintf buf "%s%s\n" indent text)
+    ~step:(fun indent p st ->
+      let sp = step_profile p st in
+      Printf.bprintf buf "%sstep %s(%s): %s, %d residual filters" indent sp.table sp.alias
+        sp.access
+        (List.length st.st_filters - List.length st.st_probe_labels);
+      if analyze then
+        Printf.bprintf buf " — examined %d, passed %d, %.6fs" sp.examined sp.passed
+          sp.seconds;
+      Buffer.add_char buf '\n');
   Buffer.contents buf
+
+let explain ?opts db stmt = render ~analyze:false (prepare ?opts db stmt)
+
+(* EXPLAIN ANALYZE is the served executor over a freshly compiled plan
+   with its profile flag set: planning and the single execution happen
+   under one read lock, exactly as [prepare] followed by [run_plan]. *)
+let run_analyzed ?(opts = default_opts) db stmt =
+  Database.with_read db @@ fun () ->
+  let plan = compile ~naive:false ~opts db stmt in
+  plan.plan_ctx.profiling := true;
+  let result = plan.plan_exec () in
+  plan, result
+
+let run_profiled ?opts db stmt =
+  let plan, result = run_analyzed ?opts db stmt in
+  let profiles = ref [] in
+  walk_plan plan
+    ~line:(fun _ _ -> ())
+    ~step:(fun _ p st -> profiles := step_profile p st :: !profiles);
+  result, List.rev !profiles, plan_stats plan
+
+let explain_analyze ?opts db stmt =
+  let plan, result = run_analyzed ?opts db stmt in
+  render ~analyze:true plan, result, plan_stats plan
+
+let run ?(opts = default_opts) db stmt =
+  Database.with_read db (fun () -> (compile ~naive:false ~opts db stmt).plan_exec ())
+
+let run_naive db stmt =
+  Database.with_read db (fun () -> (compile ~naive:true ~opts:default_opts db stmt).plan_exec ())

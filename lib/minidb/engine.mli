@@ -70,46 +70,62 @@ val default_opts : opts
     Operator-level counters accumulated by every plan: one snapshot per
     plan ({!plan_stats}), deltas via {!stats_diff}. Plan-time work (the
     reduction's regex sweep over the dimension table) is counted too, so
-    a freshly prepared plan already has non-zero stats. *)
+    a freshly prepared plan already has non-zero stats. Each counter is
+    declared once, in {!counters}; every operation below, the service
+    metrics and the CLI iterate that table. A snapshot is read-only
+    outside the engine ([private]); the fields are mutable only so that a
+    plan can count in place. *)
 
-type exec_stats = {
-  rows_scanned : int;  (** rows fetched through access paths (incl. hash and merge builds) *)
-  rows_probed : int;  (** hash-join and pathid-set probe operations *)
-  rows_emitted : int;  (** bindings surviving every join step *)
-  regex_plan_evals : int;
+type exec_stats = private {
+  mutable rows_scanned : int;  (** rows fetched through access paths (incl. hash and merge builds) *)
+  mutable rows_probed : int;  (** hash-join and pathid-set probe operations *)
+  mutable rows_emitted : int;  (** bindings surviving every join step *)
+  mutable regex_plan_evals : int;
       (** plan-time regex executions: the semi-join reduction's sweep over
           the dimension table on a verdict-cache miss *)
-  regex_exec_evals : int;
+  mutable regex_exec_evals : int;
       (** exec-time NFA-backed regex executions — REGEXP_LIKE predicates
           whose pattern could not be frozen into a shared dense DFA. Zero
           on every common path; the bench's regression gate. *)
-  dfa_execs : int;
+  mutable dfa_execs : int;
       (** exec-time executions of a shared frozen DFA (content-index
           candidate verification and residual REGEXP_LIKE filters) *)
-  hash_builds : int;  (** hash-join build tables materialized *)
-  reductions : int;  (** path-filter semi-join reductions applied *)
-  merge_probes : int;  (** merge-join probe operations (one per outer binding) *)
-  merge_steps : int;  (** merge cursor forward advances *)
-  merge_backtracks : int;  (** merge cursor band-join backward slides *)
-  partitions_scanned : int;
+  mutable hash_builds : int;  (** hash-join build tables materialized *)
+  mutable reductions : int;  (** path-filter semi-join reductions applied *)
+  mutable merge_probes : int;  (** merge-join probe operations (one per outer binding) *)
+  mutable merge_steps : int;  (** merge cursor forward advances *)
+  mutable merge_backtracks : int;  (** merge cursor band-join backward slides *)
+  mutable partitions_scanned : int;
       (** partitions a pruned partition scan touched (per execution) *)
-  partitions_pruned : int;
+  mutable partitions_pruned : int;
       (** partitions a pruned partition scan skipped (per execution) *)
-  content_probes : int;
+  mutable content_probes : int;
       (** content-index probes: one per content-probe access per
           execution *)
-  content_candidates : int;
+  mutable content_candidates : int;
       (** candidate rows produced by content-index probes (the rows the
           probe step scans instead of the whole table) *)
-  content_verified : int;
+  mutable content_verified : int;
       (** candidates that survived DFA verification (the probe step's
           residual filters) *)
-  peak_bytes : int;
+  mutable peak_bytes : int;
       (** estimated peak resident bytes of plan-owned materializations:
           hash-join build tables, semi-join pathid sets, merge-join
           sorted arrays. These live for the plan's lifetime, so the
           running sum is the peak; across plans the field aggregates. *)
 }
+
+type counter = {
+  name : string;  (** the field name, also the JSON key *)
+  label : string;  (** the EXPLAIN / metrics-dump label *)
+  get : exec_stats -> int;
+}
+
+val counters : counter list
+(** Every operator counter, in field order. *)
+
+val stats_to_string : exec_stats -> string
+(** ["scanned 318, probed 0, ..."]: every counter as [label value]. *)
 
 val stats_zero : exec_stats
 
@@ -179,27 +195,43 @@ val plan_stats : plan -> exec_stats
     {!run_plan} so far. Snapshot before and after an execution and
     {!stats_diff} the two to attribute work to that execution. *)
 
+(** {2 EXPLAIN and EXPLAIN ANALYZE}
+
+    Both are readings of the prepared plan tree the executor runs: the
+    select's steps with their chosen accesses, and the EXISTS sub-plans
+    recorded, with their execution shape, when their predicates were
+    compiled. Every step counts the rows it examines and passes on the
+    served path too; EXPLAIN ANALYZE additionally sets the plan's
+    internal profile flag so each step entry reads a monotonic clock. *)
+
 val explain : ?opts:opts -> Database.t -> Sql.statement -> string
-(** Human-readable plan: applied semi-join reductions first, then one
-    line per step with its access path ([hash join], [content index
-    probe] and pathid set probes included). EXISTS sub-selects are
-    described recursively, annotated with how the executor will treat
+(** Human-readable plan of {!prepare}: applied semi-join reductions
+    first, then one line per step with its access path ([hash join],
+    [content index probe] and pathid set probes included). EXISTS
+    sub-plans follow, indented, annotated with how the executor treats
     them (uncorrelated / decorrelated semi-join / correlated). *)
 
 type step_profile = {
   table : string;
   alias : string;
-  access : string;  (** access path, plus any pathid set probes *)
+  access : string;
+      (** access path, plus any pathid set probes: the label {!explain}
+          prints for the step *)
   examined : int;  (** rows fetched through the access path *)
   passed : int;  (** rows surviving this step's residual filters *)
   seconds : float;
-      (** inclusive wall time: a step's loop body contains all later
-          steps, so outer steps subsume inner ones *)
+      (** inclusive monotonic time: a step's loop body contains all
+          later steps, so outer steps subsume inner ones *)
 }
 
 val run_profiled :
   ?opts:opts -> Database.t -> Sql.statement -> result * step_profile list * exec_stats
-(** Like {!run}, additionally reporting per-step row counts and times for
-    the top-level select(s) (EXPLAIN-ANALYZE style; sub-queries are not
-    instrumented) and the run's operator counters. Union branches
-    concatenate their profiles. *)
+(** EXPLAIN ANALYZE: {!prepare} and one {!run_plan} with the profile flag
+    set (under one read lock), then the plan's steps in {!explain} order —
+    EXISTS sub-plans and union branches included — and the plan's
+    counters, which equal {!plan_stats} after a plain prepare and run. *)
+
+val explain_analyze :
+  ?opts:opts -> Database.t -> Sql.statement -> string * result * exec_stats
+(** {!run_profiled}, rendered: the {!explain} text with each step line
+    followed by its examined and passed rows and its seconds. *)

@@ -335,20 +335,7 @@ let dump t =
          (let s = shard_skew_of t.shard_rows in
           if Float.is_nan s then "n/a" else Printf.sprintf "%.2fx" s));
   Buffer.add_string buf
-    (let e = t.engine in
-     Printf.sprintf
-       "  engine: %d rows scanned, %d probes, %d rows emitted, %d plan regex evals, %d exec regex evals, %d dfa execs, %d hash builds, %d reductions\n\
-       \  engine: %d merge probes, %d merge steps, %d merge backtracks, %d partitions scanned, %d partitions pruned, %d peak bytes\n\
-       \  engine: %d content probes, %d content candidates, %d content verified\n"
-       e.Ppfx_minidb.Engine.rows_scanned e.Ppfx_minidb.Engine.rows_probed
-       e.Ppfx_minidb.Engine.rows_emitted e.Ppfx_minidb.Engine.regex_plan_evals
-       e.Ppfx_minidb.Engine.regex_exec_evals e.Ppfx_minidb.Engine.dfa_execs
-       e.Ppfx_minidb.Engine.hash_builds e.Ppfx_minidb.Engine.reductions
-       e.Ppfx_minidb.Engine.merge_probes e.Ppfx_minidb.Engine.merge_steps
-       e.Ppfx_minidb.Engine.merge_backtracks e.Ppfx_minidb.Engine.partitions_scanned
-       e.Ppfx_minidb.Engine.partitions_pruned e.Ppfx_minidb.Engine.peak_bytes
-       e.Ppfx_minidb.Engine.content_probes e.Ppfx_minidb.Engine.content_candidates
-       e.Ppfx_minidb.Engine.content_verified);
+    (Printf.sprintf "  engine: %s\n" (Ppfx_minidb.Engine.stats_to_string t.engine));
   if t.accepted > 0 || t.rejected > 0 then
     Buffer.add_string buf
       (Printf.sprintf
@@ -407,24 +394,12 @@ let to_json t =
       (q "p99_s" (acc_percentile a 0.99))
   in
   let engine_json =
-    let e = t.engine in
-    Printf.sprintf
-      "{\"rows_scanned\":%d,\"rows_probed\":%d,\"rows_emitted\":%d,\
-       \"regex_plan_evals\":%d,\"regex_exec_evals\":%d,\"dfa_execs\":%d,\
-       \"hash_builds\":%d,\"reductions\":%d,\
-       \"merge_probes\":%d,\"merge_steps\":%d,\"merge_backtracks\":%d,\
-       \"partitions_scanned\":%d,\"partitions_pruned\":%d,\
-       \"content_probes\":%d,\"content_candidates\":%d,\"content_verified\":%d,\
-       \"peak_bytes\":%d}"
-      e.Ppfx_minidb.Engine.rows_scanned e.Ppfx_minidb.Engine.rows_probed
-      e.Ppfx_minidb.Engine.rows_emitted e.Ppfx_minidb.Engine.regex_plan_evals
-      e.Ppfx_minidb.Engine.regex_exec_evals e.Ppfx_minidb.Engine.dfa_execs
-      e.Ppfx_minidb.Engine.hash_builds e.Ppfx_minidb.Engine.reductions
-      e.Ppfx_minidb.Engine.merge_probes e.Ppfx_minidb.Engine.merge_steps
-      e.Ppfx_minidb.Engine.merge_backtracks e.Ppfx_minidb.Engine.partitions_scanned
-      e.Ppfx_minidb.Engine.partitions_pruned e.Ppfx_minidb.Engine.content_probes
-      e.Ppfx_minidb.Engine.content_candidates e.Ppfx_minidb.Engine.content_verified
-      e.Ppfx_minidb.Engine.peak_bytes
+    Printf.sprintf "{%s}"
+      (String.concat ","
+         (List.map
+            (fun (c : Ppfx_minidb.Engine.counter) ->
+              Printf.sprintf "\"%s\":%d" c.name (c.get t.engine))
+            Ppfx_minidb.Engine.counters))
   in
   let net_json =
     Printf.sprintf

@@ -281,6 +281,80 @@ let partition_pruning_explain fx () =
     if not (contains "partitions: scanned") then
       Alcotest.failf "no pruning line in plan:\n%s" plan
 
+let contains ~sub text =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+  go 0
+
+let translate_on store query =
+  Translate.translate (Translate.create store.Loader.mapping) (Xparser.parse query)
+
+(* One plan, three readings: EXPLAIN ANALYZE is the served executor with
+   the profile flag set, so it must return the served rows (and the naive
+   oracle's), count exactly what a plain prepare + run counts, and report
+   the very steps EXPLAIN prints — EXISTS sub-plans included — in the
+   same order with the same access labels. *)
+let one_plan_differential fx (name, query) () =
+  match translate_on fx.schema_store query with
+  | None -> ()
+  | Some stmt ->
+    let db = fx.schema_store.Loader.db in
+    let profiled, profiles, stats = Engine.run_profiled db stmt in
+    let plan = Engine.prepare db stmt in
+    let served = Engine.run_plan plan in
+    Alcotest.(check bool) (name ^ ": profiled rows = served rows") true
+      (profiled.Engine.rows = served.Engine.rows);
+    Alcotest.(check bool) (name ^ ": served rows = naive rows") true
+      (served.Engine.rows = (Engine.run_naive db stmt).Engine.rows);
+    List.iter
+      (fun (c : Engine.counter) ->
+        Alcotest.(check int) (name ^ ": " ^ c.name) (c.get (Engine.plan_stats plan)) (c.get stats))
+      Engine.counters;
+    let step_lines =
+      String.split_on_char '\n' (Engine.explain db stmt)
+      |> List.map String.trim
+      |> List.filter (String.starts_with ~prefix:"step ")
+    in
+    Alcotest.(check int) (name ^ ": one profile per step line") (List.length step_lines)
+      (List.length profiles);
+    List.iter2
+      (fun line (p : Engine.step_profile) ->
+        let expect = Printf.sprintf "step %s(%s): %s, " p.table p.alias p.access in
+        if not (String.starts_with ~prefix:expect line) then
+          Alcotest.failf "%s: profile %S does not match plan line %S" name expect line)
+      step_lines profiles
+
+(* The EXPLAIN goldens behind `ppfx explain` on a generated document, as
+   the CLI shreds it (inferred schema): Q6's path regex plans as a trigram
+   probe over the paths table rather than a scan of it, XE1's contains()
+   as a token probe over the fact table's text column, and neither runs
+   an exec-time NFA simulation. *)
+let explain_goldens () =
+  let doc = Doc.of_tree (Xmark.generate ~items_per_region:3 ()) in
+  let store = Loader.shred (Graph.infer doc) doc in
+  let analyze name =
+    match translate_on store (Xmark.query name) with
+    | None -> Alcotest.failf "%s should translate" name
+    | Some stmt ->
+      let text, _, stats = Engine.explain_analyze store.Loader.db stmt in
+      text, Engine.stats_to_string stats
+  in
+  let q6, q6_stats = analyze "Q6" in
+  if not (contains ~sub:"content index probe (trigram)" q6) then
+    Alcotest.failf "Q6 has no trigram probe:\n%s" q6;
+  String.split_on_char '\n' q6
+  |> List.iter (fun line ->
+         if contains ~sub:"full scan" line && contains ~sub:"paths" line then
+           Alcotest.failf "Q6 scans the paths table: %s" line);
+  let xe1, xe1_stats = analyze "XE1" in
+  if not (contains ~sub:"content index probe (token)" xe1) then
+    Alcotest.failf "XE1 has no token probe:\n%s" xe1;
+  List.iter
+    (fun (name, stats) ->
+      if not (contains ~sub:"exec regex evals 0," stats) then
+        Alcotest.failf "%s ran exec-time NFA simulations: %s" name stats)
+    [ "Q6", q6_stats; "XE1", xe1_stats ]
+
 let () =
   let fx = Lazy.force xmark_fixture in
   let dfx = Lazy.force dblp_fixture in
@@ -307,6 +381,11 @@ let () =
           Alcotest.test_case "explain surfaces pruning" `Quick
             (partition_pruning_explain fx);
         ] );
+      "explain-goldens", [ Alcotest.test_case "Q6 and XE1 plans" `Quick explain_goldens ];
+      ( "one-plan",
+        List.map
+          (fun (name, q) -> Alcotest.test_case name `Quick (one_plan_differential fx (name, q)))
+          (Xmark.queries @ Xmark.extension_queries) );
       ( "random-cross-engine",
         [ QCheck_alcotest.to_alcotest (prop_xmark_cross_engine fx) ] );
     ]

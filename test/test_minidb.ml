@@ -639,6 +639,55 @@ let sql_tests =
         (* profiled and plain execution agree *)
         Alcotest.(check bool) "same rows" true
           (result.Engine.rows = (Engine.run db (Sql.Select sel)).Engine.rows) );
+    ( "profiled execution instruments exists sub-plans",
+      fun () ->
+        (* person[not(homepage)]: the NOT EXISTS decorrelates into a
+           semi-join whose inner plan scans homepage once; EXPLAIN ANALYZE
+           must report that step, not just the outer one *)
+        let db = Database.create () in
+        let person =
+          Database.create_table db ~name:"person"
+            ~columns:[ { Table.name = "id"; ty = Value.Tint } ]
+        in
+        let homepage =
+          Database.create_table db ~name:"homepage"
+            ~columns:
+              [ { Table.name = "id"; ty = Value.Tint }; { Table.name = "parent_id"; ty = Value.Tint } ]
+        in
+        List.iter (fun id -> ignore (Table.insert person [| Value.Int id |])) [ 1; 2; 3; 4; 5 ];
+        List.iter
+          (fun (id, parent) -> ignore (Table.insert homepage [| Value.Int id; Value.Int parent |]))
+          [ 10, 2; 11, 4; 12, 4 ];
+        let sel =
+          select
+            [ col "p" "id", "id" ]
+            [ "person", "p" ]
+            ~where:
+              (Sql.Not
+                 (Sql.Exists
+                    (select
+                       [ col "h" "id", "id" ]
+                       [ "homepage", "h" ]
+                       ~where:(Sql.Cmp (Sql.Eq, col "h" "parent_id", col "p" "id")))))
+        in
+        let stmt = Sql.Select sel in
+        let contains hay needle =
+          let nh = String.length hay and nn = String.length needle in
+          let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) "decorrelated" true
+          (contains (Engine.explain db stmt) "exists subquery (decorrelated semi-join");
+        let result, profiles, _ = Engine.run_profiled db stmt in
+        Alcotest.(check bool) "persons without a homepage" true
+          (result.Engine.rows = [ [| Value.Int 1 |]; [| Value.Int 3 |]; [| Value.Int 5 |] ]);
+        Alcotest.(check (list string)) "outer step, then the sub-plan's step"
+          [ "person"; "homepage" ]
+          (List.map (fun p -> p.Engine.table) profiles);
+        let h = List.find (fun p -> p.Engine.table = "homepage") profiles in
+        Alcotest.(check int) "homepage examined once over" (Table.live_count homepage)
+          h.Engine.examined;
+        Alcotest.(check int) "homepage passed" 3 h.Engine.passed );
     ( "explain mentions index usage",
       fun () ->
         let db = people_db () in

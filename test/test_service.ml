@@ -163,6 +163,41 @@ let test_metrics_dump () =
       Alcotest.(check bool) ("json mentions " ^ needle) true (contains ~needle json))
     [ "\"queries\":1"; "\"misses\":1"; "\"translate\":{\"count\":1" ]
 
+(* The engine counters are declared once in Engine.counters; the JSON
+   snapshot must still carry exactly the established keys, each once, and
+   the dump must print every declared counter. *)
+let test_metrics_engine_counters () =
+  let m = Metrics.create () in
+  let json = Metrics.to_json m in
+  let engine =
+    let prefix = "\"engine\":{" in
+    let rec find i =
+      if String.sub json i (String.length prefix) = prefix then i + String.length prefix
+      else find (i + 1)
+    in
+    let start = find 0 in
+    String.sub json start (String.index_from json start '}' - start)
+  in
+  let keys =
+    List.map
+      (fun field -> List.nth (String.split_on_char '"' field) 1)
+      (String.split_on_char ',' engine)
+  in
+  Alcotest.(check (list string)) "engine keys"
+    [
+      "rows_scanned"; "rows_probed"; "rows_emitted"; "regex_plan_evals"; "regex_exec_evals";
+      "dfa_execs"; "hash_builds"; "reductions"; "merge_probes"; "merge_steps";
+      "merge_backtracks"; "partitions_scanned"; "partitions_pruned"; "content_probes";
+      "content_candidates"; "content_verified"; "peak_bytes";
+    ]
+    keys;
+  let dump = Metrics.dump m in
+  List.iter
+    (fun (c : Engine.counter) ->
+      Alcotest.(check bool) ("dump prints " ^ c.label) true
+        (contains ~needle:(c.label ^ " 0") dump))
+    Engine.counters
+
 (* ------------------------------------------------------------------ *)
 (* Engine prepared plans                                               *)
 (* ------------------------------------------------------------------ *)
@@ -411,7 +446,11 @@ let () =
           ] );
       ( "metrics",
         List.map tc
-          [ "accumulators", test_metrics_accumulators; "dump", test_metrics_dump ] );
+          [
+            "accumulators", test_metrics_accumulators;
+            "dump", test_metrics_dump;
+            "engine counters", test_metrics_engine_counters;
+          ] );
       ( "engine-plans",
         List.map tc
           [
