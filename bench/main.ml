@@ -27,10 +27,9 @@
                 at >= 32 concurrent connections, plus an overload point
                 where admission control rejects (beyond the paper)
    - write    : lib/update subtree mutations — mutations/sec by subtree
-                size, plan-cache retention under a 90/10 read/write mix
-                (fine-grained vs whole-epoch invalidation), and ORDPATH
-                label growth under adversarial front inserts (beyond
-                the paper)
+                size, plan-cache retention under a 90/10 read/write mix,
+                and ORDPATH label growth under adversarial front inserts
+                (beyond the paper)
    - durability : lib/wal write-ahead logging — mutations/sec at each
                 append policy (volatile / off / batch / fsync) and
                 cold-start wall time from the data directory (WAL
@@ -698,17 +697,16 @@ let engine_bench () =
     {
       Engine.semijoin_reduction = false;
       hash_join = false;
-      force_hash_join = false;
       merge_join = false;
-      force_merge_join = false;
       content_probe = false;
+      force = None;
     }
   in
   let configs =
     [
       "unopt", off;
       "reduce-only", { off with Engine.semijoin_reduction = true };
-      "hash-only", { off with Engine.hash_join = true; force_hash_join = true };
+      "hash-only", { off with Engine.force = Some `Hash_join };
       "merge-only", { off with Engine.merge_join = true };
       "content-off", { Engine.default_opts with Engine.content_probe = false };
       "full", Engine.default_opts;
@@ -725,7 +723,7 @@ let engine_bench () =
     "exec ms" "regex/exec" "scanned/exec" "probed/exec" "rx-cache";
   Regex.cache_clear ();
   let outcomes = ref [] in
-  let warm_dfa = ref 0 and warm_nfa = ref 0 in
+  let warm_dfa = ref 0 and warm_nfa = ref 0 and warm_pruned = ref 0 in
   List.iter
     (fun qname ->
       let q = Xmark.query qname in
@@ -749,14 +747,15 @@ let engine_bench () =
             let total = Engine.stats_diff (Engine.plan_stats plan) before in
             let per_exec n = float_of_int n /. float_of_int reps in
             (* Exec-time regex machine runs of either flavor: shared
-               frozen-DFA executions plus lazy NFA-backed fallbacks. *)
+               frozen-DFA executions plus NFA simulations. *)
             let regex_pe =
               per_exec (total.Engine.regex_exec_evals + total.Engine.dfa_execs)
             and scanned_pe = per_exec total.Engine.rows_scanned
             and probed_pe = per_exec total.Engine.rows_probed in
             if String.equal cname "full" then begin
               warm_dfa := !warm_dfa + total.Engine.dfa_execs;
-              warm_nfa := !warm_nfa + total.Engine.regex_exec_evals
+              warm_nfa := !warm_nfa + total.Engine.regex_exec_evals;
+              warm_pruned := !warm_pruned + total.Engine.partitions_pruned
             end;
             let hit_rate =
               if hits + misses = 0 then nan
@@ -765,26 +764,24 @@ let engine_bench () =
             record ~dataset:st.label ~query:qname ~engine:cname ~nodes:!nodes
               ~seconds
               ~extra:
-                (Printf.sprintf
-                   "\"regex_evals_per_exec\":%.1f,\"rows_scanned_per_exec\":%.1f,\
-                    \"rows_probed_per_exec\":%.1f,\"plan_regex_evals\":%d,\
-                    \"plan_reductions\":%d,\"hash_builds\":%d,\
-                    \"merge_probes\":%d,\"merge_steps\":%d,\
-                    \"merge_backtracks\":%d,\"dfa_execs\":%d,\
-                    \"regex_exec_evals\":%d,\"content_probes\":%d,\
-                    \"content_candidates\":%d,\"content_verified\":%d,\
-                    \"peak_bytes\":%d,\
-                    \"regex_cache_hits\":%d,\"regex_cache_misses\":%d,\
-                    \"regex_cache_hit_rate\":%s"
-                   regex_pe scanned_pe probed_pe plan_cost.Engine.regex_plan_evals
-                   plan_cost.Engine.reductions total.Engine.hash_builds
-                   total.Engine.merge_probes total.Engine.merge_steps
-                   total.Engine.merge_backtracks total.Engine.dfa_execs
-                   total.Engine.regex_exec_evals total.Engine.content_probes
-                   total.Engine.content_candidates total.Engine.content_verified
-                   (Engine.plan_stats plan).Engine.peak_bytes hits misses
-                   (if Float.is_nan hit_rate then "null"
-                    else Printf.sprintf "%.3f" hit_rate))
+                (String.concat ","
+                   (List.map
+                      (fun (c : Engine.counter) ->
+                        Printf.sprintf "\"%s_per_exec\":%.1f" c.name
+                          (per_exec (c.get total)))
+                      Engine.counters
+                   @ [
+                       Printf.sprintf
+                         "\"regex_evals_per_exec\":%.1f,\"plan_regex_evals\":%d,\
+                          \"plan_reductions\":%d,\"peak_bytes\":%d,\
+                          \"regex_cache_hits\":%d,\"regex_cache_misses\":%d,\
+                          \"regex_cache_hit_rate\":%s"
+                         regex_pe plan_cost.Engine.regex_plan_evals
+                         plan_cost.Engine.reductions
+                         (Engine.plan_stats plan).Engine.peak_bytes hits misses
+                         (if Float.is_nan hit_rate then "null"
+                          else Printf.sprintf "%.3f" hit_rate);
+                     ]))
               ();
             outcomes := (qname, cname, seconds, regex_pe) :: !outcomes;
             Printf.printf "%-5s %-12s %7d %10.3f %11.1f %12.1f %12.1f %6d/%d\n" qname
@@ -861,88 +858,8 @@ let engine_bench () =
     (!warm_dfa > 0) (!warm_nfa = 0);
   Printf.printf "regex compile cache: %d entries, %d hits, %d misses overall\n"
     (Regex.cache_size ()) (Regex.cache_hits ()) (Regex.cache_misses ());
-  (* Layout: path-partitioned fact tables (the default) vs a plain heap.
-     Same document, same translated SQL, default optimizer opts — only
-     the physical layout differs, so deltas isolate partition pruning:
-     rows scanned per exec collapse to the matched partitions, the
-     per-row pathid probe disappears, and the plan retains a matched-key
-     list instead of a probe hashtable (peak_bytes). *)
-  print_endline "\n-- layout: path-partitioned vs heap fact tables --";
-  let heap_store =
-    Loader.load
-      (Loader.create ~partitioned:false (Ppfx_shred.Mapping.of_schema (Xmark.schema ())))
-      st.doc
-  in
-  let layouts = [ "heap", heap_store.Loader.db; "partitioned", db ] in
-  let layout_queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q10" ] in
-  Printf.printf "%-5s %-12s %7s %10s %12s %12s %10s %12s\n" "query" "layout" "#nodes"
-    "exec ms" "scanned/exec" "parts s/p" "probed/exec" "peak bytes";
-  let layout_rows = ref [] in
-  List.iter
-    (fun qname ->
-      let q = Xmark.query qname in
-      match Translate.translate tr (Xparser.parse q) with
-      | None -> ()
-      | Some stmt ->
-        List.iter
-          (fun (lname, ldb) ->
-            let plan = Engine.prepare ~opts:Engine.default_opts ldb stmt in
-            let nodes = ref 0 in
-            let before = Engine.plan_stats plan in
-            let seconds =
-              time_med (fun () ->
-                  nodes := List.length (Translate.result_ids (Engine.run_plan plan));
-                  !nodes)
-            in
-            let total = Engine.stats_diff (Engine.plan_stats plan) before in
-            let per_exec n = float_of_int n /. float_of_int reps in
-            let scanned_pe = per_exec total.Engine.rows_scanned
-            and probed_pe = per_exec total.Engine.rows_probed
-            and parts_s = per_exec total.Engine.partitions_scanned
-            and parts_p = per_exec total.Engine.partitions_pruned in
-            let peak = (Engine.plan_stats plan).Engine.peak_bytes in
-            record ~dataset:st.label ~query:qname ~engine:("layout-" ^ lname)
-              ~nodes:!nodes ~seconds
-              ~extra:
-                (Printf.sprintf
-                   "\"rows_scanned_per_exec\":%.1f,\"rows_probed_per_exec\":%.1f,\
-                    \"partitions_scanned_per_exec\":%.1f,\
-                    \"partitions_pruned_per_exec\":%.1f,\"peak_bytes\":%d"
-                   scanned_pe probed_pe parts_s parts_p peak)
-              ();
-            layout_rows := (qname, lname, seconds, scanned_pe, parts_p, peak) :: !layout_rows;
-            Printf.printf "%-5s %-12s %7d %10.3f %12.1f %6.1f/%-5.1f %10.1f %12d\n"
-              qname lname !nodes (1e3 *. seconds) scanned_pe parts_s parts_p
-              probed_pe peak;
-            flush stdout)
-          layouts)
-    layout_queries;
-  let layout_find q l =
-    List.find_map
-      (fun (q', l', s, sc, pp, pk) ->
-        if q = q' && l = l' then Some (s, sc, pp, pk) else None)
-      !layout_rows
-  in
-  print_newline ();
-  let improved = ref 0 and pruned_nonzero = ref false in
-  List.iter
-    (fun qname ->
-      match layout_find qname "heap", layout_find qname "partitioned" with
-      | Some (s0, sc0, _, pk0), Some (s1, sc1, pp1, pk1) ->
-        if pp1 > 0.0 then pruned_nonzero := true;
-        let faster = s1 < s0 and smaller = pk1 < pk0 in
-        if faster && smaller then incr improved;
-        Printf.printf
-          "%-5s partitioned vs heap: %4.2fx faster, scanned/exec %.1f -> %.1f, \
-           peak bytes %d -> %d, pruned/exec %.1f\n"
-          qname
-          (if s1 > 0.0 then s0 /. s1 else infinity)
-          sc0 sc1 pk0 pk1 pp1
-      | _ -> ())
-    layout_queries;
-  Printf.printf
-    "partition pruning nonzero on a path-filter query: %b; wall+peak improved on >=2 queries: %b\n"
-    !pruned_nonzero (!improved >= 2)
+  Printf.printf "partition pruning nonzero on a path-filter query: %b\n"
+    (!warm_pruned > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Net: the wire-protocol server under open-loop load                  *)
@@ -1109,9 +1026,8 @@ module Xtree = Ppfx_xml.Tree
    - mutations/sec by subtree size (text patch, small fragment insert,
      full item-subtree insert, subtree delete);
    - a 90/10 read/write mix over a warm session: plan-cache retention
-     with fine-grained invalidation vs the whole-epoch baseline (the
-     optimization off), from the plans-retained / plans-invalidated
-     session counters;
+     across disjoint commits, from the plans-retained /
+     plans-invalidated session counters;
    - label-length growth under adversarial front inserts — every insert
      lands before the current first child, the worst case for ORDPATH
      caret labels (existing labels never move; only new ones grow). *)
@@ -1203,52 +1119,46 @@ let write_bench () =
         inserted_items := rest;
         ignore (Update.exec u (Update.Delete_subtree { target = id }))
       | [] -> ());
-  (* (b) 90/10 read/write mix: plan retention vs whole-epoch *)
-  let mixed fine_grained =
-    let u = Update.create schema [ tree ] in
-    let session = Session.create ~fine_grained (Update.store u) in
-    let m = Session.metrics session in
-    (* Reads whose path footprints are disjoint from the city-text
-       writes below — the workload where fine-grained invalidation
-       should shine. (Q13 `//*[@id]` would legitimately re-plan every
-       time: its footprint covers all paths.) *)
-    let reads =
-      [| Xmark.query "Q1"; Xmark.query "Q6"; Xmark.query "Q2" |]
-    in
-    let cities = Array.of_list (by_tag u "city") in
-    let iters = max 20 (config.reps * 10) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to iters - 1 do
-      for r = 0 to 8 do
-        ignore (Session.run_ids session reads.((i + r) mod Array.length reads))
-      done;
-      ignore
-        (Update.exec u
-           (Update.Set_text
-              { target = cities.(i mod Array.length cities);
-                text = Printf.sprintf "w%d" i }))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let retained = Metrics.retained m and inval = Metrics.invalidations m in
-    let total = retained + inval in
-    let retention =
-      if total = 0 then 0.0 else float_of_int retained /. float_of_int total
-    in
-    Printf.printf
-      "  %-30s retained %4d, re-planned %4d -> %5.1f%% retention  (%.2f s)\n"
-      (if fine_grained then "fine-grained invalidation" else "whole-epoch invalidation")
-      retained inval (100. *. retention) dt;
-    record ~dataset ~query:"mixed-90-10"
-      ~engine:(if fine_grained then "fine-grained" else "whole-epoch")
-      ~nodes:(iters * 10) ~seconds:dt
-      ~extra:
-        (Printf.sprintf "\"retained\":%d,\"invalidated\":%d,\"retention\":%.4f"
-           retained inval retention)
-      ()
+  (* (b) 90/10 read/write mix: plan retention across disjoint commits *)
+  let u = Update.create schema [ tree ] in
+  let session = Session.create (Update.store u) in
+  let m = Session.metrics session in
+  (* Reads whose path footprints are disjoint from the city-text writes
+     below, so footprint revalidation should keep every plan. (Q13
+     `//*[@id]` would legitimately re-plan every time: its footprint
+     covers all paths.) *)
+  let reads =
+    [| Xmark.query "Q1"; Xmark.query "Q6"; Xmark.query "Q2" |]
   in
-  print_endline "  90/10 read/write mix over a warm session:";
-  mixed true;
-  mixed false;
+  let cities = Array.of_list (by_tag u "city") in
+  let iters = max 20 (config.reps * 10) in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to iters - 1 do
+    for r = 0 to 8 do
+      ignore (Session.run_ids session reads.((i + r) mod Array.length reads))
+    done;
+    ignore
+      (Update.exec u
+         (Update.Set_text
+            { target = cities.(i mod Array.length cities);
+              text = Printf.sprintf "w%d" i }))
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  let retained = Metrics.retained m and inval = Metrics.invalidations m in
+  let total = retained + inval in
+  let retention =
+    if total = 0 then 0.0 else float_of_int retained /. float_of_int total
+  in
+  Printf.printf
+    "  90/10 read/write mix over a warm session: retained %d, re-planned %d \
+     -> %.1f%% retention  (%.2f s)\n"
+    retained inval (100. *. retention) dt;
+  record ~dataset ~query:"mixed-90-10" ~engine:"fine-grained"
+    ~nodes:(iters * 10) ~seconds:dt
+    ~extra:
+      (Printf.sprintf "\"retained\":%d,\"invalidated\":%d,\"retention\":%.4f"
+         retained inval retention)
+    ();
   (* (c) adversarial label growth: always insert before the first child *)
   let u = Update.create schema [ tree ] in
   let text_el = List.hd (by_tag u "text") in
@@ -1458,11 +1368,11 @@ let micro () =
   let open Toolkit in
   let dewey_a = Ppfx_dewey.Dewey.of_components [ 1; 4; 2; 9; 1 ] in
   let dewey_b = Ppfx_dewey.Dewey.of_components [ 1; 4; 2; 9; 1; 3; 2 ] in
+  (* Cached, so the search runs the frozen DFA that served path filters use. *)
   let regex =
-    Ppfx_regex.Regex.compile "^/site/regions/[^/]+/item/description/(.+/)?keyword$"
+    Ppfx_regex.Regex.compile_cached "^/site/regions/[^/]+/item/description/(.+/)?keyword$"
   in
   let subject = "/site/regions/africa/item/description/parlist/listitem/text/keyword" in
-  ignore (Ppfx_regex.Regex.search regex subject);
   let btree = Ppfx_minidb.Btree.create ~width:1 () in
   for i = 0 to 9999 do
     Ppfx_minidb.Btree.insert btree [| Ppfx_minidb.Value.Int i |] i

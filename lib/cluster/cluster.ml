@@ -181,7 +181,6 @@ let current_extras t =
 let full_meta t =
   {
     Wrecord.m_schema = Mapping.schema (Session.store t.session).Loader.mapping;
-    m_partitioned = true;
     m_shadow = Some (Update.shadow t.update);
     m_extras = Some (current_extras t);
   }
@@ -189,7 +188,6 @@ let full_meta t =
 let shard_meta t =
   {
     Wrecord.m_schema = Mapping.schema (Session.store t.session).Loader.mapping;
-    m_partitioned = true;
     m_shadow = None;
     m_extras = None;
   }

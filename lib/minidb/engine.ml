@@ -15,27 +15,24 @@ type value_fn = binding -> Value.t
 
 type pred_fn = binding -> bool option
 
-(* Optimizer switches. The [force_*] variants exist for differential
-   testing: they make the planner pick the operator over an available
-   index path, so it is exercised even on queries where an index would
-   win. *)
+(* Optimizer switches. [force] exists for differential testing: it makes
+   the planner pick the named operator over an available index path, so
+   it is exercised even on queries where an index would win. *)
 type opts = {
   semijoin_reduction : bool;
   hash_join : bool;
-  force_hash_join : bool;
   merge_join : bool;
-  force_merge_join : bool;
   content_probe : bool;
+  force : [ `Hash_join | `Merge_join ] option;
 }
 
 let default_opts =
   {
     semijoin_reduction = true;
     hash_join = true;
-    force_hash_join = false;
     merge_join = true;
-    force_merge_join = false;
     content_probe = true;
+    force = None;
   }
 
 (* Operator-level counters, shared by every operator compiled under one
@@ -1494,7 +1491,7 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
      (three-valued reject), so the operator's skipping of non-string
      keys and bounds loses no rows the residual filter would keep. *)
   let merge_cands =
-    if ctx.opts.merge_join || ctx.opts.force_merge_join then begin
+    if ctx.opts.merge_join || ctx.opts.force = Some `Merge_join then begin
       let key_of = function
         | Sql.Col (a, col) when String.equal a alias -> Some (col, "")
         | Sql.Concat (Sql.Col (a, col), Sql.Const (Value.Bin sfx | Value.Str sfx))
@@ -1764,9 +1761,9 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
      gain nothing from a build) whose key types hash consistently (see
      {!canon_key}). Preferred only when no index path exists — the
      repeated full scans it replaces are the worst case — unless
-     [force_hash_join] pins it for differential testing. *)
+     [force] pins it for differential testing. *)
   let hash_candidate =
-    if ctx.opts.hash_join || ctx.opts.force_hash_join then
+    if ctx.opts.hash_join || ctx.opts.force = Some `Hash_join then
       List.find_map
         (fun (col, e) ->
           if Sql.free_aliases e = [] then None
@@ -1800,7 +1797,7 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
      can be upgraded to be) Dewey-ordered — the sliding cursor then
      replaces a B+tree descent and per-probe id-list allocation with
      amortized O(1) repositioning, modeled as a flat discount over the
-     equivalent index range scan. [force_merge_join] pins it regardless,
+     equivalent index range scan. [force] pins it regardless,
      for differential testing. *)
   let upgrades = ref [] in
   let mk_merge (col, sfx, lo, hi) =
@@ -1824,7 +1821,7 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
   List.iter
     (fun ((_, _, lo, hi) as cand) ->
       let info = ordered_info cand in
-      if info <> None || ctx.opts.force_merge_join then
+      if info <> None || ctx.opts.force = Some `Merge_join then
         match mk_merge cand with
         | None -> ()
         | Some access ->
@@ -1841,14 +1838,14 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
   (match !merge_choice with
    | None -> ()
    | Some (cost, access, ups) ->
-     let cost = if ctx.opts.force_merge_join then neg_infinity else cost in
+     let cost = if ctx.opts.force = Some `Merge_join then neg_infinity else cost in
      (match !best with
       | Some (c, _) when c <= cost -> ()
       | Some _ | None ->
         best := Some (cost, access);
         upgrades := ups));
   match hash_candidate with
-  | Some hp when ctx.opts.force_hash_join -> `Hash_probe hp, []
+  | Some hp when ctx.opts.force = Some `Hash_join -> `Hash_probe hp, []
   | Some hp when !best = None -> `Hash_probe hp, []
   | Some _ | None ->
     (match !best with

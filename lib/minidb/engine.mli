@@ -46,19 +46,18 @@ type opts = {
           materialized pathid set instead of joining [paths] *)
   hash_join : bool;
       (** build-and-probe hash joins for equijoins with no index path *)
-  force_hash_join : bool;
-      (** differential-testing hook: pick a hash join even when an index
-          path exists, so the operator is exercised everywhere *)
   merge_join : bool;
       (** sort-merge joins for inter-alias Dewey range predicates whose
           outer inputs are (or can be upgraded to be) in Dewey order *)
-  force_merge_join : bool;
-      (** differential-testing hook: pick a merge join for every
-          candidate order-axis predicate, ordered outer or not *)
   content_probe : bool;
       (** rewrite [REGEXP_LIKE(col, pat)] into a content-index probe of
           the pattern's required literals followed by DFA verification of
           the candidates, when the column has a usable content index *)
+  force : [ `Hash_join | `Merge_join ] option;
+      (** differential-testing hook, implying the operator's switch:
+          [`Hash_join] picks a hash join even when an index path exists;
+          [`Merge_join] picks a merge join for every candidate order-axis
+          predicate, ordered outer or not *)
 }
 
 val default_opts : opts
@@ -84,9 +83,9 @@ type exec_stats = private {
       (** plan-time regex executions: the semi-join reduction's sweep over
           the dimension table on a verdict-cache miss *)
   mutable regex_exec_evals : int;
-      (** exec-time NFA-backed regex executions — REGEXP_LIKE predicates
-          whose pattern could not be frozen into a shared dense DFA. Zero
-          on every common path; the bench's regression gate. *)
+      (** exec-time NFA simulations — REGEXP_LIKE predicates whose
+          pattern exceeds the frozen-DFA state cap. Zero on every common
+          path; the bench's regression gate. *)
   mutable dfa_execs : int;
       (** exec-time executions of a shared frozen DFA (content-index
           candidate verification and residual REGEXP_LIKE filters) *)

@@ -73,7 +73,6 @@ let no_write_path _ =
 let store_meta u =
   {
     Wrecord.m_schema = Mapping.schema (Update.store u).Loader.mapping;
-    m_partitioned = true;
     m_shadow = Some (Update.shadow u);
     m_extras = None;
   }

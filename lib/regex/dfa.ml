@@ -1,6 +1,8 @@
-(* Lazy DFA (subset construction with memoized transitions) over the
-   Thompson NFA. Matching through the DFA costs one table lookup per
-   input byte once a transition is warm, which is what makes path-filter
+(* Subset construction over the Thompson NFA, frozen into a dense table.
+   [create]/[step] build the machine one transition at a time, memoizing
+   each; they exist only for [freeze], which forces every transition and
+   copies the result into immutable arrays. Matching through a frozen DFA
+   costs one table lookup per input byte, which is what makes path-filter
    regexes cheap enough to run over the whole Paths relation.
 
    Anchors: begin-of-line edges are only traversable in the closure taken
@@ -142,13 +144,13 @@ let step t state_id c =
     id
   end
 
-(* Frozen DFA: the lazy machine with every transition forced, copied into
-   dense immutable arrays. No mutation on the match path, so one frozen
-   automaton is domain-shareable and can live in the process-wide compile
-   cache. [freeze] walks states breadth-first forcing all 256 transitions
-   per state; patterns whose subset construction blows past [max_states]
-   (pathological alternation/counting) return [None] and keep the
-   per-handle lazy path. *)
+(* Frozen DFA: every transition forced, copied into dense immutable
+   arrays. No mutation on the match path, so one frozen automaton is
+   domain-shareable and can live in the process-wide compile cache.
+   [freeze] walks states breadth-first forcing all 256 transitions per
+   state; patterns whose subset construction blows past [max_states]
+   (pathological alternation/counting) return [None] and run by NFA
+   simulation instead. *)
 
 type frozen = {
   f_trans : int array;  (** [(state lsl 8) lor byte] -> next state *)
@@ -208,23 +210,3 @@ let frozen_matches f subject =
         (i + 1)
   in
   go f.f_start 0
-
-(* Search semantics ([reseed = true]): accept as soon as any prefix of the
-   remaining scan completes a match. *)
-let search t subject =
-  let n = String.length subject in
-  let rec go state i =
-    if t.states.(state).accept_now then true
-    else if i >= n then t.states.(state).accept_at_eol
-    else go (step t state subject.[i]) (i + 1)
-  in
-  go t.start_id 0
-
-(* Whole-subject match ([reseed = false]). *)
-let matches t subject =
-  let n = String.length subject in
-  let rec go state i =
-    if i >= n then t.states.(state).accept_at_eol
-    else go (step t state subject.[i]) (i + 1)
-  in
-  go t.start_id 0

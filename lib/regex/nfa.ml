@@ -131,96 +131,55 @@ let build root =
   List.iter (fun (src, edge, dst) -> add_edge src edge dst) !pending;
   { transitions = !arr; start; accept }
 
-(* Position flags used to gate anchor edges. *)
-type pos = { at_bol : bool; at_eol : bool }
-
-(* Epsilon-closure of [seed] into boolean set [set], respecting anchors. *)
-let closure nfa pos set seed =
-  let stack = ref seed in
-  let push s =
-    if not set.(s) then begin
-      set.(s) <- true;
-      stack := s :: !stack
+(* Simulation over the live-state set. [stamp.(s) = i] marks [s] live at
+   subject position [i], so each step starts from an empty set without
+   clearing an array, and only live states are visited. [reseed] re-adds
+   the start state at every position: unanchored-search semantics, where
+   reaching the accept state at any position is a match. Without it the
+   accept state must be live at the end of the subject. *)
+let run nfa ~reseed subject =
+  let n = String.length subject in
+  let stamp = Array.make (Array.length nfa.transitions) (-1) in
+  (* Epsilon-closure of [s] at position [i], prepending new states to
+     [live]; anchor edges are crossed only at their subject position. *)
+  let rec visit i live s =
+    if stamp.(s) = i then live
+    else begin
+      stamp.(s) <- i;
+      List.fold_left
+        (fun live (edge, dst) ->
+          match edge with
+          | Eps -> visit i live dst
+          | Eps_bol when i = 0 -> visit i live dst
+          | Eps_eol when i = n -> visit i live dst
+          | Eps_bol | Eps_eol | Sym _ -> live)
+        (s :: live) nfa.transitions.(s)
     end
   in
-  List.iter (fun s -> if not set.(s) then (set.(s) <- true)) seed;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-      stack := rest;
-      List.iter
-        (fun (edge, dst) ->
-          match edge with
-          | Eps -> push dst
-          | Eps_bol -> if pos.at_bol then push dst
-          | Eps_eol -> if pos.at_eol then push dst
-          | Sym _ -> ())
-        nfa.transitions.(s);
-      drain ()
+  let rec go i live =
+    if i = n || (reseed && stamp.(nfa.accept) = i) then stamp.(nfa.accept) = i
+    else if live = [] && not reseed then false
+    else begin
+      let c = subject.[i] in
+      let next =
+        List.fold_left
+          (fun next s ->
+            List.fold_left
+              (fun next (edge, dst) ->
+                match edge with
+                | Sym pred when pred c -> visit (i + 1) next dst
+                | Sym _ | Eps | Eps_bol | Eps_eol -> next)
+              next nfa.transitions.(s))
+          [] live
+      in
+      go (i + 1) (if reseed then visit (i + 1) next nfa.start else next)
+    end
   in
-  drain ()
+  go 0 (visit 0 [] nfa.start)
 
 (** [search nfa subject] tests whether any substring of [subject] matches. *)
-let search nfa subject =
-  let n = String.length subject in
-  let current = Array.make (Array.length nfa.transitions) false in
-  let next = Array.make (Array.length nfa.transitions) false in
-  let pos_flags i = { at_bol = i = 0; at_eol = i = n } in
-  (* Seed the start state (unanchored search) and take closure. *)
-  closure nfa (pos_flags 0) current [ nfa.start ];
-  if current.(nfa.accept) then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i < n do
-      let c = subject.[!i] in
-      Array.fill next 0 (Array.length next) false;
-      let moved = ref [] in
-      Array.iteri
-        (fun s live ->
-          if live then
-            List.iter
-              (fun (edge, dst) ->
-                match edge with
-                | Sym pred -> if pred c then moved := dst :: !moved
-                | Eps | Eps_bol | Eps_eol -> ())
-              nfa.transitions.(s))
-        current;
-      let flags = pos_flags (!i + 1) in
-      closure nfa flags next !moved;
-      (* Re-seed for unanchored search at the next position. *)
-      closure nfa flags next [ nfa.start ];
-      if next.(nfa.accept) then found := true;
-      Array.blit next 0 current 0 (Array.length next);
-      incr i
-    done;
-    !found
-  end
+let search nfa subject = run nfa ~reseed:true subject
 
 (** [matches nfa subject] tests whether the whole subject matches
     (anchored at both ends). *)
-let matches nfa subject =
-  let n = String.length subject in
-  let current = Array.make (Array.length nfa.transitions) false in
-  let next = Array.make (Array.length nfa.transitions) false in
-  let pos_flags i = { at_bol = i = 0; at_eol = i = n } in
-  closure nfa (pos_flags 0) current [ nfa.start ];
-  for i = 0 to n - 1 do
-    let c = subject.[i] in
-    Array.fill next 0 (Array.length next) false;
-    let moved = ref [] in
-    Array.iteri
-      (fun s live ->
-        if live then
-          List.iter
-            (fun (edge, dst) ->
-              match edge with
-              | Sym pred -> if pred c then moved := dst :: !moved
-              | Eps | Eps_bol | Eps_eol -> ())
-            nfa.transitions.(s))
-      current;
-    closure nfa (pos_flags (i + 1)) next !moved;
-    Array.blit next 0 current 0 (Array.length next)
-  done;
-  current.(nfa.accept)
+let matches nfa subject = run nfa ~reseed:false subject

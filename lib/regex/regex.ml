@@ -6,42 +6,27 @@ type t = {
   nfa : Nfa.t;
   frozen_search : Dfa.frozen option;
   frozen_match : Dfa.frozen option;
-  mutable search_dfa : Dfa.t option;
-  mutable match_dfa : Dfa.t option;
 }
 
 (* Subset-construction cap for freezing. Path and value patterns stay in
-   the tens of states; anything past this is pathological and keeps the
-   per-handle lazy DFA instead of paying a huge dense table. *)
+   the tens of states; anything past this is pathological and runs by NFA
+   simulation instead of paying a huge dense table. *)
 let max_frozen_states = 4096
 
 let compile source =
   let ast = Parse.parse source in
-  {
-    source;
-    ast;
-    nfa = Nfa.build ast;
-    frozen_search = None;
-    frozen_match = None;
-    search_dfa = None;
-    match_dfa = None;
-  }
+  { source; ast; nfa = Nfa.build ast; frozen_search = None; frozen_match = None }
 
-(* Process-wide compile cache: pattern -> (ast, nfa, frozen DFAs). All
-   four components are immutable once built, so one copy can be read
-   concurrently by every domain (service sessions, the cluster worker
-   pool). The frozen DFAs are built once, on first miss, by forcing the
-   lazy subset construction and copying it into dense arrays — every
-   handle returned afterwards shares them, so N domains no longer each
-   re-derive a private mutable DFA for the same pattern. Patterns whose
-   construction blows past [max_frozen_states] cache [None] and fall back
-   to the per-handle lazy DFA. *)
+(* Process-wide compile cache: pattern -> handle. A handle is immutable,
+   so one copy can be read concurrently by every domain (service sessions,
+   the cluster worker pool). The frozen DFAs are built once, on first
+   miss, by running the subset construction to completion and copying it
+   into dense arrays. Patterns whose construction blows past
+   [max_frozen_states] cache a handle without them and run by NFA
+   simulation. *)
 let cache_lock = Mutex.create ()
 
-let cache :
-    (string, Syntax.t * Nfa.t * Dfa.frozen option * Dfa.frozen option)
-    Hashtbl.t =
-  Hashtbl.create 64
+let cache : (string, t) Hashtbl.t = Hashtbl.create 64
 
 let cache_hit_count = Atomic.make 0
 
@@ -52,51 +37,31 @@ let compile_cached source =
     Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache source)
   in
   match found with
-  | Some (ast, nfa, fs, fm) ->
+  | Some t ->
     Atomic.incr cache_hit_count;
-    {
-      source;
-      ast;
-      nfa;
-      frozen_search = fs;
-      frozen_match = fm;
-      search_dfa = None;
-      match_dfa = None;
-    }
+    t
   | None ->
     (* Build under the lock with a double-check: freezing is the once-
        per-pattern expensive step, and doing it inside the critical
        section guarantees exactly one miss (and one construction) per
        pattern even when N domains race on a cold cache. Parse errors
        propagate without caching anything. *)
-    let ast, nfa, fs, fm =
-      Mutex.protect cache_lock (fun () ->
-          match Hashtbl.find_opt cache source with
-          | Some entry ->
-            Atomic.incr cache_hit_count;
-            entry
-          | None ->
-            let ast = Parse.parse source in
-            let nfa = Nfa.build ast in
-            let fs =
-              Dfa.freeze nfa ~reseed:true ~max_states:max_frozen_states
-            in
-            let fm =
-              Dfa.freeze nfa ~reseed:false ~max_states:max_frozen_states
-            in
-            Hashtbl.add cache source (ast, nfa, fs, fm);
-            Atomic.incr cache_miss_count;
-            (ast, nfa, fs, fm))
-    in
-    {
-      source;
-      ast;
-      nfa;
-      frozen_search = fs;
-      frozen_match = fm;
-      search_dfa = None;
-      match_dfa = None;
-    }
+    Mutex.protect cache_lock (fun () ->
+        match Hashtbl.find_opt cache source with
+        | Some t ->
+          Atomic.incr cache_hit_count;
+          t
+        | None ->
+          let t = compile source in
+          let freeze reseed =
+            Dfa.freeze t.nfa ~reseed ~max_states:max_frozen_states
+          in
+          let t =
+            { t with frozen_search = freeze true; frozen_match = freeze false }
+          in
+          Hashtbl.add cache source t;
+          Atomic.incr cache_miss_count;
+          t)
 
 let cache_hits () = Atomic.get cache_hit_count
 
@@ -114,30 +79,12 @@ let has_frozen t = Option.is_some t.frozen_search
 let search t subject =
   match t.frozen_search with
   | Some f -> Dfa.frozen_search f subject
-  | None ->
-    let dfa =
-      match t.search_dfa with
-      | Some d -> d
-      | None ->
-        let d = Dfa.create t.nfa ~reseed:true in
-        t.search_dfa <- Some d;
-        d
-    in
-    Dfa.search dfa subject
+  | None -> Nfa.search t.nfa subject
 
 let matches t subject =
   match t.frozen_match with
   | Some f -> Dfa.frozen_matches f subject
-  | None ->
-    let dfa =
-      match t.match_dfa with
-      | Some d -> d
-      | None ->
-        let d = Dfa.create t.nfa ~reseed:false in
-        t.match_dfa <- Some d;
-        d
-    in
-    Dfa.matches dfa subject
+  | None -> Nfa.matches t.nfa subject
 
 let pattern t = t.source
 

@@ -4,32 +4,33 @@
     Patterns follow the POSIX Extended Regular Expression syntax used by
     Oracle 10g's [REGEXP_LIKE]: literals, [.], bracket expressions,
     [* + ? {m,n}] repetition, alternation, grouping and the [^]/[$]
-    anchors. Matching uses a Thompson NFA, linear in the subject length. *)
+    anchors. Matching is linear in the subject length: through a frozen DFA
+    when one was built, by Thompson NFA simulation otherwise. *)
 
 type t
-(** A compiled pattern. *)
+(** A compiled pattern. Immutable: one handle can be shared by any number
+    of domains. *)
 
 exception Parse_error of string
 (** Raised by {!compile} on a malformed pattern. *)
 
 val compile : string -> t
-(** Compile a pattern. Raises {!Parse_error} on syntax errors. *)
+(** Compile a pattern. Raises {!Parse_error} on syntax errors. The handle
+    runs by NFA simulation; no DFA is built. *)
 
 val compile_cached : string -> t
-(** Like {!compile}, but serves the parsed AST, Thompson NFA {e and
-    frozen DFAs} from a process-wide, mutex-protected cache keyed on the
-    pattern text — safe to call from any domain. The frozen DFAs (dense,
-    immutable subset constructions) are built once on first miss and
-    shared by every handle and every domain thereafter; executing through
-    them touches no mutable state. Patterns whose subset construction
-    exceeds an internal state cap skip freezing and fall back to a
-    per-handle lazy DFA. Raises {!Parse_error} on syntax errors (failures
-    are not cached). *)
+(** Like {!compile}, but serves the handle from a process-wide,
+    mutex-protected cache keyed on the pattern text — safe to call from
+    any domain. On first miss the pattern is also frozen into dense,
+    immutable DFAs, which every later call shares. Patterns whose subset
+    construction exceeds an internal state cap skip freezing and run by
+    NFA simulation. Raises {!Parse_error} on syntax errors (failures are
+    not cached). *)
 
 val has_frozen : t -> bool
 (** Whether this handle executes through a shared frozen DFA (true for
-    {!compile_cached} handles below the state cap; false for {!compile}
-    handles, which keep the lazy NFA-simulation path). *)
+    {!compile_cached} handles below the state cap). Every other handle
+    runs by NFA simulation. *)
 
 val required_literals : t -> string list list
 (** A CNF of required substrings: each returned group is a list of

@@ -24,12 +24,11 @@ type t = {
   fingerprint : string;
   cache : entry Lru.t;
   metrics : Metrics.t;
-  fine_grained : bool;
 }
 
 type prepared = entry
 
-let create ?(cache_capacity = 256) ?(fine_grained = true) ?options store =
+let create ?(cache_capacity = 256) ?options store =
   let translator = Translate.create ?options store.Loader.mapping in
   {
     store;
@@ -37,12 +36,11 @@ let create ?(cache_capacity = 256) ?(fine_grained = true) ?options store =
     fingerprint = Translate.fingerprint translator;
     cache = Lru.create ~capacity:cache_capacity;
     metrics = Metrics.create ();
-    fine_grained;
   }
 
-let of_doc ?cache_capacity ?fine_grained ?options ?schema doc =
+let of_doc ?cache_capacity ?options ?schema doc =
   let schema = match schema with Some s -> s | None -> Graph.infer doc in
-  create ?cache_capacity ?fine_grained ?options (Loader.shred schema doc)
+  create ?cache_capacity ?options (Loader.shred schema doc)
 
 let load t doc = t.store <- Loader.load t.store doc
 
@@ -101,7 +99,7 @@ let execute t (p : prepared) =
     let plan =
       match p.plan with
       | Some plan when Engine.plan_valid plan -> plan
-      | Some plan when t.fine_grained && Engine.plan_compatible plan ->
+      | Some plan when Engine.plan_compatible plan ->
         (* The store changed, but every commit since prepare is logged and
            disjoint from this plan's table/pathid footprint: keep it. *)
         Metrics.incr_retained t.metrics;

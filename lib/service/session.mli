@@ -29,19 +29,15 @@ module Sql = Ppfx_minidb.Sql
 
 type t
 
-val create : ?cache_capacity:int -> ?fine_grained:bool ->
-  ?options:Translate.options -> Loader.t -> t
+val create : ?cache_capacity:int -> ?options:Translate.options -> Loader.t -> t
 (** Wrap an existing store. [cache_capacity] bounds the number of live
-    compiled queries (default 256). [fine_grained] (default true) enables
-    footprint-based plan retention on {!execute}: a plan whose epoch moved
-    is kept — not re-planned — when
+    compiled queries (default 256). On {!execute}, a plan whose epoch
+    moved is kept — not re-planned — when
     {!Ppfx_minidb.Engine.plan_compatible} proves every commit since its
-    prepare disjoint from the plan's tables and pathids. Pass [false] to
-    fall back to whole-epoch invalidation (the pre-write-path behavior,
-    kept for comparison benchmarks). *)
+    prepare disjoint from the plan's tables and pathids. *)
 
-val of_doc : ?cache_capacity:int -> ?fine_grained:bool ->
-  ?options:Translate.options -> ?schema:Graph.t -> Doc.t -> t
+val of_doc : ?cache_capacity:int -> ?options:Translate.options ->
+  ?schema:Graph.t -> Doc.t -> t
 (** Shred a document (inferring the schema unless given) and open a
     session over the resulting store. *)
 

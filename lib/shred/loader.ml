@@ -16,9 +16,9 @@ exception Rejected of string
 
 let reject fmt = Format.kasprintf (fun m -> raise (Rejected m)) fmt
 
-let create ?partitioned mapping =
+let create mapping =
   let db = Database.create () in
-  Mapping.create_tables ?partitioned mapping db;
+  Mapping.create_tables mapping db;
   { mapping; db; docs = [] }
 
 (* Path ids are 1-based row positions in the Paths table plus one lookup

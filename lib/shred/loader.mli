@@ -13,10 +13,9 @@ type t = {
 exception Rejected of string
 (** Raised when a document does not conform to the mapping's schema. *)
 
-val create : ?partitioned:bool -> Mapping.t -> t
-(** Create the store: all mapping relations and indexes, no data.
-    [?partitioned] is forwarded to {!Mapping.create_tables} (default:
-    path-partitioned fact tables). *)
+val create : Mapping.t -> t
+(** Create the store: all mapping relations and indexes, no data (see
+    {!Mapping.create_tables}). *)
 
 val label : doc_id:int -> Ppfx_dewey.Dewey.t -> string
 (** The stored label bytes of an element: the ORDPATH encoding of

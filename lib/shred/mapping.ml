@@ -59,7 +59,7 @@ let columns_of_def t (def : Graph.def) =
     ]
   @ attr_cols
 
-let create_tables ?(partitioned = true) t db =
+let create_tables t db =
   let paths =
     Database.create_table db ~name:paths_table
       ~columns:
@@ -76,13 +76,9 @@ let create_tables ?(partitioned = true) t db =
   Table.add_content_index paths ~col:"path" ~kind:Table.Trigram;
   List.iter
     (fun def ->
-      let partition =
-        if partitioned then
-          Some { Table.part_col = "path_id"; part_sort = "dewey_pos" }
-        else None
-      in
       let table =
-        Database.create_table ?partition db ~name:(relation t def)
+        Database.create_table db ~name:(relation t def)
+          ~partition:{ Table.part_col = "path_id"; part_sort = "dewey_pos" }
           ~columns:(columns_of_def t def)
       in
       Table.create_index table [ "id" ];

@@ -54,11 +54,9 @@ val has_text_column : t -> Graph.def -> bool
 val columns_of_def : t -> Graph.def -> Ppfx_minidb.Table.column list
 (** The full column list of the definition's relation, in order. *)
 
-val create_tables : ?partitioned:bool -> t -> Ppfx_minidb.Database.t -> unit
+val create_tables : t -> Ppfx_minidb.Database.t -> unit
 (** Create all mapping relations (including [Paths]) with their indexes.
-    By default ([partitioned = true]) every element fact table is
-    declared partitioned by [path_id] with per-partition [dewey_pos]
-    order (see {!Ppfx_minidb.Table.partition_spec}), which the engine
-    exploits for partition pruning; pass [~partitioned:false] for a
-    plain heap layout (bench comparisons). [Paths] itself is never
-    partitioned. *)
+    Every element fact table is partitioned by [path_id] with
+    per-partition [dewey_pos] order (see
+    {!Ppfx_minidb.Table.partition_spec}), which the engine exploits for
+    partition pruning. [Paths] itself is never partitioned. *)

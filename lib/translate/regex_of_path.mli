@@ -35,8 +35,8 @@ val ends_with : string -> string
     6–7). *)
 
 val matches : string -> string -> bool
-(** [matches pattern path] — compile-and-search convenience used by the
-    Section 4.5 static checks. *)
+(** [matches pattern path] — compile-and-search convenience for a single
+    path. *)
 
 val min_levels : seg list -> int
 (** Minimum number of levels a chain descends: child segments contribute

@@ -172,13 +172,19 @@ type filter_decision =
 let decide_filter env (def : Graph.def) pattern =
   if not env.t.options.omit_path_filters then Filter_join
   else
-    match Graph.classification env.t.schema def with
-    | Graph.Unique_path p -> if Rx.matches pattern p then Filter_skip else Filter_prune
-    | Graph.Finite_paths ps ->
-      let matching = List.filter (Rx.matches pattern) ps in
+    (* One NFA-simulated handle per call, searched against every schema
+       path. Deliberately uncached: freezing each translation-time pattern
+       would cost more than the few searches it serves. *)
+    let decide ps =
+      let re = Ppfx_regex.Regex.compile pattern in
+      let matching = List.filter (Ppfx_regex.Regex.search re) ps in
       if List.length matching = List.length ps then Filter_skip
       else if matching = [] then Filter_prune
       else Filter_join
+    in
+    match Graph.classification env.t.schema def with
+    | Graph.Unique_path p -> decide [ p ]
+    | Graph.Finite_paths ps -> decide ps
     | Graph.Infinite_paths -> Filter_join
 
 (* Ensure [node] is joined to the Paths relation; the join itself is

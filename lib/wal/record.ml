@@ -472,7 +472,6 @@ let get_schema d =
 
 type meta = {
   m_schema : Graph.t;
-  m_partitioned : bool;  (** physical layout of the snapshot's fact tables *)
   m_shadow : Update.shadow option;  (** present on full stores *)
   m_extras : extras option;
 }
@@ -480,7 +479,6 @@ type meta = {
 let encode_meta m =
   let b = Buffer.create 1024 in
   put_schema b m.m_schema;
-  put_bool b m.m_partitioned;
   put_opt put_shadow b m.m_shadow;
   put_opt put_extras b m.m_extras;
   Buffer.contents b
@@ -488,8 +486,7 @@ let encode_meta m =
 let decode_meta s =
   let d = dec_of_string s in
   let m_schema = get_schema d in
-  let m_partitioned = get_bool d in
   let m_shadow = get_opt get_shadow d in
   let m_extras = get_opt get_extras d in
   if not (at_end d) then corrupt "trailing bytes after checkpoint meta";
-  { m_schema; m_partitioned; m_shadow; m_extras }
+  { m_schema; m_shadow; m_extras }

@@ -40,7 +40,6 @@ val decode : string -> t
 
 type meta = {
   m_schema : Graph.t;
-  m_partitioned : bool;  (** physical layout of the snapshot's fact tables *)
   m_shadow : Update.shadow option;  (** present on full stores *)
   m_extras : extras option;
 }

@@ -24,7 +24,9 @@ let durability_of_string s =
     | _ -> Error "batch size must be a positive integer")
   | _ -> Error (Printf.sprintf "unknown durability %S (expected off, fsync or batch[:N])" s)
 
-let meta_magic = "PPFXMET1"
+(* Version 2 dropped the layout flag from the sidecar; a version-1
+   sidecar fails the magic check instead of being misdecoded. *)
+let meta_magic = "PPFXMET2"
 let db_file gen = Printf.sprintf "checkpoint-%d.db" gen
 let meta_file gen = Printf.sprintf "checkpoint-%d.meta" gen
 let seg_file gen = Printf.sprintf "wal-%d.log" gen

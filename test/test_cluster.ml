@@ -569,10 +569,9 @@ let opts_off =
   {
     Engine.semijoin_reduction = false;
     hash_join = false;
-    force_hash_join = false;
     merge_join = false;
-    force_merge_join = false;
     content_probe = false;
+    force = None;
   }
 
 let unopt_render (store : Loader.t) query =

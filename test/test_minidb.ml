@@ -925,23 +925,14 @@ let opts_off =
   {
     Engine.semijoin_reduction = false;
     hash_join = false;
-    force_hash_join = false;
     merge_join = false;
-    force_merge_join = false;
     content_probe = false;
+    force = None;
   }
 
-let opts_forced =
-  {
-    Engine.semijoin_reduction = true;
-    hash_join = true;
-    force_hash_join = true;
-    merge_join = true;
-    force_merge_join = false;
-    content_probe = true;
-  }
+let opts_forced = { Engine.default_opts with Engine.force = Some `Hash_join }
 
-let opts_forced_merge = { Engine.default_opts with Engine.force_merge_join = true }
+let opts_forced_merge = { Engine.default_opts with Engine.force = Some `Merge_join }
 
 let contains s sub =
   let n = String.length sub in

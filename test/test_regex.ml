@@ -1,7 +1,8 @@
 (* Unit and property tests for the POSIX-ERE engine.
 
-   The property tests check the NFA simulation against a naive
-   backtracking matcher over random patterns and subjects. *)
+   The property tests check both runtimes — NFA simulation and the
+   frozen DFA — against a naive backtracking matcher over random
+   patterns and subjects. *)
 
 module Regex = Ppfx_regex.Regex
 module Syntax = Ppfx_regex.Syntax
@@ -171,6 +172,8 @@ let naive_search r s =
   let rec try_at i = i <= n && (naive_match r s i (fun _ -> true) || try_at (i + 1)) in
   try_at 0
 
+let naive_matches r s = naive_match r s 0 (fun j -> j = String.length s)
+
 (* Random pattern ASTs kept small so the naive oracle stays fast. *)
 let gen_regex =
   let open QCheck.Gen in
@@ -247,13 +250,12 @@ let cache_tests =
         Alcotest.(check bool) "same behaviour" true
           (Regex.search a "/a/keyword" && Regex.search b "/a/keyword"
           && Regex.search c "/site/x") );
-    ( "cached handles are independent",
+    ( "cached handles behave like uncached ones",
       fun () ->
         Regex.cache_clear ();
-        (* Each call returns a fresh handle (private lazy-DFA state), so a
-           handle can be used while another for the same pattern is mid-
-           search on a different domain. Equality of observable behaviour
-           with an uncached compile is the contract. *)
+        (* A handle is immutable, so the cache hands every caller the same
+           one, whichever domain it runs on. Equality of observable
+           behaviour with an uncached compile is the contract. *)
         let cached = Regex.compile_cached "^/a/(.+/)?b$" in
         let plain = Regex.compile "^/a/(.+/)?b$" in
         List.iter
@@ -313,22 +315,22 @@ let frozen_tests =
         Regex.cache_clear ();
         let re = Regex.compile_cached "^/(.+/)?keyword$" in
         Alcotest.(check bool) "frozen" true (Regex.has_frozen re);
-        Alcotest.(check bool) "lazy compile is not" false
+        Alcotest.(check bool) "uncached compile is not" false
           (Regex.has_frozen (Regex.compile "^/(.+/)?keyword$")) );
-    ( "frozen agrees with lazy on paper paths",
+    ( "frozen DFA agrees with NFA simulation on paper paths",
       fun () ->
         Regex.cache_clear ();
         List.iter
           (fun (pattern, subject) ->
             let frozen = Regex.compile_cached pattern in
-            let lazy_ = Regex.compile pattern in
+            let nfa = Regex.compile pattern in
             Alcotest.(check bool)
               (Printf.sprintf "search %S %S" pattern subject)
-              (Regex.search lazy_ subject)
+              (Regex.search nfa subject)
               (Regex.search frozen subject);
             Alcotest.(check bool)
               (Printf.sprintf "matches %S %S" pattern subject)
-              (Regex.matches lazy_ subject)
+              (Regex.matches nfa subject)
               (Regex.matches frozen subject))
           [
             ("^.*/listitem(/.+)?/keyword$", "/site/listitem/keyword");
@@ -343,21 +345,79 @@ let frozen_tests =
           ] );
   ]
 
-(* Frozen execution must be byte-for-byte equivalent to both the lazy DFA
-   and the backtracking oracle on arbitrary patterns. *)
-let prop_frozen_vs_lazy_vs_naive =
+(* A pattern whose subset construction needs 2^13 states — past the
+   freezing cap — so even a cached handle runs by NFA simulation. *)
+let over_cap = "(a|b)*a(a|b){12}"
+
+let over_cap_subjects =
+  (* Deterministic a/b strings around the 13-symbol window. *)
+  List.init 64 (fun i ->
+      String.init (8 + (i mod 13)) (fun j ->
+          if (i * 7 + j * 3) mod 5 < 2 then 'a' else 'b'))
+
+let over_cap_tests =
+  let ast = Regex.ast (Regex.compile over_cap) in
+  [
+    ( "over-cap cached pattern runs by NFA simulation",
+      fun () ->
+        Regex.cache_clear ();
+        let re = Regex.compile_cached over_cap in
+        Alcotest.(check bool) "not frozen" false (Regex.has_frozen re);
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) ("search " ^ s) (naive_search ast s) (Regex.search re s);
+            Alcotest.(check bool) ("matches " ^ s) (naive_matches ast s)
+              (Regex.matches re s))
+          over_cap_subjects );
+    ( "unfrozen handles are shareable across domains",
+      fun () ->
+        (* No cache_clear: the over-cap handle is served from the test
+           above when it ran, sparing a second failed freeze. *)
+        let handles =
+          [ Regex.compile "^/(.+/)?keyword$"; Regex.compile_cached over_cap ]
+        in
+        let cases =
+          List.concat_map
+            (fun re ->
+              let ast = Regex.ast re in
+              List.map
+                (fun s -> (re, s, naive_search ast s, naive_matches ast s))
+                ("/site/keyword" :: "/keyword" :: "keyword" :: over_cap_subjects))
+            handles
+        in
+        let worker () =
+          let wrong = ref 0 in
+          for _ = 1 to 20 do
+            List.iter
+              (fun (re, s, search, matches) ->
+                if Regex.search re s <> search || Regex.matches re s <> matches then
+                  incr wrong)
+              cases
+          done;
+          !wrong
+        in
+        let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+        Alcotest.(check (list int)) "every domain agrees with the oracle"
+          [ 0; 0; 0; 0 ] (List.map Domain.join domains) );
+  ]
+
+(* Both runtimes must be equivalent to each other and to the
+   backtracking oracle on arbitrary patterns: the frozen DFA of a cached
+   handle and the NFA simulation of an uncached one. *)
+let prop_frozen_vs_nfa_vs_naive =
   QCheck.Test.make ~count:2000
-    ~name:"frozen DFA agrees with lazy DFA and backtracking oracle"
+    ~name:"frozen DFA agrees with NFA simulation and backtracking oracle"
     (QCheck.make
        ~print:(fun (r, s) -> Printf.sprintf "pattern %s subject %S" (Syntax.to_string r) s)
        (QCheck.Gen.pair gen_regex gen_subject))
     (fun (r, s) ->
       let pattern = Syntax.to_string r in
       let frozen = Regex.compile_cached pattern in
-      let lazy_ = Regex.compile pattern in
+      let nfa = Regex.compile pattern in
       Regex.search frozen s = naive_search r s
-      && Regex.search frozen s = Regex.search lazy_ s
-      && Regex.matches frozen s = Regex.matches lazy_ s)
+      && Regex.search frozen s = Regex.search nfa s
+      && Regex.matches frozen s = naive_matches r s
+      && Regex.matches frozen s = Regex.matches nfa s)
 
 let check_literals pattern expected () =
   let got = Regex.required_literals (Regex.compile pattern) in
@@ -426,6 +486,7 @@ let () =
       "parse-errors", List.map tc parse_error_tests;
       "compile-cache", List.map tc cache_tests;
       "frozen-dfa", List.map tc frozen_tests;
+      "nfa-simulation", List.map tc over_cap_tests;
       "required-literals", List.map tc literal_extraction_tests;
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -433,7 +494,7 @@ let () =
             prop_nfa_vs_naive;
             prop_print_parse_roundtrip;
             prop_quote_literal;
-            prop_frozen_vs_lazy_vs_naive;
+            prop_frozen_vs_nfa_vs_naive;
             prop_literals_sound;
           ] );
     ]

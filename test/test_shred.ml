@@ -232,8 +232,7 @@ let prop_edge_complete =
 (* The schema-aware shredder's physical layout: every element fact
    table is partitioned by [path_id] with [dewey_pos]-sorted segments,
    the [paths] dimension stays a heap, and a freshly shredded store
-   satisfies the partition invariant. [~partitioned:false] restores the
-   flat heap layout for comparisons. *)
+   satisfies the partition invariant. *)
 let layout_tests =
   [
     ( "shredded fact tables are path-partitioned and dewey-sorted",
@@ -253,20 +252,6 @@ let layout_tests =
                  | Ok () -> ()
                  | Error e -> Alcotest.failf "%s: %s" (Table.name t) e)
               | None -> Alcotest.failf "%s: expected partitioned layout" (Table.name t))
-          (Database.tables st.Loader.db) );
-    ( "partitioned layout can be disabled",
-      fun () ->
-        let st =
-          Loader.load
-            (Loader.create ~partitioned:false (Mapping.of_schema (fig1_schema ())))
-            (fig1_doc ())
-        in
-        List.iter
-          (fun t ->
-            Alcotest.(check bool)
-              (Table.name t ^ " is a heap")
-              true
-              (Table.partition_spec t = None))
           (Database.tables st.Loader.db) );
   ]
 

@@ -304,22 +304,6 @@ let test_plan_older_than_log_conservatively_invalidates () =
   Alcotest.(check int) "fresh plan retained through a disjoint commit" (ret2 + 1)
     (Metrics.retained m)
 
-let test_whole_epoch_invalidation_when_disabled () =
-  let tree = Xmark.generate ~seed:11 ~items_per_region:1 () in
-  let schema = Graph.infer (Doc.of_tree tree) in
-  let u = Update.create schema [ tree ] in
-  let session = Session.create ~fine_grained:false (Update.store u) in
-  let m = Session.metrics session in
-  let p = Session.prepare session "//keyword" in
-  ignore (Session.execute_ids session p);
-  let city = List.hd (find_by_tag u "city") in
-  ignore (Update.exec u (Update.Set_text { target = city; text = "nowhere" }));
-  let inv0 = Metrics.invalidations m in
-  ignore (Session.execute_ids session p);
-  Alcotest.(check int) "pre-write-path behavior: every commit invalidates"
-    (inv0 + 1) (Metrics.invalidations m);
-  Alcotest.(check int) "nothing retained" 0 (Metrics.retained m)
-
 (* ------------------------------------------------------------------ *)
 (* Random mutation sequences                                           *)
 (* ------------------------------------------------------------------ *)
@@ -657,8 +641,6 @@ let () =
             "disjoint commit retains the plan", test_plan_retained_on_disjoint_commit;
             "plan older than the commit log re-plans",
             test_plan_older_than_log_conservatively_invalidates;
-            "whole-epoch mode invalidates everything",
-            test_whole_epoch_invalidation_when_disabled;
           ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest

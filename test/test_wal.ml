@@ -263,6 +263,32 @@ let test_meta_round_trip () =
   | _ -> Alcotest.fail "truncated meta must be rejected"
   | exception Record.Corrupt _ -> ()
 
+(* A version-1 sidecar carried a layout flag right after the schema; its
+   payload would misdecode under the current layout, so the magic check
+   must reject it before decoding. *)
+let test_meta_old_magic_rejected () =
+  with_dir @@ fun dir ->
+  let u = small () in
+  let meta = Server.store_meta u in
+  let w = Wstore.init ~durability:Wstore.Fsync ~dir ~db:(Update.db u) ~meta () in
+  Wstore.close w;
+  (* The schema's encoded length: two absent options take one byte each. *)
+  let schema_len =
+    String.length (Record.encode_meta { meta with m_shadow = None; m_extras = None }) - 2
+  in
+  let payload = Record.encode_meta meta in
+  let v1_payload =
+    String.sub payload 0 schema_len ^ "\001"
+    ^ String.sub payload schema_len (String.length payload - schema_len)
+  in
+  let sidecar = Filename.concat dir "checkpoint-0.meta" in
+  Alcotest.(check bool) "sidecar exists" true (Sys.file_exists sidecar);
+  Out_channel.with_open_bin sidecar (fun oc ->
+      output_string oc ("PPFXMET1" ^ Log.frame v1_payload));
+  match Wstore.recover ~dir () with
+  | Ok _ -> Alcotest.fail "a version-1 sidecar must not be decoded"
+  | Error e -> Alcotest.(check string) "bad magic" "checkpoint meta: bad magic" e
+
 (* ------------------------------------------------------------------ *)
 (* Unit: store lifecycle                                               *)
 (* ------------------------------------------------------------------ *)
@@ -853,6 +879,7 @@ let () =
           [
             "record round trip", test_record_round_trip;
             "checkpoint sidecar round trip", test_meta_round_trip;
+            "version-1 sidecar rejected by magic", test_meta_old_magic_rejected;
           ] );
       ( "store",
         List.map tc
