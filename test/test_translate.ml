@@ -20,31 +20,10 @@ module Sql = Ppfx_minidb.Sql
 (* Fixtures: the paper's Figure 1 schema and document                   *)
 (* ------------------------------------------------------------------ *)
 
-let fig1_schema () =
-  let b = Graph.Builder.create () in
-  let a = Graph.Builder.define b ~attrs:[ "x" ] "A" in
-  let bb = Graph.Builder.define b "B" in
-  let c = Graph.Builder.define b "C" in
-  let d = Graph.Builder.define b ~text:true "D" in
-  let e = Graph.Builder.define b "E" in
-  let f = Graph.Builder.define b ~text:true "F" in
-  let g = Graph.Builder.define b "G" in
-  Graph.Builder.add_child b ~parent:a bb;
-  Graph.Builder.add_child b ~parent:bb c;
-  Graph.Builder.add_child b ~parent:bb g;
-  Graph.Builder.add_child b ~parent:c d;
-  Graph.Builder.add_child b ~parent:c e;
-  Graph.Builder.add_child b ~parent:e f;
-  Graph.Builder.add_child b ~parent:g g;
-  Graph.Builder.finish b ~root:a
-
-let fig1_doc_src =
-  "<A x=\"3\"><B><C><D>d1</D></C><C><E><F>1</F><F>2</F></E></C><G/></B><B><G><G/></G></B></A>"
-
 let fig1 =
   lazy
-    (let doc = Doc.of_tree (Xml_parser.parse fig1_doc_src) in
-     let schema = fig1_schema () in
+    (let doc = Doc.of_tree (Xml_parser.parse Fig1.doc_src) in
+     let schema = Fig1.schema () in
      let instance = Loader.shred schema doc in
      doc, instance)
 
@@ -63,148 +42,6 @@ let check_query ?options doc (instance : Loader.t) query =
 let fig1_query query () =
   let doc, instance = Lazy.force fig1 in
   check_query doc instance query
-
-let fig1_queries =
-  [
-    (* forward paths *)
-    "/A";
-    "/A/B";
-    "/A/B/C";
-    "/A/B/C/D";
-    "/A/B/C/E/F";
-    "//F";
-    "//C";
-    "//G";
-    "/A//F";
-    "/A/B//F";
-    "/A/*";
-    "/A/B/*";
-    "/A/B/C/*/F";
-    "/A/*/C";
-    "//*";
-    (* paper running examples *)
-    "/A[@x = 3]/B/C//F";
-    "/A[@x = 3]/B";
-    "/A[@x = 4]//C";
-    "/A/*[C//F = 2]";
-    (* backward *)
-    "//F/parent::E";
-    "//F/parent::E/parent::C";
-    "//F/ancestor::B";
-    "//F/ancestor::C";
-    "//F/parent::E/ancestor::B";
-    "//G/ancestor::G";
-    "//G/parent::G";
-    "//G/ancestor::B";
-    "//D/..";
-    (* or-self axes *)
-    "/descendant-or-self::G";
-    "//G/ancestor-or-self::G";
-    "//F/ancestor-or-self::B";
-    (* order axes *)
-    "/A/B/C/following-sibling::G";
-    "/A/B/C/following-sibling::C";
-    "//C/preceding-sibling::C";
-    "//D/following::F";
-    "//G/preceding::D";
-    "//D/following::G";
-    "//F/following-sibling::F";
-    (* predicates *)
-    "/A/B/C[E]";
-    "/A/B/C[D]";
-    "/A/B[C]";
-    "/A/B[G]";
-    "/A/B/C[E/F = 2]";
-    "/A/B/C[E/F = 3]";
-    "//F[. = 1]";
-    "//F[. = 1.0]";
-    "//C[D = 'd1']";
-    "//B[C and G]";
-    "//B[C or G]";
-    "//B[not(C)]";
-    "//C[not(D)]";
-    "//F[parent::E]";
-    "//F[ancestor::B]";
-    "//G[parent::B or ancestor::G]";
-    "//G[parent::G]";
-    "//*[@x]";
-    "/A[@x]";
-    "/A[@x = 3]";
-    "/A[@x = '3']";
-    "/A[@x = 4]";
-    "//C[E/F]";
-    "/A/B[C/E/F = 2]";
-    "/A/B[C/D]";
-    "//B[.//F]";
-    (* nested predicates *)
-    "/A/B[C[E]]";
-    "/A/B[C[E/F = 1]]";
-    "//B[C[not(D)] and G]";
-    (* join predicate (paper Q-A style) *)
-    "/A/B[C/E/F = C/E/F]";
-    "/A/B/C[E/F = E/F]";
-    (* union *)
-    "/A/B/C/D | //F";
-    "//G | //F";
-    "/A/B | /A/B/C";
-    (* text() *)
-    "//F/text()";
-    "/A/B/C/E/F/text()";
-    "//D/text()";
-    (* wildcard backbone with predicate (SQL splitting, Table 6) *)
-    "/A/B/*[//F]";
-    "/A/B/C/*[F]";
-    "/A/B/*";
-    (* arithmetic predicate *)
-    "//F[. + 1 = 3]";
-    "//F[. * 2 = 2]";
-    (* absolute path inside predicate (QD5 style) *)
-    "/A/B/C[E/F = /A/B/C/E/F]";
-    "//C[D = /A/B/C/D]";
-    (* descendant into recursion *)
-    "/A/B/G//G";
-    "//G//G";
-    "/A/B[G/G]";
-    (* string functions (extension beyond the paper's subset) *)
-    "//D[contains(., 'd')]";
-    "//D[contains(., 'z')]";
-    "//D[contains(., '')]";
-    "//F[starts-with(., '1')]";
-    "/A[contains(@x, '3')]";
-    "/A[starts-with(@x, '9')]";
-    "//D[string-length(.) = 2]";
-    "//F[string-length(.) > 0]";
-    "//C[D[contains(., 'd1')]]";
-    (* positional predicates on child steps, via the ord column *)
-    "/A/B[1]";
-    "/A/B[2]";
-    "/A/B[3]";
-    "/A/B/C[2]";
-    "/A/B/C[position() = 1]";
-    "/A/B/C[position() > 1]";
-    "/A/B/C[position() <= 2]";
-    "/A/B/C[2][E]";
-    "/A/B/C[last()]";
-    "/A/B/C[position() = last()]";
-    "/A/B/C[position() < last()]";
-    "/A/B[last()]/G";
-    "//E/F[last()]";
-    "/A/B/C[last() = 2]";
-    "//B/C[2]";
-    "/A/B[2]/G";
-    "/A/B[C[1]]";
-    "/A/B/C[2]/E/F";
-    (* count() via scalar sub-queries *)
-    "//C[count(D) = 1]";
-    "//E[count(F) = 2]";
-    "//E[count(F) > 2]";
-    "/A/B[count(C) = 2]";
-    "/A/B[count(*) = 3]";
-    "//B[count(.//F) = 2]";
-    "//B[count(G) >= 1]";
-    "//E[count(F) = count(F)]";
-    "//C[count(E/F) + 1 = 3]";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Option ablations: all option combinations must stay correct          *)
@@ -533,7 +370,7 @@ let prop_random_documents =
        gen_fig1_doc)
     (fun tree ->
       let doc = Doc.of_tree tree in
-      let instance = Loader.shred (fig1_schema ()) doc in
+      let instance = Loader.shred (Fig1.schema ()) doc in
       let translator = Translate.create instance.Loader.mapping in
       List.for_all
         (fun query ->
@@ -558,7 +395,7 @@ let () =
     [
       "regex-generation", List.map tc regex_gen_tests;
       ( "differential",
-        List.map (fun q -> Alcotest.test_case q `Quick (fig1_query q)) fig1_queries );
+        List.map (fun q -> Alcotest.test_case q `Quick (fig1_query q)) Fig1.queries );
       "ablations", List.map tc ablation_tests;
       "golden", List.map tc golden_tests;
       "unsupported", List.map tc unsupported_tests;
