@@ -17,7 +17,6 @@ module Graph = Ppfx_schema.Graph
 module Loader = Ppfx_shred.Loader
 module Edge = Ppfx_shred.Edge
 module Translate = Ppfx_translate.Translate
-module Edge_translate = Ppfx_translate.Edge_translate
 module Accelerator = Ppfx_baselines.Accelerator
 module Monet_sim = Ppfx_baselines.Monet_sim
 module Engine = Ppfx_minidb.Engine
@@ -68,7 +67,8 @@ let query_arg =
 
 let engine_arg =
   let doc =
-    "Engine: ppf (schema-aware PPF SQL), edge (schema-oblivious PPF SQL), accel \
+    "Engine: ppf (schema-aware PPF SQL), edge (the same PPF translator on the \
+     schema-oblivious Edge mapping), accel \
      (XPath Accelerator SQL), monet (column-store simulator), eval (in-memory \
      reference evaluator)."
   in
@@ -89,7 +89,7 @@ let handle_errors f =
   | Ppfx_xpath.Parser.Error { position; message } ->
     Printf.eprintf "XPath parse error at offset %d: %s\n" position message;
     exit 1
-  | Translate.Unsupported msg | Edge_translate.Unsupported msg ->
+  | Translate.Unsupported msg ->
     Printf.eprintf "not translatable: %s\n" msg;
     exit 1
   | Loader.Rejected msg ->
@@ -118,7 +118,7 @@ let translate_cmd =
           else Translate.default_options
         in
         Translate.translate (Translate.create ~options mapping) expr
-      | `Edge -> Edge_translate.translate expr
+      | `Edge -> Translate.translate Translate.edge expr
       | `Accel -> Accelerator.translate expr
       | `Monet | `Eval ->
         Printf.eprintf "engine has no SQL translation; use ppf, edge or accel\n";
@@ -153,9 +153,9 @@ let run_cmd =
          | Some stmt -> Translate.result_ids (Engine.run store.Loader.db stmt))
       | `Edge ->
         let store = Edge.shred doc in
-        (match Edge_translate.translate expr with
+        (match Translate.translate Translate.edge expr with
          | None -> []
-         | Some stmt -> Edge_translate.result_ids (Engine.run store.Edge.db stmt))
+         | Some stmt -> Translate.result_ids (Engine.run store.Edge.db stmt))
       | `Accel ->
         let store = Accelerator.shred doc in
         (match Accelerator.translate expr with

@@ -7,7 +7,6 @@ module Doc = Ppfx_xml.Doc
 module Loader = Ppfx_shred.Loader
 module Edge = Ppfx_shred.Edge
 module Translate = Ppfx_translate.Translate
-module Edge_translate = Ppfx_translate.Edge_translate
 module Monet_sim = Ppfx_baselines.Monet_sim
 module Engine = Ppfx_minidb.Engine
 module Sql = Ppfx_minidb.Sql
@@ -52,10 +51,10 @@ let () =
       in
       let t_edge, _ =
         time (fun () ->
-            match Edge_translate.translate expr with
+            match Translate.translate Translate.edge expr with
             | None -> 0
             | Some stmt ->
-              List.length (Edge_translate.result_ids (Engine.run edge_store.Edge.db stmt)))
+              List.length (Translate.result_ids (Engine.run edge_store.Edge.db stmt)))
       in
       let t_monet, _ = time (fun () -> List.length (Monet_sim.run monet expr)) in
       Printf.printf "%-5s %8d %9.3fs %9.3fs %11.3fs\n" name n t_ppf t_edge t_monet)

@@ -1,10 +1,8 @@
-(** Primitive Path Fragment identification (paper Section 4.1).
-
-    Shared by the schema-aware translator ({!Translate}) and the
-    schema-oblivious Edge variant ({!Edge_translate}): step normalization
-    (or-self expansion, self merging), splitting a backbone into PPFs, and
-    the backward-simple-path test that enables the Table 5 (2) predicate
-    optimization. *)
+(** Primitive Path Fragment identification (paper Section 4.1), used by
+    {!Translate} on both of its targets (the schema-aware and the Edge
+    mapping): step normalization (or-self expansion, self merging),
+    splitting a backbone into PPFs, and the backward-simple-path test that
+    enables the Table 5 (2) predicate optimization. *)
 
 module Ast = Ppfx_xpath.Ast
 
@@ -26,11 +24,11 @@ type t =
 val split : Ast.step list -> t list
 (** Split a normalized backbone into PPFs: maximal forward or backward
     runs — a predicated step always ends its run (Section 4.1) — with
-    order-axis steps standing alone. Raises [Translate.Unsupported]-style
-    [Failure] via the shared [unsupported] on attribute steps in
-    mid-path. *)
+    order-axis steps standing alone. Raises {!Unsupported} on attribute
+    steps in mid-path. *)
 
 exception Unsupported of string
+(** Out-of-subset construct; {!Translate.Unsupported} is this exception. *)
 
 val backward_simple : Ast.step list -> bool
 (** True when every step is a predicate-free parent/ancestor step with an

@@ -10,7 +10,6 @@ module Xparser = Ppfx_xpath.Parser
 module Loader = Ppfx_shred.Loader
 module Edge = Ppfx_shred.Edge
 module Translate = Ppfx_translate.Translate
-module Edge_translate = Ppfx_translate.Edge_translate
 module Accelerator = Ppfx_baselines.Accelerator
 module Monet_sim = Ppfx_baselines.Monet_sim
 module Commercial = Ppfx_baselines.Commercial
@@ -55,9 +54,9 @@ let run_engine fx engine query =
      | None -> []
      | Some stmt -> Translate.result_ids (Engine.run fx.schema_store.Loader.db stmt))
   | `Edge_ppf ->
-    (match Edge_translate.translate expr with
+    (match Translate.translate Translate.edge expr with
      | None -> []
-     | Some stmt -> Edge_translate.result_ids (Engine.run fx.edge_store.Edge.db stmt))
+     | Some stmt -> Translate.result_ids (Engine.run fx.edge_store.Edge.db stmt))
   | `Accelerator ->
     (match Accelerator.translate expr with
      | None -> []
@@ -153,9 +152,9 @@ let multi_document () =
   List.iter
     (fun q ->
       let got =
-        match Edge_translate.translate (Xparser.parse q) with
+        match Translate.translate Translate.edge (Xparser.parse q) with
         | None -> []
-        | Some stmt -> Edge_translate.result_ids (Engine.run estore.Edge.db stmt)
+        | Some stmt -> Translate.result_ids (Engine.run estore.Edge.db stmt)
       in
       Alcotest.(check (list int)) ("edge " ^ q) (expected q) got)
     [ "//keyword/ancestor::listitem"; "/site/regions/*/item" ];
@@ -232,21 +231,20 @@ let prop_xmark_cross_engine fx =
             else true)
           engines)
 
-(* count() comparisons are supported by the schema-aware translator and
-   the MonetDB simulator (the paper's subset leaves them out; extension
-   documented in README). *)
+(* count() comparisons are supported by the PPF translator, on both
+   mappings, and the MonetDB simulator (the paper's subset leaves them
+   out; extension documented in README). *)
 let count_queries fx () =
   List.iter
     (fun q ->
       let expected = run_engine fx `Reference q in
-      let via_ppf = run_engine fx `Ppf q in
-      let via_monet = run_engine fx `Monet q in
-      if via_ppf <> expected then
-        Alcotest.failf "ppf on %s: %d vs %d nodes" q (List.length via_ppf)
-          (List.length expected);
-      if via_monet <> expected then
-        Alcotest.failf "monet on %s: %d vs %d nodes" q (List.length via_monet)
-          (List.length expected))
+      List.iter
+        (fun (ename, engine) ->
+          let got = run_engine fx engine q in
+          if got <> expected then
+            Alcotest.failf "%s on %s: %d vs %d nodes" ename q (List.length got)
+              (List.length expected))
+        [ "ppf", `Ppf; "edge-ppf", `Edge_ppf; "monet", `Monet ])
     [
       "/site/people/person[count(address) = 1]";
       "/site/regions/*/item[location[contains(., 'france')]]";
