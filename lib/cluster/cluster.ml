@@ -460,9 +460,9 @@ let revalidate_plans t stmt plans =
           true
       in
       if stale then begin
-        let t0 = Unix.gettimeofday () in
+        let t0 = Metrics.now () in
         let plan = Engine.prepare store.Loader.db stmt in
-        Metrics.record t.shard_metrics.(s) Metrics.Plan (Unix.gettimeofday () -. t0);
+        Metrics.record t.shard_metrics.(s) Metrics.Plan (Metrics.now () -. t0);
         (* Plan-time engine work (the semi-join reduction's regex sweep)
            is attributed to the shard the plan belongs to. *)
         Metrics.add_engine t.shard_metrics.(s) (Engine.plan_stats plan);
@@ -480,9 +480,9 @@ let submit_shard_runs t plans =
       let plan = Option.get plan in
       Pool.submit t.pool (fun () ->
           let before = Engine.plan_stats plan in
-          let s0 = Unix.gettimeofday () in
+          let s0 = Metrics.now () in
           let r = Engine.run_plan plan in
-          let dt = Unix.gettimeofday () -. s0 in
+          let dt = Metrics.now () -. s0 in
           r, dt, Engine.stats_diff (Engine.plan_stats plan) before))
     plans
 
@@ -490,10 +490,10 @@ let scatter t ~key ~plans stmt =
   let m = Session.metrics t.session in
   Metrics.incr_queries m;
   revalidate_plans t stmt plans;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Metrics.now () in
   let futures = submit_shard_runs t plans in
   let outcomes = Array.map Pool.await futures in
-  Metrics.record m Metrics.Execute (Unix.gettimeofday () -. t0);
+  Metrics.record m Metrics.Execute (Metrics.now () -. t0);
   let queue_waits = Array.map Pool.queue_wait futures in
   let shard_rows = Array.make t.nshards 0 in
   let critical = ref 0.0 in
@@ -528,7 +528,7 @@ let order_scatter t (oe : order_exec) =
   Metrics.incr_queries m;
   revalidate_plans t (Sql.Select left.Analysis.os_select) oe.lplans;
   revalidate_plans t (Sql.Select right.Analysis.os_select) oe.rplans;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Metrics.now () in
   let lf = submit_shard_runs t oe.lplans in
   let rf = submit_shard_runs t oe.rplans in
   let louts = Array.map Pool.await lf in
@@ -569,14 +569,14 @@ let order_scatter t (oe : order_exec) =
   in
   fill "lhs" oe.lcols left lmerged;
   fill "rhs" oe.rcols right rmerged;
-  let p0 = Unix.gettimeofday () in
+  let p0 = Metrics.now () in
   let plan = Engine.prepare db (Sql.Select oe.oplan.Analysis.op_coord) in
-  Metrics.record m Metrics.Plan (Unix.gettimeofday () -. p0);
+  Metrics.record m Metrics.Plan (Metrics.now () -. p0);
   Metrics.add_engine m (Engine.plan_stats plan);
   let before = Engine.plan_stats plan in
   let r = Engine.run_plan plan in
   Metrics.add_engine m (Engine.stats_diff (Engine.plan_stats plan) before);
-  Metrics.record m Metrics.Execute (Unix.gettimeofday () -. t0);
+  Metrics.record m Metrics.Execute (Metrics.now () -. t0);
   Metrics.add_rows m (List.length r.Engine.rows);
   let queue_waits = Array.init t.nshards (fun s -> lwaits.(s) +. rwaits.(s)) in
   t.last <- Some { critical_path = !critical; queue_waits; shard_rows };

@@ -184,7 +184,7 @@ val last_stats : t -> scatter_stats option
 val session : t -> Session.t
 val metrics : t -> Metrics.t
 (** Overall serving metrics (the embedded session's): Execute is the
-    scatter-gather wall clock, Merge the k-way merge, [fallbacks] and
+    scatter-gather elapsed time, Merge the k-way merge, [fallbacks] and
     [rows] the routing counters. *)
 
 val shards : t -> int

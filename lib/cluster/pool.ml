@@ -73,7 +73,7 @@ let resolve fut state =
   Mutex.unlock fut.fmutex
 
 let submit pool f =
-  let now = Unix.gettimeofday () in
+  let now = Ppfx_service.Metrics.now () in
   let fut =
     {
       fmutex = Mutex.create ();
@@ -84,7 +84,7 @@ let submit pool f =
     }
   in
   let run () =
-    fut.started_at <- Unix.gettimeofday ();
+    fut.started_at <- Ppfx_service.Metrics.now ();
     match f () with
     | v -> resolve fut (Done v)
     | exception e -> resolve fut (Failed (e, Printexc.get_raw_backtrace ()))

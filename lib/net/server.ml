@@ -389,7 +389,7 @@ let worker_loop t factory () =
     match wait () with
     | None -> ()
     | Some (c, req, t_enq) ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Metrics.now () in
       Metrics.record t.metrics Metrics.Queue (t0 -. t_enq);
       Metrics.incr_queries t.metrics;
       let close =
@@ -398,7 +398,7 @@ let worker_loop t factory () =
           respond t c (Wire.Error { code = Wire.Runtime; message = Printexc.to_string e });
           true
       in
-      Metrics.record t.metrics Metrics.Execute (Unix.gettimeofday () -. t0);
+      Metrics.record t.metrics Metrics.Execute (Metrics.now () -. t0);
       locked t (fun () ->
           if close then c.draining <- true;
           if c.draining then begin
@@ -409,7 +409,7 @@ let worker_loop t factory () =
           else if not (Queue.is_empty c.pending) then
             (* keep [busy] set: the connection's next request goes straight
                back on the dispatch queue, preserving per-connection order *)
-            Queue.push (c, Queue.pop c.pending, Unix.gettimeofday ()) t.queue
+            Queue.push (c, Queue.pop c.pending, Metrics.now ()) t.queue
           else c.busy <- false;
           t.busy_count <- t.busy_count - 1;
           Condition.broadcast t.cond);
@@ -456,7 +456,7 @@ let enqueue_requests t c reqs =
                 end
                 else begin
                   c.busy <- true;
-                  Queue.push (c, Queue.pop c.pending, Unix.gettimeofday ()) t.queue;
+                  Queue.push (c, Queue.pop c.pending, Metrics.now ()) t.queue;
                   Metrics.note_queue_depth t.metrics (Queue.length t.queue);
                   Condition.broadcast t.cond
                 end

@@ -22,7 +22,7 @@ let read_queries ic =
 let run_with run_ids queries =
   List.map
     (fun query ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Metrics.now () in
       let result =
         try Ok (run_ids query) with
         | Ppfx_xpath.Parser.Error { position; message } ->
@@ -30,7 +30,7 @@ let run_with run_ids queries =
         | Session.Translate.Unsupported msg ->
           Error (Printf.sprintf "not translatable: %s" msg)
       in
-      { query; result; seconds = Unix.gettimeofday () -. t0 })
+      { query; result; seconds = Metrics.now () -. t0 })
     queries
 
 let run session queries = run_with (Session.run_ids session) queries

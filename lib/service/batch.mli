@@ -6,7 +6,7 @@ type outcome = {
   result : (int list, string) result;
       (** sorted element ids, or a one-line error (parse failure or
           out-of-subset construct) *)
-  seconds : float;  (** wall-clock prepare + execute time *)
+  seconds : float;  (** elapsed prepare + execute time, on {!Metrics.now} *)
 }
 
 val parse_queries : string -> string list

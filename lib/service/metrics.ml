@@ -205,9 +205,11 @@ let record t stage seconds =
   let b = bucket_of_seconds seconds in
   a.hist.(b) <- a.hist.(b) + 1
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let time t stage f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> record t stage (Unix.gettimeofday () -. t0)) f
+  let t0 = now () in
+  Fun.protect ~finally:(fun () -> record t stage (now () -. t0)) f
 
 let incr_queries t = locked t @@ fun () -> t.queries <- t.queries + 1
 let incr_prepares t = locked t @@ fun () -> t.prepares <- t.prepares + 1

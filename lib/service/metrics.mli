@@ -4,7 +4,8 @@
     invalidations, cache evictions, single-store fallbacks, result rows)
     plus one latency accumulator per pipeline stage — parse, translate,
     plan, queue, execute, merge — each tracking count, total, min and max
-    wall-clock seconds {e and} a fixed-bucket log2 histogram from which
+    elapsed seconds on the monotonic clock ({!now}) {e and} a fixed-bucket
+    log2 histogram from which
     p50/p95/p99 latencies are read. A warm cache hit records only
     [Execute] time; the gap between a query's stage counts and its execute
     count is exactly the work the cache skipped. The [Queue] and [Merge]
@@ -23,11 +24,16 @@ val reset : t -> unit
 
 (** {2 Recording} *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock. Only differences are meaningful: they
+    are elapsed time, unaffected by wall-clock adjustments. Every stage
+    duration in the library is measured with it. *)
+
 val record : t -> stage -> float -> unit
 (** Add one observation (seconds) to a stage accumulator. *)
 
 val time : t -> stage -> (unit -> 'a) -> 'a
-(** Run the thunk, record its wall-clock duration under the stage.
+(** Run the thunk, record its elapsed {!now} duration under the stage.
     Records even when the thunk raises. *)
 
 val incr_queries : t -> unit
