@@ -114,9 +114,21 @@ type exec_stats = private {
           running sum is the peak; across plans the field aggregates. *)
 }
 
+(** When a counter moves over a plan's life. *)
+type scope =
+  | Per_exec
+      (** on every execution; a plan's first execution also counts the
+          one-time hash and merge builds in [rows_scanned] *)
+  | Plan_lifetime
+      (** at prepare or once per plan (its first execution), then holds:
+          [regex_plan_evals] and [reductions] move only at prepare,
+          [hash_builds] and [peak_bytes] once per plan. Report the
+          plan's value, not a per-execution rate. *)
+
 type counter = {
   name : string;  (** the field name, also the JSON key *)
   label : string;  (** the EXPLAIN / metrics-dump label *)
+  scope : scope;
   get : exec_stats -> int;
 }
 
