@@ -119,8 +119,14 @@ let execute t (p : prepared) =
       result
     in
     (* A commit may land between the compatibility check and run_plan's
-       own locked re-check; one re-plan retry absorbs that race. *)
-    (try run plan with Engine.Runtime_error _ -> run (replan t p stmt))
+       own locked re-check, and again between a re-plan and its run:
+       re-plan until the plan meets its store. An error raised by a plan
+       that is still compatible is the query's own, not staleness. *)
+    let rec go plan =
+      try run plan
+      with Engine.Runtime_error _ when not (Engine.plan_compatible plan) -> go (replan t p stmt)
+    in
+    go plan
 
 let execute_ids t p =
   match p.sql with
