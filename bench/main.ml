@@ -58,6 +58,7 @@ module Sql = Ppfx_minidb.Sql
 module Xmark = Ppfx_workloads.Xmark
 module Dblp = Ppfx_workloads.Dblp
 module Xparser = Ppfx_xpath.Parser
+module Metrics = Ppfx_service.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -201,9 +202,9 @@ let median l =
 let time_med f =
   let runs =
     List.init (max 1 config.reps) (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Metrics.now () in
         ignore (f ());
-        Unix.gettimeofday () -. t0)
+        Metrics.now () -. t0)
   in
   median runs
 
@@ -507,7 +508,6 @@ let extensions () =
 (* ------------------------------------------------------------------ *)
 
 module Session = Ppfx_service.Session
-module Metrics = Ppfx_service.Metrics
 
 (* Cold = a cache-less arrival (parse + translate + plan + execute every
    time, measured by clearing the session cache before each rep). Warm =
@@ -619,9 +619,9 @@ let cluster_bench () =
             nodes := List.length (Cluster.run_ids c q);
             let walls = ref [] and crits = ref [] in
             for _ = 1 to reps do
-              let t0 = Unix.gettimeofday () in
+              let t0 = Metrics.now () in
               ignore (Cluster.run_ids c q);
-              let wall = Unix.gettimeofday () -. t0 in
+              let wall = Metrics.now () -. t0 in
               let crit =
                 if scatter then
                   match Cluster.last_stats c with
@@ -697,7 +697,6 @@ let engine_bench () =
       Engine.semijoin_reduction = false;
       hash_join = false;
       merge_join = false;
-      content_probe = false;
       force = None;
     }
   in
@@ -707,14 +706,14 @@ let engine_bench () =
       "reduce-only", { off with Engine.semijoin_reduction = true };
       "hash-only", { off with Engine.force = Some `Hash_join };
       "merge-only", { off with Engine.merge_join = true };
-      "content-off", { Engine.default_opts with Engine.content_probe = false };
       "full", Engine.default_opts;
     ]
   in
   (* Q9/Q10/Q11 are the order-axis queries: preceding-sibling, following
      and preceding — the shapes the Dewey merge join targets. Q6, XE1
-     (contains) and XE2 (starts-with) carry value/path regexes the
-     content indexes turn into probe-then-verify. *)
+     (contains) and XE2 (starts-with) carry value/path regexes: the
+     reduction resolves the path ones at plan time, and the rest run as
+     residual frozen-DFA filters. *)
   let queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q11"; "XE1"; "XE2" ] in
   let reps = max 1 config.reps in
   Printf.printf "\n%s — warm prepared plans, median of %d executions\n" st.label reps;
@@ -839,23 +838,6 @@ let engine_bench () =
      Printf.printf "best order-axis merge-join speedup: %.2fx (%s); > 1x: %b\n" s
        qname (s > 1.0)
    | None -> ());
-  (* Content-index acceptance: probe-then-verify vs exec-time regex
-     scans, everything else at defaults. *)
-  List.iter
-    (fun qname ->
-      match find qname "content-off", find qname "full" with
-      | Some (s0, r0), Some (s1, r1) when s1 > 0.0 ->
-        Printf.printf
-          "%-5s content probe vs regex scan: %4.2fx faster, regex evals/exec %.1f -> %.1f\n"
-          qname (s0 /. s1) r0 r1
-      | _ -> ())
-    [ "Q6"; "XE1"; "XE2" ];
-  (match find "Q6" "content-off", find "Q6" "full" with
-   | Some (_, r0), Some (_, r1) when r1 > 0.0 ->
-     Printf.printf
-       "Q6 exec-time regex reduction from content probe: %.1fx (>= 2x: %b)\n"
-       (r0 /. r1) (r0 /. r1 >= 2.0)
-   | _ -> ());
   Printf.printf "warm full plans: dfa_execs > 0: %b; exec-time regex NFA simulations = 0: %b\n"
     (!warm_dfa > 0) (!warm_nfa = 0);
   Printf.printf "regex compile cache: %d entries, %d hits, %d misses overall\n"
@@ -896,7 +878,7 @@ let open_loop ~port ~conns ~qps ~total ~queries =
   let next = Atomic.make 0 in
   let period = 1.0 /. qps in
   let nq = Array.length queries in
-  let t0 = Unix.gettimeofday () +. 0.05 in
+  let t0 = Metrics.now () +. 0.05 in
   let worker _ =
     match Client.connect ~client_name:"ppfx-bench" ~port () with
     | exception Client.Server_error { code = Wire.Admission; _ } ->
@@ -907,11 +889,11 @@ let open_loop ~port ~conns ~qps ~total ~queries =
         let i = Atomic.fetch_and_add next 1 in
         if i < total then begin
           let sched = t0 +. (float_of_int i *. period) in
-          let now = Unix.gettimeofday () in
+          let now = Metrics.now () in
           if sched > now then Unix.sleepf (sched -. now);
           (match Client.run_ids c queries.(i mod nq) with
            | _ ->
-             Metrics.record lat Metrics.Execute (Unix.gettimeofday () -. sched);
+             Metrics.record lat Metrics.Execute (Metrics.now () -. sched);
              Atomic.incr ok
            | exception Client.Server_error { code = Wire.Admission; _ } ->
              Atomic.incr rejected
@@ -929,7 +911,7 @@ let open_loop ~port ~conns ~qps ~total ~queries =
     req_rejected = Atomic.get rejected;
     conn_rejected = Atomic.get conn_rejected;
     load_failed = Atomic.get failed;
-    wall = Unix.gettimeofday () -. t0;
+    wall = Metrics.now () -. t0;
     lat;
   }
 
@@ -1068,11 +1050,11 @@ let write_bench () =
   let u = Update.create schema [ tree ] in
   let n_ops = max 50 (config.reps * 50) in
   let bench_ops name ~elems f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Metrics.now () in
     for i = 0 to n_ops - 1 do
       f i
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Metrics.now () -. t0 in
     let rate = float_of_int n_ops /. dt in
     Printf.printf "  %-30s %10.0f mutations/s  (subtree = %d elements)\n" name
       rate elems;
@@ -1134,7 +1116,7 @@ let write_bench () =
   in
   let cities = Array.of_list (by_tag u "city") in
   let iters = max 20 (config.reps * 10) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Metrics.now () in
   for i = 0 to iters - 1 do
     for r = 0 to 8 do
       ignore (Session.run_ids session reads.((i + r) mod Array.length reads))
@@ -1145,7 +1127,7 @@ let write_bench () =
             { target = cities.(i mod Array.length cities);
               text = Printf.sprintf "w%d" i }))
   done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Metrics.now () -. t0 in
   let retained = Metrics.retained m and inval = Metrics.invalidations m in
   let total = retained + inval in
   let retention =
@@ -1253,7 +1235,7 @@ let durability_bench () =
         ignore (Wstore.append w ~op cs : int);
         Update.commit (Update.db u) cs
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Metrics.now () in
     for i = 0 to n_ops - 1 do
       exec
         (Update.Set_text
@@ -1261,7 +1243,7 @@ let durability_bench () =
              text = Printf.sprintf "d%d" i })
     done;
     Option.iter Wstore.flush w;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Metrics.now () -. t0 in
     let rate = float_of_int n_ops /. dt in
     Printf.printf "  %-30s %10.0f mutations/s\n" name rate;
     record ~dataset ~query:"set-text" ~engine:name ~nodes:1

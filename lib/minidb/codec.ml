@@ -2,10 +2,10 @@ exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
 
-(* DB2 added the partition-spec bytes after the column list (PR 8); DB3
-   appends the content-index spec after the btree index list. Older
-   files are not readable. *)
-let magic = "PPFXDB3"
+(* DB2 added the partition-spec bytes after the column list; DB3 appended
+   a content-index spec after the btree index list, which DB4 drops again.
+   Older files are not readable. *)
+let magic = "PPFXDB4"
 
 (* --- byte sinks and sources ----------------------------------------- *)
 
@@ -161,16 +161,7 @@ let write_table sk table =
     (fun (cols, _) ->
       write_varint sk (List.length cols);
       List.iter (write_string sk) cols)
-    indexes;
-  (* Content-index spec only: postings are rebuilt from the rows on
-     load, like the btrees and partition segments. *)
-  let content = Table.content_indexes table in
-  write_varint sk (List.length content);
-  List.iter
-    (fun (col, kind) ->
-      write_string sk col;
-      sk.put_byte (match kind with Table.Token -> 0 | Table.Trigram -> 1))
-    content
+    indexes
 
 let read_table db src =
   let name = read_string src in
@@ -216,23 +207,6 @@ let read_table db src =
           corrupt "table %s: index on unknown column %s" name c)
       cols;
     Table.create_index table cols
-  done;
-  let ncontent = read_varint src in
-  if ncontent < 0 then corrupt "table %s has negative content index count" name;
-  for _ = 1 to ncontent do
-    let col = read_string src in
-    if not (has_column col) then
-      corrupt "table %s: content index on unknown column %s" name col;
-    let kind =
-      match src.get_byte () with
-      | 0 -> Table.Token
-      | 1 -> Table.Trigram
-      | tag -> corrupt "table %s: unknown content index kind %d" name tag
-    in
-    match Table.add_content_index table ~col ~kind with
-    | () -> ()
-    | exception Invalid_argument msg ->
-      corrupt "table %s: bad content index on %s: %s" name col msg
   done
 
 let write_database_sink sk db =

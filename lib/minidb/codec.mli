@@ -1,10 +1,9 @@
 (** Binary persistence for databases.
 
-    A compact, self-describing format (magic ["PPFXDB3"], then per table:
+    A compact, self-describing format (magic ["PPFXDB4"], then per table:
     name, typed column list, partition spec, row count, length-prefixed
-    values, index column lists, content-index specs). Indexes — btrees
-    and content postings alike — are rebuilt on load rather than
-    serialized — they are derived data. Tombstoned rows are compacted
+    values, index column lists). Indexes and partition segments are
+    rebuilt on load rather than serialized — they are derived data. Tombstoned rows are compacted
     away, so row ids are {e not} stable across a save/load cycle unless
     no deletions happened.
 
@@ -22,7 +21,7 @@ val read_database : in_channel -> Database.t
 (** Raises {!Corrupt}. *)
 
 val database_to_string : Database.t -> string
-(** The full PPFXDB3 image as a string — byte-identical to what
+(** The full PPFXDB4 image as a string — byte-identical to what
     {!write_database} emits. *)
 
 val database_of_string : string -> Database.t
@@ -39,7 +38,7 @@ val load : string -> Database.t
 
 type error =
   | Io_error of string  (** the file could not be opened or read *)
-  | Corrupted of string  (** the bytes are not a valid PPFXDB3 image *)
+  | Corrupted of string  (** the bytes are not a valid PPFXDB4 image *)
 
 val error_to_string : error -> string
 

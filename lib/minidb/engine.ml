@@ -22,7 +22,6 @@ type opts = {
   semijoin_reduction : bool;
   hash_join : bool;
   merge_join : bool;
-  content_probe : bool;
   force : [ `Hash_join | `Merge_join ] option;
 }
 
@@ -31,7 +30,6 @@ let default_opts =
     semijoin_reduction = true;
     hash_join = true;
     merge_join = true;
-    content_probe = true;
     force = None;
   }
 
@@ -55,10 +53,9 @@ type exec_stats = {
   mutable merge_backtracks : int;
   mutable partitions_scanned : int;
   mutable partitions_pruned : int;
-  mutable content_probes : int;
-  mutable content_candidates : int;
-  mutable content_verified : int;
   mutable peak_bytes : int;
+  content_candidates : int;
+  content_verified : int;
 }
 
 type scope = Per_exec | Plan_lifetime
@@ -92,19 +89,12 @@ let make f =
   let partitions_pruned =
     f "partitions_pruned" "partitions pruned" Per_exec (fun s -> s.partitions_pruned)
   in
-  let content_probes = f "content_probes" "content probes" Per_exec (fun s -> s.content_probes) in
-  let content_candidates =
-    f "content_candidates" "content candidates" Per_exec (fun s -> s.content_candidates)
-  in
-  let content_verified =
-    f "content_verified" "content verified" Per_exec (fun s -> s.content_verified)
-  in
   let peak_bytes = f "peak_bytes" "peak bytes" Plan_lifetime (fun s -> s.peak_bytes) in
   {
     rows_scanned; rows_probed; rows_emitted; regex_plan_evals; regex_exec_evals;
     dfa_execs; hash_builds; reductions; merge_probes; merge_steps;
-    merge_backtracks; partitions_scanned; partitions_pruned; content_probes;
-    content_candidates; content_verified; peak_bytes;
+    merge_backtracks; partitions_scanned; partitions_pruned; peak_bytes;
+    content_candidates = 0; content_verified = 0;
   }
 
 type counter = { name : string; label : string; scope : scope; get : exec_stats -> int }
@@ -195,21 +185,6 @@ type partition_scan = {
   ps_sort_idx : int;
 }
 
-(* A content-index probe: the REGEXP_LIKE conjuncts on this alias yielded
-   required-literal groups that the table's token/trigram indexes resolved
-   at plan time to a candidate row-id superset. The access emits only the
-   candidates; the regex conjuncts stay in [st_filters] as the verify
-   stage (through the shared frozen DFA). The candidate list is fixed at
-   plan time, which is sound only under a [Dep_all] footprint on the
-   table — any committed change to it invalidates the plan. *)
-type content_probe = {
-  cp_table : Table.t;
-  cp_col : string;
-  cp_kinds : string;  (* declared index kinds on the column, for EXPLAIN *)
-  cp_groups : int;  (* literal groups probed *)
-  cp_ids : int array;  (* candidate row ids, ascending *)
-}
-
 type access =
   [ `Scan
   | `Index_eq of Btree.t * value_fn array
@@ -219,8 +194,7 @@ type access =
   | `Prefix_lookup of Btree.t * value_fn * int array Lazy.t
   | `Hash_probe of hash_probe
   | `Merge_join of merge_probe
-  | `Partition_scan of partition_scan
-  | `Content_probe of content_probe ]
+  | `Partition_scan of partition_scan ]
 
 type step = {
   st_slot : int;
@@ -230,9 +204,6 @@ type step = {
   st_probe_labels : string list;
       (* the trailing [List.length st_probe_labels] entries of
          [st_filters] are pathid set probes, not residual conjuncts *)
-  st_content : bool;
-      (* the step is a content probe: bindings surviving the filters are
-         verified candidates, counted in [content_verified] *)
   mutable st_examined : int;  (* live rows fetched through the access *)
   mutable st_passed : int;  (* rows surviving the filters *)
   mutable st_ns : int;
@@ -571,11 +542,6 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
   in
   match access with
   | `Scan -> Table.iter_rows (fun id _ -> f id) table
-  | `Content_probe cp ->
-    counters.content_probes <- counters.content_probes + 1;
-    counters.content_candidates <-
-      counters.content_candidates + Array.length cp.cp_ids;
-    Array.iter f cp.cp_ids
   | `Partition_scan ps ->
     counters.partitions_scanned <- counters.partitions_scanned + Array.length ps.ps_keys;
     counters.partitions_pruned <-
@@ -816,8 +782,6 @@ let rec exec_steps ctx steps bind emit =
         bind.(st.st_slot) <- row;
         if List.for_all (fun p -> p bind = Some true) st.st_filters then begin
           st.st_passed <- st.st_passed + 1;
-          if st.st_content then
-            counters.content_verified <- counters.content_verified + 1;
           exec_steps ctx rest bind emit
         end
       end
@@ -1320,20 +1284,12 @@ and plan_select ctx (sel : Sql.select) : planned =
             kept
           | _ -> my_probes
         in
-        (* The materialized candidate list is retained plan state. *)
-        (match accesses.(i) with
-         | `Content_probe cp ->
-           ctx.counters.peak_bytes <-
-             ctx.counters.peak_bytes + (8 * Array.length cp.cp_ids) + 48
-         | _ -> ());
         {
           st_slot = slot;
           st_table = table;
           st_access = accesses.(i);
           st_filters = List.map (compile_pred ctx) my_conjuncts @ List.map snd my_probes;
           st_probe_labels = List.map (fun (pb, _) -> pb.pb_label) my_probes;
-          st_content =
-            (match accesses.(i) with `Content_probe _ -> true | _ -> false);
           st_examined = 0;
           st_passed = 0;
           st_ns = 0;
@@ -1361,18 +1317,9 @@ and plan_select ctx (sel : Sql.select) : planned =
   (* Record what this select depends on. An alias is pathid-guarded only
      when a reduction probe on its literal [path_id] column filters every
      row it binds; the reduction's dimension table was swept at plan time,
-     so any change to it (new or dropped pathids) invalidates. A
-     content-probed alias is always [Dep_all]: its candidate list was
-     fixed by the rows' text at plan time, so even a commit confined to
-     allowed pathids could edit a text value out from under it. *)
+     so any change to it (new or dropped pathids) invalidates. *)
   List.iter
     (fun (alias, table) ->
-      let content_probed =
-        List.exists
-          (fun st ->
-            st.st_content && String.equal (alias_of_slot st.st_slot) alias)
-          steps
-      in
       let dep =
         match
           List.find_opt
@@ -1380,8 +1327,8 @@ and plan_select ctx (sel : Sql.select) : planned =
               String.equal pb.pb_alias alias && String.equal pb.pb_col "path_id")
             probes
         with
-        | Some pb when not content_probed -> Dep_paths pb.pb_set
-        | Some _ | None -> Dep_all
+        | Some pb -> Dep_paths pb.pb_set
+        | None -> Dep_all
       in
       footprint_add ctx table dep)
     local_aliases;
@@ -1701,64 +1648,6 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
                ps_sort_col = spec.Table.part_sort;
                ps_sort_idx = sort_idx;
              })));
-  (* Content-probe candidate: REGEXP_LIKE conjuncts on one of this
-     alias's text columns whose patterns force literals a declared
-     token/trigram index can resolve. All patterns on the same column
-     contribute their groups to one conjunctive probe (Q6 intersects the
-     groups of both its path filters); the candidates are materialized
-     here, at plan time, so the cost is their exact count — beating a
-     full scan whenever the literals are selective, and losing to an
-     index probe that fetches fewer rows per binding. The regex conjuncts
-     are NOT consumed: they remain residual filters, the verify stage.
-     When no pattern yields usable literals, no candidate is offered and
-     the planner falls back to scanning. *)
-  (if ctx.opts.content_probe then begin
-     let by_col = Hashtbl.create 4 in
-     List.iter
-       (fun conj ->
-         match conj with
-         | Sql.Regexp_like (Sql.Col (a, col), pat) when String.equal a alias ->
-           (match Ppfx_regex.Regex.compile_cached pat with
-            | re ->
-              let groups = Ppfx_regex.Regex.required_literals re in
-              if groups <> [] then
-                Hashtbl.replace by_col col
-                  (groups
-                  @ Option.value ~default:[] (Hashtbl.find_opt by_col col))
-            | exception Ppfx_regex.Regex.Parse_error _ ->
-              (* compile_pred reports the error when filters compile *)
-              ())
-         | _ -> ())
-       conjuncts;
-     Hashtbl.iter
-       (fun col groups ->
-         match Table.content_candidates table ~col groups with
-         | None -> ()
-         | Some ids ->
-           let kinds =
-             List.filter_map
-               (fun (c, k) ->
-                 if String.equal c col then
-                   Some
-                     (match k with
-                      | Table.Token -> "token"
-                      | Table.Trigram -> "trigram")
-                 else None)
-               (Table.content_indexes table)
-             |> List.sort_uniq compare |> String.concat "+"
-           in
-           consider
-             (float_of_int (Array.length ids))
-             (`Content_probe
-                {
-                  cp_table = table;
-                  cp_col = col;
-                  cp_kinds = kinds;
-                  cp_groups = List.length groups;
-                  cp_ids = ids;
-                }))
-       by_col
-   end);
   (* Hash-join candidate: a true equijoin (the key references at least
      one already-bound alias — constant equalities are selections and
      gain nothing from a build) whose key types hash consistently (see
@@ -2164,9 +2053,6 @@ let access_label : access -> string = function
       ps.ps_sort_col (Array.length ps.ps_keys) ps.ps_total
       (ps.ps_total - Array.length ps.ps_keys)
       ps.ps_rows
-  | `Content_probe cp ->
-    Printf.sprintf "content index probe (%s) on %s (%d literal groups -> %d candidates)"
-      cp.cp_kinds cp.cp_col cp.cp_groups (Array.length cp.cp_ids)
 
 let step_profile p st =
   {

@@ -49,10 +49,6 @@ type opts = {
   merge_join : bool;
       (** sort-merge joins for inter-alias Dewey range predicates whose
           outer inputs are (or can be upgraded to be) in Dewey order *)
-  content_probe : bool;
-      (** rewrite [REGEXP_LIKE(col, pat)] into a content-index probe of
-          the pattern's required literals followed by DFA verification of
-          the candidates, when the column has a usable content index *)
   force : [ `Hash_join | `Merge_join ] option;
       (** differential-testing hook, implying the operator's switch:
           [`Hash_join] picks a hash join even when an index path exists;
@@ -61,8 +57,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** Reduction, hash joins, merge joins and content probes on, [force_*]
-    off. *)
+(** Reduction, hash joins and merge joins on, [force] off. *)
 
 (** {2 Execution statistics}
 
@@ -87,8 +82,8 @@ type exec_stats = private {
           pattern exceeds the frozen-DFA state cap. Zero on every common
           path; the bench's regression gate. *)
   mutable dfa_execs : int;
-      (** exec-time executions of a shared frozen DFA (content-index
-          candidate verification and residual REGEXP_LIKE filters) *)
+      (** exec-time executions of a shared frozen DFA (residual
+          REGEXP_LIKE filters) *)
   mutable hash_builds : int;  (** hash-join build tables materialized *)
   mutable reductions : int;  (** path-filter semi-join reductions applied *)
   mutable merge_probes : int;  (** merge-join probe operations (one per outer binding) *)
@@ -98,20 +93,16 @@ type exec_stats = private {
       (** partitions a pruned partition scan touched (per execution) *)
   mutable partitions_pruned : int;
       (** partitions a pruned partition scan skipped (per execution) *)
-  mutable content_probes : int;
-      (** content-index probes: one per content-probe access per
-          execution *)
-  mutable content_candidates : int;
-      (** candidate rows produced by content-index probes (the rows the
-          probe step scans instead of the whole table) *)
-  mutable content_verified : int;
-      (** candidates that survived DFA verification (the probe step's
-          residual filters) *)
   mutable peak_bytes : int;
       (** estimated peak resident bytes of plan-owned materializations:
           hash-join build tables, semi-join pathid sets, merge-join
           sorted arrays. These live for the plan's lifetime, so the
           running sum is the peak; across plans the field aggregates. *)
+  content_candidates : int;
+  content_verified : int;
+      (** Always 0, and not in {!counters}: there are no content indexes.
+          The serving benchmark ([servebench/main.ml]) still reads these
+          two fields; drop them when that harness is next revised. *)
 }
 
 (** When a counter moves over a plan's life. *)
@@ -218,7 +209,7 @@ val plan_stats : plan -> exec_stats
 val explain : ?opts:opts -> Database.t -> Sql.statement -> string
 (** Human-readable plan of {!prepare}: applied semi-join reductions
     first, then one line per step with its access path ([hash join],
-    [content index probe] and pathid set probes included). EXISTS
+    [partition scan] and pathid set probes included). EXISTS
     sub-plans follow, indented, annotated with how the executor treats
     them (uncorrelated / decorrelated semi-join / correlated). *)
 

@@ -14,19 +14,6 @@ type partitioning = {
   overflow : part;  (* rows whose partition key is Null / non-Int *)
 }
 
-type content_kind = Token | Trigram
-
-(* One posting list: live row ids ascending, grow-doubling like the
-   partition segments. *)
-type posting = { mutable ids : int array; mutable len : int }
-
-type content_index = {
-  c_col : string;
-  c_pos : int;  (* column position *)
-  c_kind : content_kind;
-  postings : (string, posting) Hashtbl.t;  (* term -> row ids *)
-}
-
 type t = {
   name : string;
   columns : column array;
@@ -35,7 +22,6 @@ type t = {
   mutable row_count : int;
   mutable indexes : (string list * int array * Btree.t) list;
       (** (columns, column positions, tree) *)
-  mutable content : content_index list;
   mutable distinct_cache : (string * (int * int)) list;
       (** column -> (row count at computation, distinct estimate) *)
   mutable version : int;
@@ -86,7 +72,6 @@ let create ?partition ~name ~(columns : column list) () =
     rows = [||];
     row_count = 0;
     indexes = [];
-    content = [];
     distinct_cache = [];
     version = 0;
     partitioning;
@@ -178,117 +163,6 @@ let part_remove t id values =
      | Some p -> seg_remove t pn p id
      | None -> ())
 
-(* ---- content (token / trigram) index maintenance ---------------------- *)
-
-let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
-
-(* Distinct terms of a text value under the index kind. Token: maximal
-   whitespace-free runs. Trigram: every 3-byte substring. *)
-let content_terms kind s =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let add t =
-    if not (Hashtbl.mem seen t) then begin
-      Hashtbl.add seen t ();
-      out := t :: !out
-    end
-  in
-  let n = String.length s in
-  (match kind with
-   | Token ->
-     let i = ref 0 in
-     while !i < n do
-       while !i < n && is_space s.[!i] do incr i done;
-       let start = !i in
-       while !i < n && not (is_space s.[!i]) do incr i done;
-       if !i > start then add (String.sub s start (!i - start))
-     done
-   | Trigram ->
-     for i = 0 to n - 3 do
-       add (String.sub s i 3)
-     done);
-  !out
-
-(* Posting lists mirror the partition segments: ascending row ids,
-   O(1) append for the monotone bulk-load case, binary-search insert for
-   out-of-order ids (updates re-filing an old row). *)
-let posting_add p id =
-  if p.len = Array.length p.ids then begin
-    let cap = max 8 (2 * Array.length p.ids) in
-    let bigger = Array.make cap 0 in
-    Array.blit p.ids 0 bigger 0 p.len;
-    p.ids <- bigger
-  end;
-  if p.len = 0 || p.ids.(p.len - 1) < id then p.ids.(p.len) <- id
-  else begin
-    let lo = ref 0 and hi = ref p.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if p.ids.(mid) < id then lo := mid + 1 else hi := mid
-    done;
-    if !lo < p.len && p.ids.(!lo) = id then raise Exit;
-    Array.blit p.ids !lo p.ids (!lo + 1) (p.len - !lo);
-    p.ids.(!lo) <- id
-  end;
-  p.len <- p.len + 1
-
-let posting_remove p id =
-  let lo = ref 0 and hi = ref p.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if p.ids.(mid) < id then lo := mid + 1 else hi := mid
-  done;
-  if !lo < p.len && p.ids.(!lo) = id then begin
-    Array.blit p.ids (!lo + 1) p.ids !lo (p.len - !lo - 1);
-    p.len <- p.len - 1
-  end
-
-let content_index_row ci id v =
-  match v with
-  | Value.Str s ->
-    List.iter
-      (fun term ->
-        let p =
-          match Hashtbl.find_opt ci.postings term with
-          | Some p -> p
-          | None ->
-            let p = { ids = [||]; len = 0 } in
-            Hashtbl.add ci.postings term p;
-            p
-        in
-        (try posting_add p id with Exit -> ()))
-      (content_terms ci.c_kind s)
-  | _ -> ()
-
-let content_unindex_row ci id v =
-  match v with
-  | Value.Str s ->
-    List.iter
-      (fun term ->
-        match Hashtbl.find_opt ci.postings term with
-        | Some p ->
-          posting_remove p id;
-          if p.len = 0 then Hashtbl.remove ci.postings term
-        | None -> ())
-      (content_terms ci.c_kind s)
-  | _ -> ()
-
-let content_insert t id values =
-  List.iter (fun ci -> content_index_row ci id values.(ci.c_pos)) t.content
-
-let content_remove t id values =
-  List.iter (fun ci -> content_unindex_row ci id values.(ci.c_pos)) t.content
-
-let content_update t id old_values values =
-  List.iter
-    (fun ci ->
-      let ov = old_values.(ci.c_pos) and nv = values.(ci.c_pos) in
-      if not (Value.equal ov nv) then begin
-        content_unindex_row ci id ov;
-        content_index_row ci id nv
-      end)
-    t.content
-
 let name t = t.name
 
 let version t = t.version
@@ -343,7 +217,6 @@ let insert t values =
     (fun (_, positions, tree) ->
       Btree.insert tree (Array.map (fun p -> values.(p)) positions) id)
     t.indexes;
-  content_insert t id values;
   t.version <- t.version + 1;
   id
 
@@ -355,7 +228,6 @@ let delete t id =
       (fun (_, positions, tree) ->
         ignore (Btree.delete tree (Array.map (fun p -> values.(p)) positions) id))
       t.indexes;
-    content_remove t id values;
     part_remove t id values;
     t.rows.(id) <- [||];
     (* Invalidate cached statistics. *)
@@ -389,7 +261,6 @@ let update t id values =
           Btree.insert tree new_key id
         end)
       t.indexes;
-    content_update t id old_values values;
     (match t.partitioning with
      | Some pn
        when not
@@ -569,177 +440,3 @@ let check_partitions t =
             err "segments hold %d rows but table has %d live rows"
               (Hashtbl.length seen) live
           else Ok ()))
-
-(* ---- content index API ------------------------------------------------- *)
-
-let add_content_index t ~col ~kind =
-  if
-    List.exists
-      (fun ci -> String.equal ci.c_col col && ci.c_kind = kind)
-      t.content
-  then ()
-  else begin
-    let pos =
-      match column_index t col with
-      | Some i -> i
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Table.add_content_index(%s): no column %s" t.name col)
-    in
-    (match t.columns.(pos).ty with
-     | Value.Tstr -> ()
-     | _ ->
-       invalid_arg
-         (Printf.sprintf "Table.add_content_index(%s): column %s is not text"
-            t.name col));
-    let ci = { c_col = col; c_pos = pos; c_kind = kind; postings = Hashtbl.create 256 } in
-    iter_rows (fun id values -> content_index_row ci id values.(pos)) t;
-    t.content <- t.content @ [ ci ];
-    t.version <- t.version + 1
-  end
-
-let content_indexes t = List.map (fun ci -> (ci.c_col, ci.c_kind)) t.content
-
-(* Sorted-array set algebra over posting lists. *)
-let arr_of_posting p = Array.sub p.ids 0 p.len
-
-let arr_intersect a b =
-  let out = Array.make (min (Array.length a) (Array.length b)) 0 in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  while !i < Array.length a && !j < Array.length b do
-    let x = a.(!i) and y = b.(!j) in
-    if x = y then begin
-      out.(!k) <- x;
-      incr k;
-      incr i;
-      incr j
-    end
-    else if x < y then incr i
-    else incr j
-  done;
-  Array.sub out 0 !k
-
-let arr_union a b =
-  let out = Array.make (Array.length a + Array.length b) 0 in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  let push x = out.(!k) <- x; incr k in
-  while !i < Array.length a || !j < Array.length b do
-    if !i >= Array.length a then begin push b.(!j); incr j end
-    else if !j >= Array.length b then begin push a.(!i); incr i end
-    else
-      let x = a.(!i) and y = b.(!j) in
-      if x = y then begin push x; incr i; incr j end
-      else if x < y then begin push x; incr i end
-      else begin push y; incr j end
-  done;
-  Array.sub out 0 !k
-
-let posting_arr ci term =
-  match Hashtbl.find_opt ci.postings term with
-  | Some p -> arr_of_posting p
-  | None -> [||]
-
-(* Rows whose text can contain [lit], answered by one index; [None] when
-   this index kind cannot answer for this literal. Trigram: intersect the
-   posting lists of every trigram of the literal (needs >= 3 bytes).
-   Token: the literal must sit inside a single token, so union the
-   postings of every dictionary token containing it as a substring
-   (unusable if the literal spans whitespace). *)
-let contains_sub hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  m = 0 || go 0
-
-let alt_candidates ci lit =
-  match ci.c_kind with
-  | Trigram ->
-    if String.length lit < 3 then None
-    else begin
-      let acc = ref None in
-      (try
-         for i = 0 to String.length lit - 3 do
-           let ids = posting_arr ci (String.sub lit i 3) in
-           (match !acc with
-            | None -> acc := Some ids
-            | Some prev -> acc := Some (arr_intersect prev ids));
-           if !acc = Some [||] then raise Exit
-         done
-       with Exit -> ());
-      match !acc with Some ids -> Some ids | None -> None
-    end
-  | Token ->
-    if lit = "" || String.exists is_space lit then None
-    else
-      Some
-        (Hashtbl.fold
-           (fun term p acc ->
-             if contains_sub term lit then arr_union acc (arr_of_posting p)
-             else acc)
-           ci.postings [||])
-
-let content_candidates t ~col groups =
-  let cis = List.filter (fun ci -> String.equal ci.c_col col) t.content in
-  if cis = [] || groups = [] then None
-  else begin
-    (* A group's candidates: union over its alternatives; a group is
-       usable only if every alternative is answerable (a row may match
-       via the unanswerable one). Dropping unusable groups is sound —
-       groups are conjunctive. *)
-    let group_candidates group =
-      List.fold_left
-        (fun acc lit ->
-          match acc with
-          | None -> None
-          | Some ids ->
-            (match List.find_map (fun ci -> alt_candidates ci lit) cis with
-             | Some more -> Some (arr_union ids more)
-             | None -> None))
-        (Some [||]) group
-    in
-    let usable = List.filter_map group_candidates groups in
-    match usable with
-    | [] -> None
-    | first :: rest -> Some (List.fold_left arr_intersect first rest)
-  end
-
-let check_content_indexes t =
-  let err fmt = Printf.ksprintf (fun s -> Error (t.name ^ ": " ^ s)) fmt in
-  let check_one ci =
-    (* Rebuild the expected postings from the live rows and require the
-       stored table to match exactly (same terms, same sorted ids). *)
-    let expected = Hashtbl.create 256 in
-    iter_rows
-      (fun id values ->
-        match values.(ci.c_pos) with
-        | Value.Str s ->
-          List.iter
-            (fun term ->
-              let l = try Hashtbl.find expected term with Not_found -> [] in
-              Hashtbl.replace expected term (id :: l))
-            (content_terms ci.c_kind s)
-        | _ -> ())
-      t;
-    let kind_label = match ci.c_kind with Token -> "token" | Trigram -> "trigram" in
-    if Hashtbl.length expected <> Hashtbl.length ci.postings then
-      err "%s index on %s: %d stored terms, expected %d" kind_label ci.c_col
-        (Hashtbl.length ci.postings) (Hashtbl.length expected)
-    else
-      Hashtbl.fold
-        (fun term ids acc ->
-          match acc with
-          | Error _ -> acc
-          | Ok () ->
-            let want = Array.of_list (List.rev ids) in
-            Array.sort compare want;
-            (match Hashtbl.find_opt ci.postings term with
-             | None -> err "%s index on %s: term %S missing" kind_label ci.c_col term
-             | Some p ->
-               if arr_of_posting p <> want then
-                 err "%s index on %s: term %S holds %d ids, expected %d"
-                   kind_label ci.c_col term p.len (Array.length want)
-               else Ok ()))
-        expected (Ok ())
-  in
-  List.fold_left
-    (fun acc ci -> match acc with Error _ -> acc | Ok () -> check_one ci)
-    (Ok ()) t.content

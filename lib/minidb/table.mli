@@ -106,39 +106,3 @@ val check_partitions : t -> (unit, string) result
     exactly one segment matching its partition key, every segment sorted
     strictly ascending on (sort value, id), no dead ids. [Ok ()] for
     unpartitioned tables. *)
-
-(** {2 Content (value) indexes}
-
-    Inverted posting lists over a text column, maintained incrementally
-    by {!insert}, {!delete} and {!update} exactly like the B+trees and
-    partition segments. [Token] indexes the column's whitespace-separated
-    tokens; [Trigram] indexes every 3-byte substring. The engine probes
-    them with the required-literal groups extracted from a [REGEXP_LIKE]
-    pattern to get a candidate-row superset, then verifies candidates
-    with the compiled DFA instead of scanning every row. *)
-
-type content_kind = Token | Trigram
-
-val add_content_index : t -> col:string -> kind:content_kind -> unit
-(** Declare (and backfill) a content index on a text column. Idempotent
-    for an identical (column, kind) pair; raises [Invalid_argument] if
-    the column is missing or not [Tstr]. *)
-
-val content_indexes : t -> (string * content_kind) list
-(** Declared content indexes, in declaration order (for persistence and
-    EXPLAIN). *)
-
-val content_candidates : t -> col:string -> string list list -> int array option
-(** [content_candidates t ~col groups] resolves a required-literal CNF
-    (groups of alternatives, as {!Ppfx_regex.Regex.required_literals}
-    returns) against the column's content indexes: per group, union of
-    the alternatives' posting rows; across groups, intersection. The
-    result is a sorted superset of the matching live rows — callers must
-    verify each candidate. [None] when no index on the column can answer
-    (caller falls back to a scan); dropping unanswerable groups is sound,
-    an unanswerable alternative poisons its group. *)
-
-val check_content_indexes : t -> (unit, string) result
-(** Test hook: rebuild the expected postings from the live rows and
-    require every stored posting list to match exactly (same terms, same
-    ascending ids). [Ok ()] when the table has no content indexes. *)

@@ -32,16 +32,6 @@ val has_frozen : t -> bool
     {!compile_cached} handles below the state cap). Every other handle
     runs by NFA simulation. *)
 
-val required_literals : t -> string list list
-(** A CNF of required substrings: each returned group is a list of
-    alternatives, at least one of which must occur as a substring of any
-    subject accepted by {!search}. Content indexes intersect posting
-    lists across groups (union within a group) to get candidate rows
-    before verifying with the DFA. Groups whose alternatives are shorter
-    than 3 bytes are dropped; an empty result means the pattern forces no
-    usable literal and callers must fall back to scanning. Conservative:
-    dropping any group is always sound. *)
-
 val cache_hits : unit -> int
 (** Number of {!compile_cached} calls served from the shared cache. *)
 

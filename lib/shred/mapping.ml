@@ -70,10 +70,6 @@ let create_tables t db =
   in
   Table.create_index paths [ "id" ];
   Table.create_index paths [ "path" ];
-  (* Path strings are probed with substring literals extracted from the
-     translator's PPF regexes ("/listitem", "/keyword"): a trigram index
-     answers any literal of length >= 3. *)
-  Table.add_content_index paths ~col:"path" ~kind:Table.Trigram;
   List.iter
     (fun def ->
       let table =
@@ -85,8 +81,5 @@ let create_tables t db =
       List.iter
         (fun p -> Table.create_index table [ p.Graph.relation ^ "_id" ])
         (Graph.parents t.schema def);
-      Table.create_index table [ "dewey_pos"; "path_id" ];
-      (* Element string values take contains()/starts-with() predicates;
-         a token index keeps per-row cost low on prose-sized text. *)
-      Table.add_content_index table ~col:text_column ~kind:Table.Token)
+      Table.create_index table [ "dewey_pos"; "path_id" ])
     (Graph.defs t.schema)

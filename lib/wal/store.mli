@@ -3,7 +3,7 @@
     write-ahead log of {!Ppfx_update.Update} changesets.
 
     A store directory holds exactly one current generation [g]:
-    - [checkpoint-<g>.db] — the PPFXDB3 database snapshot;
+    - [checkpoint-<g>.db] — the PPFXDB4 database snapshot;
     - [checkpoint-<g>.meta] — schema graph, shadow-forest image (full
       stores), cluster extras;
     - [wal-<g>.log] — records acked since the checkpoint;

@@ -570,7 +570,6 @@ let opts_off =
     Engine.semijoin_reduction = false;
     hash_join = false;
     merge_join = false;
-    content_probe = false;
     force = None;
   }
 

@@ -323,10 +323,9 @@ let one_plan_differential fx (name, query) () =
       step_lines profiles
 
 (* The EXPLAIN goldens behind `ppfx explain` on a generated document, as
-   the CLI shreds it (inferred schema): Q6's path regex plans as a trigram
-   probe over the paths table rather than a scan of it, XE1's contains()
-   as a token probe over the fact table's text column, and neither runs
-   an exec-time NFA simulation. *)
+   the CLI shreds it (inferred schema): Q6's path regexes and XE1's
+   contains() run as residual filters on a scan, through the shared frozen
+   DFA, and neither runs an exec-time NFA simulation. *)
 let explain_goldens () =
   let doc = Doc.of_tree (Xmark.generate ~items_per_region:3 ()) in
   let store = Loader.shred (Graph.infer doc) doc in
@@ -337,21 +336,14 @@ let explain_goldens () =
       let text, _, stats = Engine.explain_analyze store.Loader.db stmt in
       text, Engine.stats_to_string stats
   in
-  let q6, q6_stats = analyze "Q6" in
-  if not (contains ~sub:"content index probe (trigram)" q6) then
-    Alcotest.failf "Q6 has no trigram probe:\n%s" q6;
-  String.split_on_char '\n' q6
-  |> List.iter (fun line ->
-         if contains ~sub:"full scan" line && contains ~sub:"paths" line then
-           Alcotest.failf "Q6 scans the paths table: %s" line);
-  let xe1, xe1_stats = analyze "XE1" in
-  if not (contains ~sub:"content index probe (token)" xe1) then
-    Alcotest.failf "XE1 has no token probe:\n%s" xe1;
   List.iter
-    (fun (name, stats) ->
+    (fun name ->
+      let text, stats = analyze name in
+      if not (contains ~sub:"full scan" text && contains ~sub:"residual filters" text)
+      then Alcotest.failf "%s has no scan with residual filters:\n%s" name text;
       if not (contains ~sub:"exec regex evals 0," stats) then
         Alcotest.failf "%s ran exec-time NFA simulations: %s" name stats)
-    [ "Q6", q6_stats; "XE1", xe1_stats ]
+    [ "Q6"; "XE1" ]
 
 let () =
   let fx = Lazy.force xmark_fixture in

@@ -926,7 +926,6 @@ let opts_off =
     Engine.semijoin_reduction = false;
     hash_join = false;
     merge_join = false;
-    content_probe = false;
     force = None;
   }
 
@@ -1493,34 +1492,8 @@ let merge_join_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Content indexes: units, probe EXPLAIN surface, and differentials    *)
+(* REGEXP_LIKE on a text column: default opts == naive                 *)
 (* ------------------------------------------------------------------ *)
-
-let content_db kinds =
-  let db = Database.create () in
-  let t =
-    Database.create_table db ~name:"docs"
-      ~columns:
-        [ { Table.name = "id"; ty = Value.Tint };
-          { Table.name = "txt"; ty = Value.Tstr } ]
-  in
-  List.iteri
-    (fun i v -> ignore (Table.insert t [| Value.Int i; v |]))
-    [
-      Value.Str "the quick brown fox";
-      Value.Str "lazy dog sleeps";
-      Value.Str "quicksilver linings";
-      Value.Str "brown bread and honey";
-      Value.Null;
-      Value.Str "";
-    ];
-  List.iter (fun kind -> Table.add_content_index t ~col:"txt" ~kind) kinds;
-  db, t
-
-let content_ids t groups =
-  match Table.content_candidates t ~col:"txt" groups with
-  | None -> None
-  | Some ids -> Some (Array.to_list ids)
 
 let regex_sel pat =
   select
@@ -1529,97 +1502,9 @@ let regex_sel pat =
     ~where:(Sql.Regexp_like (col "d" "txt", pat))
     ~order:[ col "d" "id" ]
 
-let content_tests =
-  [
-    ( "token candidates, maintained across writes",
-      fun () ->
-        let _, t = content_db [ Table.Token ] in
-        Alcotest.(check (option (list int))) "quick as substring of tokens"
-          (Some [ 0; 2 ])
-          (content_ids t [ [ "quick" ] ]);
-        Alcotest.(check (option (list int))) "union within a group"
-          (Some [ 0; 1; 2 ])
-          (content_ids t [ [ "quick"; "dog" ] ]);
-        Alcotest.(check (option (list int))) "intersection across groups"
-          (Some [ 0 ])
-          (content_ids t [ [ "quick" ]; [ "brown" ] ]);
-        ignore (Table.delete t 0);
-        ignore (Table.insert t [| Value.Int 6; Value.Str "quick again" |]);
-        Alcotest.(check bool) "update rewrites postings" true
-          (Table.update t 2 [| Value.Int 2; Value.Str "slow silver" |]);
-        (match Table.check_content_indexes t with
-         | Ok () -> ()
-         | Error e -> Alcotest.failf "postings inconsistent: %s" e);
-        Alcotest.(check (option (list int))) "candidates track the writes"
-          (Some [ 6 ])
-          (content_ids t [ [ "quick" ] ]) );
-    ( "trigram candidates",
-      fun () ->
-        let _, t = content_db [ Table.Trigram ] in
-        (* Trigrams cross token boundaries: "wn b" spans "brown bread". *)
-        Alcotest.(check (option (list int))) "space-crossing trigram"
-          (Some [ 3 ])
-          (content_ids t [ [ "wn b" ] ]);
-        Alcotest.(check (option (list int))) "long literal intersects its trigrams"
-          (Some [ 2 ])
-          (content_ids t [ [ "cksilver" ] ]);
-        Alcotest.(check (option (list int))) "absent literal, empty candidates"
-          (Some [])
-          (content_ids t [ [ "zebra" ] ]) );
-    ( "unanswerable probes fall back",
-      fun () ->
-        let _, t = content_db [ Table.Trigram ] in
-        Alcotest.(check (option (list int))) "trigram cannot answer a 2-byte literal"
-          None
-          (content_ids t [ [ "qu" ] ]);
-        Alcotest.(check bool) "unindexed column" true
-          (Table.content_candidates t ~col:"id" [ [ "abc" ] ] = None);
-        (* An unanswerable alternative poisons its group; a sound subset
-           of groups still probes. *)
-        Alcotest.(check (option (list int))) "poisoned group dropped, other kept"
-          (Some [ 0; 2 ])
-          (content_ids t [ [ "qu"; "quick" ]; [ "quick" ] ]) );
-    ( "explain shows the probe, opts can disable it",
-      fun () ->
-        let db, _ = content_db [ Table.Token; Table.Trigram ] in
-        let stmt = Sql.Select (regex_sel "quick") in
-        let on = Engine.explain db stmt in
-        Alcotest.(check bool) "probe line" true
-          (contains on "content index probe");
-        let off =
-          Engine.explain ~opts:{ Engine.default_opts with content_probe = false }
-            db stmt
-        in
-        Alcotest.(check bool) "no probe when disabled" false
-          (contains off "content index probe");
-        Alcotest.(check bool) "full scan instead" true (contains off "full scan") );
-    ( "probe counters, and no exec-time NFA work",
-      fun () ->
-        let db, _ = content_db [ Table.Token; Table.Trigram ] in
-        let stmt = Sql.Select (regex_sel "quick") in
-        let plan = Engine.prepare db stmt in
-        let before = Engine.plan_stats plan in
-        let rows = (Engine.run_plan plan).Engine.rows in
-        let d = Engine.stats_diff (Engine.plan_stats plan) before in
-        Alcotest.(check int) "one probe" 1 d.Engine.content_probes;
-        Alcotest.(check int) "candidates" 2 d.Engine.content_candidates;
-        Alcotest.(check int) "all candidates verify" 2 d.Engine.content_verified;
-        Alcotest.(check int) "scanned = candidate set" 2 d.Engine.rows_scanned;
-        Alcotest.(check int) "frozen DFA verifies" 2 d.Engine.dfa_execs;
-        Alcotest.(check int) "no NFA simulation" 0 d.Engine.regex_exec_evals;
-        let scan =
-          (Engine.run ~opts:{ Engine.default_opts with content_probe = false } db
-             stmt)
-            .Engine.rows
-        in
-        Alcotest.(check bool) "probe == scan" true (rows = scan) );
-  ]
-
-(* Differential: content-probed execution == forced scan == naive
-   oracle, over random documents (with NULLs and empty strings) and
-   random patterns — literal-bearing ones that drive the probe, plus
-   anchored/alternation/wildcard shapes and short literals that force
-   the scan fallback. *)
+(* Differential: default opts == naive oracle, over random text columns
+   (with NULLs and empty strings) and random patterns — literals,
+   anchored, alternation and wildcard shapes. *)
 let gen_content_case =
   let open QCheck.Gen in
   let word = string_size ~gen:(map Char.chr (int_range 97 99)) (int_range 1 6) in
@@ -1639,8 +1524,9 @@ let gen_content_case =
   in
   pair (list_size (int_bound 25) (option text)) pattern
 
-let prop_content_vs_scan_vs_naive =
-  QCheck.Test.make ~count:300 ~name:"content probe == forced scan == naive"
+let prop_regexp_like_vs_naive =
+  QCheck.Test.make ~count:300
+    ~name:"REGEXP_LIKE on a text column: default opts == naive"
     (QCheck.make gen_content_case ~print:(fun (rows, pat) ->
          Printf.sprintf "pattern %S over %s" pat
            (String.concat "; "
@@ -1659,16 +1545,8 @@ let prop_content_vs_scan_vs_naive =
             (Table.insert t
                [| Value.Int i; (match r with Some s -> Value.Str s | None -> Value.Null) |]))
         rows;
-      Table.add_content_index t ~col:"txt" ~kind:Table.Token;
-      Table.add_content_index t ~col:"txt" ~kind:Table.Trigram;
       let stmt = Sql.Select (regex_sel pat) in
-      let probed = (Engine.run db stmt).Engine.rows in
-      let scanned =
-        (Engine.run ~opts:{ Engine.default_opts with content_probe = false } db stmt)
-          .Engine.rows
-      in
-      let naive = (Engine.run_naive db stmt).Engine.rows in
-      probed = scanned && scanned = naive)
+      (Engine.run db stmt).Engine.rows = (Engine.run_naive db stmt).Engine.rows)
 
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
@@ -1692,7 +1570,5 @@ let () =
           [ prop_partitioned_vs_heap; prop_partitioned_mutations ];
       "merge-join", List.map tc merge_join_tests;
       "merge-join-properties", [ QCheck_alcotest.to_alcotest prop_merge_join_vs_naive ];
-      "content-index", List.map tc content_tests;
-      "content-index-properties",
-        [ QCheck_alcotest.to_alcotest prop_content_vs_scan_vs_naive ];
+      "regexp-like-properties", [ QCheck_alcotest.to_alcotest prop_regexp_like_vs_naive ];
     ]

@@ -305,7 +305,7 @@ let cache_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Frozen DFAs and required-literal extraction                         *)
+(* Frozen DFAs                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let frozen_tests =
@@ -419,60 +419,6 @@ let prop_frozen_vs_nfa_vs_naive =
       && Regex.matches frozen s = naive_matches r s
       && Regex.matches frozen s = Regex.matches nfa s)
 
-let check_literals pattern expected () =
-  let got = Regex.required_literals (Regex.compile pattern) in
-  Alcotest.(check (list (list string)))
-    (Printf.sprintf "required_literals %S" pattern)
-    (List.sort compare expected) (List.sort compare got)
-
-let literal_extraction_tests =
-  [
-    (* The two regexes Q6's path filters compile to. *)
-    "Q6 descendant filter", check_literals "^/(.+/)?keyword$" [ [ "keyword" ] ];
-    ( "Q6 ancestor filter",
-      check_literals "^.*/listitem(/.+)?/keyword$"
-        [ [ "/listitem" ]; [ "/keyword" ] ] );
-    (* XE1 contains() / XE2 starts-with() value predicates. *)
-    "bare literal", check_literals "france" [ [ "france" ] ];
-    "anchored prefix", check_literals "^mailto:1" [ [ "mailto:1" ] ];
-    (* Alternation: union within a group. *)
-    "alt of literals", check_literals "abcd|efgh" [ [ "abcd"; "efgh" ] ];
-    ( "alt inside seq",
-      check_literals "xx(abcd|efgh)yy" [ [ "xxabcdyy"; "xxefghyy" ] ] );
-    (* Nothing required. *)
-    "dot star", check_literals ".*" [];
-    "short runs dropped", check_literals "^a.b$" [];
-    "opt group not required", check_literals "(abcd)?" [];
-    (* Plus / bounded repeat force one copy. *)
-    "plus required", check_literals "(abcd)+" [ [ "abcd" ] ];
-    "repeat required", check_literals "(abcd){2,3}" [ [ "abcd" ] ];
-    "repeat zero not required", check_literals "(abcd){0,3}" [];
-    (* Classes break runs but keep both sides. *)
-    ( "class splits runs",
-      check_literals "abcd[0-9]efgh" [ [ "abcd" ]; [ "efgh" ] ] );
-  ]
-
-(* Soundness: every extracted group is truly required — whenever the
-   pattern accepts a subject, each group has an alternative occurring as
-   a substring. Checked against random pattern/subject pairs. *)
-let contains_substring subject lit =
-  let n = String.length subject and m = String.length lit in
-  let rec go i = i + m <= n && (String.sub subject i m = lit || go (i + 1)) in
-  m = 0 || go 0
-
-let prop_literals_sound =
-  QCheck.Test.make ~count:2000
-    ~name:"required literals occur in every accepted subject"
-    (QCheck.make
-       ~print:(fun (r, s) -> Printf.sprintf "pattern %s subject %S" (Syntax.to_string r) s)
-       (QCheck.Gen.pair gen_regex gen_subject))
-    (fun (r, s) ->
-      let re = Regex.compile (Syntax.to_string r) in
-      (not (Regex.search re s))
-      || List.for_all
-           (fun group -> List.exists (contains_substring s) group)
-           (Regex.required_literals re))
-
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "regex"
@@ -487,7 +433,6 @@ let () =
       "compile-cache", List.map tc cache_tests;
       "frozen-dfa", List.map tc frozen_tests;
       "nfa-simulation", List.map tc over_cap_tests;
-      "required-literals", List.map tc literal_extraction_tests;
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -495,6 +440,5 @@ let () =
             prop_print_parse_roundtrip;
             prop_quote_literal;
             prop_frozen_vs_nfa_vs_naive;
-            prop_literals_sound;
           ] );
     ]

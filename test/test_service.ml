@@ -187,8 +187,7 @@ let test_metrics_engine_counters () =
     [
       "rows_scanned"; "rows_probed"; "rows_emitted"; "regex_plan_evals"; "regex_exec_evals";
       "dfa_execs"; "hash_builds"; "reductions"; "merge_probes"; "merge_steps";
-      "merge_backtracks"; "partitions_scanned"; "partitions_pruned"; "content_probes";
-      "content_candidates"; "content_verified"; "peak_bytes";
+      "merge_backtracks"; "partitions_scanned"; "partitions_pruned"; "peak_bytes";
     ]
     keys;
   let dump = Metrics.dump m in

@@ -384,36 +384,25 @@ let steps_arb n =
 let rank_set rk ids = List.sort compare (List.map (Hashtbl.find rk) ids)
 
 (* The shredder's fact tables are path-partitioned with Dewey-sorted
-   segments and carry content indexes on their text columns; every
-   incremental commit must preserve both physical invariants (inserts
-   caret into the right slot / post the row's terms, deletes shrink the
-   segment / unpost them). Checked after each full mutation sequence. *)
+   segments; every incremental commit must preserve that physical
+   invariant (inserts caret into the right slot, deletes shrink the
+   segment). Checked after each full mutation sequence. *)
 let check_store_partitions label (st : Loader.t) =
-  let partitioned = ref 0 and content = ref 0 in
+  let partitioned = ref 0 in
   List.iter
     (fun t ->
-      (match Table.partition_spec t with
-       | None -> ()
-       | Some _ -> (
-         incr partitioned;
-         match Table.check_partitions t with
-         | Ok () -> ()
-         | Error e ->
-           QCheck.Test.fail_reportf "%s: %s violates partition invariant: %s" label
-             (Table.name t) e));
-      if Table.content_indexes t <> [] then begin
-        incr content;
-        match Table.check_content_indexes t with
+      match Table.partition_spec t with
+      | None -> ()
+      | Some _ -> (
+        incr partitioned;
+        match Table.check_partitions t with
         | Ok () -> ()
         | Error e ->
-          QCheck.Test.fail_reportf "%s: %s violates content index invariant: %s"
-            label (Table.name t) e
-      end)
+          QCheck.Test.fail_reportf "%s: %s violates partition invariant: %s" label
+            (Table.name t) e))
     (Database.tables st.Loader.db);
   if !partitioned = 0 then
-    QCheck.Test.fail_reportf "%s: expected partitioned fact tables" label;
-  if !content = 0 then
-    QCheck.Test.fail_reportf "%s: expected content-indexed tables" label
+    QCheck.Test.fail_reportf "%s: expected partitioned fact tables" label
 
 (* Differential: incremental mutations == full re-shred, on one store. *)
 let prop_incremental_equals_reshred =
