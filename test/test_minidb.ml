@@ -1502,6 +1502,87 @@ let regex_sel pat =
     ~where:(Sql.Regexp_like (col "d" "txt", pat))
     ~order:[ col "d" "id" ]
 
+let text_db () =
+  let db = Database.create () in
+  let t =
+    Database.create_table db ~name:"docs"
+      ~columns:
+        [ { Table.name = "id"; ty = Value.Tint };
+          { Table.name = "txt"; ty = Value.Tstr } ]
+  in
+  List.iteri
+    (fun i v -> ignore (Table.insert t [| Value.Int i; v |]))
+    [
+      Value.Str "the quick brown fox";
+      Value.Str "lazy dog sleeps";
+      Value.Str "quicksilver linings";
+      Value.Str "brown bread and honey";
+      Value.Null;
+      Value.Str "";
+    ];
+  db, t
+
+let regex_ids db pat =
+  List.map
+    (function [| Value.Int i |] -> i | _ -> Alcotest.fail "unexpected row shape")
+    (Engine.run db (Sql.Select (regex_sel pat))).Engine.rows
+
+let regexp_like_tests =
+  [
+    ( "substring semantics, NULL and empty text never match",
+      fun () ->
+        let db, _ = text_db () in
+        Alcotest.(check (list int)) "literal inside tokens" [ 0; 2 ] (regex_ids db "quick");
+        Alcotest.(check (list int)) "literal across a space" [ 3 ] (regex_ids db "wn b");
+        Alcotest.(check (list int)) "alternation" [ 0; 1; 2 ] (regex_ids db "quick|dog");
+        Alcotest.(check (list int)) "anchored prefix" [ 3 ] (regex_ids db "^brown");
+        Alcotest.(check (list int)) "anchored suffix" [ 2 ] (regex_ids db "linings$");
+        Alcotest.(check (list int)) "absent literal" [] (regex_ids db "zebra");
+        Alcotest.(check (list int)) "empty pattern keeps the empty string, not NULL"
+          [ 0; 1; 2; 3; 5 ] (regex_ids db "") );
+    ( "results follow inserts, deletes and updates",
+      fun () ->
+        let db, t = text_db () in
+        ignore (Table.delete t 0);
+        ignore (Table.insert t [| Value.Int 6; Value.Str "quick again" |]);
+        Alcotest.(check bool) "update applied" true
+          (Table.update t 2 [| Value.Int 2; Value.Str "slow silver" |]);
+        Alcotest.(check (list int)) "rewritten rows" [ 6 ] (regex_ids db "quick");
+        Alcotest.(check (list int)) "updated text matches" [ 2 ] (regex_ids db "silver");
+        let stmt = Sql.Select (regex_sel "o") in
+        Alcotest.(check bool) "default == naive after writes" true
+          ((Engine.run db stmt).Engine.rows = (Engine.run_naive db stmt).Engine.rows) );
+    ( "explain shows a full scan with no probe",
+      fun () ->
+        let db, _ = text_db () in
+        let out = Engine.explain db (Sql.Select (regex_sel "quick")) in
+        Alcotest.(check bool) "full scan" true (contains out "full scan");
+        Alcotest.(check bool) "no content probe" false (contains out "content index") );
+    ( "a frozen DFA runs the filter, no NFA simulation",
+      fun () ->
+        let db, _ = text_db () in
+        let plan = Engine.prepare db (Sql.Select (regex_sel "quick")) in
+        let before = Engine.plan_stats plan in
+        let rows = (Engine.run_plan plan).Engine.rows in
+        let d = Engine.stats_diff (Engine.plan_stats plan) before in
+        Alcotest.(check int) "matches" 2 (List.length rows);
+        Alcotest.(check int) "every row scanned" 6 d.Engine.rows_scanned;
+        Alcotest.(check int) "one DFA run per non-NULL row" 5 d.Engine.dfa_execs;
+        Alcotest.(check int) "no NFA simulation" 0 d.Engine.regex_exec_evals );
+    ( "a second run reuses the plan and repeats the counts",
+      fun () ->
+        let db, _ = text_db () in
+        let plan = Engine.prepare db (Sql.Select (regex_sel "brown")) in
+        let first = (Engine.run_plan plan).Engine.rows in
+        let mid = Engine.plan_stats plan in
+        let second = (Engine.run_plan plan).Engine.rows in
+        let d = Engine.stats_diff (Engine.plan_stats plan) mid in
+        Alcotest.(check bool) "same rows" true (first = second);
+        Alcotest.(check int) "two matches" 2 (List.length second);
+        Alcotest.(check int) "scan repeated" 6 d.Engine.rows_scanned;
+        Alcotest.(check int) "no NFA simulation" 0 d.Engine.regex_exec_evals );
+  ]
+
 (* Differential: default opts == naive oracle, over random text columns
    (with NULLs and empty strings) and random patterns — literals,
    anchored, alternation and wildcard shapes. *)
@@ -1570,5 +1651,6 @@ let () =
           [ prop_partitioned_vs_heap; prop_partitioned_mutations ];
       "merge-join", List.map tc merge_join_tests;
       "merge-join-properties", [ QCheck_alcotest.to_alcotest prop_merge_join_vs_naive ];
+      "regexp-like", List.map tc regexp_like_tests;
       "regexp-like-properties", [ QCheck_alcotest.to_alcotest prop_regexp_like_vs_naive ];
     ]

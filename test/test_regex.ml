@@ -419,6 +419,80 @@ let prop_frozen_vs_nfa_vs_naive =
       && Regex.matches frozen s = naive_matches r s
       && Regex.matches frozen s = Regex.matches nfa s)
 
+(* The pattern shapes a REGEXP_LIKE residual filter runs: each cached
+   (frozen) handle is checked against explicit accept/reject subjects,
+   and against NFA simulation of the same pattern. *)
+let check_filter pattern cases () =
+  let frozen = Regex.compile_cached pattern in
+  let nfa = Regex.compile pattern in
+  Alcotest.(check bool) (Printf.sprintf "%S frozen" pattern) true (Regex.has_frozen frozen);
+  List.iter
+    (fun (subject, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "search %S %S" pattern subject)
+        expected (Regex.search frozen subject);
+      Alcotest.(check bool)
+        (Printf.sprintf "nfa search %S %S" pattern subject)
+        expected (Regex.search nfa subject))
+    cases
+
+let residual_filter_tests =
+  [
+    (* The two regexes Q6's path filters compile to. *)
+    ( "Q6 descendant filter",
+      check_filter "^/(.+/)?keyword$"
+        [ "/keyword", true; "/site/a/keyword", true; "/site/keywords", false;
+          "site/keyword", false; "/site/xkeyword", false ] );
+    ( "Q6 ancestor filter",
+      check_filter "^.*/listitem(/.+)?/keyword$"
+        [ "/listitem/keyword", true; "/a/listitem/b/c/keyword", true;
+          "/listitem/keyword/x", false; "/alistitem/keyword", false;
+          "/listitemkeyword", false ] );
+    (* XE1 contains() / XE2 starts-with() value predicates. *)
+    ( "bare literal",
+      check_filter "france" [ "in france today", true; "France", false; "", false ] );
+    ( "anchored prefix",
+      check_filter "^mailto:1" [ "mailto:1@x", true; "xmailto:1", false; "mailto:", false ] );
+    ( "alt of literals",
+      check_filter "abcd|efgh" [ "xxefgh", true; "abcd", true; "abce", false ] );
+    ( "alt inside seq",
+      check_filter "xx(abcd|efgh)yy"
+        [ "xxabcdyy", true; "-xxefghyy-", true; "xxabcdefghyy", false ] );
+    ( "dot star", check_filter ".*" [ "", true; "anything", true ] );
+    ( "anchored single wildcard",
+      check_filter "^a.b$" [ "axb", true; "ab", false; "axxb", false ] );
+    ( "optional group",
+      check_filter "^(abcd)?$" [ "", true; "abcd", true; "abc", false ] );
+    ( "plus group",
+      check_filter "^(abcd)+$" [ "abcdabcd", true; "", false; "abcdab", false ] );
+    ( "bounded repeat",
+      check_filter "^(abcd){2,3}$"
+        [ "abcdabcd", true; "abcdabcdabcd", true; "abcd", false;
+          "abcdabcdabcdabcd", false ] );
+    ( "bounded repeat from zero",
+      check_filter "^(abcd){0,3}$" [ "", true; "abcdabcdabcd", true; "abc", false ] );
+    ( "class between runs",
+      check_filter "abcd[0-9]efgh" [ "abcd7efgh", true; "abcdxefgh", false ] );
+  ]
+
+(* contains(): a quoted literal run through a frozen DFA accepts exactly
+   the subjects that contain it as a substring. *)
+let contains_substring subject lit =
+  let n = String.length subject and m = String.length lit in
+  let rec go i = i + m <= n && (String.sub subject i m = lit || go (i + 1)) in
+  m = 0 || go 0
+
+let prop_quoted_literal_is_substring =
+  QCheck.Test.make ~count:2000
+    ~name:"frozen quoted-literal search is substring containment"
+    (QCheck.make
+       ~print:(fun (lit, s) -> Printf.sprintf "literal %S subject %S" lit s)
+       (QCheck.Gen.pair
+          QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '.'; '*' ]) (int_bound 3))
+          QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '.'; '*' ]) (int_bound 10))))
+    (fun (lit, s) ->
+      Regex.search (Regex.compile_cached (Regex.quote lit)) s = contains_substring s lit)
+
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "regex"
@@ -433,6 +507,7 @@ let () =
       "compile-cache", List.map tc cache_tests;
       "frozen-dfa", List.map tc frozen_tests;
       "nfa-simulation", List.map tc over_cap_tests;
+      "residual-filters", List.map tc residual_filter_tests;
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -440,5 +515,6 @@ let () =
             prop_print_parse_roundtrip;
             prop_quote_literal;
             prop_frozen_vs_nfa_vs_naive;
+            prop_quoted_literal_is_substring;
           ] );
     ]
