@@ -208,6 +208,41 @@ let time_med f =
   in
   median runs
 
+(* Nearest-rank quantile of a non-empty sample. *)
+let quantile q l =
+  let a = Array.of_list (List.sort compare l) in
+  a.(int_of_float (Float.round (q *. float_of_int (Array.length a - 1))))
+
+(* A warm sample is one batch: [f] runs back to back until the batch has
+   lasted [min_batch_s], and the sample is the batch's mean time per run.
+   Sub-millisecond executions are then timed over many runs instead of
+   one, above the monotonic clock's and the host's noise. *)
+let min_batch_s = 0.02
+
+type batched = { b_med : float; b_p10 : float; b_p90 : float; b_runs : int }
+
+(* [max 1 config.reps] batches of [f]: the median, p10 and p90 of their
+   per-run means, and the total number of runs. *)
+let time_batched f =
+  let runs = ref 0 in
+  let samples =
+    List.init (max 1 config.reps) (fun _ ->
+        let t0 = Metrics.now () in
+        let n = ref 0 in
+        while !n = 0 || Metrics.now () -. t0 < min_batch_s do
+          ignore (f ());
+          incr n
+        done;
+        runs := !runs + !n;
+        (Metrics.now () -. t0) /. float_of_int !n)
+  in
+  {
+    b_med = median samples;
+    b_p10 = quantile 0.1 samples;
+    b_p90 = quantile 0.9 samples;
+    b_runs = !runs;
+  }
+
 type engine_result = { nodes : int; seconds : float }
 
 let na = { nodes = -1; seconds = nan }
@@ -681,42 +716,36 @@ module Regex = Ppfx_regex.Regex
    row on every execution. One-shot timings hide the difference (both
    planners put the paths table outermost and scan it exactly once), so
    this section measures warm prepared plans: prepare once per opts
-   configuration, execute [reps] times, and read per-execution operator
-   counters off the plan via [Engine.plan_stats] snapshots. Regex cache
+   configuration, execute it in [reps] batches ({!time_batched}), and
+   read per-execution operator counters off the plan via
+   [Engine.plan_stats] snapshots, divided by the executions run. Regex cache
    hits/misses are deltas around the prepare — compiled patterns are
    shared across prepares, so every configuration after the first hits. *)
 let engine_bench () =
   current_section := "engine";
   print_endline
-    "\n== Engine: optimizer pass (semi-join reduction + hash/merge joins) on vs off ==";
+    "\n== Engine: optimizer pass (semi-join reduction + hash joins) on vs off ==";
   let st = xmark_stores config.small in
   let db = st.schema_store.Loader.db in
   let tr = Translate.create st.schema_store.Loader.mapping in
-  let off =
-    {
-      Engine.semijoin_reduction = false;
-      hash_join = false;
-      merge_join = false;
-      force = None;
-    }
-  in
+  let off = { Engine.semijoin_reduction = false; hash_join = false; force = None } in
   let configs =
     [
       "unopt", off;
       "reduce-only", { off with Engine.semijoin_reduction = true };
       "hash-only", { off with Engine.force = Some `Hash_join };
-      "merge-only", { off with Engine.merge_join = true };
       "full", Engine.default_opts;
     ]
   in
-  (* Q9/Q10/Q11 are the order-axis queries: preceding-sibling, following
-     and preceding — the shapes the Dewey merge join targets. Q6, XE1
-     (contains) and XE2 (starts-with) carry value/path regexes: the
-     reduction resolves the path ones at plan time, and the rest run as
-     residual frozen-DFA filters. *)
-  let queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q11"; "XE1"; "XE2" ] in
-  let reps = max 1 config.reps in
-  Printf.printf "\n%s — warm prepared plans, median of %d executions\n" st.label reps;
+  (* Q9/Q10/Q11 are the order-axis queries (preceding-sibling, following
+     and preceding) and Q21 a descendant containment window: Dewey range
+     joins served by per-binding index range scans. Q6, XE1 (contains)
+     and XE2 (starts-with) carry value/path regexes: the reduction
+     resolves the path ones at plan time, and the rest run as residual
+     frozen-DFA filters. *)
+  let queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q11"; "Q21"; "XE1"; "XE2" ] in
+  Printf.printf "\n%s — warm prepared plans, median of %d batches of >= %.0f ms each\n"
+    st.label (max 1 config.reps) (1e3 *. min_batch_s);
   Printf.printf "%-5s %-12s %7s %10s %11s %12s %12s %10s\n" "query" "plan" "#nodes"
     "exec ms" "regex/exec" "scanned/exec" "probed/exec" "rx-cache";
   Regex.cache_clear ();
@@ -736,13 +765,13 @@ let engine_bench () =
             and misses = Regex.cache_misses () - m0 in
             let nodes = ref 0 in
             let before = Engine.plan_stats plan in
-            let seconds =
-              time_med (fun () ->
-                  nodes := List.length (Translate.result_ids (Engine.run_plan plan));
-                  !nodes)
+            let timing =
+              time_batched (fun () ->
+                  nodes := List.length (Translate.result_ids (Engine.run_plan plan)))
             in
+            let seconds = timing.b_med in
             let total = Engine.stats_diff (Engine.plan_stats plan) before in
-            let per_exec n = float_of_int n /. float_of_int reps in
+            let per_exec n = float_of_int n /. float_of_int timing.b_runs in
             (* Exec-time regex machine runs of either flavor: shared
                frozen-DFA executions plus NFA simulations. *)
             let regex_pe =
@@ -775,6 +804,8 @@ let engine_bench () =
                           Printf.sprintf "\"%s\":%d" c.name (c.get lifetime))
                       Engine.counters
                    @ [
+                       Printf.sprintf "\"p10_seconds\":%.9f,\"p90_seconds\":%.9f,\"execs\":%d"
+                         timing.b_p10 timing.b_p90 timing.b_runs;
                        Printf.sprintf
                          "\"regex_evals_per_exec\":%.1f,\
                           \"regex_cache_hits\":%d,\"regex_cache_misses\":%d,\
@@ -819,24 +850,6 @@ let engine_bench () =
      Printf.printf
        "\nbest (%s): regex reduction %.1fx (>= 10x: %b), speedup %.2fx (>= 2x: %b)\n"
        qname r (r >= 10.0) s (s >= 2.0)
-   | None -> ());
-  (* Order-axis acceptance: the Dewey merge join alone vs no optimizer. *)
-  let merge_best = ref None in
-  List.iter
-    (fun qname ->
-      match find qname "unopt", find qname "merge-only" with
-      | Some (s0, _), Some (s1, _) when s1 > 0.0 ->
-        let speedup = s0 /. s1 in
-        Printf.printf "%-5s merge join vs unopt: %4.2fx faster\n" qname speedup;
-        (match !merge_best with
-         | Some (_, b) when b >= speedup -> ()
-         | _ -> merge_best := Some (qname, speedup))
-      | _ -> ())
-    [ "Q9"; "Q10"; "Q11" ];
-  (match !merge_best with
-   | Some (qname, s) ->
-     Printf.printf "best order-axis merge-join speedup: %.2fx (%s); > 1x: %b\n" s
-       qname (s > 1.0)
    | None -> ());
   Printf.printf "warm full plans: dfa_execs > 0: %b; exec-time regex NFA simulations = 0: %b\n"
     (!warm_dfa > 0) (!warm_nfa = 0);

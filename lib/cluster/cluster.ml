@@ -520,8 +520,8 @@ let scatter t ~key ~plans stmt =
 (* Cross-shard order-axis execution: scatter both side selects over the
    shards, k-way merge each side, then load the two merged streams into
    a throwaway coordinator database — temp tables [lhs]/[rhs], indexed
-   on the merge key so the engine can pick ordered access paths and the
-   Dewey merge join — and run the coordinator select there. *)
+   on the merge key so the engine serves the Dewey range join by index
+   range scans — and run the coordinator select there. *)
 let order_scatter t (oe : order_exec) =
   let left = oe.oplan.Analysis.op_left and right = oe.oplan.Analysis.op_right in
   let m = Session.metrics t.session in

@@ -13,7 +13,8 @@
     back ({!Analysis.Order_partitionable}): both side selects scatter
     over the shards, each side is k-way merged, and a coordinator select
     joins the merged streams in a throwaway two-table database (indexed
-    on the merge key, so the engine's Dewey merge join applies).
+    on the merge key, so the engine serves the Dewey range join by index
+    range scans).
     Everything else — counting queries, uncorrelated EXISTS — runs on
     the unsharded store. Either way the answer is exactly equal to
     single-store execution. *)

@@ -16,22 +16,15 @@ type value_fn = binding -> Value.t
 type pred_fn = binding -> bool option
 
 (* Optimizer switches. [force] exists for differential testing: it makes
-   the planner pick the named operator over an available index path, so
-   it is exercised even on queries where an index would win. *)
+   the planner pick a hash join over an available index path, so the
+   operator is exercised even on queries where an index would win. *)
 type opts = {
   semijoin_reduction : bool;
   hash_join : bool;
-  merge_join : bool;
-  force : [ `Hash_join | `Merge_join ] option;
+  force : [ `Hash_join ] option;
 }
 
-let default_opts =
-  {
-    semijoin_reduction = true;
-    hash_join = true;
-    merge_join = true;
-    force = None;
-  }
+let default_opts = { semijoin_reduction = true; hash_join = true; force = None }
 
 (* Operator-level counters, shared by every operator compiled under one
    ctx (including sub-query plans). Mutable on purpose: they sit in the
@@ -48,14 +41,12 @@ type exec_stats = {
   mutable dfa_execs : int;
   mutable hash_builds : int;
   mutable reductions : int;
-  mutable merge_probes : int;
-  mutable merge_steps : int;
-  mutable merge_backtracks : int;
   mutable partitions_scanned : int;
   mutable partitions_pruned : int;
   mutable peak_bytes : int;
   content_candidates : int;
   content_verified : int;
+  merge_steps : int;
 }
 
 type scope = Per_exec | Plan_lifetime
@@ -78,11 +69,6 @@ let make f =
   let dfa_execs = f "dfa_execs" "dfa execs" Per_exec (fun s -> s.dfa_execs) in
   let hash_builds = f "hash_builds" "hash builds" Plan_lifetime (fun s -> s.hash_builds) in
   let reductions = f "reductions" "reductions" Plan_lifetime (fun s -> s.reductions) in
-  let merge_probes = f "merge_probes" "merge probes" Per_exec (fun s -> s.merge_probes) in
-  let merge_steps = f "merge_steps" "merge steps" Per_exec (fun s -> s.merge_steps) in
-  let merge_backtracks =
-    f "merge_backtracks" "merge backtracks" Per_exec (fun s -> s.merge_backtracks)
-  in
   let partitions_scanned =
     f "partitions_scanned" "partitions scanned" Per_exec (fun s -> s.partitions_scanned)
   in
@@ -92,9 +78,8 @@ let make f =
   let peak_bytes = f "peak_bytes" "peak bytes" Plan_lifetime (fun s -> s.peak_bytes) in
   {
     rows_scanned; rows_probed; rows_emitted; regex_plan_evals; regex_exec_evals;
-    dfa_execs; hash_builds; reductions; merge_probes; merge_steps;
-    merge_backtracks; partitions_scanned; partitions_pruned; peak_bytes;
-    content_candidates = 0; content_verified = 0;
+    dfa_execs; hash_builds; reductions; partitions_scanned; partitions_pruned;
+    peak_bytes; content_candidates = 0; content_verified = 0; merge_steps = 0;
   }
 
 type counter = { name : string; label : string; scope : scope; get : exec_stats -> int }
@@ -139,37 +124,12 @@ type hash_probe = {
   hp_build : (string, int list) Hashtbl.t option ref;
 }
 
-(* A Dewey sort-merge join access. The step's table is materialized once
-   (lazily, cached on the plan under the epoch guard) as an array of
-   (key ^ [mj_suffix], row id) pairs sorted bytewise on the suffixed key;
-   each outer binding is then served by sliding a cursor shared across
-   probes. When consecutive outer bindings present nondecreasing lower
-   bounds — which the planner arranges by keeping the merge's outer
-   inputs in Dewey order — every probe advances the cursor forward
-   (merge steps); the band-join case, where an outer row's window starts
-   inside its predecessor's (a descendant range opening before the
-   ancestor's range closes), slides it back over a bounded window first
-   (backtracks). The operator is correct for any outer order; order only
-   buys the amortized O(1) repositioning. Keys are restricted to BINARY
-   columns so that skipping non-string keys and bounds is exact (see
-   {!choose_access}). *)
-type merge_probe = {
-  mj_table : Table.t;
-  mj_key_col : string;
-  mj_key_idx : int;
-  mj_suffix : string;
-  mj_lo : (value_fn * bool) option;  (* bound, inclusive? *)
-  mj_hi : (value_fn * bool) option;
-  mj_items : (string * int) array option ref;
-  mj_cursor : int ref;
-}
-
 (* A pruned partition scan: the step's table is physically partitioned on
    the probed fk column (see {!Table.partition_spec}), so a plan-time
    pathid set resolves to the list of matching partitions and the scan
    k-way-merges just those segments. Each segment is kept sorted on the
    sort column (Dewey bytes), so emission is globally ascending on it —
-   feeding merge joins and ORDER BY elision — and the partition invariant
+   feeding ORDER BY elision — and the partition invariant
    (every row in partition k has key k) makes the per-row set probe
    redundant: pruning does the filtering with zero per-row work. The
    matched-key list is fixed at plan time; that is sound under the plan's
@@ -193,7 +153,6 @@ type access =
   | `Index_order of Btree.t
   | `Prefix_lookup of Btree.t * value_fn * int array Lazy.t
   | `Hash_probe of hash_probe
-  | `Merge_join of merge_probe
   | `Partition_scan of partition_scan ]
 
 type step = {
@@ -365,7 +324,6 @@ let emits_ascending table (access : access) c =
   match access with
   | `Index_order tree | `Index_range (tree, [||], _, _) ->
     index_first_col table tree = Some c
-  | `Merge_join mj -> String.equal mj.mj_suffix "" && String.equal mj.mj_key_col c
   | `Partition_scan ps -> String.equal ps.ps_sort_col c
   | _ -> false
 
@@ -591,7 +549,7 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
   | `Index_order tree ->
     (* Full walk of an index in key order: same rows as a scan (every
        row appears in every index exactly once), different order. Used
-       to feed merge joins Dewey-ordered outer rows. *)
+       to elide the final ORDER BY sort. *)
     Btree.iter (fun _ id -> f id) tree
   | `Prefix_lookup (tree, fn, lengths) ->
     (* One equality probe per candidate prefix length. Only lengths that
@@ -668,94 +626,6 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
        (match Hashtbl.find_opt build k with
         | Some ids -> List.iter f ids
         | None -> ()))
-  | `Merge_join mj ->
-    let items =
-      match !(mj.mj_items) with
-      | Some a -> a
-      | None ->
-        (* One-time build: materialize (key ^ suffix, row id) pairs and
-           sort. Appending the sentinel suffix is not monotone w.r.t. raw
-           key order when one key is a byte-prefix of another, so an
-           explicit sort is required rather than an ordered index walk.
-           A non-string key compares unknown against every string bound
-           under three-valued SQL semantics, so such rows can never pass
-           the residual conjunct and dropping them here is exact. *)
-        let acc = ref [] in
-        Table.iter_rows
-          (fun id row ->
-            counters.rows_scanned <- counters.rows_scanned + 1;
-            match row.(mj.mj_key_idx) with
-            | Value.Bin s | Value.Str s -> acc := (s ^ mj.mj_suffix, id) :: !acc
-            | Value.Null | Value.Int _ | Value.Float _ -> ())
-          mj.mj_table;
-        let a = Array.of_list !acc in
-        Array.sort
-          (fun (ka, ia) (kb, ib) ->
-            match String.compare ka kb with 0 -> Int.compare ia ib | c -> c)
-          a;
-        let bytes =
-          Array.fold_left (fun b (k, _) -> b + 48 + String.length k) 64 a
-        in
-        counters.peak_bytes <- counters.peak_bytes + bytes;
-        mj.mj_items := Some a;
-        a
-    in
-    counters.merge_probes <- counters.merge_probes + 1;
-    let n = Array.length items in
-    let str_bound side =
-      match side with
-      | None -> Some None
-      | Some (fn, incl) ->
-        (match fn bind with
-         | Value.Bin s | Value.Str s -> Some (Some (s, incl))
-         | Value.Null | Value.Int _ | Value.Float _ -> None)
-    in
-    (match str_bound mj.mj_lo, str_bound mj.mj_hi with
-     | None, _ | _, None ->
-       (* A NULL (or non-string) bound makes the comparison unknown for
-          every key: no rows qualify. *)
-       ()
-     | Some lo, Some hi ->
-       let above_lo key =
-         match lo with
-         | None -> true
-         | Some (s, incl) ->
-           let c = String.compare key s in
-           if incl then c >= 0 else c > 0
-       in
-       let below_hi key =
-         match hi with
-         | None -> true
-         | Some (s, incl) ->
-           let c = String.compare key s in
-           if incl then c <= 0 else c < 0
-       in
-       (match lo with
-        | None -> mj.mj_cursor := 0
-        | Some _ ->
-          (* Reposition to the first key satisfying the lower bound:
-             backtrack first (band-join window), then advance. Both
-             loops are amortized O(1) per probe when the outer side is
-             Dewey-ordered. *)
-          let pos = ref (min !(mj.mj_cursor) n) in
-          while !pos > 0 && above_lo (fst items.(!pos - 1)) do
-            decr pos;
-            counters.merge_backtracks <- counters.merge_backtracks + 1
-          done;
-          while !pos < n && not (above_lo (fst items.(!pos))) do
-            incr pos;
-            counters.merge_steps <- counters.merge_steps + 1
-          done;
-          mj.mj_cursor := !pos);
-       let i = ref !(mj.mj_cursor) in
-       let continue = ref true in
-       while !continue && !i < n do
-         if below_hi (fst items.(!i)) then begin
-           f (snd items.(!i));
-           incr i
-         end
-         else continue := false
-       done)
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -772,11 +642,11 @@ let rec exec_steps ctx steps bind emit =
   | st :: rest ->
     let body row_id =
       let row = Table.row st.st_table row_id in
-      (* Memoized hash builds and merge arrays can outlive a retained
-         plan's rows: a fine-grained commit may tombstone a row whose id
-         they still hold. The commit's pathid-disjointness guarantees
-         such rows could never satisfy this plan's probes, so skipping
-         the tombstone is exact. *)
+      (* Memoized hash builds can outlive a retained plan's rows: a
+         fine-grained commit may tombstone a row whose id they still
+         hold. The commit's pathid-disjointness guarantees such rows
+         could never satisfy this plan's probes, so skipping the
+         tombstone is exact. *)
       if Array.length row > 0 then begin
         st.st_examined <- st.st_examined + 1;
         bind.(st.st_slot) <- row;
@@ -1195,42 +1065,15 @@ and plan_select ctx (sel : Sql.select) : planned =
         (fun (pb, pred) -> if is_local pb.pb_alias then None else Some pred)
         probe_preds
   in
-  (* Access-path selection threads the accesses already chosen for
-     earlier steps into each choice: a merge join is only competitive
-     when its outer inputs arrive in Dewey order, and when it wins it may
-     upgrade an earlier full scan to an ordered index walk to make that
-     true. *)
   let order_arr = Array.of_list order in
   let nsteps = Array.length order_arr in
   let accesses : access array = Array.make nsteps `Scan in
   if not ctx.naive then
     Array.iteri
       (fun i slot ->
-        let alias = alias_of_slot slot in
-        let table = snd ctx.slots.(slot) in
-        let prev =
-          List.init i (fun j ->
-              let s = order_arr.(j) in
-              alias_of_slot s, snd ctx.slots.(s), accesses.(j), j)
-        in
-        let access, upgrades =
-          choose_access ctx ~table ~alias ~bound:(bound_after (i - 1))
-            ~prev:(List.map (fun (a, t, acc, _) -> a, t, acc) prev)
-            ~probes conjuncts
-        in
-        accesses.(i) <- access;
-        List.iter
-          (fun (dep_alias, dep_col) ->
-            List.iter
-              (fun (a, t, acc, j) ->
-                match acc with
-                | `Scan when String.equal a dep_alias ->
-                  (match Table.index_with_prefix t [ dep_col ] with
-                   | Some (tree, _) -> accesses.(j) <- `Index_order tree
-                   | None -> ())
-                | _ -> ())
-              prev)
-          upgrades)
+        accesses.(i) <-
+          choose_access ctx ~table:(snd ctx.slots.(slot)) ~alias:(alias_of_slot slot)
+            ~bound:(bound_after (i - 1)) ~probes conjuncts)
       order_arr;
   (* Sort elision: when the final ORDER BY is a single column of the
      outermost step and that step is still a full scan, walk an index
@@ -1353,20 +1196,18 @@ and plan_select ctx (sel : Sql.select) : planned =
   }
 
 (* Pick the best access for [table]/[alias], given that [bound] tells
-   which other aliases are already available and [prev] lists the
-   already-planned local steps (alias, table, chosen access) in plan
-   order. Returns a strategy that computes B+tree bounds (or hash/merge
-   keys) per binding, plus upgrade requests: (alias, col) pairs asking
-   the planner to turn an earlier full scan into an ordered walk of the
-   index leading on [col], so a chosen merge join sees Dewey-ordered
-   outer rows. All conjuncts are re-checked as filters afterwards, so a
+   which other aliases are already available. Returns a strategy that
+   computes B+tree bounds (or hash keys) per binding. The Dewey
+   structural joins of paper Section 4.2 — [d > a || 0xFF], [d < a],
+   [d BETWEEN a AND a || 0xFF] — are ranges on the inner alias's key
+   column, so they become per-binding index range scans (or prefix
+   lookups). All conjuncts are re-checked as filters afterwards, so a
    lossy-but-superset access is sound. A hash join is used for equijoins
    with no usable index path (the fact tables index
    [(dewey_pos, path_id)] but not [path_id] alone); which side builds is
    decided by the greedy join order, i.e. by the existing cardinality
    estimates. *)
-and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
-    access * (string * string) list =
+and choose_access ctx ~table ~alias ~bound ~probes conjuncts : access =
   let bound_expr e =
     List.for_all (fun a -> (not (String.equal a alias)) && bound a) (Sql.free_aliases e)
     || Sql.free_aliases e = []
@@ -1432,109 +1273,6 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
           Some (col, None, Some (e, false))
         | _ -> None)
       conjuncts
-  in
-  (* Dewey merge-join candidates: an order-axis comparison between this
-     alias's key column (optionally suffixed with the 0xFF subtree
-     sentinel, as in [d > a || 0xFF]) and a bound expression referencing
-     at least one other alias. Restricted to BINARY key columns: against
-     those, {!Value.compare_sql} with any non-string operand is unknown
-     (three-valued reject), so the operator's skipping of non-string
-     keys and bounds loses no rows the residual filter would keep. *)
-  let merge_cands =
-    if ctx.opts.merge_join || ctx.opts.force = Some `Merge_join then begin
-      let key_of = function
-        | Sql.Col (a, col) when String.equal a alias -> Some (col, "")
-        | Sql.Concat (Sql.Col (a, col), Sql.Const (Value.Bin sfx | Value.Str sfx))
-          when String.equal a alias && sfx <> "" ->
-          Some (col, sfx)
-        | _ -> None
-      in
-      let joinish e = bound_expr e && Sql.free_aliases e <> [] in
-      let cands =
-        List.filter_map
-          (fun conj ->
-            match conj with
-            | Sql.Cmp (op, k, e) when key_of k <> None && joinish e ->
-              let col, sfx = Option.get (key_of k) in
-              (match op with
-               | Sql.Gt -> Some (col, sfx, Some (e, false), None)
-               | Sql.Ge -> Some (col, sfx, Some (e, true), None)
-               | Sql.Lt -> Some (col, sfx, None, Some (e, false))
-               | Sql.Le -> Some (col, sfx, None, Some (e, true))
-               | Sql.Eq | Sql.Ne -> None)
-            | Sql.Cmp (op, e, k) when key_of k <> None && joinish e ->
-              let col, sfx = Option.get (key_of k) in
-              (match op with
-               | Sql.Lt -> Some (col, sfx, Some (e, false), None)
-               | Sql.Le -> Some (col, sfx, Some (e, true), None)
-               | Sql.Gt -> Some (col, sfx, None, Some (e, false))
-               | Sql.Ge -> Some (col, sfx, None, Some (e, true))
-               | Sql.Eq | Sql.Ne -> None)
-            | Sql.Between (k, lo, hi)
-              when key_of k <> None && bound_expr lo && bound_expr hi
-                   && (Sql.free_aliases lo <> [] || Sql.free_aliases hi <> []) ->
-              let col, sfx = Option.get (key_of k) in
-              Some (col, sfx, Some (lo, true), Some (hi, true))
-            | _ -> None)
-          conjuncts
-      in
-      (* Combine bounds targeting the same suffixed key. *)
-      let rec combine acc = function
-        | [] -> List.rev acc
-        | (col, sfx, lo, hi) :: rest ->
-          let same (c, s, _, _) = String.equal c col && String.equal s sfx in
-          let lo, hi =
-            List.fold_left
-              (fun (lo, hi) (_, _, lo', hi') ->
-                ( (match lo with None -> lo' | some -> some),
-                  match hi with None -> hi' | some -> some ))
-              (lo, hi)
-              (List.filter same rest)
-          in
-          combine ((col, sfx, lo, hi) :: acc)
-            (List.filter (fun c -> not (same c)) rest)
-      in
-      List.filter
-        (fun (col, _, _, _) -> Table.column_ty table col = Some Value.Tbin)
-        (combine [] cands)
-    end
-    else []
-  in
-  (* Is the outer side of a merge candidate provably Dewey-ordered? A
-     bound's dependencies must be columns of already-planned steps whose
-     access emits rows ascending on that column — or full scans that can
-     be upgraded to one (index leading on the column exists). Outer-query
-     aliases are rejected: a correlated sub-select's probe order is its
-     caller's business. *)
-  let dep_of_bound = function
-    | Sql.Col (a, c) -> Some [ a, c ]
-    | Sql.Concat (Sql.Col (a, c), Sql.Const _) -> Some [ a, c ]
-    | Sql.Const _ -> Some []
-    | _ -> None
-  in
-  let dep_status (a, c) =
-    match List.find_opt (fun (pa, _, _) -> String.equal pa a) prev with
-    | None -> `Unknown
-    | Some (_, t, access) ->
-      if emits_ascending t access c then `Ordered
-      else (
-        match access with
-        | `Scan when Table.index_with_prefix t [ c ] <> None -> `Upgrade (a, c)
-        | _ -> `Unknown)
-  in
-  let ordered_info (_, _, lo, hi) =
-    let bounds = List.filter_map (Option.map fst) [ lo; hi ] in
-    let deps = List.map dep_of_bound bounds in
-    if List.exists Option.is_none deps then None
-    else begin
-      let statuses = List.map dep_status (List.concat_map Option.get deps) in
-      if List.exists (fun s -> s = `Unknown) statuses then None
-      else
-        Some
-          (List.filter_map
-             (function `Upgrade u -> Some u | `Ordered | `Unknown -> None)
-             statuses)
-    end
   in
   (* Cost-based choice: estimate the rows each candidate access path
      fetches. Equality selectivity comes from cached per-column distinct
@@ -1613,7 +1351,7 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
      is the exact matched row count — beating a full scan whenever any
      partition is pruned, and competing fairly (rows fetched per binding)
      with index paths. Emission is ascending on the partition sort
-     column, which downstream merge joins and ORDER BY elision exploit. *)
+     column, which ORDER BY elision exploits. *)
   (match Table.partition_spec table with
    | None -> ()
    | Some spec ->
@@ -1685,65 +1423,11 @@ and choose_access ctx ~table ~alias ~bound ~prev ~probes conjuncts :
         equalities
     else None
   in
-  (* Merge-join candidate: competitive only when the outer side is (or
-     can be upgraded to be) Dewey-ordered — the sliding cursor then
-     replaces a B+tree descent and per-probe id-list allocation with
-     amortized O(1) repositioning, modeled as a flat discount over the
-     equivalent index range scan. [force] pins it regardless,
-     for differential testing. *)
-  let upgrades = ref [] in
-  let mk_merge (col, sfx, lo, hi) =
-    match Table.column_index table col with
-    | None -> None
-    | Some idx ->
-      Some
-        (`Merge_join
-           {
-             mj_table = table;
-             mj_key_col = col;
-             mj_key_idx = idx;
-             mj_suffix = sfx;
-             mj_lo = Option.map (fun (e, incl) -> compile_value ctx e, incl) lo;
-             mj_hi = Option.map (fun (e, incl) -> compile_value ctx e, incl) hi;
-             mj_items = ref None;
-             mj_cursor = ref 0;
-           })
-  in
-  let merge_choice = ref None in
-  List.iter
-    (fun ((_, _, lo, hi) as cand) ->
-      let info = ordered_info cand in
-      if info <> None || ctx.opts.force = Some `Merge_join then
-        match mk_merge cand with
-        | None -> ()
-        | Some access ->
-          let rsel =
-            if lo <> None && hi <> None then range_selectivity /. 2.0
-            else range_selectivity
-          in
-          let cost = n_rows *. rsel *. 0.4 in
-          (match !merge_choice with
-           | Some (c, _, _) when c <= cost -> ()
-           | Some _ | None ->
-             merge_choice := Some (cost, access, Option.value ~default:[] info)))
-    merge_cands;
-  (match !merge_choice with
-   | None -> ()
-   | Some (cost, access, ups) ->
-     let cost = if ctx.opts.force = Some `Merge_join then neg_infinity else cost in
-     (match !best with
-      | Some (c, _) when c <= cost -> ()
-      | Some _ | None ->
-        best := Some (cost, access);
-        upgrades := ups));
-  match hash_candidate with
-  | Some hp when ctx.opts.force = Some `Hash_join -> `Hash_probe hp, []
-  | Some hp when !best = None -> `Hash_probe hp, []
-  | Some _ | None ->
-    (match !best with
-     | Some (_, (`Merge_join _ as access)) -> access, !upgrades
-     | Some (_, access) -> access, []
-     | None -> `Scan, [])
+  match hash_candidate, !best with
+  | Some hp, _ when ctx.opts.force = Some `Hash_join -> `Hash_probe hp
+  | Some hp, None -> `Hash_probe hp
+  | _, Some (_, access) -> access
+  | None, None -> `Scan
 
 (* ------------------------------------------------------------------ *)
 (* EXISTS                                                              *)
@@ -2042,12 +1726,6 @@ let access_label : access -> string = function
   | `Index_order tree -> Printf.sprintf "index order scan (width %d)" (Btree.width tree)
   | `Prefix_lookup (tree, _, _) -> Printf.sprintf "prefix lookups (width %d)" (Btree.width tree)
   | `Hash_probe hp -> Printf.sprintf "hash join (build %s.%s)" (Table.name hp.hp_table) hp.hp_col
-  | `Merge_join mj ->
-    Printf.sprintf "merge join (dewey) (sort %s.%s%s, lo %s, hi %s)"
-      (Table.name mj.mj_table) mj.mj_key_col
-      (if String.equal mj.mj_suffix "" then "" else " || sentinel")
-      (if mj.mj_lo = None then "-inf" else "bound")
-      (if mj.mj_hi = None then "+inf" else "bound")
   | `Partition_scan ps ->
     Printf.sprintf "partition scan (%s order), partitions: scanned %d/%d (pruned %d, %d rows)"
       ps.ps_sort_col (Array.length ps.ps_keys) ps.ps_total

@@ -4,16 +4,16 @@
     steps: WHERE conjuncts are classified per table alias, a greedy
     join-order heuristic picks the cheapest next table, and each step
     accesses its table through the best available path — equality lookup,
-    range scan (the dewey structural-join windows of paper Section 4.2
-    become per-outer-row index range scans), a Dewey sort-merge join for
-    inter-alias order-axis range predicates ([d > a || 0xFF] and
-    mirrors) whose outer inputs are, or can be upgraded to be, in Dewey
-    order, a hash join for equijoins with no usable index, a memoized
-    hash semi-join for decorrelated [EXISTS], or a full scan. All
-    conjuncts are re-checked as residual filters, so access-path choice
-    can never change results, only speed. When the chosen pipeline
-    already emits rows in the requested ORDER BY order (the outermost
-    step walks an index leading on the single sort column), the final
+    range scan (the Dewey structural joins of paper Section 4.2, order
+    axes and containment alike — [d > a || 0xFF], [d < a],
+    [d BETWEEN a AND a || 0xFF] — become per-outer-row index range scans
+    or prefix lookups), a pruned partition scan, a hash join for
+    equijoins with no usable index, a memoized hash semi-join for
+    decorrelated [EXISTS], or a full scan. All conjuncts are re-checked
+    as residual filters, so access-path choice can never change results,
+    only speed. When the chosen pipeline already emits rows in the
+    requested ORDER BY order (the outermost step walks an index, or
+    partition segments, sorted on the single sort column), the final
     stable sort is elided (EXPLAIN: [order: preserved]).
 
     Before any of that, an optimizer pass performs {e path-filter
@@ -46,18 +46,13 @@ type opts = {
           materialized pathid set instead of joining [paths] *)
   hash_join : bool;
       (** build-and-probe hash joins for equijoins with no index path *)
-  merge_join : bool;
-      (** sort-merge joins for inter-alias Dewey range predicates whose
-          outer inputs are (or can be upgraded to be) in Dewey order *)
-  force : [ `Hash_join | `Merge_join ] option;
+  force : [ `Hash_join ] option;
       (** differential-testing hook, implying the operator's switch:
-          [`Hash_join] picks a hash join even when an index path exists;
-          [`Merge_join] picks a merge join for every candidate order-axis
-          predicate, ordered outer or not *)
+          [`Hash_join] picks a hash join even when an index path exists *)
 }
 
 val default_opts : opts
-(** Reduction, hash joins and merge joins on, [force] off. *)
+(** Reduction and hash joins on, [force] off. *)
 
 (** {2 Execution statistics}
 
@@ -71,7 +66,7 @@ val default_opts : opts
     plan can count in place. *)
 
 type exec_stats = private {
-  mutable rows_scanned : int;  (** rows fetched through access paths (incl. hash and merge builds) *)
+  mutable rows_scanned : int;  (** rows fetched through access paths (incl. hash builds) *)
   mutable rows_probed : int;  (** hash-join and pathid-set probe operations *)
   mutable rows_emitted : int;  (** bindings surviving every join step *)
   mutable regex_plan_evals : int;
@@ -86,30 +81,29 @@ type exec_stats = private {
           REGEXP_LIKE filters) *)
   mutable hash_builds : int;  (** hash-join build tables materialized *)
   mutable reductions : int;  (** path-filter semi-join reductions applied *)
-  mutable merge_probes : int;  (** merge-join probe operations (one per outer binding) *)
-  mutable merge_steps : int;  (** merge cursor forward advances *)
-  mutable merge_backtracks : int;  (** merge cursor band-join backward slides *)
   mutable partitions_scanned : int;
       (** partitions a pruned partition scan touched (per execution) *)
   mutable partitions_pruned : int;
       (** partitions a pruned partition scan skipped (per execution) *)
   mutable peak_bytes : int;
       (** estimated peak resident bytes of plan-owned materializations:
-          hash-join build tables, semi-join pathid sets, merge-join
-          sorted arrays. These live for the plan's lifetime, so the
+          hash-join build tables, semi-join pathid sets and pruned
+          partition key lists. These live for the plan's lifetime, so the
           running sum is the peak; across plans the field aggregates. *)
   content_candidates : int;
   content_verified : int;
-      (** Always 0, and not in {!counters}: there are no content indexes.
-          The serving benchmark ([servebench/main.ml]) still reads these
-          two fields; drop them when that harness is next revised. *)
+  merge_steps : int;
+      (** Always 0, and not in {!counters}: there are no content indexes
+          and no merge join. The serving benchmark ([servebench/main.ml])
+          still reads these three fields; drop them when that harness is
+          next revised. *)
 }
 
 (** When a counter moves over a plan's life. *)
 type scope =
   | Per_exec
       (** on every execution; a plan's first execution also counts the
-          one-time hash and merge builds in [rows_scanned] *)
+          one-time hash builds in [rows_scanned] *)
   | Plan_lifetime
       (** at prepare or once per plan (its first execution), then holds:
           [regex_plan_evals] and [reductions] move only at prepare,

@@ -23,14 +23,12 @@ let parent_fk t ~child ~parent =
 
 let attr_column name = "attr_" ^ name
 
-let text_column = "text"
-
-let dtext_column = "dtext"
-
 (* Every relation carries a text column: the element's string value.
    Mixed-content and nested values then compare identically in SQL and in
    the reference evaluator. *)
-let has_text_column _t _def = true
+let text_column = "text"
+
+let dtext_column = "dtext"
 
 let columns_of_def t (def : Graph.def) =
   let parents = Graph.parents t.schema def in

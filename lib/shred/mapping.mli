@@ -49,8 +49,6 @@ val text_column : string
 val dtext_column : string
 (** ["dtext"] — the direct-text column backing [text()] steps. *)
 
-val has_text_column : t -> Graph.def -> bool
-
 val columns_of_def : t -> Graph.def -> Ppfx_minidb.Table.column list
 (** The full column list of the definition's relation, in order. *)
 

@@ -565,13 +565,7 @@ let prop_sharded_equals_unsharded =
    scatter must stay byte-identical to the unsharded engine running with
    every optimization disabled — the optimizer differential and the
    partitioning differential checked in one property. *)
-let opts_off =
-  {
-    Engine.semijoin_reduction = false;
-    hash_join = false;
-    merge_join = false;
-    force = None;
-  }
+let opts_off = { Engine.semijoin_reduction = false; hash_join = false; force = None }
 
 let unopt_render (store : Loader.t) query =
   let expr = Xparser.parse query in

@@ -325,25 +325,39 @@ let one_plan_differential fx (name, query) () =
 (* The EXPLAIN goldens behind `ppfx explain` on a generated document, as
    the CLI shreds it (inferred schema): Q6's path regexes and XE1's
    contains() run as residual filters on a scan, through the shared frozen
-   DFA, and neither runs an exec-time NFA simulation. *)
+   DFA, and neither runs an exec-time NFA simulation. The Dewey range
+   joins — Q10's following axis, Q21's descendant window and the forward
+   containment [BETWEEN] of a keyed point lookup — run as index range
+   scans and answer as the reference evaluator does; the point lookup,
+   which has no path-filter reduction, materializes nothing. *)
 let explain_goldens () =
   let doc = Doc.of_tree (Xmark.generate ~items_per_region:3 ()) in
   let store = Loader.shred (Graph.infer doc) doc in
-  let analyze name =
-    match translate_on store (Xmark.query name) with
-    | None -> Alcotest.failf "%s should translate" name
+  let analyze query =
+    match translate_on store query with
+    | None -> Alcotest.failf "%s should translate" query
     | Some stmt ->
-      let text, _, stats = Engine.explain_analyze store.Loader.db stmt in
-      text, Engine.stats_to_string stats
+      let text, result, stats = Engine.explain_analyze store.Loader.db stmt in
+      text, Translate.result_ids result, Engine.stats_to_string stats
   in
   List.iter
     (fun name ->
-      let text, stats = analyze name in
+      let text, _, stats = analyze (Xmark.query name) in
       if not (contains ~sub:"full scan" text && contains ~sub:"residual filters" text)
       then Alcotest.failf "%s has no scan with residual filters:\n%s" name text;
       if not (contains ~sub:"exec regex evals 0," stats) then
         Alcotest.failf "%s ran exec-time NFA simulations: %s" name stats)
-    [ "Q6"; "XE1" ]
+    [ "Q6"; "XE1" ];
+  let point_lookup = "/site/open_auctions/open_auction[@id='open_auction0']/bidder/increase" in
+  List.iter
+    (fun query ->
+      let text, ids, stats = analyze query in
+      if not (contains ~sub:"index range scan" text) || contains ~sub:"merge join" text then
+        Alcotest.failf "%s does not plan an index range scan:\n%s" query text;
+      if String.equal query point_lookup && not (contains ~sub:"peak bytes 0" stats) then
+        Alcotest.failf "%s materialized plan state: %s" query stats;
+      Alcotest.(check (list int)) query (Eval.select_elements doc (Xparser.parse query)) ids)
+    [ Xmark.query "Q10"; Xmark.query "Q21"; point_lookup ]
 
 let () =
   let fx = Lazy.force xmark_fixture in
@@ -371,7 +385,8 @@ let () =
           Alcotest.test_case "explain surfaces pruning" `Quick
             (partition_pruning_explain fx);
         ] );
-      "explain-goldens", [ Alcotest.test_case "Q6 and XE1 plans" `Quick explain_goldens ];
+      ( "explain-goldens",
+        [ Alcotest.test_case "Q6, XE1 and range-join plans" `Quick explain_goldens ] );
       ( "one-plan",
         List.map
           (fun (name, q) -> Alcotest.test_case name `Quick (one_plan_differential fx (name, q)))

@@ -921,17 +921,9 @@ let prop_planner_vs_naive =
 (* Optimizer pass: differential properties and EXPLAIN surface         *)
 (* ------------------------------------------------------------------ *)
 
-let opts_off =
-  {
-    Engine.semijoin_reduction = false;
-    hash_join = false;
-    merge_join = false;
-    force = None;
-  }
+let opts_off = { Engine.semijoin_reduction = false; hash_join = false; force = None }
 
 let opts_forced = { Engine.default_opts with Engine.force = Some `Hash_join }
-
-let opts_forced_merge = { Engine.default_opts with Engine.force = Some `Merge_join }
 
 let contains s sub =
   let n = String.length sub in
@@ -1322,17 +1314,17 @@ let partition_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Dewey merge join: differential property and EXPLAIN surface         *)
+(* Dewey range joins: differential property and EXPLAIN surface       *)
 (* ------------------------------------------------------------------ *)
 
 (* Random order-axis queries over two tables with unique Tbin dewey
    keys — the shapes the translator emits for following/preceding and
    containment windows ([d > a || 0xFF], [d < a], [BETWEEN a AND
    a || 0xFF], both orientations). Every opts configuration, including
-   forced merge joins (ordered outer or not), must match the naive
-   cross-product oracle byte for byte. Dewey keys are deduplicated per
-   table, mirroring real stores where dewey_pos is unique, and the
-   ORDER BY covers every projection so the expected row list is total. *)
+   forced hash joins, must match the naive cross-product oracle byte for
+   byte. Dewey keys are deduplicated per table, mirroring real stores
+   where dewey_pos is unique, and the ORDER BY covers every projection
+   so the expected row list is total. *)
 let gen_order_case =
   let open QCheck.Gen in
   let byte = map Char.chr (int_range 1 4) in
@@ -1387,9 +1379,8 @@ let build_order_case (rows_x, rows_y, (shape, cutoff)) =
   in
   db, Sql.Select sel
 
-let prop_merge_join_vs_naive =
-  QCheck.Test.make ~count:400
-    ~name:"dewey merge join agrees with the naive oracle on order-axis queries"
+let prop_order_axis_vs_naive =
+  QCheck.Test.make ~count:400 ~name:"order-axis band joins: every opts ≡ naive"
     (QCheck.make
        ~print:(fun case ->
          let _, stmt = build_order_case case in
@@ -1400,9 +1391,9 @@ let prop_merge_join_vs_naive =
       let gold = (Engine.run_naive db stmt).Engine.rows in
       List.for_all
         (fun opts -> (Engine.run ~opts db stmt).Engine.rows = gold)
-        [ opts_off; Engine.default_opts; opts_forced_merge ])
+        [ opts_off; Engine.default_opts; opts_forced ])
 
-(* Deterministic store for the merge-join EXPLAIN surface tests. *)
+(* Deterministic store for the range-join EXPLAIN surface tests. *)
 let order_fixture () =
   let db = Database.create () in
   let mk name rows =
@@ -1438,15 +1429,16 @@ let order_stmt shape =
       order_by = [ dx; dy ];
     }
 
-let merge_join_tests =
+let range_join_tests =
   [
-    ( "explain surfaces the dewey merge join",
+    ( "order-axis joins plan an index range scan",
       fun () ->
         let db = order_fixture () in
-        let on = Engine.explain db (order_stmt `Following) in
-        Alcotest.(check bool) "merge join step" true (contains on "merge join (dewey)");
-        let off = Engine.explain ~opts:opts_off db (order_stmt `Following) in
-        Alcotest.(check bool) "off: no merge join" false (contains off "merge join") );
+        List.iter
+          (fun shape ->
+            let plan = Engine.explain db (order_stmt shape) in
+            Alcotest.(check bool) "index range scan" true (contains plan "index range scan"))
+          [ `Following; `Preceding; `Containment ] );
     ( "explain notes preserved order",
       fun () ->
         let db = order_fixture () in
@@ -1466,29 +1458,47 @@ let merge_join_tests =
         let val_plan = Engine.explain db (by "val") in
         Alcotest.(check bool) "unindexed order still sorts" false
           (contains val_plan "order: preserved") );
-    ( "merge join preserves results on the fixture",
+    ( "range joins hold no plan state and re-run identically",
       fun () ->
         let db = order_fixture () in
         List.iter
           (fun shape ->
-            let stmt = order_stmt shape in
-            let gold = (Engine.run ~opts:opts_off db stmt).Engine.rows in
-            Alcotest.(check int) "default opts" 0
-              (compare (Engine.run db stmt).Engine.rows gold);
-            Alcotest.(check int) "forced merge" 0
-              (compare (Engine.run ~opts:opts_forced_merge db stmt).Engine.rows gold))
+            let plan = Engine.prepare db (order_stmt shape) in
+            let exec () =
+              let before = Engine.plan_stats plan in
+              let rows = (Engine.run_plan plan).Engine.rows in
+              rows, Engine.stats_diff (Engine.plan_stats plan) before
+            in
+            let rows1, d1 = exec () in
+            let rows2, d2 = exec () in
+            Alcotest.(check bool) "same rows" true (rows1 = rows2);
+            Alcotest.(check int) "same rows scanned" d1.Engine.rows_scanned
+              d2.Engine.rows_scanned;
+            let lifetime = Engine.plan_stats plan in
+            Alcotest.(check int) "peak bytes" 0 lifetime.Engine.peak_bytes;
+            Alcotest.(check int) "hash builds" 0 lifetime.Engine.hash_builds)
           [ `Following; `Preceding; `Containment ] );
-    ( "forced merge join counts probes, steps and bytes",
+    ( "a NULL Dewey bound selects no rows",
       fun () ->
+        (* The outer row with a NULL key makes every range comparison
+           unknown, so it joins nothing; the inner NULL row never lies in
+           any window. Both index range scans and the oracle agree. *)
         let db = order_fixture () in
-        let plan = Engine.prepare ~opts:opts_forced_merge db (order_stmt `Following) in
-        let at_prepare = Engine.plan_stats plan in
-        ignore (Engine.run_plan plan);
-        let per = Engine.stats_diff (Engine.plan_stats plan) at_prepare in
-        Alcotest.(check bool) "merge probes" true (per.Engine.merge_probes > 0);
-        Alcotest.(check bool) "merge steps" true (per.Engine.merge_steps > 0);
-        Alcotest.(check bool) "peak bytes accounted" true
-          ((Engine.plan_stats plan).Engine.peak_bytes > 0) );
+        List.iter
+          (fun name ->
+            match Database.table_opt db name with
+            | Some t -> ignore (Table.insert t [| Value.Null; Value.Int 9 |])
+            | None -> Alcotest.fail name)
+          [ "x"; "y" ];
+        List.iter
+          (fun shape ->
+            let stmt = order_stmt shape in
+            let rows = (Engine.run db stmt).Engine.rows in
+            Alcotest.(check bool) "equals naive" true
+              (rows = (Engine.run_naive db stmt).Engine.rows);
+            Alcotest.(check bool) "no NULL key in the result" false
+              (List.exists (Array.exists (fun v -> v = Value.Null)) rows))
+          [ `Following; `Preceding; `Containment ] );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1649,8 +1659,8 @@ let () =
       "partitioning-properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_partitioned_vs_heap; prop_partitioned_mutations ];
-      "merge-join", List.map tc merge_join_tests;
-      "merge-join-properties", [ QCheck_alcotest.to_alcotest prop_merge_join_vs_naive ];
+      "range-join", List.map tc range_join_tests;
+      "range-join-properties", [ QCheck_alcotest.to_alcotest prop_order_axis_vs_naive ];
       "regexp-like", List.map tc regexp_like_tests;
       "regexp-like-properties", [ QCheck_alcotest.to_alcotest prop_regexp_like_vs_naive ];
     ]

@@ -186,8 +186,8 @@ let test_metrics_engine_counters () =
   Alcotest.(check (list string)) "engine keys"
     [
       "rows_scanned"; "rows_probed"; "rows_emitted"; "regex_plan_evals"; "regex_exec_evals";
-      "dfa_execs"; "hash_builds"; "reductions"; "merge_probes"; "merge_steps";
-      "merge_backtracks"; "partitions_scanned"; "partitions_pruned"; "peak_bytes";
+      "dfa_execs"; "hash_builds"; "reductions"; "partitions_scanned"; "partitions_pruned";
+      "peak_bytes";
     ]
     keys;
   let dump = Metrics.dump m in
