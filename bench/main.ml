@@ -721,6 +721,58 @@ module Regex = Ppfx_regex.Regex
    [Engine.plan_stats] snapshots, divided by the executions run. Regex cache
    hits/misses are deltas around the prepare — compiled patterns are
    shared across prepares, so every configuration after the first hits. *)
+(* Q9/Q10/Q11 are the order-axis queries (preceding-sibling, following
+   and preceding) and Q21 a descendant containment window: Dewey range
+   joins served by per-binding index range scans. Q6, XE1 (contains) and
+   XE2 (starts-with) carry value/path regexes: the reduction resolves the
+   path ones at plan time, and the rest run as residual frozen-DFA
+   filters. *)
+let engine_queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q11"; "Q21"; "XE1"; "XE2" ]
+
+(* A fixed 96k-element point (items_per_region 200), whatever --small
+   says: the warm full-optimizer plans of the engine queries on a
+   document large enough that per-row work — DISTINCT, the partition
+   merge — dominates the execution. Q3 is ROADMAP item 2's yardstick. *)
+let engine_point_scale = 200
+
+let engine_point () =
+  let doc = Doc.of_tree (Xmark.generate ~items_per_region:engine_point_scale ()) in
+  let store = Loader.shred (Xmark.schema ()) doc in
+  let db = store.Loader.db in
+  let tr = Translate.create store.Loader.mapping in
+  let dataset = Printf.sprintf "XMark (%d elements)" (Doc.size doc) in
+  Printf.printf "\n%s — warm full plans, median of %d batches\n" dataset (max 1 config.reps);
+  Printf.printf "%-5s %7s %10s %10s %10s  %s\n" "query" "#nodes" "exec ms" "p10 ms" "p90 ms"
+    "distinct";
+  List.iter
+    (fun qname ->
+      match Translate.translate tr (Xparser.parse (Xmark.query qname)) with
+      | None -> ()
+      | Some stmt ->
+        let plan = Engine.prepare db stmt in
+        let nodes = ref 0 in
+        let timing =
+          time_batched (fun () ->
+              nodes := List.length (Translate.result_ids (Engine.run_plan plan)))
+        in
+        let mode =
+          match Engine.plan_distinct plan with
+          | Some `Elided -> "elided"
+          | Some `Hash -> "hash"
+          | Some `Rows -> "rows"
+          | None -> "none"
+        in
+        record ~dataset ~query:qname ~engine:"full" ~nodes:!nodes ~seconds:timing.b_med
+          ~extra:
+            (Printf.sprintf
+               "\"p10_seconds\":%.9f,\"p90_seconds\":%.9f,\"execs\":%d,\"distinct\":\"%s\""
+               timing.b_p10 timing.b_p90 timing.b_runs mode)
+          ();
+        Printf.printf "%-5s %7d %10.3f %10.3f %10.3f  %s\n" qname !nodes
+          (1e3 *. timing.b_med) (1e3 *. timing.b_p10) (1e3 *. timing.b_p90) mode;
+        flush stdout)
+    engine_queries
+
 let engine_bench () =
   current_section := "engine";
   print_endline
@@ -737,13 +789,7 @@ let engine_bench () =
       "full", Engine.default_opts;
     ]
   in
-  (* Q9/Q10/Q11 are the order-axis queries (preceding-sibling, following
-     and preceding) and Q21 a descendant containment window: Dewey range
-     joins served by per-binding index range scans. Q6, XE1 (contains)
-     and XE2 (starts-with) carry value/path regexes: the reduction
-     resolves the path ones at plan time, and the rest run as residual
-     frozen-DFA filters. *)
-  let queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q11"; "Q21"; "XE1"; "XE2" ] in
+  let queries = engine_queries in
   Printf.printf "\n%s — warm prepared plans, median of %d batches of >= %.0f ms each\n"
     st.label (max 1 config.reps) (1e3 *. min_batch_s);
   Printf.printf "%-5s %-12s %7s %10s %11s %12s %12s %10s\n" "query" "plan" "#nodes"
@@ -856,7 +902,22 @@ let engine_bench () =
   Printf.printf "regex compile cache: %d entries, %d hits, %d misses overall\n"
     (Regex.cache_size ()) (Regex.cache_hits ()) (Regex.cache_misses ());
   Printf.printf "partition pruning nonzero on a path-filter query: %b\n"
-    (!warm_pruned > 0)
+    (!warm_pruned > 0);
+  (* How each XMark query's final DISTINCT removes duplicates: elided by
+     a key proof, hashed on the projected key, or a set of whole rows. *)
+  let xmark = Xmark.queries @ Xmark.extension_queries in
+  let modes =
+    List.filter_map
+      (fun (_, q) ->
+        Option.bind (Translate.translate tr (Xparser.parse q)) (fun stmt ->
+            Engine.plan_distinct (Engine.prepare db stmt)))
+      xmark
+  in
+  let count m = List.length (List.filter (( = ) m) modes) in
+  Printf.printf
+    "distinct modes over the %d XMark queries: elided %d, hash %d, rows %d; none uses rows: %b\n"
+    (List.length xmark) (count `Elided) (count `Hash) (count `Rows) (count `Rows = 0);
+  engine_point ()
 
 (* ------------------------------------------------------------------ *)
 (* Net: the wire-protocol server under open-loop load                  *)

@@ -303,6 +303,31 @@ let range t ~lo ~hi =
 
 let find_equal t key = range t ~lo:(Some { key; inclusive = true }) ~hi:(Some { key; inclusive = true })
 
+(* Index of the first entry in [arr] whose first component is >= [v]. No
+   closure and no key array: the declared-key check runs this on every
+   insert. *)
+let lower_bound_first (arr : entry array) v =
+  let lo = ref 0 and hi = ref (Array.length arr) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Value.compare_total arr.(mid).(0) v < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let rec first_leaf node v =
+  match node with
+  | Leaf leaf -> leaf
+  | Internal inode -> first_leaf inode.children.(lower_bound_first inode.seps v) v
+
+let rec first_in_leaf leaf v =
+  let i = lower_bound_first leaf.entries v in
+  if i < Array.length leaf.entries then
+    let e = leaf.entries.(i) in
+    if Value.compare_total e.(0) v = 0 then Some (row_of e) else None
+  else match leaf.next with Some next -> first_in_leaf next v | None -> None
+
+let find_first t v = first_in_leaf (first_leaf t.root v) v
+
 let iter f t =
   let rec walk leaf =
     Array.iter

@@ -43,6 +43,10 @@ val find_equal : t -> Value.t array -> int list
 (** Row ids of entries whose leading components equal the given (possibly
     partial) key. *)
 
+val find_first : t -> Value.t -> int option
+(** The row id of the first entry (in key order, ties by row id) whose
+    first component equals the value: one descent, no scan. *)
+
 val iter : (Value.t array -> int -> unit) -> t -> unit
 (** In key order. *)
 

@@ -3,9 +3,10 @@ exception Corrupt of string
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
 
 (* DB2 added the partition-spec bytes after the column list; DB3 appended
-   a content-index spec after the btree index list, which DB4 drops again.
-   Older files are not readable. *)
-let magic = "PPFXDB4"
+   a content-index spec after the btree index list, which DB4 drops again;
+   DB5 appends the declared key columns after the index list. Older files
+   are not readable. *)
+let magic = "PPFXDB5"
 
 (* --- byte sinks and sources ----------------------------------------- *)
 
@@ -161,7 +162,10 @@ let write_table sk table =
     (fun (cols, _) ->
       write_varint sk (List.length cols);
       List.iter (write_string sk) cols)
-    indexes
+    indexes;
+  let keys = Table.keys table in
+  write_varint sk (List.length keys);
+  List.iter (write_string sk) keys
 
 let read_table db src =
   let name = read_string src in
@@ -207,6 +211,13 @@ let read_table db src =
           corrupt "table %s: index on unknown column %s" name c)
       cols;
     Table.create_index table cols
+  done;
+  let nkeys = read_varint src in
+  if nkeys < 0 then corrupt "table %s has negative key count" name;
+  for _ = 1 to nkeys do
+    let c = read_string src in
+    if not (has_column c) then corrupt "table %s: key on unknown column %s" name c;
+    Table.create_key table c
   done
 
 let write_database_sink sk db =

@@ -115,13 +115,44 @@ type fp_entry = { mutable fe_version : int; mutable fe_dep : fp_dep }
    on [hp_col] (once, lazily, cached on the plan — sound under the same
    epoch guard that protects memoized EXISTS state), then probe it with
    the bound key expression per outer binding. *)
+(* A typed canonical join key (see {!canon_key}). *)
+type key = Kint of int | Kfloat of float | Kstr of string
+
+(* How the two sides of a hashed equality compare, from their static
+   types: [`Int] both INTEGER (exact integer equality), [`Num] numeric
+   with a FLOAT side (equality after conversion to float), [`Str] both
+   strings or raw bytes. *)
+type key_kind = [ `Int | `Num | `Str ]
+
+let key_equal a b =
+  match a, b with
+  | Kint x, Kint y -> Int.equal x y
+  | Kfloat x, Kfloat y -> Float.equal x y
+  | Kstr x, Kstr y -> String.equal x y
+  | (Kint _ | Kfloat _ | Kstr _), _ -> false
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_equal
+  let hash = Hashtbl.hash
+end)
+
+(* Key tuples of a decorrelated EXISTS. *)
+module Keys_tbl = Hashtbl.Make (struct
+  type t = key list
+
+  let equal = List.equal key_equal
+  let hash = Hashtbl.hash
+end)
+
 type hash_probe = {
   hp_table : Table.t;
   hp_col : string;
   hp_idx : int;
-  hp_kind : [ `Str | `Num ];
+  hp_kind : key_kind;
   hp_key : value_fn;
-  hp_build : (string, int list) Hashtbl.t option ref;
+  hp_build : int list Key_tbl.t option ref;
 }
 
 (* A pruned partition scan: the step's table is physically partitioned on
@@ -197,13 +228,26 @@ type sub_shape =
   | Semijoin of int  (* decorrelated: key tuples hashed once, probed per binding *)
   | Per_binding  (* correlated: executed per outer binding, early exit *)
 
+(* How a select removes duplicate rows, fixed at plan time (see
+   {!dedup_of}). *)
+type dedup =
+  | Keep_all  (* no DISTINCT, or a sub-plan whose caller ignores it *)
+  | Key_elided  (* declared keys prove every row distinct *)
+  | Key_hash of int * string
+      (* hash set on the INTEGER key at this projection ordinal; the
+         label names it ("alias.col") *)
+  | Row_set  (* tree set over whole rows *)
+
 type planned = {
   pl_ctx : ctx;
   pl_env : int;
   pl_pre : pred_fn list;
   pl_steps : step list;
   pl_project : (value_fn * string) list;
-  pl_distinct : bool;
+  pl_dedup : dedup;
+  pl_key : int option;
+      (* ordinal of the projected declared key when every projection
+         reads one alias (see {!projected_key}); UNION hashes on it *)
   pl_order_by : value_fn list;
   pl_order_preserved : bool;
       (* the pipeline provably emits rows nondecreasing on [pl_order_by],
@@ -293,21 +337,46 @@ let rec static_ty ctx = function
   | Sql.Regexp_like _ | Sql.Exists _ | Sql.Is_not_null _ | Sql.Bool_const _ ->
     None
 
+(* The key kind of an equality between expressions of these static
+   types, or [None] when the types do not hash consistently. *)
+let key_kind_of a b : key_kind option =
+  match a, b with
+  | Value.Tint, Value.Tint -> Some `Int
+  | (Value.Tint | Value.Tfloat), (Value.Tint | Value.Tfloat) -> Some `Num
+  | (Value.Tstr | Value.Tbin), (Value.Tstr | Value.Tbin) -> Some `Str
+  | (Value.Tstr | Value.Tbin), (Value.Tint | Value.Tfloat)
+  | (Value.Tint | Value.Tfloat), (Value.Tstr | Value.Tbin) ->
+    None
+
+(* A number as a key: integral values become [Kint], so [3 = 3.0] and
+   [-0.0 = 0.0] meet in one bucket; the rest (NaN included) stay
+   [Kfloat], whose equality is [Float.equal] — {!Value.compare_sql}'s. *)
+let num_key f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then Kint (int_of_float f) else Kfloat f
+
 (* Canonical hash key for a value under a kind — shared by the hash-join
-   operator and EXISTS decorrelation. Complete w.r.t. {!Value.compare_sql}
-   on the gated type combinations: values equal under three-valued SQL
-   comparison canonicalize to the same key, so a hash lookup can never
-   miss a row the join would produce. [-0.] is folded into [0.] because
-   the two compare equal but print differently. *)
-let canon_key kind v =
+   operator and EXISTS decorrelation. Exact w.r.t. {!Value.compare_sql}
+   on the gated type combinations: two values get equal keys exactly
+   when they compare equal, so a hash lookup neither misses a row the
+   join would produce nor admits one it would not. Integers compared
+   with integers keep every bit; compared with floats they go through
+   [float_of_int], as the comparison does. [Str] and [Bin] share one
+   string key; NULL has none. *)
+let canon_key (kind : key_kind) v =
   match kind, v with
   | _, Value.Null -> None
-  | `Str, (Value.Str s | Value.Bin s) -> Some s
+  | `Str, (Value.Str s | Value.Bin s) -> Some (Kstr s)
   | `Str, (Value.Int _ | Value.Float _) -> None
-  | `Num, v ->
-    (match Value.to_float v with
-     | Some f -> Some (if f = 0.0 then "0." else string_of_float f)
-     | None -> None)
+  | `Int, Value.Int i -> Some (Kint i)
+  | `Num, Value.Int i -> Some (num_key (float_of_int i))
+  | (`Int | `Num), Value.Float f -> Some (num_key f)
+  | (`Int | `Num), (Value.Str _ | Value.Bin _) -> Option.map num_key (Value.to_float v)
+
+(* Estimated resident bytes of a key as a hashtable bucket entry. *)
+let key_bytes = function
+  | Kint _ -> 16
+  | Kfloat _ -> 24
+  | Kstr s -> 24 + String.length s
 
 
 (* First column of the index backed by [tree] in [table], if any. *)
@@ -504,48 +573,7 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
     counters.partitions_scanned <- counters.partitions_scanned + Array.length ps.ps_keys;
     counters.partitions_pruned <-
       counters.partitions_pruned + max 0 (ps.ps_total - Array.length ps.ps_keys);
-    let n = Array.length ps.ps_keys in
-    if n = 1 then begin
-      let ids, len = Table.partition_view ps.ps_table ps.ps_keys.(0) in
-      for j = 0 to len - 1 do
-        f ids.(j)
-      done
-    end
-    else if n > 1 then begin
-      (* K-way merge of the matched segments on (sort bytes, id): each
-         segment is already sorted, so emission is globally ascending on
-         the sort column. Linear min pick — k is the matched path count,
-         small in practice. *)
-      let seg_ids = Array.map (fun k -> fst (Table.partition_view ps.ps_table k)) ps.ps_keys in
-      let seg_len = Array.map (fun k -> snd (Table.partition_view ps.ps_table k)) ps.ps_keys in
-      let cur = Array.make n 0 in
-      let sort_key id = (Table.row ps.ps_table id).(ps.ps_sort_idx) in
-      let continue_ = ref true in
-      while !continue_ do
-        let best = ref (-1) in
-        let best_id = ref 0 in
-        for j = 0 to n - 1 do
-          if cur.(j) < seg_len.(j) then begin
-            let id = seg_ids.(j).(cur.(j)) in
-            if
-              !best < 0
-              ||
-              match Value.compare_total (sort_key id) (sort_key !best_id) with
-              | 0 -> id < !best_id
-              | c -> c < 0
-            then begin
-              best := j;
-              best_id := id
-            end
-          end
-        done;
-        if !best < 0 then continue_ := false
-        else begin
-          f !best_id;
-          cur.(!best) <- cur.(!best) + 1
-        end
-      done
-    end
+    Table.iter_merged f ps.ps_table ps.ps_keys
   | `Index_order tree ->
     (* Full walk of an index in key order: same rows as a scan (every
        row appears in every index exactly once), different order. Used
@@ -597,22 +625,22 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
       | Some t -> t
       | None ->
         counters.hash_builds <- counters.hash_builds + 1;
-        let t = Hashtbl.create (max 16 (Table.live_count hp.hp_table)) in
+        let t = Key_tbl.create (max 16 (Table.live_count hp.hp_table)) in
         Table.iter_rows
           (fun id row ->
             counters.rows_scanned <- counters.rows_scanned + 1;
             match canon_key hp.hp_kind row.(hp.hp_idx) with
             | Some k ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt t k) in
-              Hashtbl.replace t k (id :: prev)
+              let prev = Option.value ~default:[] (Key_tbl.find_opt t k) in
+              Key_tbl.replace t k (id :: prev)
             | None -> ())
           hp.hp_table;
         (* Reverse each bucket so probes emit row ids in ascending order —
            the same order a scan-plus-filter of this table would produce. *)
-        Hashtbl.filter_map_inplace (fun _ ids -> Some (List.rev ids)) t;
+        Key_tbl.filter_map_inplace (fun _ ids -> Some (List.rev ids)) t;
         let bytes =
-          Hashtbl.fold
-            (fun k ids acc -> acc + String.length k + 48 + (24 * List.length ids))
+          Key_tbl.fold
+            (fun k ids acc -> acc + key_bytes k + 48 + (24 * List.length ids))
             t 64
         in
         counters.peak_bytes <- counters.peak_bytes + bytes;
@@ -623,7 +651,7 @@ let iter_access counters table (access : access) (bind : binding) (f : int -> un
     (match canon_key hp.hp_kind (hp.hp_key bind) with
      | None -> ()
      | Some k ->
-       (match Hashtbl.find_opt build k with
+       (match Key_tbl.find_opt build k with
         | Some ids -> List.iter f ids
         | None -> ()))
 
@@ -687,7 +715,7 @@ let run_planned p outer emit =
    EXPLAIN prints the shape the executor runs. *)
 let exists_shape ctx (sel : Sql.select) :
     [ `Uncorrelated of Sql.select
-    | `Semijoin of (Sql.expr * Sql.expr) list * [ `Str | `Num ] list * Sql.select
+    | `Semijoin of (Sql.expr * Sql.expr) list * key_kind list * Sql.select
     | `Correlated ] =
   let outer_aliases = Array.to_list (Array.map fst ctx.slots) in
   let local_names = List.map snd sel.Sql.from in
@@ -739,9 +767,8 @@ let exists_shape ctx (sel : Sql.select) :
           }
         in
         match static_ty ctx outer_e, static_ty inner_ctx inner_e with
-        | Some (Value.Tstr | Value.Tbin), Some (Value.Tstr | Value.Tbin) -> Some `Str
-        | Some (Value.Tint | Value.Tfloat), Some (Value.Tint | Value.Tfloat) -> Some `Num
-        | _ -> None
+        | Some a, Some b -> key_kind_of a b
+        | None, _ | _, None -> None
       in
       let kinds = List.map key_kind pairs in
       if List.exists (fun k -> k = None) kinds then `Correlated
@@ -772,6 +799,88 @@ let exists_shape ctx (sel : Sql.select) :
         else `Semijoin (pairs, kinds, inner_sel)
       end
     end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Key-aware DISTINCT                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether [k] is an INTEGER key [table] declares. *)
+let int_key table k = List.mem k (Table.keys table) && Table.column_ty table k = Some Value.Tint
+
+(* The projected declared key of [sel] over its FROM list [locals]: when
+   every projection reads only one local alias X and one of them is X.k
+   for an INTEGER key k that X's table declares ({!Table.create_key}),
+   [Some (ordinal, X, k)]. Two bindings with equal X.k then bind the
+   same X row, so they project equal rows. *)
+let projected_key (sel : Sql.select) locals =
+  match
+    List.sort_uniq String.compare
+      (List.concat_map (fun (e, _) -> Sql.free_aliases e) sel.Sql.projections)
+  with
+  | [ x ] ->
+    (match List.assoc_opt x locals with
+     | None -> None
+     | Some table ->
+       let rec find i = function
+         | [] -> None
+         | (Sql.Col (a, k), _) :: _ when String.equal a x && int_key table k -> Some (i, x, k)
+         | _ :: rest -> find (i + 1) rest
+       in
+       find 0 sel.Sql.projections)
+  | _ -> None
+
+(* Whether the rows of alias [x] determine every other FROM alias of
+   [sel]. The determined set grows through top-level conjuncts
+   [Y.k = e] where k is an INTEGER key Y's table declares and e is an
+   INTEGER expression over determined aliases: given those, at most one
+   Y row joins ([paths.id] through a fact's [path_id], a parent's [id]
+   through a child's fk). Aliases of EXISTS sub-selects are not in the
+   FROM list and never multiply rows. When every alias is determined,
+   each X row occurs in at most one binding. *)
+let key_determines ctx (sel : Sql.select) locals x =
+  let conjuncts = match sel.Sql.where with None -> [] | Some w -> Sql.conjuncts w in
+  let scope = { ctx with slots = Array.append ctx.slots (Array.of_list locals) } in
+  let rec grow det =
+    let known a = List.mem a det || not (List.mem_assoc a locals) in
+    let keyed y k e =
+      (not (known y))
+      && int_key (List.assoc y locals) k
+      && List.for_all known (Sql.free_aliases e)
+      && static_ty scope e = Some Value.Tint
+    in
+    match
+      List.find_map
+        (function
+          | Sql.Cmp (Sql.Eq, Sql.Col (y, k), e) when keyed y k e -> Some y
+          | Sql.Cmp (Sql.Eq, e, Sql.Col (y, k)) when keyed y k e -> Some y
+          | _ -> None)
+        conjuncts
+    with
+    | Some y -> grow (y :: det)
+    | None -> det
+  in
+  let det = grow [ x ] in
+  List.for_all (fun (a, _) -> List.mem a det) locals
+
+(* The select's duplicate elimination and projected key. Only a
+   top-level select ([ctx] has no outer slots) runs its DISTINCT; EXISTS
+   and COUNT sub-plans only test or count bindings. The naive executor
+   keeps the row set, so it stays an independent oracle. *)
+let dedup_of ctx (sel : Sql.select) locals =
+  if Array.length ctx.slots > 0 then None, Keep_all
+  else begin
+    let key = projected_key sel locals in
+    let dedup =
+      if not sel.Sql.distinct then Keep_all
+      else if ctx.naive then Row_set
+      else
+        match key with
+        | None -> Row_set
+        | Some (i, x, k) ->
+          if key_determines ctx sel locals x then Key_elided else Key_hash (i, x ^ "." ^ k)
+    in
+    Option.map (fun (i, _, _) -> i) key, dedup
   end
 
 let rec compile_value ctx (e : Sql.expr) : value_fn =
@@ -904,6 +1013,7 @@ and plan_select ctx (sel : Sql.select) : planned =
       if Hashtbl.mem seen alias then error "duplicate alias %s in FROM" alias;
       Hashtbl.add seen alias ())
     local_aliases;
+  let key, dedup = dedup_of ctx sel local_aliases in
   let conjuncts = match sel.Sql.where with None -> [] | Some w -> Sql.conjuncts w in
   (* The semi-join reduction runs before slot assignment: it may remove
      aliases from the FROM list entirely. *)
@@ -1187,7 +1297,8 @@ and plan_select ctx (sel : Sql.select) : planned =
     pl_pre = pre_filters;
     pl_steps = steps;
     pl_project = projections;
-    pl_distinct = sel.Sql.distinct;
+    pl_dedup = dedup;
+    pl_key = key;
     pl_order_by = order_by;
     pl_order_preserved = order_preserved;
     pl_total = Array.length ctx.slots;
@@ -1400,14 +1511,6 @@ and choose_access ctx ~table ~alias ~bound ~probes conjuncts : access =
           else
           match Table.column_index table col, Table.column_ty table col, static_ty ctx e with
           | Some idx, Some bty, Some pty ->
-            let kind =
-              match bty, pty with
-              | (Value.Tstr | Value.Tbin), (Value.Tstr | Value.Tbin) -> Some `Str
-              | (Value.Tint | Value.Tfloat), (Value.Tint | Value.Tfloat) -> Some `Num
-              | (Value.Tstr | Value.Tbin), (Value.Tint | Value.Tfloat)
-              | (Value.Tint | Value.Tfloat), (Value.Tstr | Value.Tbin) ->
-                None
-            in
             Option.map
               (fun kind ->
                 {
@@ -1418,7 +1521,7 @@ and choose_access ctx ~table ~alias ~bound ~probes conjuncts : access =
                   hp_key = compile_value ctx e;
                   hp_build = ref None;
                 })
-              kind
+              (key_kind_of bty pty)
           | _, _, _ -> None)
         equalities
     else None
@@ -1470,28 +1573,35 @@ and compile_exists ctx (sel : Sql.select) : pred_fn =
   | `Semijoin (pairs, kinds, inner_sel) ->
     let p = sub (Semijoin (List.length pairs)) inner_sel in
     let outer_fns = List.map (fun (o, _) -> compile_value ctx o) pairs in
+    let inner_fns = List.map fst p.pl_project in
+    (* The key tuple of a binding; [None] when a component is NULL, which
+       equals nothing. *)
+    let rec keys_of kinds fns b =
+      match kinds, fns with
+      | kind :: kinds, fn :: fns ->
+        (match canon_key kind (fn b) with
+         | None -> None
+         | Some k -> Option.map (fun ks -> k :: ks) (keys_of kinds fns b))
+      | _ -> Some []
+    in
     let table = ref None in
     let build outer =
       match !table with
       | Some t -> t
       | None ->
-        let t = Hashtbl.create 1024 in
+        let t = Keys_tbl.create 1024 in
         (* The inner query sees no outer slots it depends on; pass
            the current binding anyway (harmless). *)
         run_planned p outer (fun b ->
-            let key = List.map2 (fun kind (fn, _) -> canon_key kind (fn b)) kinds p.pl_project in
-            if List.for_all Option.is_some key then
-              Hashtbl.replace t (List.map Option.get key) ());
+            Option.iter (fun k -> Keys_tbl.replace t k ()) (keys_of kinds inner_fns b));
         table := Some t;
         t
     in
     fun outer ->
       let t = build outer in
-      let key =
-        List.map2 (fun kind fn -> canon_key kind (fn outer)) kinds outer_fns
-      in
-      if List.exists Option.is_none key then Some false
-      else Some (Hashtbl.mem t (List.map Option.get key))
+      match keys_of kinds outer_fns outer with
+      | None -> Some false
+      | Some k -> Some (Keys_tbl.mem t k)
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -1523,20 +1633,42 @@ let first_occurrences row_of items =
       (not (Row_set.mem row !seen)) && (seen := Row_set.add row !seen; true))
     items
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* {!first_occurrences} through a hash set on the integer at ordinal [i]:
+   rows with equal keys are still compared whole, so the result is the
+   same for any rows, and one comparison settles a duplicate when equal
+   keys mean equal rows (a declared key of the one projected alias). *)
+let first_by_key i row_of items =
+  let seen = Int_tbl.create (max 16 (List.length items)) in
+  List.filter
+    (fun item ->
+      let row = row_of item in
+      let k = match row.(i) with Value.Int k -> k | v -> Hashtbl.hash v in
+      (not (List.exists (fun r -> compare_rows r row = 0) (Int_tbl.find_all seen k)))
+      && (Int_tbl.add seen k row; true))
+    items
+
+let dedup_rows dedup row_of rows =
+  match dedup with
+  | Keep_all | Key_elided -> rows
+  | Key_hash (i, _) -> first_by_key i row_of rows
+  | Row_set -> first_occurrences row_of rows
+
 (* DISTINCT / ORDER BY tail for one select's emitted
    (sort keys, projected row) pairs, in emission order. DISTINCT keeps
    the first occurrence of each row. When the plan proved it emits rows
    nondecreasing on the sort keys ([pl_order_preserved]), the stable
    sort would be the identity and is skipped. *)
 let finalize_select p rows =
-  let rows = if p.pl_distinct then first_occurrences snd rows else rows in
+  let rows = dedup_rows p.pl_dedup snd rows in
   if p.pl_order_by = [] || p.pl_order_preserved then rows
   else List.stable_sort (fun (ka, _) (kb, _) -> compare_rows ka kb) rows
 
 (* UNION tail: distinct over whole rows (first occurrence wins), then
    ORDER BY the given projection ordinals. *)
-let finalize_union order_cols all =
-  let rows = first_occurrences Fun.id all in
+let finalize_union dedup order_cols all =
+  let rows = dedup_rows dedup Fun.id all in
   if order_cols = [] then rows
   else
     List.stable_sort
@@ -1558,12 +1690,14 @@ let finalize_union order_cols all =
    one-shot entry points execute immediately). *)
 let compile_select ctx (sel : Sql.select) =
   let p = plan_select ctx sel in
+  let project = Array.of_list (List.map fst p.pl_project) in
+  let sort_keys = if p.pl_order_preserved then [||] else Array.of_list p.pl_order_by in
   ( p,
     fun () ->
       let out = ref [] in
       run_planned p [||] (fun b ->
-          let row = Array.of_list (List.map (fun (fn, _) -> fn b) p.pl_project) in
-          let keys = Array.of_list (List.map (fun fn -> fn b) p.pl_order_by) in
+          let row = Array.map (fun fn -> fn b) project in
+          let keys = Array.map (fun fn -> fn b) sort_keys in
           out := (keys, row) :: !out);
       let rows = finalize_select p (List.rev !out) in
       { columns = List.map snd sel.Sql.projections; rows = List.map snd rows } )
@@ -1579,7 +1713,7 @@ let compile_select ctx (sel : Sql.select) =
 type plan = {
   plan_db : Database.t;
   mutable plan_epoch : int;
-  plan_tree : [ `Select of planned | `Union of planned list ];
+  plan_tree : [ `Select of planned | `Union of planned list * dedup ];
   plan_exec : unit -> result;
   plan_ctx : ctx;
 }
@@ -1631,10 +1765,19 @@ let compile ~naive ~opts db stmt =
           List.map snd first.Sql.projections
       in
       let compiled = List.map (compile_select ctx) branches in
-      ( `Union (List.map fst compiled),
+      (* UNION is distinct. When every branch projects its declared key
+         at one ordinal, hash on it; ids of different tables may
+         coincide, which {!first_by_key}'s whole-row check absorbs. *)
+      let dedup =
+        match List.map (fun (p, _) -> p.pl_key) compiled with
+        | Some i :: rest when (not naive) && List.for_all (( = ) (Some i)) rest ->
+          Key_hash (i, List.nth columns i)
+        | _ -> Row_set
+      in
+      ( `Union (List.map fst compiled, dedup),
         fun () ->
           let all = List.concat_map (fun (_, run) -> (run ()).rows) compiled in
-          { columns; rows = finalize_union order_cols all } )
+          { columns; rows = finalize_union dedup order_cols all } )
   in
   { plan_db = db; plan_epoch = Database.epoch db; plan_tree = tree; plan_exec = exec; plan_ctx = ctx }
 
@@ -1732,6 +1875,23 @@ let access_label : access -> string = function
       (ps.ps_total - Array.length ps.ps_keys)
       ps.ps_rows
 
+let dedup_label = function
+  | Keep_all -> None
+  | Key_elided -> Some "elided (key)"
+  | Key_hash (_, key) -> Some (Printf.sprintf "hash (%s)" key)
+  | Row_set -> Some "rows"
+
+let plan_distinct plan =
+  let mode = function
+    | Keep_all -> None
+    | Key_elided -> Some `Elided
+    | Key_hash _ -> Some `Hash
+    | Row_set -> Some `Rows
+  in
+  match plan.plan_tree with
+  | `Select p -> mode p.pl_dedup
+  | `Union (_, dedup) -> mode dedup
+
 let step_profile p st =
   {
     table = Table.name st.st_table;
@@ -1758,7 +1918,7 @@ let walk_plan ~line ~step plan =
     if p.pl_pre <> [] then
       line indent (Printf.sprintf "constant filters: %d" (List.length p.pl_pre));
     List.iter (step indent p) p.pl_steps;
-    if p.pl_distinct then line indent "distinct";
+    Option.iter (fun l -> line indent ("distinct: " ^ l)) (dedup_label p.pl_dedup);
     if p.pl_order_by <> [] then
       line indent
         (if p.pl_order_preserved then
@@ -1778,12 +1938,13 @@ let walk_plan ~line ~step plan =
   in
   match plan.plan_tree with
   | `Select p -> select "" p
-  | `Union ps ->
+  | `Union (ps, dedup) ->
     List.iteri
       (fun i p ->
         line "" (Printf.sprintf "union branch %d:" i);
         select "  " p)
-      ps
+      ps;
+    Option.iter (fun l -> line "" ("union distinct: " ^ l)) (dedup_label dedup)
 
 let render ~analyze plan =
   let buf = Buffer.create 256 in

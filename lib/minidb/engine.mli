@@ -7,14 +7,20 @@
     range scan (the Dewey structural joins of paper Section 4.2, order
     axes and containment alike — [d > a || 0xFF], [d < a],
     [d BETWEEN a AND a || 0xFF] — become per-outer-row index range scans
-    or prefix lookups), a pruned partition scan, a hash join for
+    or prefix lookups), a pruned partition scan (a heap merge of the
+    matched path partitions' Dewey-sorted segments), a hash join for
     equijoins with no usable index, a memoized hash semi-join for
     decorrelated [EXISTS], or a full scan. All conjuncts are re-checked
     as residual filters, so access-path choice can never change results,
     only speed. When the chosen pipeline already emits rows in the
     requested ORDER BY order (the outermost step walks an index, or
     partition segments, sorted on the single sort column), the final
-    stable sort is elided (EXPLAIN: [order: preserved]).
+    stable sort is elided (EXPLAIN: [order: preserved]). When declared
+    keys prove a [SELECT DISTINCT]'s rows distinct, DISTINCT is elided;
+    otherwise it hashes on the projected key where there is one (see
+    {!explain}). Hash joins and decorrelated [EXISTS] key on typed
+    canonical values: integral numbers as integers, other numbers as
+    floats, [VARCHAR] and [RAW] as one string key, NULL as none.
 
     Before any of that, an optimizer pass performs {e path-filter
     semi-join reduction}: a dimension alias whose only uses are an
@@ -186,6 +192,10 @@ val run_plan : plan -> result
     what changed ({!plan_compatible} is false); callers are expected to
     re-{!prepare}. *)
 
+val plan_distinct : plan -> [ `Elided | `Hash | `Rows ] option
+(** How the statement's final DISTINCT (a UNION's, for a union) removes
+    duplicates, as EXPLAIN labels it; [None] without DISTINCT. *)
+
 val plan_stats : plan -> exec_stats
 (** Cumulative counters for this plan: planning work plus every
     {!run_plan} so far. Snapshot before and after an execution and
@@ -203,9 +213,22 @@ val plan_stats : plan -> exec_stats
 val explain : ?opts:opts -> Database.t -> Sql.statement -> string
 (** Human-readable plan of {!prepare}: applied semi-join reductions
     first, then one line per step with its access path ([hash join],
-    [partition scan] and pathid set probes included). EXISTS
-    sub-plans follow, indented, annotated with how the executor treats
-    them (uncorrelated / decorrelated semi-join / correlated). *)
+    [partition scan] and pathid set probes included), then how a
+    [SELECT DISTINCT] removes duplicates:
+    - [distinct: elided (key)] — every projection reads one alias X, X's
+      declared key ({!Table.create_key}) is projected, and every other
+      FROM alias joins on its own declared key through X (a parent's [id]
+      through a child's fk, [paths.id] through [path_id]), so each X row
+      occurs once and no duplicate can arise;
+    - [distinct: hash (X.id)] — the same projection, but a join may repeat
+      X rows (an ancestor step, an order axis): a hash set on the
+      projected integer key;
+    - [distinct: rows] — no projected key: a tree set over whole rows.
+    A [UNION] prints its branches, then [union distinct: hash (col)] when
+    every branch projects its declared key at column [col], else
+    [union distinct: rows]. EXISTS sub-plans follow, indented, annotated
+    with how the executor treats them (uncorrelated / decorrelated
+    semi-join / correlated). *)
 
 type step_profile = {
   table : string;

@@ -22,6 +22,8 @@ type t = {
   mutable row_count : int;
   mutable indexes : (string list * int array * Btree.t) list;
       (** (columns, column positions, tree) *)
+  mutable keys : (string * int * Btree.t) list;
+      (** declared keys: (column, position, the column's index) *)
   mutable distinct_cache : (string * (int * int)) list;
       (** column -> (row count at computation, distinct estimate) *)
   mutable version : int;
@@ -72,6 +74,7 @@ let create ?partition ~name ~(columns : column list) () =
     rows = [||];
     row_count = 0;
     indexes = [];
+    keys = [];
     distinct_cache = [];
     version = 0;
     partitioning;
@@ -190,6 +193,26 @@ let type_ok ty v =
     true
   | (Value.Int _ | Value.Float _ | Value.Str _ | Value.Bin _), _ -> false
 
+(* A declared key admits no NULL and no value another live row holds
+   ([self] is the row being rewritten, -1 on insert). Runs on every
+   insert, so it allocates nothing on the common path. *)
+let rec check_keys t op self values = function
+  | [] -> ()
+  | (col, pos, tree) :: rest ->
+    let v = values.(pos) in
+    (* The key is unique, so the first entry is the only one. *)
+    let taken =
+      match v with
+      | Value.Null -> true
+      | _ -> (match Btree.find_first tree v with None -> false | Some id -> id <> self)
+    in
+    if taken then
+      invalid_arg
+        (Printf.sprintf "Table.%s(%s): %s key %s %s" op t.name
+           (match v with Value.Null -> "NULL" | _ -> "duplicate")
+           col (Value.to_string v));
+    check_keys t op self values rest
+
 let insert t values =
   if Array.length values <> Array.length t.columns then
     invalid_arg
@@ -203,6 +226,7 @@ let insert t values =
              t.name (Value.to_string v) t.columns.(i).name
              (Format.asprintf "%a" Value.pp_ty t.columns.(i).ty)))
     values;
+  check_keys t "insert" (-1) values t.keys;
   if t.row_count = Array.length t.rows then begin
     let cap = max 16 (2 * Array.length t.rows) in
     let bigger = Array.make cap [||] in
@@ -251,6 +275,7 @@ let update t id values =
                t.name (Value.to_string v) t.columns.(i).name
                (Format.asprintf "%a" Value.pp_ty t.columns.(i).ty)))
       values;
+    check_keys t "update" id values t.keys;
     let old_values = t.rows.(id) in
     List.iter
       (fun (_, positions, tree) ->
@@ -321,6 +346,35 @@ let index_on t cols =
     (fun (existing, _, tree) -> if existing = cols then Some tree else None)
     t.indexes
 
+let create_key t col =
+  let pos =
+    match column_index t col with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Table.create_key(%s): no column %s" t.name col)
+  in
+  if not (List.exists (fun (c, _, _) -> String.equal c col) t.keys) then begin
+    create_index t [ col ];
+    let tree = Option.get (index_on t [ col ]) in
+    (* Key order makes duplicates adjacent. *)
+    let prev = ref None in
+    Btree.iter
+      (fun key _ ->
+        let v = key.(0) in
+        (match v, !prev with
+         | Value.Null, _ ->
+           invalid_arg (Printf.sprintf "Table.create_key(%s): NULL in key %s" t.name col)
+         | _, Some p when Value.equal p v ->
+           invalid_arg
+             (Printf.sprintf "Table.create_key(%s): duplicate key %s %s" t.name col
+                (Value.to_string v))
+         | _ -> ());
+        prev := Some v)
+      tree;
+    t.keys <- t.keys @ [ (col, pos, tree) ]
+  end
+
+let keys t = List.map (fun (c, _, _) -> c) t.keys
+
 let rec is_prefix prefix l =
   match prefix, l with
   | [], _ -> true
@@ -377,19 +431,62 @@ let partition_size t key =
   | Some pn ->
     (match Hashtbl.find_opt pn.parts key with Some p -> p.p_len | None -> 0)
 
-let partition_view t key =
+(* K-way merge of the given partitions' segments through a binary
+   min-heap of segment indices, ordered by each segment's head row on
+   (sort value, id): O(rows * log k) comparisons. *)
+let iter_merged f t keys =
   match t.partitioning with
-  | None -> [||], 0
+  | None -> ()
   | Some pn ->
-    (match Hashtbl.find_opt pn.parts key with
-     | Some p -> p.p_ids, p.p_len
-     | None -> [||], 0)
-
-let iter_partition f t key =
-  let ids, len = partition_view t key in
-  for i = 0 to len - 1 do
-    f ids.(i) t.rows.(ids.(i))
-  done
+    let segs =
+      Array.of_list
+        (List.filter_map
+           (fun k ->
+             match Hashtbl.find_opt pn.parts k with
+             | Some p when p.p_len > 0 -> Some p
+             | Some _ | None -> None)
+           (Array.to_list keys))
+    in
+    let n = Array.length segs in
+    if n = 1 then begin
+      let p = segs.(0) in
+      for j = 0 to p.p_len - 1 do
+        f p.p_ids.(j)
+      done
+    end
+    else if n > 1 then begin
+      let cur = Array.make n 0 in
+      let head s = segs.(s).p_ids.(cur.(s)) in
+      let heap = Array.init n Fun.id in
+      let size = ref n in
+      let less a b = seg_cmp t pn (head a) (head b) < 0 in
+      let rec sift_down i =
+        let l = (2 * i) + 1 in
+        if l < !size then begin
+          let r = l + 1 in
+          let m = if r < !size && less heap.(r) heap.(l) then r else l in
+          if less heap.(m) heap.(i) then begin
+            let x = heap.(i) in
+            heap.(i) <- heap.(m);
+            heap.(m) <- x;
+            sift_down m
+          end
+        end
+      in
+      for i = (n / 2) - 1 downto 0 do
+        sift_down i
+      done;
+      while !size > 0 do
+        let s = heap.(0) in
+        f (head s);
+        cur.(s) <- cur.(s) + 1;
+        if cur.(s) = segs.(s).p_len then begin
+          decr size;
+          heap.(0) <- heap.(!size)
+        end;
+        sift_down 0
+      done
+    end
 
 let check_partitions t =
   match t.partitioning with

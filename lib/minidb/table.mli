@@ -38,8 +38,9 @@ val column_ty : t -> string -> Value.ty option
 
 val insert : t -> Value.t array -> int
 (** Append a row; returns its row id. Values must match the column count;
-    non-null values must match the column types. All indexes are
-    maintained. *)
+    non-null values must match the column types, and every declared key
+    ({!create_key}) must be non-null and not held by a live row, else
+    [Invalid_argument]. All indexes are maintained. *)
 
 val delete : t -> int -> bool
 (** Tombstone a row: it disappears from every index and from
@@ -50,7 +51,9 @@ val update : t -> int -> Value.t array -> bool
 (** Rewrite a live row in place, preserving its id: indexes whose keys
     changed are maintained, statistics caches are invalidated, and the
     version is bumped. Returns false when the id is out of range or
-    tombstoned; raises [Invalid_argument] on a count or type mismatch. *)
+    tombstoned; raises [Invalid_argument] on a count or type mismatch, or
+    when the new row gives a declared key NULL or another live row's
+    value. *)
 
 val live_count : t -> int
 (** Rows minus tombstones. *)
@@ -64,6 +67,16 @@ val iter_rows : (int -> Value.t array -> unit) -> t -> unit
 val create_index : t -> string list -> unit
 (** Create (and backfill) a B+tree index on the given columns. Idempotent
     for an identical column list. *)
+
+val create_key : t -> string -> unit
+(** Declare the column a key (a primary key): no NULL, no two live rows
+    with the same value. Creates the single-column index on it if absent
+    and enforces the declaration on every later {!insert} and {!update}.
+    Raises [Invalid_argument] when the current rows already violate it.
+    The planner proves DISTINCT redundant from declared keys. Idempotent. *)
+
+val keys : t -> string list
+(** Declared key columns, in declaration order. *)
 
 val index_on : t -> string list -> Btree.t option
 (** Exact-columns index lookup. *)
@@ -92,14 +105,11 @@ val partition_keys : t -> int list
 val partition_size : t -> int -> int
 (** Live rows in the given partition (0 for absent keys). *)
 
-val partition_view : t -> int -> int array * int
-(** [(ids, len)]: the partition's live row ids in sort order occupy
-    [ids.(0 .. len-1)]. The array is the table's internal segment — do
-    not mutate, and do not hold across a write; valid under the owning
-    database's read lock. *)
-
-val iter_partition : (int -> Value.t array -> unit) -> t -> int -> unit
-(** Iterate one partition's live rows in sort order. *)
+val iter_merged : (int -> unit) -> t -> int array -> unit
+(** [iter_merged f t keys]: the live row ids of the given partitions,
+    globally ascending on (sort value, id) — a heap merge of the sorted
+    segments. Absent or empty partitions contribute nothing. Valid under
+    the owning database's read lock; [f] must not write the table. *)
 
 val check_partitions : t -> (unit, string) result
 (** Test hook: verify the segment invariant — every live row filed under

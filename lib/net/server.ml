@@ -180,6 +180,7 @@ type conn = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;  (* frame reassembly; event loop only *)
   wlock : Mutex.t;  (* serializes frame writes to [fd] *)
+  wbuf : Wire.buf;  (* frame encoding; under [wlock] *)
   stmts : (int, stmt) Hashtbl.t;  (* worker only (one in-flight request) *)
   mutable next_stmt : int;
   mutable hello_done : bool;
@@ -228,7 +229,7 @@ let respond t c resp =
     Mutex.lock c.wlock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock c.wlock)
-      (fun () -> Metrics.add_bytes_out t.metrics (Wire.send_response c.fd resp))
+      (fun () -> Metrics.add_bytes_out t.metrics (Wire.send_response_buf c.wbuf c.fd resp))
   with Unix.Unix_error _ | Wire.Codec _ ->
     locked t (fun () -> c.draining <- true)
 
@@ -537,6 +538,7 @@ let handle_accept t =
                   fd;
                   rbuf = Buffer.create 256;
                   wlock = Mutex.create ();
+                  wbuf = Wire.buf_create ();
                   stmts = Hashtbl.create 8;
                   next_stmt = 1;
                   hello_done = false;

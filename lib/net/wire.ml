@@ -125,18 +125,71 @@ type response =
     }
 
 (* ------------------------------------------------------------------ *)
+(* Frame buffers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A growable byte buffer: [b.(0 .. len-1)] is the content. One per
+   connection end, reused for every frame it sends or receives. *)
+type buf = { mutable b : Bytes.t; mutable len : int }
+
+let buf_initial = 4096
+
+(* Capacity a buffer keeps between frames; a larger one grown for an
+   oversize frame is dropped after that frame. *)
+let buf_retained = 1 lsl 18
+
+let buf_create () = { b = Bytes.create buf_initial; len = 0 }
+
+let buf_contents w = Bytes.sub_string w.b 0 w.len
+
+(* Room for [n] more bytes after [len], keeping the content. *)
+let reserve w n =
+  let need = w.len + n in
+  if need > Bytes.length w.b then begin
+    let b = Bytes.create (max need (2 * Bytes.length w.b)) in
+    Bytes.blit w.b 0 b 0 w.len;
+    w.b <- b
+  end
+
+let release w =
+  w.len <- 0;
+  if Bytes.length w.b > buf_retained then w.b <- Bytes.create buf_initial
+
+(* ------------------------------------------------------------------ *)
 (* Primitive writers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let put_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
-let put_u16 buf v = Buffer.add_uint16_be buf (v land 0xffff)
-let put_u32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
-let put_i64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
-let put_f64 buf v = Buffer.add_int64_be buf (Int64.bits_of_float v)
+let put_u8 w v =
+  reserve w 1;
+  Bytes.unsafe_set w.b w.len (Char.unsafe_chr (v land 0xff));
+  w.len <- w.len + 1
 
-let put_str buf s =
-  put_u32 buf (String.length s);
-  Buffer.add_string buf s
+let put_u16 w v =
+  reserve w 2;
+  Bytes.set_uint16_be w.b w.len (v land 0xffff);
+  w.len <- w.len + 2
+
+let put_u32 w v =
+  reserve w 4;
+  Bytes.set_int32_be w.b w.len (Int32.of_int v);
+  w.len <- w.len + 4
+
+let put_i64 w v =
+  reserve w 8;
+  Bytes.set_int64_be w.b w.len (Int64.of_int v);
+  w.len <- w.len + 8
+
+let put_f64 w v =
+  reserve w 8;
+  Bytes.set_int64_be w.b w.len (Int64.bits_of_float v);
+  w.len <- w.len + 8
+
+let put_str w s =
+  let n = String.length s in
+  put_u32 w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.b w.len n;
+  w.len <- w.len + n
 
 let put_value buf = function
   | Value.Null -> put_u8 buf 0
@@ -159,9 +212,10 @@ let put_value buf = function
 (* [Truncated] instead of a read past the frame.                        *)
 (* ------------------------------------------------------------------ *)
 
-type reader = { s : string; mutable pos : int }
+(* [s.(0 .. lim-1)] is the payload; [s] may be a longer receive buffer. *)
+type reader = { s : string; lim : int; mutable pos : int }
 
-let need r n = if r.pos + n > String.length r.s then raise (Codec Truncated)
+let need r n = if r.pos + n > r.lim then raise (Codec Truncated)
 
 let get_u8 r =
   need r 1;
@@ -210,7 +264,7 @@ let get_value r =
   | t -> raise (Codec (Bad_tag t))
 
 let finish r v =
-  let left = String.length r.s - r.pos in
+  let left = r.lim - r.pos in
   if left <> 0 then raise (Codec (Trailing left));
   v
 
@@ -218,9 +272,8 @@ let finish r v =
 (* Message codec                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let request_payload req =
-  let buf = Buffer.create 64 in
-  (match req with
+let encode_request buf req =
+  match req with
    | Hello { version; client } ->
      put_u8 buf 0x01;
      put_u16 buf version;
@@ -274,12 +327,10 @@ let request_payload req =
       | Op_set_text { target; text } ->
         put_u8 buf 5;
         put_i64 buf target;
-        put_str buf text));
-  Buffer.contents buf
+        put_str buf text)
 
-let response_payload resp =
-  let buf = Buffer.create 256 in
-  (match resp with
+let encode_response buf resp =
+  match resp with
    | Welcome { version; server; shards } ->
      put_u8 buf 0x81;
      put_u16 buf version;
@@ -325,11 +376,18 @@ let response_payload resp =
      put_u32 buf updated;
      put_u32 buf deleted;
      put_u32 buf new_paths;
-     put_u32 buf dead_paths);
-  Buffer.contents buf
+     put_u32 buf dead_paths
+
+let payload encode v =
+  let w = { b = Bytes.create 256; len = 0 } in
+  encode w v;
+  buf_contents w
+
+let request_payload = payload encode_request
+let response_payload = payload encode_response
 
 let request_of_payload s =
-  let r = { s; pos = 0 } in
+  let r = { s; lim = String.length s; pos = 0 } in
   let req =
     match get_u8 r with
     | 0x01 ->
@@ -377,8 +435,7 @@ let request_of_payload s =
   in
   finish r req
 
-let response_of_payload s =
-  let r = { s; pos = 0 } in
+let decode_response r =
   let resp =
     match get_u8 r with
     | 0x81 ->
@@ -426,15 +483,18 @@ let response_of_payload s =
   in
   finish r resp
 
+let response_of_payload s = decode_response { s; lim = String.length s; pos = 0 }
+
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let frame_of_payload payload =
-  let buf = Buffer.create (String.length payload + 4) in
-  put_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let n = String.length payload in
+  let b = Bytes.create (n + 4) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.unsafe_to_string b
 
 let extract_frame ?(max_frame = default_max_frame) buf ~off ~len =
   if len < 4 then None
@@ -460,17 +520,33 @@ let rec restart_write fd bytes off len =
 
 let write_frame fd payload =
   let frame = frame_of_payload payload in
-  restart_write fd (Bytes.of_string frame) 0 (String.length frame);
+  restart_write fd (Bytes.unsafe_of_string frame) 0 (String.length frame);
   String.length frame
 
-(* Read exactly [n] bytes; [`Eof] on a clean close before the first
-   byte, [Codec Truncated] on a close in the middle. *)
-let read_exactly fd n ~at_start =
-  let buf = Bytes.create n in
+(* The frame in place: a length-prefix placeholder, the payload encoded
+   after it, then the prefix patched. *)
+let frame_response w resp =
+  w.len <- 0;
+  put_u32 w 0;
+  encode_response w resp;
+  Bytes.set_int32_be w.b 0 (Int32.of_int (w.len - 4))
+
+let send_response_buf w fd resp =
+  frame_response w resp;
+  let n = w.len in
+  Fun.protect ~finally:(fun () -> release w) (fun () -> restart_write fd w.b 0 n);
+  n
+
+(* Read exactly [n] bytes into [w.b.(0 .. n-1)], discarding the old
+   content; [Exit] on a clean close before the first byte,
+   [Codec Truncated] on a close in the middle. *)
+let read_exactly fd w n ~at_start =
+  w.len <- 0;
+  if n > Bytes.length w.b then w.b <- Bytes.create n;
   let rec go off =
-    if off = n then Bytes.unsafe_to_string buf
+    if off = n then w.len <- n
     else
-      match Unix.read fd buf off (n - off) with
+      match Unix.read fd w.b off (n - off) with
       | 0 -> if off = 0 && at_start then raise Exit else raise (Codec Truncated)
       | k -> go (off + k)
       | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
@@ -479,13 +555,28 @@ let read_exactly fd n ~at_start =
   in
   go 0
 
-let read_payload ?(max_frame = default_max_frame) fd =
-  match read_exactly fd 4 ~at_start:true with
-  | exception Exit -> None
-  | prefix ->
-    let n = Int32.to_int (String.get_int32_be prefix 0) land 0xffffffff in
+(* One frame's payload into [w]; false on a clean EOF at a frame
+   boundary. *)
+let read_frame ?(max_frame = default_max_frame) w fd =
+  match read_exactly fd w 4 ~at_start:true with
+  | exception Exit -> false
+  | () ->
+    let n = Int32.to_int (Bytes.get_int32_be w.b 0) land 0xffffffff in
     if n > max_frame then raise (Codec (Oversized n));
-    Some (read_exactly fd n ~at_start:false)
+    read_exactly fd w n ~at_start:false;
+    true
+
+let read_payload ?max_frame fd =
+  let w = { b = Bytes.create 4; len = 0 } in
+  if read_frame ?max_frame w fd then Some (buf_contents w) else None
+
+let recv_response_buf ?max_frame w fd =
+  Fun.protect
+    ~finally:(fun () -> release w)
+    (fun () ->
+      if read_frame ?max_frame w fd then
+        Some (decode_response { s = Bytes.unsafe_to_string w.b; lim = w.len; pos = 0 })
+      else None)
 
 let send_request fd req = write_frame fd (request_payload req)
 let send_response fd resp = write_frame fd (response_payload resp)
@@ -493,5 +584,4 @@ let send_response fd resp = write_frame fd (response_payload resp)
 let recv_request ?max_frame fd =
   Option.map request_of_payload (read_payload ?max_frame fd)
 
-let recv_response ?max_frame fd =
-  Option.map response_of_payload (read_payload ?max_frame fd)
+let recv_response ?max_frame fd = recv_response_buf ?max_frame (buf_create ()) fd

@@ -134,6 +134,38 @@ val extract_frame :
     [Codec (Oversized _)] as soon as the prefix declares a payload
     larger than [max_frame], without waiting for the bytes. *)
 
+(** {2 Frame buffers}
+
+    A growable byte buffer owned by one connection end — the server's
+    per-connection send side (used under that connection's write lock),
+    a client's receive side — and reused for every frame it moves: a
+    response is encoded once, in place behind its length prefix, and
+    written straight from the buffer; a received payload is decoded
+    straight from it. After a frame larger than 256 KiB the buffer shrinks
+    back to its initial 4 KiB (XMark result windows stay under 100 KiB). Buffers are per connection, never per
+    domain: two systhreads of one domain may each drive a connection. *)
+
+type buf
+
+val buf_create : unit -> buf
+
+val frame_response : buf -> response -> unit
+(** Replace the buffer's content with one whole frame of the response:
+    the same bytes as [frame_of_payload (response_payload r)]. *)
+
+val buf_contents : buf -> string
+(** The buffered bytes (a copy). *)
+
+val send_response_buf : buf -> Unix.file_descr -> response -> int
+(** {!frame_response}, then write the frame from the buffer; returns the
+    byte count. *)
+
+val recv_response_buf : ?max_frame:int -> buf -> Unix.file_descr -> response option
+(** {!recv_response} reading into and decoding from the buffer. The
+    frame's declared length bounds the decode, whatever the buffer held
+    before, so [Truncated], [Trailing] and [Oversized] fire exactly as in
+    {!response_of_payload}. *)
+
 (** {2 Blocking transport helpers}
 
     Convenience wrappers used by the client and the tests; the server's

@@ -30,7 +30,7 @@ let create () =
           { Table.name = "sibs"; ty = Value.Tint };
         ]
   in
-  Table.create_index edge [ "id" ];
+  Table.create_key edge "id";
   Table.create_index edge [ "par_id" ];
   Table.create_index edge [ "dewey_pos"; "path_id" ];
   Table.create_index edge [ "path_id" ];
@@ -53,7 +53,7 @@ let create () =
           { Table.name = "path"; ty = Value.Tstr };
         ]
   in
-  Table.create_index paths [ "id" ];
+  Table.create_key paths "id";
   Table.create_index paths [ "path" ];
   { db; docs = [] }
 

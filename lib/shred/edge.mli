@@ -5,11 +5,11 @@
     [Paths] relation is shared with the schema-aware store design:
 
     - [edge(id, par_id, tag, dewey_pos, path_id, text, dtext, ord,
-      sibs)] with indexes on [id], [par_id], [(dewey_pos, path_id)] and
+      sibs)] with [id] its declared key and indexes on [id], [par_id], [(dewey_pos, path_id)] and
       [path_id] ([ord]/[sibs] are the same-tag sibling ordinal and count
       backing positional predicates);
     - [attr(elem_id, name, value)] with indexes on [elem_id] and [name];
-    - [paths(id, path)] with indexes on [id] and [path]. *)
+    - [paths(id, path)] keyed on [id], with indexes on [id] and [path]. *)
 
 module Doc = Ppfx_xml.Doc
 

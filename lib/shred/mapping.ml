@@ -66,7 +66,7 @@ let create_tables t db =
           { Table.name = "path"; ty = Value.Tstr };
         ]
   in
-  Table.create_index paths [ "id" ];
+  Table.create_key paths "id";
   Table.create_index paths [ "path" ];
   List.iter
     (fun def ->
@@ -75,7 +75,7 @@ let create_tables t db =
           ~partition:{ Table.part_col = "path_id"; part_sort = "dewey_pos" }
           ~columns:(columns_of_def t def)
       in
-      Table.create_index table [ "id" ];
+      Table.create_key table "id";
       List.iter
         (fun p -> Table.create_index table [ p.Graph.relation ^ "_id" ])
         (Graph.parents t.schema def);

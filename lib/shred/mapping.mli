@@ -2,7 +2,9 @@
 
     One relation per schema vertex (element definition / complex type),
     with columns:
-    - [id] — element id, primary key;
+    - [id] — element id, the relation's declared key
+      ({!Ppfx_minidb.Table.create_key}: non-null, unique, enforced on
+      insert and update);
     - one foreign-key column per possible parent relation, named
       [<parent_relation>_id] (a recursive vertex references itself);
     - [doc_id] on the root relation, distinguishing documents;
@@ -18,7 +20,7 @@
 
     Indexes per Section 3.1: [id], each parent foreign key, and the
     concatenated [(dewey_pos, path_id)] index. The [Paths] relation is
-    indexed on [id] and on [path]. *)
+    indexed on [id] (its declared key) and on [path]. *)
 
 module Graph = Ppfx_schema.Graph
 

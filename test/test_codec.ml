@@ -209,7 +209,7 @@ let test_load_result_typed () =
   (* The last input is a well-formed current image stamped with the
      previous format's magic: the version check rejects it. *)
   let image = Codec.database_to_string (build_codec_case ([ (1, 2, false) ], true)) in
-  Alcotest.(check string) "current magic" "PPFXDB4" (String.sub image 0 7);
+  Alcotest.(check string) "current magic" "PPFXDB5" (String.sub image 0 7);
   List.iter
     (fun (what, s) ->
       match Codec.of_string_result s with
@@ -218,7 +218,7 @@ let test_load_result_typed () =
       | Ok _ -> Alcotest.failf "%s loaded" what)
     [
       ("junk image", "PPFXDB3 but then junk");
-      ("previous-format image", "PPFXDB3" ^ String.sub image 7 (String.length image - 7));
+      ("previous-format image", "PPFXDB4" ^ String.sub image 7 (String.length image - 7));
     ];
   Alcotest.(check bool) "errors render" true
     (String.length (Codec.error_to_string (Codec.Corrupted "x")) > 0)

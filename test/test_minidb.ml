@@ -239,7 +239,16 @@ let prop_btree_oracle =
         |> List.map fst
         |> List.sort compare
       in
-      got = expected)
+      (* The first entry of each key is its smallest row id. *)
+      let first k =
+        List.fold_left
+          (fun acc (i, k') ->
+            if k' = k then Some (match acc with Some j -> min i j | None -> i) else acc)
+          None
+          (List.mapi (fun i k -> i, k) keys)
+      in
+      got = expected
+      && List.for_all (fun k -> Btree.find_first t (Value.Int k) = first k) (List.init 52 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Tables                                                              *)
@@ -1639,6 +1648,370 @@ let prop_regexp_like_vs_naive =
       let stmt = Sql.Select (regex_sel pat) in
       (Engine.run db stmt).Engine.rows = (Engine.run_naive db stmt).Engine.rows)
 
+(* ------------------------------------------------------------------ *)
+(* Declared keys, key-aware DISTINCT and typed join keys               *)
+(* ------------------------------------------------------------------ *)
+
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let key_tests =
+  [
+    ( "a declared key rejects duplicate and NULL inserts and updates",
+      fun () ->
+        let t =
+          Table.create ~name:"k"
+            ~columns:[ { Table.name = "id"; ty = Value.Tint }; { Table.name = "v"; ty = Value.Tint } ]
+            ()
+        in
+        let r0 = Table.insert t [| Value.Int 1; Value.Int 10 |] in
+        let r1 = Table.insert t [| Value.Int 2; Value.Int 20 |] in
+        Table.create_key t "id";
+        Alcotest.(check (list string)) "keys" [ "id" ] (Table.keys t);
+        raises_invalid "duplicate insert" (fun () -> Table.insert t [| Value.Int 2; Value.Int 0 |]);
+        raises_invalid "NULL insert" (fun () -> Table.insert t [| Value.Null; Value.Int 0 |]);
+        raises_invalid "update onto another row's key" (fun () ->
+            Table.update t r1 [| Value.Int 1; Value.Int 20 |]);
+        raises_invalid "update to NULL" (fun () -> Table.update t r0 [| Value.Null; Value.Int 10 |]);
+        Alcotest.(check int) "rejected writes left the table alone" 2 (Table.live_count t);
+        Alcotest.(check bool) "rewriting a row under its own key" true
+          (Table.update t r0 [| Value.Int 1; Value.Int 11 |]);
+        Alcotest.(check bool) "moving to a free key" true
+          (Table.update t r1 [| Value.Int 3; Value.Int 20 |]);
+        ignore (Table.insert t [| Value.Int 2; Value.Int 0 |]);
+        Alcotest.(check bool) "a deleted row's key is free again" true (Table.delete t r0);
+        ignore (Table.insert t [| Value.Int 1; Value.Int 0 |]);
+        let dup =
+          Table.create ~name:"d" ~columns:[ { Table.name = "id"; ty = Value.Tint } ] ()
+        in
+        ignore (Table.insert dup [| Value.Int 5 |]);
+        ignore (Table.insert dup [| Value.Int 5 |]);
+        raises_invalid "declaring over duplicates" (fun () -> Table.create_key dup "id") );
+    ( "declared keys survive save/load and stay enforced",
+      fun () ->
+        let db = Database.create () in
+        let t =
+          Database.create_table db ~name:"k" ~columns:[ { Table.name = "id"; ty = Value.Tint } ]
+        in
+        ignore (Table.insert t [| Value.Int 1 |]);
+        Table.create_key t "id";
+        let db' = Ppfx_minidb.Codec.database_of_string (Ppfx_minidb.Codec.database_to_string db) in
+        let t' = Database.table db' "k" in
+        Alcotest.(check (list string)) "keys" [ "id" ] (Table.keys t');
+        raises_invalid "duplicate after load" (fun () -> Table.insert t' [| Value.Int 1 |]) );
+  ]
+
+(* Random stores for the DISTINCT differentials: [x] and [y] keyed on
+   [id] (both numbered from 0, so their ids coincide), [y.x_id] an fk
+   into [x], Dewey-like [d] columns with repeats and prefixes. *)
+let gen_distinct_case =
+  let open QCheck.Gen in
+  let byte = map Char.chr (int_range 1 3) in
+  let dewey = string_size ~gen:byte (int_range 1 3) in
+  let rows = list_size (int_bound 12) (triple dewey (int_bound 4) (int_bound 5)) in
+  triple rows rows (pair (int_bound 6) (int_bound 4))
+
+let build_distinct_case (rows_x, rows_y, (shape, cutoff)) =
+  let db = Database.create () in
+  let mk name rows =
+    let t =
+      Database.create_table db ~name
+        ~columns:
+          [
+            { Table.name = "id"; ty = Value.Tint };
+            { Table.name = "d"; ty = Value.Tbin };
+            { Table.name = "v"; ty = Value.Tint };
+            { Table.name = "x_id"; ty = Value.Tint };
+          ]
+    in
+    List.iteri
+      (fun i (d, v, fk) ->
+        ignore (Table.insert t [| Value.Int i; Value.Bin d; Value.Int v; Value.Int fk |]))
+      rows;
+    Table.create_key t "id";
+    Table.create_index t [ "d" ];
+    Table.create_index t [ "x_id" ];
+    t
+  in
+  ignore (mk "x" rows_x);
+  ignore (mk "y" rows_y);
+  let c a k = Sql.Col (a, k) in
+  let proj a = [ c a "id", "id"; c a "d", "d"; c a "v", "v" ] in
+  let order a = [ c a "id"; c a "d"; c a "v" ] in
+  let ff a = Sql.Concat (c a "d", Sql.Const (Value.Bin "\xff")) in
+  let cut = Sql.Cmp (Sql.Ge, c "x" "v", Sql.Const (Value.Int cutoff)) in
+  let join ?(project = "y") pred =
+    Sql.Select
+      {
+        Sql.distinct = true;
+        projections = proj project;
+        from = [ "x", "x"; "y", "y" ];
+        where = Some (Sql.And (pred, cut));
+        order_by = order project;
+      }
+  in
+  let branch t where =
+    { Sql.distinct = true; projections = proj t; from = [ t, t ]; where; order_by = [] }
+  in
+  let stmt =
+    match shape with
+    | 0 -> join (Sql.Between (c "y" "d", c "x" "d", ff "x")) (* descendants *)
+    | 1 -> join (Sql.Between (c "x" "d", c "y" "d", ff "y")) (* ancestors *)
+    | 2 -> join (Sql.Cmp (Sql.Gt, c "y" "d", ff "x")) (* following *)
+    | 3 -> join (Sql.Cmp (Sql.Lt, c "y" "d", c "x" "d")) (* preceding *)
+    | 4 -> join ~project:"x" (Sql.Cmp (Sql.Eq, c "y" "x_id", c "x" "id")) (* parents *)
+    | 5 ->
+      (* overlapping branches over one table *)
+      Sql.Union
+        ( [
+            branch "y" (Some (Sql.Cmp (Sql.Ge, c "y" "v", Sql.Const (Value.Int cutoff))));
+            branch "y" (Some (Sql.Cmp (Sql.Le, c "y" "v", Sql.Const (Value.Int (cutoff + 1)))));
+          ],
+          [ 0; 1; 2 ] )
+    | _ ->
+      (* branches over two tables whose ids coincide *)
+      Sql.Union ([ branch "x" None; branch "y" None ], [ 0; 1; 2 ])
+  in
+  db, stmt
+
+let prop_distinct_vs_naive =
+  QCheck.Test.make ~count:400
+    ~name:"duplicate-producing joins and unions: hashed DISTINCT ≡ naive, never elided"
+    (QCheck.make
+       ~print:(fun case -> Sql.to_string (snd (build_distinct_case case)))
+       gen_distinct_case)
+    (fun case ->
+      let db, stmt = build_distinct_case case in
+      let gold = (Engine.run_naive db stmt).Engine.rows in
+      Engine.plan_distinct (Engine.prepare db stmt) = Some `Hash
+      && List.for_all
+           (fun opts -> (Engine.run ~opts db stmt).Engine.rows = gold)
+           [ opts_off; Engine.default_opts; opts_forced ])
+
+(* The proof's positive shapes: a parent through the child's fk, and a
+   dimension through the fact's fk, are joined on their own key. *)
+let prop_elided_vs_naive =
+  QCheck.Test.make ~count:300 ~name:"key joins: elided DISTINCT ≡ naive"
+    (QCheck.make gen_distinct_case)
+    (fun (rows_x, rows_y, (_, cutoff)) ->
+      let db, _ = build_distinct_case (rows_x, rows_y, (0, cutoff)) in
+      let c a k = Sql.Col (a, k) in
+      let stmt =
+        Sql.Select
+          {
+            Sql.distinct = true;
+            projections = [ c "y" "id", "id"; c "y" "d", "d"; c "y" "v", "v" ];
+            from = [ "y", "y"; "x", "x" ];
+            where =
+              Some
+                (Sql.And
+                   ( Sql.Cmp (Sql.Eq, c "x" "id", c "y" "x_id"),
+                     Sql.Cmp (Sql.Ge, c "x" "v", Sql.Const (Value.Int cutoff)) ));
+            order_by = [ c "y" "id"; c "y" "d"; c "y" "v" ];
+          }
+      in
+      let gold = (Engine.run_naive db stmt).Engine.rows in
+      Engine.plan_distinct (Engine.prepare db stmt) = Some `Elided
+      && List.for_all
+           (fun opts -> (Engine.run ~opts db stmt).Engine.rows = gold)
+           [ opts_off; Engine.default_opts; opts_forced ])
+
+let distinct_tests =
+  [
+    ( "EXPLAIN names the DISTINCT mode",
+      fun () ->
+        let db, _ = build_distinct_case ([ "\x01", 1, 0 ], [ "\x01\x01", 1, 0 ], (0, 0)) in
+        let c a k = Sql.Col (a, k) in
+        let sel ?(distinct = true) projections from where =
+          Sql.Select { Sql.distinct; projections; from; where; order_by = [] }
+        in
+        let fk = Some (Sql.Cmp (Sql.Eq, c "y" "x_id", c "x" "id")) in
+        let label stmt =
+          let plan = Engine.explain db stmt in
+          List.find_opt
+            (fun l -> contains l "distinct")
+            (String.split_on_char '\n' plan)
+        in
+        Alcotest.(check (option string)) "child joined to its parent's key"
+          (Some "distinct: elided (key)")
+          (label (sel [ c "y" "id", "id"; c "y" "v", "v" ] [ "x", "x"; "y", "y" ] fk));
+        Alcotest.(check (option string)) "parent of many children"
+          (Some "distinct: hash (x.id)")
+          (label (sel [ c "x" "id", "id"; c "x" "v", "v" ] [ "x", "x"; "y", "y" ] fk));
+        Alcotest.(check (option string)) "no projected key"
+          (Some "distinct: rows")
+          (label (sel [ c "y" "v", "v" ] [ "y", "y" ] None));
+        Alcotest.(check (option string)) "two projected aliases"
+          (Some "distinct: rows")
+          (label (sel [ c "y" "id", "id"; c "x" "id", "xid" ] [ "x", "x"; "y", "y" ] fk));
+        Alcotest.(check (option string)) "no DISTINCT" None
+          (label (sel ~distinct:false [ c "y" "id", "id" ] [ "y", "y" ] None));
+        (* An undeclared column named id proves nothing. *)
+        let t = Database.create_table db ~name:"z" ~columns:[ { Table.name = "id"; ty = Value.Tint } ] in
+        ignore (Table.insert t [| Value.Int 1 |]);
+        ignore (Table.insert t [| Value.Int 1 |]);
+        Alcotest.(check (option string)) "undeclared id" (Some "distinct: rows")
+          (label (sel [ c "z" "id", "id" ] [ "z", "z" ] None));
+        Alcotest.(check int) "undeclared id still deduplicated" 1
+          (List.length (Engine.run db (sel [ c "z" "id", "id" ] [ "z", "z" ] None)).Engine.rows);
+        let union =
+          Sql.Union
+            ( [
+                { Sql.distinct = true; projections = [ c "x" "id", "id" ]; from = [ "x", "x" ]; where = None; order_by = [] };
+                { Sql.distinct = true; projections = [ c "y" "id", "id" ]; from = [ "y", "y" ]; where = None; order_by = [] };
+              ],
+              [] )
+        in
+        Alcotest.(check bool) "union hashes on the shared key column" true
+          (contains (Engine.explain db union) "union distinct: hash (id)");
+        Alcotest.(check int) "coinciding ids of two tables are one row" 1
+          (List.length (Engine.run db union).Engine.rows) );
+  ]
+
+(* One table per static type, for the typed-key cases. *)
+let typed_db () =
+  let db = Database.create () in
+  let mk name ty vals =
+    let t = Database.create_table db ~name ~columns:[ { Table.name = "c"; ty } ] in
+    List.iter (fun v -> ignore (Table.insert t [| v |])) vals
+  in
+  let big = 1 lsl 53 in
+  mk "ints" Value.Tint
+    [ Value.Int 3; Value.Int 0; Value.Int big; Value.Int (big + 1); Value.Int 1_000_000_000_001; Value.Null ];
+  mk "ints2" Value.Tint [ Value.Int (big + 1); Value.Int 1_000_000_000_002; Value.Int 3; Value.Null ];
+  mk "floats" Value.Tfloat
+    [ Value.Float 3.0; Value.Float (-0.0); Value.Float (float_of_int big); Value.Float 2.5; Value.Float nan; Value.Null ];
+  mk "floats2" Value.Tfloat [ Value.Float 0.0; Value.Float 2.5; Value.Float nan ];
+  mk "strs" Value.Tstr [ Value.Str "ab"; Value.Str ""; Value.Null ];
+  mk "bins" Value.Tbin [ Value.Bin "ab"; Value.Bin "a"; Value.Bin "" ];
+  db
+
+let typed_key_tests =
+  let pairs =
+    [
+      "ints", "floats"; "floats", "ints"; "ints", "ints2"; "ints2", "ints"; "floats", "floats2";
+      "strs", "bins"; "bins", "strs";
+    ]
+  in
+  let c a = Sql.Col (a, "c") in
+  let join (l, r) =
+    Sql.Select
+      {
+        Sql.distinct = false;
+        projections = [ c "l", "l"; c "r", "r" ];
+        from = [ l, "l"; r, "r" ];
+        where = Some (Sql.Cmp (Sql.Eq, c "l", c "r"));
+        order_by = [];
+      }
+  in
+  let semi (l, r) =
+    Sql.Select
+      {
+        Sql.distinct = false;
+        projections = [ c "l", "l" ];
+        from = [ l, "l" ];
+        where =
+          Some
+            (Sql.Exists
+               {
+                 Sql.distinct = false;
+                 projections = [ Sql.Const Value.Null, "n" ];
+                 from = [ r, "r" ];
+                 where = Some (Sql.Cmp (Sql.Eq, c "r", c "l"));
+                 order_by = [];
+               });
+        order_by = [];
+      }
+  in
+  (* Rows as bytes: NaN cells compare unequal structurally. *)
+  let image rows = List.map (Array.map Value.to_string) rows in
+  [
+    ( "hash joins on typed keys agree with the naive join",
+      fun () ->
+        let db = typed_db () in
+        List.iter
+          (fun pair ->
+            let stmt = join pair in
+            Alcotest.(check bool)
+              (fst pair ^ " = " ^ snd pair ^ " plans a hash join")
+              true
+              (contains (Engine.explain ~opts:opts_forced db stmt) "hash join");
+            let gold = image (Engine.run_naive db stmt).Engine.rows in
+            Alcotest.(check (list (array string)))
+              (fst pair ^ " = " ^ snd pair)
+              (List.sort compare gold)
+              (List.sort compare (image (Engine.run ~opts:opts_forced db stmt).Engine.rows)))
+          pairs );
+    ( "decorrelated semi-joins on typed keys agree with per-binding EXISTS",
+      fun () ->
+        let db = typed_db () in
+        List.iter
+          (fun pair ->
+            let stmt = semi pair in
+            Alcotest.(check bool)
+              (fst pair ^ " semi-join is decorrelated")
+              true
+              (contains (Engine.explain db stmt) "decorrelated semi-join");
+            Alcotest.(check (list (array string)))
+              (fst pair ^ " EXISTS " ^ snd pair)
+              (image (Engine.run_naive db stmt).Engine.rows)
+              (image (Engine.run db stmt).Engine.rows))
+          pairs );
+    ( "typed keys: the values that meet and the ones that do not",
+      fun () ->
+        let db = typed_db () in
+        let ids pair = image (Engine.run db (semi pair)).Engine.rows in
+        let big = 1 lsl 53 in
+        Alcotest.(check (list (array string))) "3 = 3.0, -0.0 = 0, 2^53 = 2^53 as a float"
+          [ [| "3" |]; [| "0" |]; [| string_of_int big |]; [| string_of_int (big + 1) |] ]
+          (ids ("ints", "floats"));
+        Alcotest.(check (list (array string)))
+          "integers past 2^53 and 10^12 keep every bit against integers"
+          [ [| "3" |]; [| string_of_int (big + 1) |] ]
+          (ids ("ints", "ints2"));
+        Alcotest.(check (list (array string))) "Str meets Bin of the same bytes; NULL meets nothing"
+          [ [| "'ab'" |]; [| "''" |] ]
+          (ids ("strs", "bins")) );
+  ]
+
+(* The heap merge behind ordered partition scans: for any set of 1-64
+   partitions, present, empty or absent, with sort-key ties within and
+   across segments, the merged ids are the sort of all their ids by
+   (sort key, id). *)
+let prop_heap_merge =
+  QCheck.Test.make ~count:300 ~name:"heap merge of partition segments ≡ sort by (key, id)"
+    (QCheck.make
+       ~print:(fun (rows, keys, dels) ->
+         Printf.sprintf "%d rows, keys [%s], %d deletes" (List.length rows)
+           (String.concat ";" (List.map string_of_int keys)) (List.length dels))
+       QCheck.Gen.(
+         triple
+           (list_size (int_bound 300) (pair (int_bound 63) (int_bound 5)))
+           (list_size (int_range 1 64) (int_bound 80))
+           (list_size (int_bound 20) (int_bound 300))))
+    (fun (rows, keys, dels) ->
+      let t =
+        Table.create ~name:"m"
+          ~partition:{ Table.part_col = "p"; part_sort = "s" }
+          ~columns:[ { Table.name = "p"; ty = Value.Tint }; { Table.name = "s"; ty = Value.Tint } ]
+          ()
+      in
+      List.iter (fun (p, k) -> ignore (Table.insert t [| Value.Int p; Value.Int k |])) rows;
+      List.iter (fun id -> ignore (Table.delete t id)) dels;
+      let keys = Array.of_list (List.sort_uniq compare keys) in
+      let got = ref [] in
+      Table.iter_merged (fun id -> got := id :: !got) t keys;
+      let expected = ref [] in
+      Table.iter_rows
+        (fun id row ->
+          match row.(0), row.(1) with
+          | Value.Int p, Value.Int k when Array.mem p keys -> expected := (k, id) :: !expected
+          | _ -> ())
+        t;
+      List.rev !got = List.map snd (List.sort compare !expected))
+
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "minidb"
@@ -1663,4 +2036,10 @@ let () =
       "range-join-properties", [ QCheck_alcotest.to_alcotest prop_order_axis_vs_naive ];
       "regexp-like", List.map tc regexp_like_tests;
       "regexp-like-properties", [ QCheck_alcotest.to_alcotest prop_regexp_like_vs_naive ];
+      "keys", List.map tc key_tests;
+      "distinct", List.map tc distinct_tests;
+      "distinct-properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_distinct_vs_naive; prop_elided_vs_naive ];
+      "typed-keys", List.map tc typed_key_tests;
+      "heap-merge-properties", [ QCheck_alcotest.to_alcotest prop_heap_merge ];
     ]

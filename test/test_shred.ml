@@ -253,6 +253,25 @@ let layout_tests =
                  | Error e -> Alcotest.failf "%s: %s" (Table.name t) e)
               | None -> Alcotest.failf "%s: expected partitioned layout" (Table.name t))
           (Database.tables st.Loader.db) );
+    ( "every relation of both mappings declares id its key, and enforces it",
+      fun () ->
+        let st = Loader.shred (fig1_schema ()) (fig1_doc ()) in
+        let edge = Edge.shred (fig1_doc ()) in
+        List.iter
+          (fun t ->
+            if Table.name t <> "attr" then begin
+              Alcotest.(check (list string)) (Table.name t ^ " keys") [ "id" ] (Table.keys t);
+              (* Re-inserting a live row repeats its id. *)
+              let row = ref None in
+              Table.iter_rows (fun _ r -> if !row = None then row := Some r) t;
+              Option.iter
+                (fun r ->
+                  match Table.insert t (Array.copy r) with
+                  | _ -> Alcotest.failf "%s accepted a duplicate id" (Table.name t)
+                  | exception Invalid_argument _ -> ())
+                !row
+            end)
+          (Database.tables st.Loader.db @ Database.tables edge.Edge.db) );
   ]
 
 let () =

@@ -208,6 +208,125 @@ let frame_layout () =
 let version_pinned () =
   Alcotest.(check int) "protocol version" 1 Wire.protocol_version
 
+(* ------------------------------------------------------------------ *)
+(* Frame buffers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let gen_rows =
+  QCheck.Gen.(
+    map3
+      (fun stmt rows more -> Wire.Rows { stmt; rows; more })
+      small_nat
+      (list_size (0 -- 40) gen_row)
+      bool)
+
+(* One buffer for every case, as one connection reuses it. *)
+let shared_send = Wire.buf_create ()
+
+let prop_frame_buffer =
+  QCheck.Test.make ~count:300
+    ~name:"a reused frame buffer holds frame_of_payload (response_payload r)"
+    (QCheck.make ~print:(fun _ -> "<rows>") gen_rows)
+    (fun r ->
+      Wire.frame_response shared_send r;
+      String.equal (Wire.buf_contents shared_send)
+        (Wire.frame_of_payload (Wire.response_payload r)))
+
+(* A file stands in for the socket: [Unix.read] returns 0 at its end. *)
+let with_stream bytes f =
+  let path = Filename.temp_file "ppfx_wire" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc bytes;
+      close_out oc;
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd))
+
+let big_rows n =
+  Wire.Rows { stmt = 1; rows = [ [| Value.Int 7; Value.Str (String.make n 'x') |] ]; more = false }
+
+(* Sending from the buffer: an oversize frame, then small ones after the
+   buffer shrank back, land on the stream byte for byte. *)
+let send_from_buffer () =
+  let path = Filename.temp_file "ppfx_wire" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Wire.buf_create () in
+      let msgs = [ Wire.Pong; big_rows (3 lsl 20); Wire.Bye; big_rows 10 ] in
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let sent =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> List.fold_left (fun n r -> n + Wire.send_response_buf w fd r) 0 msgs)
+      in
+      let expected =
+        String.concat "" (List.map (fun r -> Wire.frame_of_payload (Wire.response_payload r)) msgs)
+      in
+      let ic = open_in_bin path in
+      let got = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check int) "byte count" (String.length expected) sent;
+      Alcotest.(check bool) "stream bytes" true (String.equal expected got))
+
+let expect_codec what want f =
+  match f () with
+  | _ -> Alcotest.failf "%s: decoded" what
+  | exception Wire.Codec e when e = want -> ()
+  | exception Wire.Codec e ->
+    Alcotest.failf "%s: got %s" what (Wire.codec_error_to_string e)
+
+(* The receive buffer keeps a large frame's bytes behind a small one's:
+   the small frame's declared length, not the buffer, bounds its decode. *)
+let prop_receive_buffer =
+  QCheck.Test.make ~count:100
+    ~name:"a reused receive buffer decodes frames and rejects bad ones exactly"
+    QCheck.(pair (QCheck.make ~print:(fun _ -> "<rows>") gen_rows) (0 -- 1000))
+    (fun (small, k) ->
+      let big = big_rows (200_000 + k) in
+      let frame r = Wire.frame_of_payload (Wire.response_payload r) in
+      let p = Wire.response_payload small in
+      let cut = String.sub p 0 (k mod max 1 (String.length p)) in
+      let stream =
+        String.concat ""
+          [
+            frame big;
+            Wire.frame_of_payload cut;
+            Wire.frame_of_payload (p ^ "\x00");
+            frame small;
+            "\x7f\x00\x00\x00";
+          ]
+      in
+      with_stream stream (fun fd ->
+          let w = Wire.buf_create () in
+          let recv () = Wire.recv_response_buf ~max_frame:(1 lsl 20) w fd in
+          let same r = function
+            | Some r' -> String.equal (Wire.response_payload r') (Wire.response_payload r)
+            | None -> false
+          in
+          let ok_big = same big (recv ()) in
+          expect_codec "truncated" Wire.Truncated recv;
+          expect_codec "trailing" (Wire.Trailing 1) recv;
+          let ok_small = same small (recv ()) in
+          expect_codec "oversized" (Wire.Oversized 0x7f000000) recv;
+          ok_big && ok_small)
+      (* A stream that ends inside a frame is Truncated; at a frame
+         boundary it is a clean end. *)
+      && with_stream
+           (frame big ^ String.sub (frame small) 0 3)
+           (fun fd ->
+             let w = Wire.buf_create () in
+             ignore (Wire.recv_response_buf w fd);
+             expect_codec "eof mid-frame" Wire.Truncated (fun () ->
+                 Wire.recv_response_buf w fd);
+             true)
+      && with_stream (frame small) (fun fd ->
+             let w = Wire.buf_create () in
+             ignore (Wire.recv_response_buf w fd);
+             Wire.recv_response_buf w fd = None))
+
 let () =
   Alcotest.run "wire"
     [
@@ -221,6 +340,9 @@ let () =
             Alcotest.test_case "bad tag" `Quick bad_tag;
             Alcotest.test_case "oversized prefix" `Quick oversized;
           ] );
+      ( "frame-buffers",
+        List.map QCheck_alcotest.to_alcotest [ prop_frame_buffer; prop_receive_buffer ]
+        @ [ Alcotest.test_case "send from the buffer" `Quick send_from_buffer ] );
       ( "layout",
         [
           Alcotest.test_case "frame layout" `Quick frame_layout;
