@@ -1,10 +1,11 @@
 (** Thompson NFA construction and simulation.
 
-    Matching is linear in the subject: the simulation carries a set of live
-    states across the input, re-seeding the start state at every position to
+    Simulation is linear in the subject: it carries a set of live states
+    across the input, re-seeding the start state at every position to
     obtain unanchored-search semantics (the behaviour of [REGEXP_LIKE]).
     Anchors ([^] and [$]) are modelled as conditional epsilon edges that can
-    only be crossed at the corresponding subject positions. *)
+    only be crossed at the corresponding subject positions. The same graph
+    is the input of {!Dfa.build}. *)
 
 type edge =
   | Eps
@@ -18,35 +19,13 @@ type t = {
   accept : int;
 }
 
-(* Compilation context: a growable list of states. *)
-type builder = { mutable edges : (edge * int) list list; mutable count : int }
-
-let new_state b =
-  let s = b.count in
-  b.count <- s + 1;
-  b.edges <- [] :: b.edges;
-  s
-
-(* [edges] is kept reversed; patch after the fact through an array. *)
 let build root =
-  let b = { edges = []; count = 0 } in
-  let arr = ref [||] in
-  let add_edge src edge dst =
-    !arr.(src) <- (edge, dst) :: !arr.(src)
+  let count = ref 0 in
+  let new_state () =
+    let s = !count in
+    incr count;
+    s
   in
-  (* Pre-allocate generously: each AST node adds at most 2 states, bounded
-     repetition expands first. *)
-  let rec count_states = function
-    | Syntax.Empty | Syntax.Char _ | Syntax.Any | Syntax.Class _
-    | Syntax.Bol | Syntax.Eol ->
-      2
-    | Syntax.Seq (a, b2) | Syntax.Alt (a, b2) -> 2 + count_states a + count_states b2
-    | Syntax.Star a | Syntax.Plus a | Syntax.Opt a -> 2 + count_states a
-    | Syntax.Repeat (a, lo, hi) ->
-      let reps = match hi with None -> lo + 1 | Some hi -> max hi 1 in
-      2 + (reps * (2 + count_states a))
-  in
-  ignore (count_states root);
   let class_pred negated items c =
     let member = function
       | Syntax.Single x -> Char.equal x c
@@ -81,12 +60,12 @@ let build root =
       r
   in
   let root = expand root in
-  (* First pass: allocate all states so the array can be sized. Compile by
-     returning (entry, exit) state pairs and queuing edges. *)
+  (* Compile by returning (entry, exit) state pairs and queuing edges;
+     the adjacency array is sized once every state is allocated. *)
   let pending : (int * edge * int) list ref = ref [] in
   let queue src edge dst = pending := (src, edge, dst) :: !pending in
   let rec compile r =
-    let entry = new_state b and exit_ = new_state b in
+    let entry = new_state () and exit_ = new_state () in
     (match r with
      | Syntax.Empty -> queue entry Eps exit_
      | Syntax.Char c -> queue entry (Sym (Char.equal c)) exit_
@@ -127,17 +106,17 @@ let build root =
     entry, exit_
   in
   let start, accept = compile root in
-  arr := Array.make b.count [];
-  List.iter (fun (src, edge, dst) -> add_edge src edge dst) !pending;
-  { transitions = !arr; start; accept }
+  let transitions = Array.make !count [] in
+  List.iter (fun (src, edge, dst) -> transitions.(src) <- (edge, dst) :: transitions.(src)) !pending;
+  { transitions; start; accept }
 
-(* Simulation over the live-state set. [stamp.(s) = i] marks [s] live at
-   subject position [i], so each step starts from an empty set without
-   clearing an array, and only live states are visited. [reseed] re-adds
-   the start state at every position: unanchored-search semantics, where
-   reaching the accept state at any position is a match. Without it the
-   accept state must be live at the end of the subject. *)
-let run nfa ~reseed subject =
+(* [search nfa subject] tests whether any substring of [subject] matches,
+   by simulation over the live-state set. [stamp.(s) = i] marks [s] live
+   at subject position [i], so each step starts from an empty set without
+   clearing an array, and only live states are visited. The start state
+   is re-added at every position, and reaching the accept state at any
+   position is a match. *)
+let search nfa subject =
   let n = String.length subject in
   let stamp = Array.make (Array.length nfa.transitions) (-1) in
   (* Epsilon-closure of [s] at position [i], prepending new states to
@@ -157,8 +136,7 @@ let run nfa ~reseed subject =
     end
   in
   let rec go i live =
-    if i = n || (reseed && stamp.(nfa.accept) = i) then stamp.(nfa.accept) = i
-    else if live = [] && not reseed then false
+    if i = n || stamp.(nfa.accept) = i then stamp.(nfa.accept) = i
     else begin
       let c = subject.[i] in
       let next =
@@ -172,14 +150,7 @@ let run nfa ~reseed subject =
               next nfa.transitions.(s))
           [] live
       in
-      go (i + 1) (if reseed then visit (i + 1) next nfa.start else next)
+      go (i + 1) (visit (i + 1) next nfa.start)
     end
   in
   go 0 (visit 0 [] nfa.start)
-
-(** [search nfa subject] tests whether any substring of [subject] matches. *)
-let search nfa subject = run nfa ~reseed:true subject
-
-(** [matches nfa subject] tests whether the whole subject matches
-    (anchored at both ends). *)
-let matches nfa subject = run nfa ~reseed:false subject

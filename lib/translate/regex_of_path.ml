@@ -57,8 +57,4 @@ let backward ~context steps =
 
 let ends_with name = "^(.*/)?" ^ Regex.quote name ^ "$"
 
-let matches pattern path = Regex.search (Regex.compile pattern) path
-
-let min_levels segs = List.length segs
-
 let fixed_depth segs = List.for_all (fun s -> not s.desc) segs

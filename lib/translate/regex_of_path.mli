@@ -34,14 +34,6 @@ val ends_with : string -> string
 (** Pattern [^(.*/)?name$] used for order-axis steps (Algorithm 1 lines
     6–7). *)
 
-val matches : string -> string -> bool
-(** [matches pattern path] — compile-and-search convenience for a single
-    path. *)
-
-val min_levels : seg list -> int
-(** Minimum number of levels a chain descends: child segments contribute
-    exactly one, descendant segments at least one. *)
-
 val fixed_depth : seg list -> bool
 (** True when the chain contains no descendant segment, i.e. it descends
-    by exactly [min_levels]. *)
+    exactly one level per segment. *)

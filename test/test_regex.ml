@@ -1,8 +1,9 @@
 (* Unit and property tests for the POSIX-ERE engine.
 
    The property tests check both runtimes — NFA simulation and the
-   frozen DFA — against a naive backtracking matcher over random
-   patterns and subjects. *)
+   frozen DFA — against a naive end-position-set matcher over random
+   patterns and subjects. Whole-subject matching is a search of the
+   pattern anchored at both ends. *)
 
 module Regex = Ppfx_regex.Regex
 module Syntax = Ppfx_regex.Syntax
@@ -13,11 +14,14 @@ let check_search pattern subject expected () =
     (Printf.sprintf "search %S %S" pattern subject)
     expected (Regex.search re subject)
 
+(* [anchored p] matches exactly the subjects [p] matches as a whole. *)
+let anchored pattern = "^(" ^ pattern ^ ")$"
+
 let check_matches pattern subject expected () =
-  let re = Regex.compile pattern in
+  let re = Regex.compile (anchored pattern) in
   Alcotest.(check bool)
     (Printf.sprintf "matches %S %S" pattern subject)
-    expected (Regex.matches re subject)
+    expected (Regex.search re subject)
 
 let literal_tests =
   [
@@ -123,69 +127,107 @@ let parse_error_tests =
     "bad range order", expect_error "[z-a]";
   ]
 
-(* Naive exponential-time oracle used by the qcheck property. *)
-let rec naive_match (r : Syntax.t) (s : string) (i : int) (k : int -> bool) : bool =
+(* Naive oracle used by the qcheck properties, independent of the NFA
+   and the DFA: [naive_ends r s i] is the set of positions at which a
+   match of [r] starting at position [i] of [s] can end. Each subterm is
+   compiled to a function memoized per start position, and Star/Plus
+   close their end sets to a fixpoint, so the oracle is polynomial in the
+   pattern and subject sizes, nested stars included. *)
+module Ends = Set.Make (Int)
+
+let naive_ends (r : Syntax.t) (s : string) : int -> Ends.t =
   let n = String.length s in
-  match r with
-  | Syntax.Empty -> k i
-  | Syntax.Char c -> i < n && Char.equal s.[i] c && k (i + 1)
-  | Syntax.Any -> i < n && k (i + 1)
-  | Syntax.Class (neg, items) ->
-    i < n
-    &&
-    let c = s.[i] in
-    let hit =
-      List.exists
-        (function
-          | Syntax.Single x -> Char.equal x c
-          | Syntax.Range (a, z) -> a <= c && c <= z)
-        items
-    in
-    (if neg then not hit else hit) && k (i + 1)
-  | Syntax.Seq (a, b) -> naive_match a s i (fun j -> naive_match b s j k)
-  | Syntax.Alt (a, b) -> naive_match a s i k || naive_match b s i k
-  | Syntax.Star a ->
-    let rec loop i seen =
-      k i
-      || naive_match a s i (fun j -> (not (List.mem j seen)) && loop j (j :: seen))
-    in
-    loop i [ i ]
-  | Syntax.Plus a -> naive_match (Syntax.Seq (a, Syntax.Star a)) s i k
-  | Syntax.Opt a -> k i || naive_match a s i k
-  | Syntax.Repeat (a, lo, hi) ->
-    let rec mand cnt i =
-      if cnt = 0 then opt (match hi with None -> -1 | Some h -> h - lo) i
-      else naive_match a s i (fun j -> mand (cnt - 1) j)
-    and opt budget i =
-      if budget = 0 then k i
+  let one_char pred i = if i < n && pred s.[i] then Ends.singleton (i + 1) else Ends.empty in
+  (* The ends of one match of [a] from any position in [from]. *)
+  let step a from = Ends.fold (fun j acc -> Ends.union (a j) acc) from Ends.empty in
+  (* [from] plus everything reachable from it by repeating [a]. *)
+  let closure a from =
+    let rec grow reach frontier =
+      if Ends.is_empty frontier then reach
       else
-        k i
-        || naive_match a s i (fun j ->
-               if j = i then k i else opt (if budget < 0 then budget else budget - 1) j)
+        let next = Ends.diff (step a frontier) reach in
+        grow (Ends.union reach next) next
     in
-    mand lo i
-  | Syntax.Bol -> i = 0 && k i
-  | Syntax.Eol -> i = n && k i
+    grow from from
+  in
+  let rec compile (r : Syntax.t) : int -> Ends.t =
+    let f =
+      match r with
+      | Syntax.Empty -> Ends.singleton
+      | Syntax.Char c -> one_char (Char.equal c)
+      | Syntax.Any -> one_char (fun _ -> true)
+      | Syntax.Class (neg, items) ->
+        one_char (fun c ->
+            let hit =
+              List.exists
+                (function
+                  | Syntax.Single x -> Char.equal x c
+                  | Syntax.Range (a, z) -> a <= c && c <= z)
+                items
+            in
+            if neg then not hit else hit)
+      | Syntax.Seq (a, b) ->
+        let a = compile a and b = compile b in
+        fun i -> step b (a i)
+      | Syntax.Alt (a, b) ->
+        let a = compile a and b = compile b in
+        fun i -> Ends.union (a i) (b i)
+      | Syntax.Star a ->
+        let a = compile a in
+        fun i -> closure a (Ends.singleton i)
+      | Syntax.Plus a ->
+        let a = compile a in
+        fun i -> closure a (a i)
+      | Syntax.Opt a ->
+        let a = compile a in
+        fun i -> Ends.add i (a i)
+      | Syntax.Repeat (a, lo, hi) ->
+        let a = compile a in
+        fun i ->
+          let rec mandatory k from = if k = 0 then from else mandatory (k - 1) (step a from) in
+          let from = mandatory lo (Ends.singleton i) in
+          (match hi with
+           | None -> closure a from
+           | Some hi ->
+             let rec optional k from =
+               if k = 0 then from else Ends.union from (optional (k - 1) (step a from))
+             in
+             optional (hi - lo) from)
+      | Syntax.Bol -> fun i -> if i = 0 then Ends.singleton i else Ends.empty
+      | Syntax.Eol -> fun i -> if i = n then Ends.singleton i else Ends.empty
+    in
+    let memo = Array.make (n + 1) None in
+    fun i ->
+      match memo.(i) with
+      | Some e -> e
+      | None ->
+        let e = f i in
+        memo.(i) <- Some e;
+        e
+  in
+  compile r
 
 let naive_search r s =
-  let n = String.length s in
-  let rec try_at i = i <= n && (naive_match r s i (fun _ -> true) || try_at (i + 1)) in
-  try_at 0
+  let ends = naive_ends r s in
+  List.exists (fun i -> not (Ends.is_empty (ends i))) (List.init (String.length s + 1) Fun.id)
 
-let naive_matches r s = naive_match r s 0 (fun j -> j = String.length s)
+let naive_matches r s = Ends.mem (String.length s) (naive_ends r s 0)
 
-(* Random pattern ASTs kept small so the naive oracle stays fast. *)
+(* Random pattern ASTs over a four-letter alphabet, anchors included
+   anywhere in the pattern. *)
 let gen_regex =
   let open QCheck.Gen in
   let gen_char = map (fun i -> Char.chr (97 + i)) (int_bound 3) in
   sized_size (int_bound 8) @@ fix (fun self n ->
       if n <= 0 then
-        oneof
+        frequency
           [
-            map (fun c -> Syntax.Char c) gen_char;
-            return Syntax.Any;
-            return Syntax.Empty;
-            map2 (fun neg c -> Syntax.Class (neg, [ Syntax.Single c ])) bool gen_char;
+            3, map (fun c -> Syntax.Char c) gen_char;
+            1, return Syntax.Any;
+            1, return Syntax.Empty;
+            1, map2 (fun neg c -> Syntax.Class (neg, [ Syntax.Single c ])) bool gen_char;
+            1, return Syntax.Bol;
+            1, return Syntax.Eol;
           ]
       else
         oneof
@@ -202,7 +244,7 @@ let gen_subject =
   QCheck.Gen.(string_size ~gen:(map (fun i -> Char.chr (97 + i)) (int_bound 3)) (int_bound 10))
 
 let prop_nfa_vs_naive =
-  QCheck.Test.make ~count:2000 ~name:"NFA search agrees with backtracking oracle"
+  QCheck.Test.make ~count:2000 ~name:"NFA search agrees with the oracle"
     (QCheck.make
        ~print:(fun (r, s) -> Printf.sprintf "pattern %s subject %S" (Syntax.to_string r) s)
        (QCheck.Gen.pair gen_regex gen_subject))
@@ -282,6 +324,29 @@ let cache_tests =
         Alcotest.(check int) "hits" 0 (Regex.cache_hits ());
         Alcotest.(check int) "misses" 0 (Regex.cache_misses ());
         Alcotest.(check int) "size" 0 (Regex.cache_size ()) );
+    ( "table lengths stay under the cap",
+      fun () ->
+        Regex.cache_clear ();
+        let early = Regex.compile_cached "^/a/(.+/)?b$" in
+        (* 60-byte literals: about 15k table entries each, so a few hundred
+           distinct patterns pass the cap. *)
+        let literal i = Printf.sprintf "%060d" i in
+        let distinct = (Regex.max_cache_table_length / (60 * 256)) + 50 in
+        let resets = ref 0 in
+        for i = 1 to distinct do
+          let size = Regex.cache_size () in
+          let re = Regex.compile_cached (Regex.quote (literal i)) in
+          if Regex.cache_size () <= size then incr resets;
+          if Regex.cache_table_length () > Regex.max_cache_table_length then
+            Alcotest.failf "table length %d past the cap" (Regex.cache_table_length ());
+          assert (Regex.search re ("x" ^ literal i))
+        done;
+        Alcotest.(check bool) "reset at least once" true (!resets > 0);
+        Alcotest.(check int) "misses" (distinct + 1) (Regex.cache_misses ());
+        Alcotest.(check bool) "early handle still frozen" true (Regex.has_frozen early);
+        List.iter
+          (fun (s, expected) -> Alcotest.(check bool) s expected (Regex.search early s))
+          [ "/a/b", true; "/a/x/y/b", true; "/a/bc", false; "/b", false ] );
     ( "concurrent domains share the cache safely",
       fun () ->
         Regex.cache_clear ();
@@ -330,8 +395,8 @@ let frozen_tests =
               (Regex.search frozen subject);
             Alcotest.(check bool)
               (Printf.sprintf "matches %S %S" pattern subject)
-              (Regex.matches nfa subject)
-              (Regex.matches frozen subject))
+              (Regex.search (Regex.compile (anchored pattern)) subject)
+              (Regex.search (Regex.compile_cached (anchored pattern)) subject))
           [
             ("^.*/listitem(/.+)?/keyword$", "/site/listitem/keyword");
             ("^.*/listitem(/.+)?/keyword$", "/site/listitem/x/keyword");
@@ -344,6 +409,52 @@ let frozen_tests =
             ("", "");
           ] );
   ]
+
+(* Nested stars over a body that can match the empty string: exponential
+   for a backtracking matcher, polynomial for the end-position oracle. *)
+let nested_stars_test () =
+  let pattern = "((((([a]+|()[^d])?)?)+)*)+" and subject = "aabbccbbda" in
+  let ast = Regex.ast (Regex.compile pattern) in
+  List.iter
+    (fun (name, p, oracle, expected) ->
+      Alcotest.(check bool) (name ^ " oracle") expected oracle;
+      Alcotest.(check bool) (name ^ " frozen") expected
+        (Regex.search (Regex.compile_cached p) subject);
+      Alcotest.(check bool) (name ^ " nfa") expected (Regex.search (Regex.compile p) subject))
+    [
+      "search", pattern, naive_search ast subject, true;
+      "matches", anchored pattern, naive_matches ast subject, false;
+    ]
+
+(* Q2's path filter: a 91-byte literal path between anchors. *)
+let q2_path =
+  "^/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/text/keyword$"
+
+(* A cold build of Q2's DFA stays cheap: one closure per distinct move
+   set, keyed by kept NFA states only. Allocation is deterministic where
+   wall time is not. *)
+let q2_build_test () =
+  Regex.cache_clear ();
+  let before = Gc.minor_words () in
+  let re = Regex.compile_cached q2_path in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "frozen" true (Regex.has_frozen re);
+  Alcotest.(check int) "states" 91 (Regex.dfa_states re);
+  if words >= 5e6 then Alcotest.failf "cold build allocated %.0f minor words" words;
+  Alcotest.(check bool) "hit" true
+    (Regex.search re "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/text/keyword");
+  Alcotest.(check bool) "miss" false
+    (Regex.search re "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/keyword")
+
+(* On the empty subject the start is also the end: both anchors can be
+   crossed, in either order. *)
+let empty_subject_anchors_test () =
+  List.iter
+    (fun (pattern, expected) ->
+      Alcotest.(check bool) (pattern ^ " frozen") expected
+        (Regex.search (Regex.compile_cached pattern) "");
+      Alcotest.(check bool) (pattern ^ " nfa") expected (Regex.search (Regex.compile pattern) ""))
+    [ "^$", true; "$^", true; "(a|$)^", true; "$a^", false ]
 
 (* A pattern whose subset construction needs 2^13 states — past the
    freezing cap — so even a cached handle runs by NFA simulation. *)
@@ -362,26 +473,29 @@ let over_cap_tests =
       fun () ->
         Regex.cache_clear ();
         let re = Regex.compile_cached over_cap in
+        let whole = Regex.compile_cached (anchored over_cap) in
         Alcotest.(check bool) "not frozen" false (Regex.has_frozen re);
+        Alcotest.(check bool) "anchored not frozen" false (Regex.has_frozen whole);
         List.iter
           (fun s ->
             Alcotest.(check bool) ("search " ^ s) (naive_search ast s) (Regex.search re s);
             Alcotest.(check bool) ("matches " ^ s) (naive_matches ast s)
-              (Regex.matches re s))
+              (Regex.search whole s))
           over_cap_subjects );
     ( "unfrozen handles are shareable across domains",
       fun () ->
-        (* No cache_clear: the over-cap handle is served from the test
+        (* No cache_clear: the over-cap handles are served from the test
            above when it ran, sparing a second failed freeze. *)
         let handles =
-          [ Regex.compile "^/(.+/)?keyword$"; Regex.compile_cached over_cap ]
+          [ Regex.compile, "^/(.+/)?keyword$"; Regex.compile_cached, over_cap ]
         in
         let cases =
           List.concat_map
-            (fun re ->
+            (fun (compile, pattern) ->
+              let re = compile pattern and whole = compile (anchored pattern) in
               let ast = Regex.ast re in
               List.map
-                (fun s -> (re, s, naive_search ast s, naive_matches ast s))
+                (fun s -> (re, whole, s, naive_search ast s, naive_matches ast s))
                 ("/site/keyword" :: "/keyword" :: "keyword" :: over_cap_subjects))
             handles
         in
@@ -389,8 +503,8 @@ let over_cap_tests =
           let wrong = ref 0 in
           for _ = 1 to 20 do
             List.iter
-              (fun (re, s, search, matches) ->
-                if Regex.search re s <> search || Regex.matches re s <> matches then
+              (fun (re, whole, s, search, matches) ->
+                if Regex.search re s <> search || Regex.search whole s <> matches then
                   incr wrong)
               cases
           done;
@@ -401,23 +515,22 @@ let over_cap_tests =
           [ 0; 0; 0; 0 ] (List.map Domain.join domains) );
   ]
 
-(* Both runtimes must be equivalent to each other and to the
-   backtracking oracle on arbitrary patterns: the frozen DFA of a cached
-   handle and the NFA simulation of an uncached one. *)
+(* Both runtimes must be equivalent to each other and to the oracle on
+   arbitrary patterns, unanchored and anchored at both ends: the frozen
+   DFA of a cached handle and the NFA simulation of an uncached one. *)
 let prop_frozen_vs_nfa_vs_naive =
   QCheck.Test.make ~count:2000
-    ~name:"frozen DFA agrees with NFA simulation and backtracking oracle"
+    ~name:"frozen DFA agrees with NFA simulation and the oracle"
     (QCheck.make
        ~print:(fun (r, s) -> Printf.sprintf "pattern %s subject %S" (Syntax.to_string r) s)
        (QCheck.Gen.pair gen_regex gen_subject))
     (fun (r, s) ->
       let pattern = Syntax.to_string r in
-      let frozen = Regex.compile_cached pattern in
-      let nfa = Regex.compile pattern in
-      Regex.search frozen s = naive_search r s
-      && Regex.search frozen s = Regex.search nfa s
-      && Regex.matches frozen s = naive_matches r s
-      && Regex.matches frozen s = Regex.matches nfa s)
+      let agree pattern oracle =
+        let frozen = Regex.search (Regex.compile_cached pattern) s in
+        frozen = oracle && frozen = Regex.search (Regex.compile pattern) s
+      in
+      agree pattern (naive_search r s) && agree (anchored pattern) (naive_matches r s))
 
 (* The pattern shapes a REGEXP_LIKE residual filter runs: each cached
    (frozen) handle is checked against explicit accept/reject subjects,
@@ -505,7 +618,12 @@ let () =
       "paper-table1", List.map tc paper_table1_tests;
       "parse-errors", List.map tc parse_error_tests;
       "compile-cache", List.map tc cache_tests;
-      "frozen-dfa", List.map tc frozen_tests;
+      ( "frozen-dfa",
+        List.map tc
+          (frozen_tests
+          @ [ "nested stars agree with the oracle", nested_stars_test;
+              "cold Q2 build allocates little", q2_build_test;
+              "empty subject crosses both anchors", empty_subject_anchors_test ]) );
       "nfa-simulation", List.map tc over_cap_tests;
       "residual-filters", List.map tc residual_filter_tests;
       ( "properties",
