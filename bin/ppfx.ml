@@ -900,7 +900,11 @@ let query_cmd =
     Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR"
            ~doc:"Server address.")
   in
-  let run host port query =
+  let values_arg =
+    Arg.(value & flag & info [ "values" ]
+           ~doc:"Also fetch each node's string value and print it after the id.")
+  in
+  let run host port values query =
     match Ppfx_client.Client.connect ~host ~port () with
     | exception Unix.Unix_error (e, _, _) ->
       Printf.eprintf "cannot connect to %s:%d: %s\n" host port (Unix.error_message e);
@@ -909,10 +913,21 @@ let query_cmd =
       Fun.protect
         ~finally:(fun () -> Ppfx_client.Client.close c)
         (fun () ->
-          match Ppfx_client.Client.run_ids c query with
-          | ids ->
-            Printf.printf "%d nodes\n" (List.length ids);
-            List.iter (fun id -> Printf.printf "  %d\n" id) ids
+          let module Row = Ppfx_client.Row in
+          match
+            if values then
+              List.map
+                (fun (id, value) -> Printf.sprintf "%d  %s" id value)
+                (List.sort_uniq compare
+                   (List.map
+                      (fun row ->
+                        Row.int_exn row "id", Option.value ~default:"" (Row.text row "value"))
+                      (Ppfx_client.Client.run ~values c query)))
+            else List.map string_of_int (Ppfx_client.Client.run_ids c query)
+          with
+          | lines ->
+            Printf.printf "%d nodes\n" (List.length lines);
+            List.iter (Printf.printf "  %s\n") lines
           | exception Ppfx_client.Client.Server_error { code; message } ->
             Printf.eprintf "server error (%s): %s\n"
               (Ppfx_net.Wire.error_code_to_string code) message;
@@ -921,11 +936,12 @@ let query_cmd =
             Printf.eprintf "protocol error: %s\n" msg;
             exit 1)
   in
-  let term = Term.(const run $ host_arg $ port_arg $ query_arg) in
+  let term = Term.(const run $ host_arg $ port_arg $ values_arg $ query_arg) in
   Cmd.v
     (Cmd.info "query"
        ~doc:"Run one XPath query against a running ppfx server over the wire \
-             protocol and print the matching element ids.")
+             protocol and print the matching element ids (with --values, \
+             each followed by its string value).")
     term
 
 let () =

@@ -38,7 +38,7 @@ let () =
   List.iter
     (fun (name, q) ->
       Printf.printf "%s: %s\n" name q;
-      match Translate.translate translator (Ppfx_xpath.Parser.parse q) with
+      match Translate.translate ~values:true translator (Ppfx_xpath.Parser.parse q) with
       | None -> print_endline "  (provably empty)\n"
       | Some stmt ->
         Printf.printf "  SQL: %s\n" (Sql.to_string stmt);

@@ -68,7 +68,7 @@ let () =
   let translator = Translate.create store.Loader.mapping in
   let run query =
     Printf.printf "XPath: %s\n" query;
-    match Translate.translate translator (Ppfx_xpath.Parser.parse query) with
+    match Translate.translate ~values:true translator (Ppfx_xpath.Parser.parse query) with
     | None -> print_endline "  (provably empty)\n"
     | Some stmt ->
       Printf.printf "SQL:   %s\n" (Sql.to_string stmt);

@@ -411,7 +411,7 @@ and translate_comparison env (node : node_ctx) (op : Ast.binop) (x : Ast.expr)
      | _ ->
        unsupported "unsupported comparison: %s vs %s" (Ast.to_string x) (Ast.to_string y))
 
-let finalize branches =
+let finalize ~values branches =
   let selects =
     List.filter_map
       (fun ((b : branch), kind) ->
@@ -429,20 +429,28 @@ let finalize branches =
           let conjs = List.rev b.conj @ guards in
           if List.mem (Sql.Bool_const false) conjs then None else
           Some
-            {
-              Sql.distinct = true;
-              projections =
-                [ col node.alias "id", "id"; col node.alias "pre", "pre"; value, "value" ];
-              from = List.rev b.from_;
-              where =
-                (match conjs with
-                 | [] -> None
-                 | c :: cs -> Some (List.fold_left (fun a x -> Sql.And (a, x)) c cs));
-              order_by = [ col node.alias "pre" ];
-            })
+            ( kind,
+              {
+                Sql.distinct = true;
+                projections =
+                  [ col node.alias "id", "id"; col node.alias "pre", "pre"; value, "value" ];
+                from = List.rev b.from_;
+                where =
+                  (match conjs with
+                   | [] -> None
+                   | c :: cs -> Some (List.fold_left (fun a x -> Sql.And (a, x)) c cs));
+                order_by = [ col node.alias "pre" ];
+              } ))
       branches
   in
-  match selects with
+  (* As in [Translate.translate]: [value] only when asked for, or when a
+     text() branch's value is its answer. *)
+  let keep_value = values || List.exists (fun (kind, _) -> kind <> `Element) selects in
+  let project (_, (s : Sql.select)) =
+    if keep_value then s
+    else { s with projections = List.filter (fun (_, name) -> name <> "value") s.projections }
+  in
+  match List.map project selects with
   | [] -> None
   | [ s ] -> Some (Sql.Select s)
   | ss -> Some (Sql.Union (List.map (fun s -> { s with Sql.order_by = [] }) ss, [ 1 ]))
@@ -456,7 +464,7 @@ let rec collect_paths (e : Ast.expr) : Ast.path list =
   | Ast.Fn_string_length _ ->
     unsupported "top-level expression must be a path or a union of paths"
 
-let translate (e : Ast.expr) : Sql.statement option =
+let translate ?(values = false) (e : Ast.expr) : Sql.statement option =
   let env = { counter = ref 0 } in
   let branches =
     List.concat_map
@@ -470,7 +478,7 @@ let translate (e : Ast.expr) : Sql.statement option =
           (Ppf.normalize_steps path.Ast.steps))
       (collect_paths e)
   in
-  finalize branches
+  finalize ~values branches
 
 let result_ids (r : Engine.result) =
   List.sort_uniq Int.compare

@@ -27,8 +27,11 @@ val create : unit -> t
 val load : t -> Doc.t -> t
 val shred : Doc.t -> t
 
-val translate : Ppfx_xpath.Ast.expr -> Sql.statement option
-(** Per-step window-join translation. Projects [(id, pre, value)] in
-    document order. *)
+val translate : ?values:bool -> Ppfx_xpath.Ast.expr -> Sql.statement option
+(** Per-step window-join translation. Projects [(id, pre)] in document
+    order, plus [value] under the rule of
+    {!Ppfx_translate.Translate.translate}: when [~values:true] (default
+    [false]), or when a [text()]-final branch makes the value the
+    answer. *)
 
 val result_ids : Ppfx_minidb.Engine.result -> int list

@@ -111,8 +111,8 @@ let ping t = match request t Wire.Ping with Wire.Pong -> () | _ -> unexpected "P
 let server_name t = t.server_name
 let server_shards t = t.server_shards
 
-let prepare t query =
-  match request t (Wire.Prepare { query }) with
+let prepare ?(values = false) t query =
+  match request t (Wire.Prepare { query; values }) with
   | Wire.Prepared { stmt; columns; empty; sql } ->
     { id = stmt; cols = columns; empty; sql_text = sql }
   | _ -> unexpected "Prepare"
@@ -153,14 +153,14 @@ let close_stmt t s =
   | Wire.Closed _ -> ()
   | _ -> unexpected "Close_stmt"
 
-let run ?window t query =
-  let s = prepare t query in
+let run ?window ?values t query =
+  let s = prepare ?values t query in
   Fun.protect
     ~finally:(fun () -> try close_stmt t s with _ -> ())
     (fun () -> execute ?window t s)
 
-let run_result ?window t query =
-  let s = prepare t query in
+let run_result ?window ?values t query =
+  let s = prepare ?values t query in
   Fun.protect
     ~finally:(fun () -> try close_stmt t s with _ -> ())
     (fun () -> execute_result ?window t s)

@@ -45,9 +45,12 @@ val server_shards : t -> int
 
 type stmt
 
-val prepare : t -> string -> stmt
+val prepare : ?values:bool -> t -> string -> stmt
 (** Compile an XPath query server-side; the statement handle carries the
-    typed column metadata from the [Prepared] frame. *)
+    typed column metadata from the [Prepared] frame. Rows are
+    [(id, dewey_pos)] for element results; [~values:true] (default
+    [false]) adds each node's string value as a third column, [value].
+    [text()]- and attribute-final queries always carry [value]. *)
 
 val stmt_id : stmt -> int
 val columns : stmt -> Wire.column list
@@ -71,10 +74,10 @@ val close_stmt : t -> stmt -> unit
 
 (** {2 One-shot conveniences} *)
 
-val run : ?window:int -> t -> string -> Row.t list
+val run : ?window:int -> ?values:bool -> t -> string -> Row.t list
 (** [prepare] + [execute] + [close_stmt]. *)
 
-val run_result : ?window:int -> t -> string -> Engine.result
+val run_result : ?window:int -> ?values:bool -> t -> string -> Engine.result
 
 val run_ids : t -> string -> int list
 (** [run] projected to sorted distinct element ids — the wire-protocol

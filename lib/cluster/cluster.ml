@@ -26,7 +26,8 @@ module Wrecord = Ppfx_wal.Record
    stores, each loaded through {!Partition} so it holds the replicated
    root + Paths rows and an interval of root-child subtrees.
 
-   Per query (keyed by canonical text, like the session cache) the
+   Per query (keyed by canonical text and values flag, like the session
+   cache: the two statements of one text differ in their SQL) the
    cluster caches a routing mode: scatter with one prepared plan per
    shard, or single-store fallback with the analysis reason. Shard plans
    are validated against their shard's epoch and re-prepared on the
@@ -389,7 +390,7 @@ let update t op =
   maybe_checkpoint t;
   outcome
 
-let prepare t text = Session.prepare t.session text
+let prepare ?values t text = Session.prepare ?values t.session text
 
 (* Resolve the coordinator temp-table schema of one side from the source
    catalog: every exported column keeps its source column's type. *)
@@ -411,8 +412,8 @@ let side_columns t (side : Analysis.order_side) =
   go side.Analysis.os_cols
 
 let mode_for t p =
-  let canonical = Session.canonical p in
-  match Lru.find t.cache canonical with
+  let key = Session.canonical p ^ if Session.values p then "\x00values" else "" in
+  match Lru.find t.cache key with
   | Some m -> m
   | None ->
     let m =
@@ -439,7 +440,7 @@ let mode_for t p =
             | Some key -> Scatter { key; plans = Array.make t.nshards None }
             | None -> Single "no statement-wide dewey ordering to merge on"))
     in
-    ignore (Lru.add t.cache canonical m);
+    ignore (Lru.add t.cache key m);
     m
 
 let revalidate_plans t stmt plans =
@@ -598,7 +599,7 @@ let execute_ids t p =
   | None -> Session.execute_ids t.session p
   | Some _ -> Translate.result_ids (execute t p)
 
-let run t text = execute t (prepare t text)
+let run ?values t text = execute t (prepare ?values t text)
 
 let run_ids t text = execute_ids t (prepare t text)
 

@@ -152,16 +152,17 @@ val with_cluster :
 
 type prepared = Session.prepared
 
-val prepare : t -> string -> prepared
+val prepare : ?values:bool -> t -> string -> prepared
 (** {!Session.prepare} on the embedded session: parse + translate + plan
-    cached across calls. *)
+    cached across calls. The merge keys on [dewey_pos], so it serves
+    statements with and without [value]. *)
 
 val execute : t -> prepared -> Engine.result
 (** Scatter-gather when the query's SQL is partitionable, single-store
     execution otherwise (counted in [fallbacks] of {!metrics}). *)
 
 val execute_ids : t -> prepared -> int list
-val run : t -> string -> Engine.result
+val run : ?values:bool -> t -> string -> Engine.result
 val run_ids : t -> string -> int list
 
 val verdict : t -> string -> Analysis.verdict option

@@ -45,8 +45,8 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 type executor = {
-  exec_prepare : string -> string * Sql.statement option;
-  exec_run : string -> Engine.result;
+  exec_prepare : values:bool -> string -> string * Sql.statement option;
+  exec_run : values:bool -> string -> Engine.result;
   exec_update : Wire.update_op -> Update.outcome;
   exec_db : Database.t option;
 }
@@ -80,10 +80,10 @@ let store_meta u =
 let session_executor ?update ?wal s =
   {
     exec_prepare =
-      (fun q ->
-        let p = Session.prepare s q in
+      (fun ~values q ->
+        let p = Session.prepare ~values s q in
         (Session.canonical p, Session.sql p));
-    exec_run = (fun q -> Session.run s q);
+    exec_run = (fun ~values q -> Session.run ~values s q);
     exec_update =
       (match update with
        | None -> no_write_path
@@ -111,11 +111,11 @@ let session_executor ?update ?wal s =
 let cluster_executor lock c =
   {
     exec_prepare =
-      (fun q ->
+      (fun ~values q ->
         Mutex.protect lock (fun () ->
-            let p = Cluster.prepare c q in
+            let p = Cluster.prepare ~values c q in
             (Session.canonical p, Session.sql p)));
-    exec_run = (fun q -> Mutex.protect lock (fun () -> Cluster.run c q));
+    exec_run = (fun ~values q -> Mutex.protect lock (fun () -> Cluster.run ~values c q));
     exec_update =
       (fun op -> Mutex.protect lock (fun () -> Cluster.update c (op_of_wire op)));
     exec_db = Some (Session.store (Cluster.session c)).Loader.db;
@@ -173,7 +173,7 @@ let columns_of_statement db = function
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type stmt = { text : string; mutable cursor : Value.t array list }
+type stmt = { text : string; values : bool; mutable cursor : Value.t array list }
 
 type conn = {
   cid : int;
@@ -298,12 +298,12 @@ let process t exec c (req : Wire.request) =
     | Wire.Quit ->
       respond t c Wire.Bye;
       true
-    | Wire.Prepare { query } ->
+    | Wire.Prepare { query; values } ->
       (try
-         let canonical, sql = exec.exec_prepare query in
+         let canonical, sql = exec.exec_prepare ~values query in
          let id = c.next_stmt in
          c.next_stmt <- c.next_stmt + 1;
-         Hashtbl.replace c.stmts id { text = canonical; cursor = [] };
+         Hashtbl.replace c.stmts id { text = canonical; values; cursor = [] };
          respond t c
            (Wire.Prepared
               {
@@ -326,7 +326,7 @@ let process t exec c (req : Wire.request) =
        | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" stmt)
        | Some st ->
          (try
-            let result = exec.exec_run st.text in
+            let result = exec.exec_run ~values:st.values st.text in
             st.cursor <- result.Engine.rows;
             send_window t c stmt st window;
             false

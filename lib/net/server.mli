@@ -63,10 +63,12 @@ val default_config : config
     mutex — the cluster parallelizes internally across its shard pool. *)
 
 type executor = {
-  exec_prepare : string -> string * Sql.statement option;
-      (** canonical text and translated SQL; raises the usual parse /
+  exec_prepare : values:bool -> string -> string * Sql.statement option;
+      (** canonical text and translated SQL, with string values when
+          [values] (the [Prepare] flag); raises the usual parse /
           unsupported exceptions *)
-  exec_run : string -> Engine.result;
+  exec_run : values:bool -> string -> Engine.result;
+      (** run a canonical text prepared with the same [values] *)
   exec_update : Wire.update_op -> Ppfx_update.Update.outcome;
       (** apply one mutation; raises {!Ppfx_update.Update.Update_error}
           on invalid operations (answered with a [Runtime] error frame)
@@ -103,7 +105,8 @@ val cluster_executor : Mutex.t -> Cluster.t -> executor
 
 val columns_of_statement : Database.t option -> Sql.statement -> Wire.column list
 (** Static column metadata for a translated statement: output names from
-    the projection list, types resolved through the catalog where a
+    the projection list ([id], [dewey_pos], and [value] when the
+    statement projects it), types resolved through the catalog where a
     projection is a plain column reference (else inferred from the
     expression shape, [Tany] when unknown). *)
 

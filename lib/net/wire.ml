@@ -1,6 +1,6 @@
 module Value = Ppfx_minidb.Value
 
-let protocol_version = 1
+let protocol_version = 2
 
 let default_max_frame = 16 * 1024 * 1024
 
@@ -95,7 +95,7 @@ type update_op =
 
 type request =
   | Hello of { version : int; client : string }
-  | Prepare of { query : string }
+  | Prepare of { query : string; values : bool }
   | Execute of { stmt : int; window : int }
   | Fetch of { stmt : int; window : int }
   | Close_stmt of { stmt : int }
@@ -278,9 +278,10 @@ let encode_request buf req =
      put_u8 buf 0x01;
      put_u16 buf version;
      put_str buf client
-   | Prepare { query } ->
+   | Prepare { query; values } ->
      put_u8 buf 0x02;
-     put_str buf query
+     put_str buf query;
+     put_u8 buf (Bool.to_int values)
    | Execute { stmt; window } ->
      put_u8 buf 0x03;
      put_u32 buf stmt;
@@ -394,7 +395,12 @@ let request_of_payload s =
       let version = get_u16 r in
       let client = get_str r in
       Hello { version; client }
-    | 0x02 -> Prepare { query = get_str r }
+    | 0x02 ->
+      let query = get_str r in
+      let values =
+        match get_u8 r with 0 -> false | 1 -> true | t -> raise (Codec (Bad_tag t))
+      in
+      Prepare { query; values }
     | 0x03 ->
       let stmt = get_u32 r in
       let window = get_u32 r in

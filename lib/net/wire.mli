@@ -22,7 +22,9 @@
 module Value = Ppfx_minidb.Value
 
 val protocol_version : int
-(** Version 1. Sent in [Hello], echoed in [Welcome]. *)
+(** Version 2, which added the [values] byte of [Prepare]. Sent in
+    [Hello], echoed in [Welcome]; a server answers any other version
+    with [Version_mismatch]. *)
 
 val default_max_frame : int
 (** 16 MiB: the largest frame either side accepts by default. *)
@@ -74,7 +76,13 @@ type update_op =
 
 type request =
   | Hello of { version : int; client : string }
-  | Prepare of { query : string }
+  | Prepare of { query : string; values : bool }
+      (** compile an XPath query. Encoded as the query string and one
+          byte, 0 or 1 (any other byte is [Bad_tag]). A result is a
+          node-set: element-final statements project [(id, dewey_pos)].
+          With [values], they also project each node's string value as
+          [value]. [text()]- and attribute-final statements project
+          [value] either way. *)
   | Execute of { stmt : int; window : int }
       (** run the prepared statement; stream at most [window] rows back
           (0 means the server's default fetch window) *)
@@ -142,8 +150,9 @@ val extract_frame :
     response is encoded once, in place behind its length prefix, and
     written straight from the buffer; a received payload is decoded
     straight from it. After a frame larger than 256 KiB the buffer shrinks
-    back to its initial 4 KiB (XMark result windows stay under 100 KiB). Buffers are per connection, never per
-    domain: two systhreads of one domain may each drive a connection. *)
+    back to its initial 4 KiB (a 512-row window of the XMark 10x results
+    is at most 25 KiB, or 88 KiB with string values). Buffers are per
+    connection, never per domain: two systhreads of one domain may each drive a connection. *)
 
 type buf
 

@@ -14,6 +14,7 @@ module Xparser = Ppfx_xpath.Parser
    changes. [plan = None] iff the translation proved the result empty. *)
 type entry = {
   canonical : string;
+  values : bool;
   sql : Sql.statement option;
   mutable plan : Engine.plan option;
 }
@@ -46,13 +47,15 @@ let load t doc = t.store <- Loader.load t.store doc
 
 let db t = t.store.Loader.db
 
-let key t canonical = canonical ^ "\x00" ^ t.fingerprint
+let key t canonical ~values =
+  canonical ^ (if values then "\x00values\x00" else "\x00") ^ t.fingerprint
 
-let prepare t text =
+let prepare ?(values = false) t text =
   Metrics.incr_prepares t.metrics;
   let expr = Metrics.time t.metrics Metrics.Parse (fun () -> Xparser.parse text) in
   let canonical = Ast.to_string expr in
-  match Lru.find t.cache (key t canonical) with
+  let key = key t canonical ~values in
+  match Lru.find t.cache key with
   | Some entry ->
     Metrics.incr_hits t.metrics;
     entry
@@ -60,7 +63,7 @@ let prepare t text =
     Metrics.incr_misses t.metrics;
     let sql =
       Metrics.time t.metrics Metrics.Translate (fun () ->
-          Translate.translate t.translator expr)
+          Translate.translate ~values t.translator expr)
     in
     let plan =
       Option.map
@@ -74,8 +77,8 @@ let prepare t text =
           plan)
         sql
     in
-    let entry = { canonical; sql; plan } in
-    (match Lru.add t.cache (key t canonical) entry with
+    let entry = { canonical; values; sql; plan } in
+    (match Lru.add t.cache key entry with
      | Some _evicted -> Metrics.incr_evictions t.metrics
      | None -> ());
     entry
@@ -135,11 +138,13 @@ let execute_ids t p =
     []
   | Some _ -> Translate.result_ids (execute t p)
 
-let run t text = execute t (prepare t text)
+let run ?values t text = execute t (prepare ?values t text)
 
 let run_ids t text = execute_ids t (prepare t text)
 
 let canonical (p : prepared) = p.canonical
+
+let values (p : prepared) = p.values
 
 let sql (p : prepared) = p.sql
 

@@ -6,7 +6,7 @@
     A session owns a schema-aware store ({!Ppfx_shred.Loader.t}) and a
     bounded {!Lru} cache mapping
 
-    {v normalized XPath text × translation options × schema fingerprint v}
+    {v normalized XPath text × values flag × translation options × schema fingerprint v}
 
     to the translated SQL statement and its prepared minidb plan
     ({!Ppfx_minidb.Engine.plan}). {!prepare} pays parse + translate +
@@ -49,8 +49,11 @@ val load : t -> Doc.t -> unit
 
 type prepared
 
-val prepare : t -> string -> prepared
-(** Parse the query and return its compiled form: on a cache miss this
+val prepare : ?values:bool -> t -> string -> prepared
+(** Parse the query and return its compiled form. [values] (default
+    [false]) is passed to {!Translate.translate}: with it, element-final
+    results also project their string values, and the text is cached
+    apart from its values-free form. On a cache miss this
     translates to SQL and prepares the minidb plan (recording parse /
     translate / plan latencies); on a hit only the parse is paid.
     Raises {!Ppfx_xpath.Parser.Error} on malformed queries and
@@ -67,14 +70,17 @@ val execute_ids : t -> prepared -> int list
 (** {!execute} projected to sorted element ids (empty for provably-empty
     translations). *)
 
-val run : t -> string -> Engine.result
+val run : ?values:bool -> t -> string -> Engine.result
 (** [prepare] + [execute]. *)
 
 val run_ids : t -> string -> int list
 (** [prepare] + [execute_ids]. *)
 
 val canonical : prepared -> string
-(** The normalized query text used as the cache key. *)
+(** The normalized query text, which with {!values} keys the cache. *)
+
+val values : prepared -> bool
+(** Whether the statement was prepared with [~values:true]. *)
 
 val sql : prepared -> Sql.statement option
 (** The translated statement; [None] when the schema proves the result

@@ -1117,30 +1117,33 @@ and translate_comparison env (b : branch) (node : node_ctx) (op : Ast.binop) (x 
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let finalize env (branches : branch list) (final_kind : value_kind) : Sql.statement option =
-  let selects =
-    List.filter_map
-      (fun (b : branch) ->
-        match b.cur with
-        | None -> None
-        | Some node ->
-          let value =
-            match final_kind, node.rel with
-            | V_element, _ -> col node.alias Mapping.text_column
-            | V_text, _ -> col node.alias Mapping.dtext_column
-            | V_attr (Ast.Name a), Def def when List.mem a def.Graph.attrs ->
-              col node.alias (Mapping.attr_column a)
-            | V_attr (Ast.Name _), Def _ -> Sql.Const Value.Null
-            | V_attr _, _ -> unsupported "attribute-final backbones need a schema attribute"
-          in
-          let conjs = List.rev b.conj @ value_conds env node final_kind [] in
-          if List.mem (Sql.Bool_const false) conjs then None else
-          let where =
-            match conjs with
-            | [] -> None
-            | c :: cs -> Some (List.fold_left (fun a x -> Sql.And (a, x)) c cs)
-          in
-          Some
+(* One SELECT per live branch, tagged with the kind of value it projects
+   as [value]. *)
+let finalize env (branches : branch list) (final_kind : value_kind) :
+    (value_kind * Sql.select) list =
+  List.filter_map
+    (fun (b : branch) ->
+      match b.cur with
+      | None -> None
+      | Some node ->
+        let value =
+          match final_kind, node.rel with
+          | V_element, _ -> col node.alias Mapping.text_column
+          | V_text, _ -> col node.alias Mapping.dtext_column
+          | V_attr (Ast.Name a), Def def when List.mem a def.Graph.attrs ->
+            col node.alias (Mapping.attr_column a)
+          | V_attr (Ast.Name _), Def _ -> Sql.Const Value.Null
+          | V_attr _, _ -> unsupported "attribute-final backbones need a schema attribute"
+        in
+        let conjs = List.rev b.conj @ value_conds env node final_kind [] in
+        if List.mem (Sql.Bool_const false) conjs then None else
+        let where =
+          match conjs with
+          | [] -> None
+          | c :: cs -> Some (List.fold_left (fun a x -> Sql.And (a, x)) c cs)
+        in
+        Some
+          ( final_kind,
             {
               Sql.distinct = true;
               projections =
@@ -1152,15 +1155,12 @@ let finalize env (branches : branch list) (final_kind : value_kind) : Sql.statem
               from = List.rev b.from_;
               where;
               order_by = [ dewey node.alias ];
-            })
-      branches
-  in
-  match selects with
-  | [] -> None
-  | [ s ] -> Some (Sql.Select s)
-  | branches -> Some (Sql.Union (List.map (fun s -> { s with Sql.order_by = [] }) branches, [ 1 ]))
+            } ))
+    branches
 
-let translate_path env (path : Ast.path) : Sql.statement option =
+(* The path's selects, one group per value kind its or-self variants end
+   in. *)
+let translate_path env (path : Ast.path) : (value_kind * Sql.select) list =
   let variants = Ppf.normalize_steps path.Ast.steps in
   let all =
     List.concat_map
@@ -1171,38 +1171,10 @@ let translate_path env (path : Ast.path) : Sql.statement option =
           List.map (fun b -> b, final_kind) (translate_steps env empty_branch steps))
       variants
   in
-  (* All variants share the projection arity; group by value kind is not
-     needed because the projected value column adapts per branch. *)
-  match all with
-  | [] -> None
-  | _ ->
-    let kinds = List.sort_uniq compare (List.map snd all) in
-    (match kinds with
-     | [ kind ] -> finalize env (List.map fst all) kind
-     | _ ->
-       (* Mixed value kinds across or-self variants: finalize each group
-          and union them. *)
-       let stmts =
-         List.filter_map
-           (fun kind ->
-             finalize env
-               (List.filter_map (fun (b, k) -> if k = kind then Some b else None) all)
-               kind)
-           kinds
-       in
-       let selects =
-         List.concat_map
-           (function
-             | Sql.Select s -> [ { s with Sql.order_by = [] } ]
-             | Sql.Union (ss, _) -> ss
-             | Sql.Select_count _ -> assert false (* never produced here *))
-           stmts
-       in
-       (match selects with
-        | [] -> None
-        | [ s ] ->
-          Some (Sql.Select { s with Sql.order_by = [ fst (List.nth s.Sql.projections 1) ] })
-        | ss -> Some (Sql.Union (ss, [ 1 ]))))
+  List.concat_map
+    (fun kind ->
+      finalize env (List.filter_map (fun (b, k) -> if k = kind then Some b else None) all) kind)
+    (List.sort_uniq compare (List.map snd all))
 
 let rec collect_paths (e : Ast.expr) : Ast.path list =
   match e with
@@ -1213,23 +1185,21 @@ let rec collect_paths (e : Ast.expr) : Ast.path list =
   | Ast.Fn_string_length _ ->
     unsupported "top-level expression must be a path or a union of paths"
 
-let translate t (e : Ast.expr) : Sql.statement option =
+let translate ?(values = false) t (e : Ast.expr) : Sql.statement option =
   let env = { t; counter = Hashtbl.create 16 } in
-  let paths = collect_paths e in
-  let stmts = List.filter_map (translate_path env) paths in
-  match stmts with
+  let selects = List.concat_map (translate_path env) (collect_paths e) in
+  (* A node-set answer needs no string values. A text()- or
+     attribute-final branch's value is its answer, and one such branch
+     keeps the column in every branch so the union's arity stays equal. *)
+  let keep_value = values || List.exists (fun (kind, _) -> kind <> V_element) selects in
+  let project (_, (s : Sql.select)) =
+    if keep_value then s
+    else { s with projections = List.filter (fun (_, name) -> name <> "value") s.projections }
+  in
+  match List.map project selects with
   | [] -> None
-  | [ s ] -> Some s
-  | ss ->
-    let selects =
-      List.concat_map
-        (function
-          | Sql.Select s -> [ { s with Sql.order_by = [] } ]
-          | Sql.Union (branches, _) -> branches
-          | Sql.Select_count _ -> assert false (* never produced here *))
-        ss
-    in
-    Some (Sql.Union (selects, [ 1 ]))
+  | [ s ] -> Some (Sql.Select s)
+  | ss -> Some (Sql.Union (List.map (fun s -> { s with Sql.order_by = [] }) ss, [ 1 ]))
 
 let result_ids (r : Engine.result) =
   List.sort_uniq Int.compare

@@ -89,10 +89,16 @@ val fingerprint : t -> string
     translations across sessions (the paper's Section 4 static-translation
     argument). *)
 
-val translate : t -> Ppfx_xpath.Ast.expr -> Sql.statement option
+val translate : ?values:bool -> t -> Ppfx_xpath.Ast.expr -> Sql.statement option
 (** [None] when the schema proves the result empty. The statement
-    projects [(id, dewey_pos, value)] of the result nodes, in document
-    order. Raises {!Unsupported} on out-of-subset constructs. *)
+    projects [(id, dewey_pos)] of the result nodes, in document order: an
+    XPath result is a node-set. A [text()]- or attribute-final branch
+    also projects [value], its text or attribute value, since that value
+    is the answer; one such branch in a union keeps [value] in every
+    branch. [~values:true] (default [false]) makes every element-final
+    branch project its string value as [value] too, so every select
+    projects [(id, dewey_pos, value)]. Raises {!Unsupported} on
+    out-of-subset constructs. *)
 
 val result_ids : Ppfx_minidb.Engine.result -> int list
 (** Element ids of a translated statement's result, sorted. *)

@@ -45,15 +45,15 @@ let render (r : Engine.result) =
          (fun row -> String.concat "," (Array.to_list (Array.map Value.to_string row)))
          r.Engine.rows)
 
-let cold_render (store : Loader.t) query =
+let cold_render ?values (store : Loader.t) query =
   let expr = Xparser.parse query in
   let tr = Translate.create store.Loader.mapping in
-  match Translate.translate tr expr with
+  match Translate.translate ?values tr expr with
   | None -> "(empty)"
   | Some stmt -> render (Engine.run store.Loader.db stmt)
 
-let cluster_render cluster query =
-  let p = Cluster.prepare cluster query in
+let cluster_render ?values cluster query =
+  let p = Cluster.prepare ?values cluster query in
   match Session.sql p with
   | None -> "(empty)"
   | Some _ -> render (Cluster.execute cluster p)
@@ -462,6 +462,30 @@ let test_cluster_order_axis_scatter () =
         queries)
     [ shared_cluster; shared_cluster4 ]
 
+(* Scatter, order-scatter and fallback serve both result shapes: each
+   corpus query, and unions mixing element- and text()-final branches,
+   come back byte-identical to the unsharded engine with values off and
+   on, one text holding two cached statements. *)
+let test_cluster_values_both_modes () =
+  let queries =
+    List.map snd (Xmark.queries @ Xmark.extension_queries)
+    @ [ "//keyword | //item/name/text()"; "//item/following::item | //person/name/text()" ]
+  in
+  List.iter
+    (fun cluster ->
+      let c = Lazy.force cluster in
+      let full = Session.store (Cluster.session c) in
+      List.iter
+        (fun q ->
+          List.iter
+            (fun values ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s (values %b) on %d shards" q values (Cluster.shards c))
+                (cold_render ~values full q) (cluster_render ~values c q))
+            [ false; true; false ])
+        queries)
+    [ shared_cluster; shared_cluster4 ]
+
 let test_cluster_load_invalidates () =
   Cluster.with_cluster ~pool_size:0 ~shards:2 schema [ Lazy.force tree1 ] (fun c ->
       let before = Cluster.run_ids c "//keyword" in
@@ -545,15 +569,16 @@ let gen_query =
 let prop_sharded_equals_unsharded =
   QCheck.Test.make ~count:150
     ~name:"sharded scatter-gather execution is byte-identical to the unsharded engine"
-    (QCheck.make ~print:(fun q -> q) gen_query)
-    (fun query ->
+    (QCheck.make ~print:(fun (q, values) -> Printf.sprintf "%s (values %b)" q values)
+       QCheck.Gen.(pair gen_query bool))
+    (fun (query, values) ->
       let c = Lazy.force shared_cluster in
       let full = Session.store (Cluster.session c) in
-      match cold_render full query with
+      match cold_render ~values full query with
       | exception Xparser.Error _ -> QCheck.assume_fail ()
       | exception Translate.Unsupported _ -> QCheck.assume_fail ()
       | cold ->
-        let sharded = cluster_render c query in
+        let sharded = cluster_render ~values c query in
         if sharded <> cold then
           QCheck.Test.fail_reportf
             "query %s: sharded result differs\nunsharded:\n%s\nsharded:\n%s" query cold
@@ -628,6 +653,7 @@ let () =
             "routing", test_cluster_routing;
             "equals session on XPathMark", test_cluster_equals_session_on_xpathmark;
             "order-axis scatter", test_cluster_order_axis_scatter;
+            "values off and on", test_cluster_values_both_modes;
             "metrics", test_cluster_metrics;
             "load invalidates", test_cluster_load_invalidates;
             "multi-document create", test_cluster_multi_doc_create;

@@ -14,6 +14,9 @@ module Accelerator = Ppfx_baselines.Accelerator
 module Monet_sim = Ppfx_baselines.Monet_sim
 module Commercial = Ppfx_baselines.Commercial
 module Engine = Ppfx_minidb.Engine
+module Sql = Ppfx_minidb.Sql
+module Value = Ppfx_minidb.Value
+module Ast = Ppfx_xpath.Ast
 module Xmark = Ppfx_workloads.Xmark
 module Dblp = Ppfx_workloads.Dblp
 
@@ -376,6 +379,126 @@ let explain_goldens () =
       "Q22", "union distinct: hash (id)";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Result shape: node ids by default, string values on request         *)
+(* ------------------------------------------------------------------ *)
+
+let selects = function
+  | Sql.Select s -> [ s ]
+  | Sql.Union (ss, _) -> ss
+  | Sql.Select_count _ -> []
+
+(* Whether a top-level path of the query ends in text() or an attribute:
+   there the value is the answer, so every select keeps [value]. *)
+let rec value_final = function
+  | Ast.Union (a, b) -> value_final a || value_final b
+  | Ast.Path { Ast.steps; _ } ->
+    (match List.rev steps with
+     | { Ast.axis = Ast.Attribute; predicates = []; _ } :: _
+     | { Ast.axis = Ast.Child; test = Ast.Text; predicates = []; _ } :: _ -> true
+     | _ -> false)
+  | _ -> false
+
+let without_value stmt =
+  let strip (s : Sql.select) =
+    { s with Sql.projections = List.filter (fun (_, n) -> n <> "value") s.Sql.projections }
+  in
+  match stmt with
+  | Sql.Select s -> Sql.Select (strip s)
+  | Sql.Union (ss, order) -> Sql.Union (List.map strip ss, order)
+  | Sql.Select_count _ -> stmt
+
+(* Every corpus query at the default: element-final selects project
+   exactly [id; dewey_pos], text()/attribute-final ones keep [value], and
+   [~values:true] differs from the default only by the [value]
+   projections it adds. *)
+let projection_guard fx queries () =
+  let translator = Translate.create fx.schema_store.Loader.mapping in
+  List.iter
+    (fun (name, query) ->
+      let expr = Xparser.parse query in
+      match Translate.translate translator expr, Translate.translate ~values:true translator expr with
+      | None, None -> ()
+      | Some plain, Some valued ->
+        let want = if value_final expr then [ "id"; "dewey_pos"; "value" ] else [ "id"; "dewey_pos" ] in
+        List.iter
+          (fun (s : Sql.select) ->
+            Alcotest.(check (list string)) (name ^ " projects") want (List.map snd s.Sql.projections))
+          (selects plain);
+        List.iter
+          (fun (s : Sql.select) ->
+            Alcotest.(check (list string)) (name ^ " with values projects")
+              [ "id"; "dewey_pos"; "value" ] (List.map snd s.Sql.projections))
+          (selects valued);
+        Alcotest.(check string) (name ^ " with values, minus value")
+          (Sql.to_string (without_value plain)) (Sql.to_string (without_value valued))
+      | _ -> Alcotest.failf "%s: one flag proved the result empty, the other did not" name)
+    queries
+
+(* The reference answer as (owner element id, string value) pairs:
+   element string values, merged text runs, attribute values. *)
+let reference_values doc expr =
+  List.sort_uniq compare
+    (List.map
+       (fun item ->
+         let owner = match item with Eval.Element i | Eval.Text_node i | Eval.Attr (i, _) -> i in
+         owner, Eval.string_value doc item)
+       (Eval.select doc expr))
+
+let row_values (r : Engine.result) =
+  List.sort_uniq compare
+    (List.map
+       (fun row ->
+         match row.(0), row.(2) with
+         | Value.Int id, Value.Str v -> id, v
+         | _ -> Alcotest.failf "row is not (id, _, string value): %s" (Value.to_string row.(0)))
+       r.Engine.rows)
+
+(* With [~values:true], every target's rows carry the reference
+   evaluator's string value of their node; with values off or on, the
+   ids are the evaluator's. *)
+let values_differential fx queries () =
+  let translator = Translate.create fx.schema_store.Loader.mapping in
+  let targets =
+    [
+      ( "ppf",
+        (fun ~values e -> Translate.translate ~values translator e),
+        fx.schema_store.Loader.db, Translate.result_ids );
+      ( "edge-ppf",
+        (fun ~values e -> Translate.translate ~values Translate.edge e),
+        fx.edge_store.Edge.db, Translate.result_ids );
+      ( "accelerator",
+        (fun ~values e -> Accelerator.translate ~values e),
+        fx.accel_store.Accelerator.db, Accelerator.result_ids );
+    ]
+  in
+  List.iter
+    (fun (name, query) ->
+      let expr = Xparser.parse query in
+      let ids = Eval.select_elements fx.doc expr in
+      List.iter
+        (fun (target, translate, db, result_ids) ->
+          let label = Printf.sprintf "%s via %s" name target in
+          match translate ~values:false expr, translate ~values:true expr with
+          | None, None -> Alcotest.(check (list int)) (label ^ " empty") ids []
+          | Some plain, Some valued ->
+            Alcotest.(check (list int)) (label ^ " ids") ids (result_ids (Engine.run db plain));
+            let r = Engine.run db valued in
+            Alcotest.(check (list int)) (label ^ " ids with values") ids (result_ids r);
+            if row_values r <> reference_values fx.doc expr then
+              Alcotest.failf "%s: values differ from the evaluator's string values" label
+          | _ -> Alcotest.failf "%s: one flag proved the result empty, the other did not" label
+          | exception (Translate.Unsupported _ | Accelerator.Unsupported _) -> ())
+        targets)
+    queries
+
+(* Element- and text()-final branches in one union. *)
+let mixed_unions =
+  [
+    "keyword|name/text()", "//keyword | //item/name/text()";
+    "text()|person", "/site/people/person/name/text() | //person";
+  ]
+
 let () =
   let fx = Lazy.force xmark_fixture in
   let dfx = Lazy.force dblp_fixture in
@@ -410,4 +533,13 @@ let () =
           (Xmark.queries @ Xmark.extension_queries) );
       ( "random-cross-engine",
         [ QCheck_alcotest.to_alcotest (prop_xmark_cross_engine fx) ] );
+      ( "result-shape",
+        [
+          Alcotest.test_case "xmark projections" `Quick
+            (projection_guard fx (Xmark.queries @ Xmark.extension_queries @ mixed_unions));
+          Alcotest.test_case "dblp projections" `Quick (projection_guard dfx Dblp.queries);
+          Alcotest.test_case "xmark values" `Quick
+            (values_differential fx (Xmark.queries @ Xmark.extension_queries @ mixed_unions));
+          Alcotest.test_case "dblp values" `Quick (values_differential dfx Dblp.queries);
+        ] );
     ]

@@ -95,6 +95,47 @@ let typed_rows () =
     rows;
   Client.close_stmt c stmt
 
+(* One text prepared with and without values: two statements, one with
+   [(id, dewey_pos)] and one with [(id, dewey_pos, value)], over the same
+   node ids; each value is the node's string value. *)
+let values_flag () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  let q = Xmark.query "Q1" in
+  let plain = Client.prepare c q and valued = Client.prepare ~values:true c q in
+  let names s = List.map (fun col -> col.Wire.name) (Client.columns s) in
+  Alcotest.(check bool) "two statements" true (Client.stmt_id plain <> Client.stmt_id valued);
+  Alcotest.(check (list string)) "without values" [ "id"; "dewey_pos" ] (names plain);
+  Alcotest.(check (list string)) "with values" [ "id"; "dewey_pos"; "value" ] (names valued);
+  let plain_rows = Client.execute_result c plain and valued_rows = Client.execute_result c valued in
+  Alcotest.(check (list int)) "same ids"
+    (Ppfx_translate.Translate.result_ids plain_rows)
+    (Ppfx_translate.Translate.result_ids valued_rows);
+  let doc = List.hd store.Loader.docs in
+  List.iter
+    (fun row ->
+      Alcotest.(check string) "value is the string value"
+        (Doc.element doc (Row.int_exn row "id")).Doc.string_value (Row.text_exn row "value"))
+    (Client.execute c valued);
+  Client.close_stmt c plain;
+  Client.close_stmt c valued
+
+(* A version-1 client is refused at the handshake, and its connection is
+   closed. *)
+let old_version_refused () =
+  with_server @@ fun server ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+  ignore (Wire.send_request fd (Wire.Hello { version = 1; client = "v1" }));
+  (match Wire.recv_response fd with
+   | Some (Wire.Error { code = Wire.Version_mismatch; _ }) -> ()
+   | _ -> Alcotest.fail "expected Version_mismatch");
+  match Wire.recv_response fd with
+  | None -> ()
+  | Some _ -> Alcotest.fail "connection not closed after Version_mismatch"
+  | exception Wire.Codec Wire.Truncated -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency: a pool of clients against one server                   *)
 (* ------------------------------------------------------------------ *)
@@ -186,7 +227,7 @@ let abrupt_disconnect_isolated () =
   (* Kill a connection mid-request: send Execute for a prepared
      statement and slam the socket shut without reading. *)
   let fd = raw_connect (Server.port server) in
-  ignore (Wire.send_request fd (Wire.Prepare { query = Xmark.query "Q1" }));
+  ignore (Wire.send_request fd (Wire.Prepare { query = Xmark.query "Q1"; values = false }));
   (match Wire.recv_response fd with
    | Some (Wire.Prepared { stmt; _ }) ->
      ignore (Wire.send_request fd (Wire.Execute { stmt; window = 0 }))
@@ -322,7 +363,7 @@ let non_transient_not_retried () =
 let shutdown_drains () =
   let server = Server.start factory in
   let fd = raw_connect (Server.port server) in
-  ignore (Wire.send_request fd (Wire.Prepare { query = Xmark.query "Q1" }));
+  ignore (Wire.send_request fd (Wire.Prepare { query = Xmark.query "Q1"; values = false }));
   let stmt =
     match Wire.recv_response fd with
     | Some (Wire.Prepared { stmt; _ }) -> stmt
@@ -372,6 +413,8 @@ let () =
           Alcotest.test_case "windowed fetch reassembles rows" `Quick
             rows_identical_windowed;
           Alcotest.test_case "typed row accessors" `Quick typed_rows;
+          Alcotest.test_case "values flag: 2 and 3 columns, same ids" `Quick values_flag;
+          Alcotest.test_case "version-1 Hello is refused" `Quick old_version_refused;
         ] );
       ( "concurrency",
         [ Alcotest.test_case "8 threads through a 4-conn pool" `Quick

@@ -60,7 +60,7 @@ let gen_request =
         map2
           (fun version client -> Wire.Hello { version; client })
           small_nat (gen_bytes 16);
-        map (fun query -> Wire.Prepare { query }) (gen_bytes 64);
+        map2 (fun query values -> Wire.Prepare { query; values }) (gen_bytes 64) bool;
         map2 (fun stmt window -> Wire.Execute { stmt; window }) small_nat small_nat;
         map2 (fun stmt window -> Wire.Fetch { stmt; window }) small_nat small_nat;
         map (fun stmt -> Wire.Close_stmt { stmt }) small_nat;
@@ -206,7 +206,7 @@ let frame_layout () =
     (Wire.response_payload Wire.Bye)
 
 let version_pinned () =
-  Alcotest.(check int) "protocol version" 1 Wire.protocol_version
+  Alcotest.(check int) "protocol version" 2 Wire.protocol_version
 
 (* ------------------------------------------------------------------ *)
 (* Frame buffers                                                       *)
@@ -278,6 +278,16 @@ let expect_codec what want f =
   | exception Wire.Codec e ->
     Alcotest.failf "%s: got %s" what (Wire.codec_error_to_string e)
 
+(* Prepare's values flag is one byte after the query string, 0 or 1. *)
+let prepare_flag_layout () =
+  Alcotest.(check string) "Prepare with values"
+    "\x02\x00\x00\x00\x02//\x01"
+    (Wire.request_payload (Wire.Prepare { query = "//"; values = true }));
+  expect_codec "flag byte 2" (Wire.Bad_tag 2) (fun () ->
+      Wire.request_of_payload "\x02\x00\x00\x00\x02//\x02");
+  expect_codec "version-1 Prepare (no flag)" Wire.Truncated (fun () ->
+      Wire.request_of_payload "\x02\x00\x00\x00\x02//")
+
 (* The receive buffer keeps a large frame's bytes behind a small one's:
    the small frame's declared length, not the buffer, bounds its decode. *)
 let prop_receive_buffer =
@@ -347,5 +357,6 @@ let () =
         [
           Alcotest.test_case "frame layout" `Quick frame_layout;
           Alcotest.test_case "version" `Quick version_pinned;
+          Alcotest.test_case "Prepare values flag" `Quick prepare_flag_layout;
         ] );
     ]
