@@ -599,8 +599,6 @@ let execute_ids t p =
   | None -> Session.execute_ids t.session p
   | Some _ -> Translate.result_ids (execute t p)
 
-let run ?values t text = execute t (prepare ?values t text)
-
 let run_ids t text = execute_ids t (prepare t text)
 
 let verdict t text =

@@ -162,7 +162,6 @@ val execute : t -> prepared -> Engine.result
     execution otherwise (counted in [fallbacks] of {!metrics}). *)
 
 val execute_ids : t -> prepared -> int list
-val run : ?values:bool -> t -> string -> Engine.result
 val run_ids : t -> string -> int list
 
 val verdict : t -> string -> Analysis.verdict option

@@ -103,11 +103,24 @@ let stats_diff a b = make (fun _ _ _ get -> get a - get b)
 let stats_to_string s =
   String.concat ", " (List.map (fun c -> Printf.sprintf "%s %d" c.label (c.get s)) counters)
 
-(* What a compiled plan depends on, per table. [Dep_paths] means every
-   access the plan makes to the table is guarded by a pathid set probe
-   on the given set, so a commit that only changed rows of other pathids
-   cannot alter the plan's result; anything weaker is [Dep_all]. *)
-type fp_dep = Dep_all | Dep_paths of (int, unit) Hashtbl.t
+(* What a compiled plan depends on, per table: which changed pathids
+   force a re-plan. [Dep_paths { matched; swept }]: every access the plan
+   makes to the table is guarded by a pathid set probe that admits only
+   [matched]. A change to a pathid in [matched] re-plans. With [swept =
+   None] the probe's regex was decided on every [paths] row, so any
+   other pathid is harmless. With [swept = Some keys] it was decided
+   only on the table's partition keys at plan time: another pathid is
+   harmless if it is in [keys], or if the table holds no row of it (a
+   commit's pathid list covers every table it touched, so most such ids
+   name rows of other relations); a pathid that now has rows but was
+   never decided re-plans. Anything weaker is [Dep_all]: any touch
+   re-plans. *)
+type fp_dep =
+  | Dep_all
+  | Dep_paths of {
+      matched : (int, unit) Hashtbl.t;
+      swept : (int, unit) Hashtbl.t option;
+    }
 
 type fp_entry = { mutable fe_version : int; mutable fe_dep : fp_dep }
 
@@ -208,16 +221,20 @@ type reduction = {
   rd_pattern : string;
   rd_fact_alias : string;
   rd_fact_col : string;
+  rd_domain : [ `Paths | `Partitions ];
+      (* what was swept: every dimension row, or the dimension rows of
+         the fact table's partition keys *)
   rd_matched : int;
   rd_total : int;
 }
 
 (* The materialized pathid set a reduction produces, to be probed on the
-   fact alias's column. *)
+   fact alias's column, with the footprint the sweep proves for it. *)
 type probe_src = {
   pb_alias : string;
   pb_col : string;
   pb_set : (int, unit) Hashtbl.t;
+  pb_dep : fp_dep;
   pb_label : string;
 }
 
@@ -279,13 +296,24 @@ and ctx = {
 }
 
 
+(* Two deps on one table hold together: a pathid is harmless only if it
+   is harmless to both, so the matched sets unite and the swept sets
+   intersect. *)
 let fp_merge a b =
   match a, b with
   | Dep_all, _ | _, Dep_all -> Dep_all
-  | Dep_paths sa, Dep_paths sb ->
-    let u = Hashtbl.copy sa in
-    Hashtbl.iter (fun k () -> Hashtbl.replace u k ()) sb;
-    Dep_paths u
+  | Dep_paths a, Dep_paths b ->
+    let matched = Hashtbl.copy a.matched in
+    Hashtbl.iter (fun k () -> Hashtbl.replace matched k ()) b.matched;
+    let swept =
+      match a.swept, b.swept with
+      | None, s | s, None -> s
+      | Some sa, Some sb ->
+        let r = Hashtbl.create (Hashtbl.length sa) in
+        Hashtbl.iter (fun k () -> if Hashtbl.mem sb k then Hashtbl.replace r k ()) sa;
+        Some r
+    in
+    Dep_paths { matched; swept }
 
 let footprint_add ctx table dep =
   let name = Table.name table in
@@ -402,20 +430,31 @@ let emits_ascending table (access : access) c =
 
 (* Detect the PPF shape the translator emits — a dimension alias [p]
    whose only uses are an integer equijoin [f.fcol = p.idcol] and a
-   [REGEXP_LIKE(p.pcol, pat)] — evaluate the regex once per dimension row
-   at plan time, and replace both conjuncts (and the join itself) with an
-   O(1) integer set probe on [f.fcol].
+   [REGEXP_LIKE(p.pcol, pat)] — evaluate the regex at plan time, and
+   replace both conjuncts (and the join itself) with an O(1) integer set
+   probe on [f.fcol].
 
    Soundness requires the dimension ids to be unique non-null integers:
    then each fact row joins at most one dimension row, so dropping the
-   join preserves multiplicity exactly. Uniqueness is verified by the
-   plan-time scan itself (the reduction is abandoned on a duplicate), and
-   the verdict stays valid for the lifetime of the plan because plans are
-   epoch-guarded. A NULL id never joins and a NULL path never matches
-   REGEXP_LIKE, so skipping those rows is exact, not approximate. Both
-   columns must be declared INTEGER — {!Table.insert} enforces declared
-   types, so at runtime the probe only ever sees [Int] or [Null] and an
-   exact int lookup suffices. *)
+   join preserves multiplicity exactly. A NULL id never joins and a NULL
+   path never matches REGEXP_LIKE, so skipping those rows is exact, not
+   approximate. Both columns must be declared INTEGER — {!Table.insert}
+   enforces declared types, so at runtime the probe only ever sees [Int]
+   or [Null] and an exact int lookup suffices.
+
+   The sweep's domain is the smaller of two. When the fact table is
+   partitioned on [fcol] and [idcol] is a declared key of the dimension,
+   only the fact table's partition keys are looked up, through the key's
+   index: a fact row's key is always one of them (overflow rows hold NULL
+   and never join), and the declaration already guarantees uniqueness.
+   Otherwise every dimension row is swept and uniqueness is verified on
+   the way (the reduction is abandoned on a duplicate).
+
+   The probe carries the footprint the sweep proves ([fp_dep]): after a
+   full sweep only a change to a matched pathid re-plans; after a
+   partition sweep so does a change that gives the fact table rows of a
+   pathid that was not swept (a new partition under an existing [paths]
+   row). The dimension table itself is [Dep_all]. *)
 let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
   let projections_free =
     List.concat_map (fun (e, _) -> Sql.free_aliases e) sel.Sql.projections
@@ -467,93 +506,108 @@ let reduce_path_filters ctx (sel : Sql.select) local_aliases conjuncts =
             in
             go (Array.length ctx.slots - 1)
         in
-        (match ftable with
-         | None -> acc
-         | Some ft ->
-           let ok_types =
-             Table.column_ty ft fcol = Some Value.Tint
-             && Table.column_ty ptable idcol = Some Value.Tint
+        let ok_types ft =
+          Table.column_ty ft fcol = Some Value.Tint
+          && Table.column_ty ptable idcol = Some Value.Tint
+        in
+        (match ftable, Table.column_index ptable pcol, Table.column_index ptable idcol with
+         | Some ft, Some pci, Some ici when ok_types ft && not p_used_elsewhere ->
+           let re =
+             try Ppfx_regex.Regex.compile_cached pat
+             with Ppfx_regex.Regex.Parse_error msg ->
+               error "invalid regular expression %S: %s" pat msg
            in
-           (match
-              (if p_used_elsewhere || not ok_types then None
-               else
-                 match Table.column_index ptable pcol, Table.column_index ptable idcol with
-                 | Some pci, Some ici -> Some (pci, ici)
-                 | _ -> None)
-            with
-            | None -> acc
-            | Some (pci, ici) ->
-              let re =
-                try Ppfx_regex.Regex.compile_cached pat
-                with Ppfx_regex.Regex.Parse_error msg ->
-                  error "invalid regular expression %S: %s" pat msg
-              in
-              let set = Hashtbl.create 64 in
-              let seen = Hashtbl.create 64 in
-              let total = ref 0 in
-              let sound = ref true in
-              (try
-                 Table.iter_rows
-                   (fun _ row ->
-                     incr total;
+           let matches row =
+             match Value.text row.(pci) with
+             | None -> false
+             | Some s ->
+               (match Hashtbl.find_opt ctx.verdicts (pat, s) with
+                | Some v -> v
+                | None ->
+                  ctx.counters.regex_plan_evals <- ctx.counters.regex_plan_evals + 1;
+                  let v = Ppfx_regex.Regex.search re s in
+                  Hashtbl.add ctx.verdicts (pat, s) v;
+                  v)
+           in
+           let set = Hashtbl.create 64 in
+           let key_index =
+             match Table.partition_spec ft with
+             | Some spec
+               when String.equal spec.Table.part_col fcol
+                    && List.mem idcol (Table.keys ptable) ->
+               Table.index_on ptable [ idcol ]
+             | _ -> None
+           in
+           let sweep =
+             match key_index with
+             | Some idx ->
+               let keys = Table.partition_keys ft in
+               let swept = Hashtbl.create 16 in
+               List.iter
+                 (fun k ->
+                   Hashtbl.replace swept k ();
+                   match Btree.find_first idx (Value.Int k) with
+                   | Some rid ->
                      ctx.counters.rows_scanned <- ctx.counters.rows_scanned + 1;
-                     match row.(ici) with
-                     | Value.Null -> ()
-                     | Value.Int id ->
-                       if Hashtbl.mem seen id then begin
-                         sound := false;
-                         raise Exit
-                       end;
-                       Hashtbl.add seen id ();
-                       (match Value.text row.(pci) with
-                        | None -> ()
-                        | Some s ->
-                          let verdict =
-                            match Hashtbl.find_opt ctx.verdicts (pat, s) with
-                            | Some v -> v
-                            | None ->
-                              ctx.counters.regex_plan_evals <-
-                                ctx.counters.regex_plan_evals + 1;
-                              let v = Ppfx_regex.Regex.search re s in
-                              Hashtbl.add ctx.verdicts (pat, s) v;
-                              v
-                          in
-                          if verdict then Hashtbl.replace set id ())
-                     | Value.Float _ | Value.Str _ | Value.Bin _ ->
-                       (* declared INTEGER, so unreachable; bail rather
-                          than guess at coercion semantics *)
-                       sound := false;
-                       raise Exit)
-                   ptable
-               with Exit -> ());
-              if not !sound then acc
-              else begin
-                ctx.counters.reductions <- ctx.counters.reductions + 1;
-                ctx.counters.peak_bytes <-
-                  ctx.counters.peak_bytes + (32 * Hashtbl.length set) + 64;
-                let matched = Hashtbl.length set in
-                let label =
-                  Printf.sprintf "pathid set probe (%d of %d paths)" matched !total
-                in
-                let pb =
-                  { pb_alias = f; pb_col = fcol; pb_set = set; pb_label = label }
-                in
-                let rd =
-                  {
-                    rd_dim_table = Table.name ptable;
-                    rd_dim_alias = p;
-                    rd_pattern = pat;
-                    rd_fact_alias = f;
-                    rd_fact_col = fcol;
-                    rd_matched = matched;
-                    rd_total = !total;
-                  }
-                in
-                ( List.filter (fun (a, _) -> not (String.equal a p)) locals,
-                  others,
-                  pb :: probes,
-                  rd :: reds )
-              end))
+                     if matches (Table.row ptable rid) then Hashtbl.replace set k ()
+                   | None -> ())
+                 keys;
+               Some
+                 ( `Partitions,
+                   List.length keys,
+                   Dep_paths { matched = set; swept = Some swept } )
+             | None ->
+               (* Every dimension row, verifying id uniqueness. *)
+               let seen = Hashtbl.create 64 in
+               let total = ref 0 in
+               (try
+                  Table.iter_rows
+                    (fun _ row ->
+                      incr total;
+                      ctx.counters.rows_scanned <- ctx.counters.rows_scanned + 1;
+                      match row.(ici) with
+                      | Value.Null -> ()
+                      | Value.Int id ->
+                        if Hashtbl.mem seen id then raise Exit;
+                        Hashtbl.add seen id ();
+                        if matches row then Hashtbl.replace set id ()
+                      | Value.Float _ | Value.Str _ | Value.Bin _ ->
+                        (* declared INTEGER, so unreachable; bail rather
+                           than guess at coercion semantics *)
+                        raise Exit)
+                    ptable;
+                  Some (`Paths, !total, Dep_paths { matched = set; swept = None })
+                with Exit -> None)
+           in
+           (match sweep with
+            | None -> acc
+            | Some (domain, total, dep) ->
+              ctx.counters.reductions <- ctx.counters.reductions + 1;
+              ctx.counters.peak_bytes <-
+                ctx.counters.peak_bytes + (32 * Hashtbl.length set) + 64;
+              let matched = Hashtbl.length set in
+              let label =
+                Printf.sprintf "pathid set probe (%d of %d %s)" matched total
+                  (match domain with `Paths -> "paths" | `Partitions -> "partitions")
+              in
+              let pb = { pb_alias = f; pb_col = fcol; pb_set = set; pb_dep = dep; pb_label = label } in
+              let rd =
+                {
+                  rd_dim_table = Table.name ptable;
+                  rd_dim_alias = p;
+                  rd_pattern = pat;
+                  rd_fact_alias = f;
+                  rd_fact_col = fcol;
+                  rd_domain = domain;
+                  rd_matched = matched;
+                  rd_total = total;
+                }
+              in
+              ( List.filter (fun (a, _) -> not (String.equal a p)) locals,
+                others,
+                pb :: probes,
+                rd :: reds ))
+         | _ -> acc)
     end
   in
   List.fold_left try_alias (local_aliases, conjuncts, [], []) local_aliases
@@ -1280,7 +1334,7 @@ and plan_select ctx (sel : Sql.select) : planned =
               String.equal pb.pb_alias alias && String.equal pb.pb_col "path_id")
             probes
         with
-        | Some pb -> Dep_paths pb.pb_set
+        | Some pb -> pb.pb_dep
         | None -> Dep_all
       in
       footprint_add ctx table dep)
@@ -1791,38 +1845,50 @@ let plan_valid p = Database.epoch p.plan_db = p.plan_epoch
 let plan_stats p = make (fun _ _ _ get -> get p.plan_ctx.counters)
 
 let plan_footprint p =
+  let sorted_keys set = List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) set []) in
   Hashtbl.fold
     (fun table e acc ->
       let dep =
         match e.fe_dep with
         | Dep_all -> `All
-        | Dep_paths set ->
-          `Paths (List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) set []))
+        | Dep_paths { matched; swept = None } -> `Paths (sorted_keys matched)
+        | Dep_paths { matched; swept = Some swept } ->
+          `Swept (sorted_keys matched, sorted_keys swept)
       in
       (table, dep) :: acc)
     p.plan_ctx.footprint []
   |> List.sort compare
 
 (* Fine-grained revalidation: the plan stays runnable after commits whose
-   changed-pathid sets are disjoint from its footprint. On success the
+   changed pathids its footprint proves harmless. On success the
    recorded versions (and epoch) advance so the next check is O(1) when
-   nothing further changed. *)
-let plan_compatible p =
+   nothing further changed. Reads table state, so it runs under the
+   database's read lock. *)
+let compatible_locked p =
   Database.epoch p.plan_db = p.plan_epoch
   || Hashtbl.fold
        (fun table e ok ->
          ok
          &&
-         match Database.delta_pathids p.plan_db ~table ~from_version:e.fe_version with
-         | None -> false
-         | Some changed -> (
+         match
+           Database.table_opt p.plan_db table,
+           Database.delta_pathids p.plan_db ~table ~from_version:e.fe_version
+         with
+         | None, _ | _, None -> false
+         | Some tbl, Some changed -> (
            match e.fe_dep with
-           | Dep_all -> (
+           | Dep_all ->
              (* Any touch at all invalidates a Dep_all table. *)
-             match Database.table_opt p.plan_db table with
-             | None -> false
-             | Some tbl -> Table.version tbl = e.fe_version)
-           | Dep_paths set -> not (List.exists (Hashtbl.mem set) changed)))
+             Table.version tbl = e.fe_version
+           | Dep_paths { matched; swept } ->
+             let harmless x =
+               (not (Hashtbl.mem matched x))
+               &&
+               match swept with
+               | None -> true
+               | Some swept -> Hashtbl.mem swept x || Table.partition_size tbl x = 0
+             in
+             List.for_all harmless changed))
        p.plan_ctx.footprint true
      && begin
           Hashtbl.iter
@@ -1835,9 +1901,12 @@ let plan_compatible p =
           true
         end
 
+let plan_compatible p =
+  plan_valid p || Database.with_read p.plan_db (fun () -> compatible_locked p)
+
 let run_plan p =
   Database.with_read p.plan_db (fun () ->
-      if not (plan_compatible p) then
+      if not (compatible_locked p) then
         error "stale plan: database epoch moved from %d to %d since prepare"
           p.plan_epoch (Database.epoch p.plan_db);
       p.plan_exec ())
@@ -1911,8 +1980,11 @@ let walk_plan ~line ~step plan =
       (fun rd ->
         line indent
           (Printf.sprintf
-             "semi-join reduction: %s(%s) REGEXP '%s' -> %d of %d path ids, probed on %s.%s"
+             "semi-join reduction: %s(%s) REGEXP '%s' -> %d of %d %s, probed on %s.%s"
              rd.rd_dim_table rd.rd_dim_alias rd.rd_pattern rd.rd_matched rd.rd_total
+             (match rd.rd_domain with
+              | `Paths -> "path ids"
+              | `Partitions -> "partition keys")
              rd.rd_fact_alias rd.rd_fact_col))
       p.pl_reductions;
     if p.pl_pre <> [] then

@@ -26,10 +26,13 @@
     semi-join reduction}: a dimension alias whose only uses are an
     integer equijoin and a [REGEXP_LIKE] on one of its columns — the
     shape of every PPF the translator emits against the [paths] table —
-    is evaluated once per dimension row at plan time and replaced by an
-    O(1) integer set probe on the fact column, eliminating both the join
-    and all per-row regex execution. The materialized set lives on the
-    plan and is invalidated with it ({!plan_valid}).
+    is evaluated at plan time and replaced by an O(1) integer set probe
+    on the fact column, eliminating both the join and all per-row regex
+    execution. When the fact table is partitioned on the probed column
+    and the dimension's id is a declared key, only the dimension rows of
+    the fact table's partition keys are evaluated; otherwise every
+    dimension row is. The materialized set lives on the plan and is
+    invalidated with it ({!plan_compatible}).
 
     [run_naive] executes the same statement by brute-force cross products
     with every optimization disabled and is the test oracle for the
@@ -171,19 +174,25 @@ val plan_compatible : plan -> bool
 (** Fine-grained revalidation against the write path's commit log: true
     when the database is unchanged, {e or} when every change since the
     plan's recorded table versions is explained by logged commits
-    ({!Database.delta_pathids}) whose changed-pathid sets are disjoint
-    from the plan's footprint — a table is pathid-scoped in the footprint
-    exactly when every access the plan makes to it is guarded by a
-    semi-join reduction probe on its [path_id] column; any other access
-    (including the swept [paths] dimension itself) invalidates on any
-    touch. On success the plan's recorded versions advance, so the next
-    check is O(1) again. Strictly weaker than {!plan_valid}: a valid plan
-    is always compatible. *)
+    ({!Database.delta_pathids}) whose changed pathids the plan's
+    footprint proves harmless ({!plan_footprint}) — a table is
+    pathid-scoped in the footprint exactly when every access the plan
+    makes to it is guarded by a semi-join reduction probe on its
+    [path_id] column; any other access (including the swept [paths]
+    dimension itself) invalidates on any touch. Takes the database's
+    read lock when the epoch moved. On success the plan's recorded
+    versions advance, so the next check is O(1) again. Strictly weaker
+    than {!plan_valid}: a valid plan is always compatible. *)
 
-val plan_footprint : plan -> (string * [ `All | `Paths of int list ]) list
-(** The plan's per-table dependency footprint, sorted by table name —
-    [`Paths ids] for pathid-guarded tables, [`All] otherwise. For tests
-    and diagnostics. *)
+val plan_footprint :
+  plan -> (string * [ `All | `Paths of int list | `Swept of int list * int list ]) list
+(** The plan's per-table dependency footprint, sorted by table name:
+    which changed pathids re-plan. [`Paths matched]: those in [matched]
+    (a reduction decided its regex on every [paths] row).
+    [`Swept (matched, swept)]: those in [matched], and those outside
+    [swept] that the table holds rows of (a reduction decided its regex
+    only on the fact table's partition keys [swept]). [`All]: any touch.
+    For tests and diagnostics. *)
 
 val run_plan : plan -> result
 (** Execute a prepared plan under the database's read lock (so a

@@ -45,8 +45,7 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 type executor = {
-  exec_prepare : values:bool -> string -> string * Sql.statement option;
-  exec_run : values:bool -> string -> Engine.result;
+  exec_prepare : values:bool -> string -> Sql.statement option * (unit -> Engine.result);
   exec_update : Wire.update_op -> Update.outcome;
   exec_db : Database.t option;
 }
@@ -82,8 +81,7 @@ let session_executor ?update ?wal s =
     exec_prepare =
       (fun ~values q ->
         let p = Session.prepare ~values s q in
-        (Session.canonical p, Session.sql p));
-    exec_run = (fun ~values q -> Session.run ~values s q);
+        (Session.sql p, fun () -> Session.execute s p));
     exec_update =
       (match update with
        | None -> no_write_path
@@ -114,8 +112,7 @@ let cluster_executor lock c =
       (fun ~values q ->
         Mutex.protect lock (fun () ->
             let p = Cluster.prepare ~values c q in
-            (Session.canonical p, Session.sql p)));
-    exec_run = (fun ~values q -> Mutex.protect lock (fun () -> Cluster.run ~values c q));
+            (Session.sql p, fun () -> Mutex.protect lock (fun () -> Cluster.execute c p))));
     exec_update =
       (fun op -> Mutex.protect lock (fun () -> Cluster.update c (op_of_wire op)));
     exec_db = Some (Session.store (Cluster.session c)).Loader.db;
@@ -173,7 +170,10 @@ let columns_of_statement db = function
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type stmt = { text : string; values : bool; mutable cursor : Value.t array list }
+(* A prepared statement runs through the handle its [Prepare] returned,
+   so an [Execute] neither re-parses the text nor looks it up in the plan
+   cache, and still runs after the cache has evicted it. *)
+type stmt = { run : unit -> Engine.result; mutable cursor : Value.t array list }
 
 type conn = {
   cid : int;
@@ -300,10 +300,10 @@ let process t exec c (req : Wire.request) =
       true
     | Wire.Prepare { query; values } ->
       (try
-         let canonical, sql = exec.exec_prepare ~values query in
+         let sql, run = exec.exec_prepare ~values query in
          let id = c.next_stmt in
          c.next_stmt <- c.next_stmt + 1;
-         Hashtbl.replace c.stmts id { text = canonical; values; cursor = [] };
+         Hashtbl.replace c.stmts id { run; cursor = [] };
          respond t c
            (Wire.Prepared
               {
@@ -326,14 +326,12 @@ let process t exec c (req : Wire.request) =
        | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" stmt)
        | Some st ->
          (try
-            let result = exec.exec_run ~values:st.values st.text in
+            let result = st.run () in
             st.cursor <- result.Engine.rows;
             send_window t c stmt st window;
             false
           with
           | Engine.Runtime_error msg -> fail Wire.Runtime msg
-          | Xparser.Error { message; _ } -> fail Wire.Parse_error message
-          | Translate.Unsupported msg -> fail Wire.Unsupported msg
           | e -> fail ~close:true Wire.Runtime (Printexc.to_string e)))
     | Wire.Fetch { stmt; window } ->
       (match Hashtbl.find_opt c.stmts stmt with

@@ -63,12 +63,12 @@ val default_config : config
     mutex — the cluster parallelizes internally across its shard pool. *)
 
 type executor = {
-  exec_prepare : values:bool -> string -> string * Sql.statement option;
-      (** canonical text and translated SQL, with string values when
-          [values] (the [Prepare] flag); raises the usual parse /
-          unsupported exceptions *)
-  exec_run : values:bool -> string -> Engine.result;
-      (** run a canonical text prepared with the same [values] *)
+  exec_prepare : values:bool -> string -> Sql.statement option * (unit -> Engine.result);
+      (** translated SQL, with string values when [values] (the
+          [Prepare] flag), and the handle that runs the prepared
+          statement: it neither re-parses nor consults the plan cache,
+          so it keeps working after the cache evicts the entry; raises
+          the usual parse / unsupported exceptions *)
   exec_update : Wire.update_op -> Ppfx_update.Update.outcome;
       (** apply one mutation; raises {!Ppfx_update.Update.Update_error}
           on invalid operations (answered with a [Runtime] error frame)

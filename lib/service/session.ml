@@ -138,8 +138,6 @@ let execute_ids t p =
     []
   | Some _ -> Translate.result_ids (execute t p)
 
-let run ?values t text = execute t (prepare ?values t text)
-
 let run_ids t text = execute_ids t (prepare t text)
 
 let canonical (p : prepared) = p.canonical

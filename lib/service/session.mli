@@ -70,9 +70,6 @@ val execute_ids : t -> prepared -> int list
 (** {!execute} projected to sorted element ids (empty for provably-empty
     translations). *)
 
-val run : ?values:bool -> t -> string -> Engine.result
-(** [prepare] + [execute]. *)
-
 val run_ids : t -> string -> int list
 (** [prepare] + [execute_ids]. *)
 

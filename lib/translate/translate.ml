@@ -32,14 +32,36 @@ type target =
   | Schema of Mapping.t
   | Edge
 
+(* Outcome of the Section 4.5 static check for one relation and regex. *)
+type filter_decision =
+  | Filter_skip  (** regex provably satisfied: no Paths join *)
+  | Filter_join  (** join Paths and apply the regex *)
+  | Filter_prune  (** regex provably unsatisfiable: empty branch *)
+
+(* [decisions] memoises the Section 4.5 check per (definition id,
+   pattern). A translator's schema and options never change, so an entry
+   never goes stale. The lock lets domains share a translator, as they
+   share the top-level [edge]. *)
 type t = {
   target : target;
   options : options;
+  decisions : (int * string, filter_decision) Hashtbl.t;
+  decisions_lock : Mutex.t;
 }
 
-let create ?(options = default_options) mapping = { target = Schema mapping; options }
+let make target options =
+  { target; options; decisions = Hashtbl.create 64; decisions_lock = Mutex.create () }
 
-let edge = { target = Edge; options = default_options }
+let create ?(options = default_options) mapping = make (Schema mapping) options
+
+let edge = make Edge default_options
+
+(* Past this many entries the memo is cleared and refills from the
+   queries that follow, so an ad-hoc stream cannot grow it without
+   bound. *)
+let memo_capacity = 4096
+
+let memo_length t = Mutex.protect t.decisions_lock (fun () -> Hashtbl.length t.decisions)
 
 let options_fingerprint o =
   Printf.sprintf "omit=%b;merge=%b;fk=%b;per_step=%b" o.omit_path_filters
@@ -234,21 +256,16 @@ let resolve_steps env context (steps : Ast.step list) =
 (* Path filters (Sections 4.1 and 4.5)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Outcome of the Section 4.5 static check for one relation and regex. *)
-type filter_decision =
-  | Filter_skip  (** regex provably satisfied: no Paths join *)
-  | Filter_join  (** join Paths and apply the regex *)
-  | Filter_prune  (** regex provably unsatisfiable: empty branch *)
-
 (* Without a schema nothing is provable: an [edge] row always joins. *)
 let decide_filter env rel pattern =
   match rel with
   | Edge_row _ -> Filter_join
   | Def _ when not env.t.options.omit_path_filters -> Filter_join
   | Def def ->
-    (* One NFA-simulated handle per call, searched against every schema
-       path. Deliberately uncached: freezing each translation-time pattern
-       would cost more than the few searches it serves. *)
+    (* Memoised per translator: a miss searches one NFA-simulated handle
+       against every root path of the definition. The handle is not put
+       in the process-wide DFA cache, which would freeze an automaton for
+       every pattern a translation ever decides on. *)
     let decide ps =
       let re = Ppfx_regex.Regex.compile pattern in
       let matching = List.filter (Ppfx_regex.Regex.search re) ps in
@@ -256,10 +273,20 @@ let decide_filter env rel pattern =
       else if matching = [] then Filter_prune
       else Filter_join
     in
-    (match Graph.classification (graph env) def with
-     | Graph.Unique_path p -> decide [ p ]
-     | Graph.Finite_paths ps -> decide ps
-     | Graph.Infinite_paths -> Filter_join)
+    let t = env.t and key = def.Graph.id, pattern in
+    (match Mutex.protect t.decisions_lock (fun () -> Hashtbl.find_opt t.decisions key) with
+     | Some d -> d
+     | None ->
+       let d =
+         match Graph.classification (graph env) def with
+         | Graph.Unique_path p -> decide [ p ]
+         | Graph.Finite_paths ps -> decide ps
+         | Graph.Infinite_paths -> Filter_join
+       in
+       Mutex.protect t.decisions_lock (fun () ->
+           if Hashtbl.length t.decisions >= memo_capacity then Hashtbl.reset t.decisions;
+           Hashtbl.replace t.decisions key d);
+       d)
 
 (* Ensure [node] is joined to the Paths relation; the join itself is
    lossless so it is always safe to add. Returns the paths alias and the

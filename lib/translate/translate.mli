@@ -78,6 +78,15 @@ val edge : t
 (** The translator for a store created by {!Ppfx_shred.Edge}, under
     {!default_options}. *)
 
+val memo_capacity : int
+(** Bound on a translator's memo of Section 4.5 path-filter decisions,
+    one entry per (schema definition, path regex). Past it the memo is
+    cleared; a decision depends only on the schema and options, which are
+    fixed for the translator's lifetime, so clearing changes no SQL. *)
+
+val memo_length : t -> int
+(** Decisions currently memoised (at most {!memo_capacity}). *)
+
 val options_fingerprint : options -> string
 (** Deterministic canonical rendering of the option set. *)
 

@@ -379,6 +379,28 @@ let explain_goldens () =
       "Q22", "union distinct: hash (id)";
     ]
 
+(* The reduction sweeps the fact table's partitions, not [paths]: for a
+   point lookup on person names, the plan evaluates its regex once per
+   partition of the [name] relation (item names, person names, ...), a
+   count fixed by the document's shape, whatever [paths] holds. *)
+let sweep_counts_partitions () =
+  let doc = Doc.of_tree (Xmark.generate ~items_per_region:3 ()) in
+  let store = Loader.shred (Graph.infer doc) doc in
+  let db = store.Loader.db in
+  let query = "//person[@id='person0']/name" in
+  match translate_on store query with
+  | None -> Alcotest.failf "%s should translate" query
+  | Some stmt ->
+    let plan = Engine.prepare db stmt in
+    let partitions = Ppfx_minidb.Table.partition_count (Ppfx_minidb.Database.table db "name") in
+    let paths = Ppfx_minidb.Table.live_count (Ppfx_minidb.Database.table db "paths") in
+    Alcotest.(check bool) "fewer partitions than paths" true (partitions < paths);
+    Alcotest.(check int) "plan regex evals = name partitions" partitions
+      (Engine.plan_stats plan).Engine.regex_plan_evals;
+    Alcotest.(check (list int)) "answers as the evaluator does"
+      (Eval.select_elements doc (Xparser.parse query))
+      (Translate.result_ids (Engine.run_plan plan))
+
 (* ------------------------------------------------------------------ *)
 (* Result shape: node ids by default, string values on request         *)
 (* ------------------------------------------------------------------ *)
@@ -526,7 +548,11 @@ let () =
             (partition_pruning_explain fx);
         ] );
       ( "explain-goldens",
-        [ Alcotest.test_case "Q6, XE1 and range-join plans" `Quick explain_goldens ] );
+        [
+          Alcotest.test_case "Q6, XE1 and range-join plans" `Quick explain_goldens;
+          Alcotest.test_case "the reduction sweeps partitions" `Quick
+            sweep_counts_partitions;
+        ] );
       ( "one-plan",
         List.map
           (fun (name, q) -> Alcotest.test_case name `Quick (one_plan_differential fx (name, q)))

@@ -944,7 +944,9 @@ let contains s sub =
    filtered by a path regex — exactly the shape the semi-join reduction
    targets. Sometimes the paths alias is also projected (the reduction
    must then decline), fact path_ids sometimes dangle, and the optional
-   residual comparison keeps mixed filter lists in play. Every opts
+   residual comparison keeps mixed filter lists in play. Sometimes the
+   fact table is partitioned on path_id with pathid a declared key, so
+   the reduction sweeps only the partition keys. Every opts
    configuration, including forced hash joins, must match the naive
    cross-product oracle byte for byte. *)
 let gen_path_case =
@@ -965,9 +967,9 @@ let gen_path_case =
   in
   let paths_gen = list_size (int_bound 20) path in
   let fact_gen = list_size (int_bound 30) (pair (int_range (-2) 25) (int_bound 9)) in
-  quad paths_gen fact_gen pattern (pair bool (int_bound 9))
+  quad paths_gen fact_gen pattern (triple bool (int_bound 9) bool)
 
-let build_path_case (paths, facts, pattern, (project_path, cutoff)) =
+let build_path_case (paths, facts, pattern, (project_path, cutoff, keyed)) =
   let db = Database.create () in
   let pt =
     Database.create_table db ~name:"paths"
@@ -976,9 +978,11 @@ let build_path_case (paths, facts, pattern, (project_path, cutoff)) =
           { Table.name = "path"; ty = Value.Tstr } ]
   in
   List.iteri (fun i p -> ignore (Table.insert pt [| Value.Int i; Value.Str p |])) paths;
-  Table.create_index pt [ "pathid" ];
+  if keyed then Table.create_key pt "pathid" else Table.create_index pt [ "pathid" ];
   let ft =
     Database.create_table db ~name:"fact"
+      ?partition:
+        (if keyed then Some { Table.part_col = "path_id"; part_sort = "id" } else None)
       ~columns:
         [ { Table.name = "id"; ty = Value.Tint };
           { Table.name = "path_id"; ty = Value.Tint };
@@ -1266,8 +1270,87 @@ let partitioned_fixture () =
     [ 3, 1; 3, 2; 4, 5; 2, 0; 0, 7 ];
   db, pt, ft
 
+(* A keyed paths dimension and a fact table holding rows of only two of
+   its three paths: the reduction sweeps partitions 0 and 1, and the
+   regex matches paths 0 and 2. *)
+let swept_fixture () =
+  let db = Database.create () in
+  let pt =
+    Database.create_table db ~name:"paths"
+      ~columns:
+        [ { Table.name = "pathid"; ty = Value.Tint };
+          { Table.name = "path"; ty = Value.Tstr } ]
+  in
+  List.iteri
+    (fun i p -> ignore (Table.insert pt [| Value.Int i; Value.Str p |]))
+    [ "/a/name"; "/b/name"; "/c/name" ];
+  Table.create_key pt "pathid";
+  let ft =
+    Database.create_table db
+      ~partition:{ Table.part_col = "path_id"; part_sort = "id" }
+      ~name:"fact"
+      ~columns:
+        [ { Table.name = "id"; ty = Value.Tint };
+          { Table.name = "path_id"; ty = Value.Tint };
+          { Table.name = "val"; ty = Value.Tint } ]
+  in
+  List.iter
+    (fun (id, pid) -> ignore (Table.insert ft [| Value.Int id; Value.Int pid; Value.Int 0 |]))
+    [ 0, 0; 1, 1 ];
+  let stmt =
+    Sql.Select
+      {
+        Sql.distinct = false;
+        projections = [ Sql.Col ("f", "id"), "id" ];
+        from = [ "paths", "p"; "fact", "f" ];
+        where =
+          Some
+            (Sql.And
+               ( Sql.Regexp_like (Sql.Col ("p", "path"), "^/(a|c)/name$"),
+                 Sql.Cmp (Sql.Eq, Sql.Col ("p", "pathid"), Sql.Col ("f", "path_id")) ));
+        order_by = [ Sql.Col ("f", "id") ];
+      }
+  in
+  db, ft, stmt
+
+(* A logged commit inserting one fact row; [pathids] is the commit's
+   store-wide changed-pathid list. *)
+let commit_fact db ft ~id ~path_id ~pathids =
+  let before = Table.version ft in
+  ignore (Table.insert ft [| Value.Int id; Value.Int path_id; Value.Int 0 |]);
+  ignore (Database.record_commit db ~touched:[ "fact", before, Table.version ft ] ~pathids)
+
+let result_ids r = List.map (fun row -> row.(0)) r.Engine.rows
+
 let partition_tests =
   [
+    ( "partition sweep: footprint retains only what the sweep decided",
+      fun () ->
+        let db, ft, stmt = swept_fixture () in
+        let plan = Engine.prepare db stmt in
+        let stats = Engine.plan_stats plan in
+        Alcotest.(check int) "one verdict per partition" 2 stats.Engine.regex_plan_evals;
+        Alcotest.(check bool) "footprint: matched 0, swept 0 and 1" true
+          (List.assoc "fact" (Engine.plan_footprint plan) = `Swept ([ 0 ], [ 0; 1 ]));
+        (* a swept, unmatched pathid, plus a pathid the table holds no
+           row of (another relation's, in a store-wide commit list) *)
+        commit_fact db ft ~id:10 ~path_id:1 ~pathids:[ 1; 7 ];
+        Alcotest.(check bool) "swept, unmatched pathid: retained" true
+          (Engine.plan_compatible plan);
+        Alcotest.(check bool) "retained plan answers as before" true
+          (result_ids (Engine.run_plan plan) = [ Value.Int 0 ]);
+        (* a new partition under an existing, matching paths row *)
+        commit_fact db ft ~id:11 ~path_id:2 ~pathids:[ 2 ];
+        Alcotest.(check bool) "new partition: re-plan" false (Engine.plan_compatible plan);
+        let replanned = Engine.prepare db stmt in
+        Alcotest.(check bool) "re-planned query returns the new row" true
+          (result_ids (Engine.run_plan replanned) = [ Value.Int 0; Value.Int 11 ]);
+        Alcotest.(check bool) "and agrees with the oracle" true
+          ((Engine.run_plan replanned).Engine.rows = (Engine.run_naive db stmt).Engine.rows);
+        (* a matched pathid re-plans too *)
+        commit_fact db ft ~id:12 ~path_id:0 ~pathids:[ 0 ];
+        Alcotest.(check bool) "matched pathid: re-plan" false
+          (Engine.plan_compatible replanned) );
     ( "partitioned table: spec, keys, segment sizes and invariant",
       fun () ->
         let _, _, ft = partitioned_fixture () in

@@ -120,6 +120,28 @@ let values_flag () =
   Client.close_stmt c plain;
   Client.close_stmt c valued
 
+(* A statement runs through the handle its Prepare returned: with a
+   one-entry plan cache, preparing B evicts A, and executing A still
+   returns its rows without preparing or looking it up again. *)
+let prepared_outlives_eviction () =
+  let session = Session.create ~cache_capacity:1 store in
+  let config = { Server.default_config with workers = 1 } in
+  let server = Server.start ~config (fun () -> Server.session_executor session) in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  with_client server @@ fun c ->
+  let qa = Xmark.query "Q1" and qb = Xmark.query "Q2" in
+  let expected = Session.run_ids (Session.create store) qa in
+  let a = Client.prepare c qa in
+  let b = Client.prepare c qb in
+  let m = Session.metrics session in
+  Alcotest.(check int) "B evicted A" 1 (Metrics.evictions m);
+  Alcotest.(check (list int)) "A still answers"
+    expected (Ppfx_translate.Translate.result_ids (Client.execute_result c a));
+  Alcotest.(check int) "no prepare on execute" 2 (Metrics.prepares m);
+  Alcotest.(check int) "one entry cached" 1 (Session.cache_length session);
+  Client.close_stmt c a;
+  Client.close_stmt c b
+
 (* A version-1 client is refused at the handshake, and its connection is
    closed. *)
 let old_version_refused () =
@@ -415,6 +437,8 @@ let () =
           Alcotest.test_case "typed row accessors" `Quick typed_rows;
           Alcotest.test_case "values flag: 2 and 3 columns, same ids" `Quick values_flag;
           Alcotest.test_case "version-1 Hello is refused" `Quick old_version_refused;
+          Alcotest.test_case "a statement outlives its cache entry" `Quick
+            prepared_outlives_eviction;
         ] );
       ( "concurrency",
         [ Alcotest.test_case "8 threads through a 4-conn pool" `Quick

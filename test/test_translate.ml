@@ -391,6 +391,156 @@ let prop_random_documents =
           else true)
         random_doc_query_panel)
 
+(* ------------------------------------------------------------------ *)
+(* The Section 4.5 decision memo                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A translator memoises its path-filter decisions; the memo must never
+   show in the SQL. Over the XMark and DBLP corpora plus random queries
+   on each schema's vocabulary, a translator warmed on everything, and
+   one whose memo has been pushed past its bound (so it was cleared and
+   refilled), emit exactly what a fresh translator emits. *)
+module Xmark = Ppfx_workloads.Xmark
+module Dblp = Ppfx_workloads.Dblp
+
+let memo_schemas =
+  lazy
+    [
+      ( "xmark",
+        Xmark.schema (),
+        List.map snd (Xmark.queries @ Xmark.extension_queries) );
+      ( "dblp",
+        Dblp.schema_of (Doc.of_tree (Dblp.generate ~entries:60 ())),
+        List.map snd Dblp.queries );
+    ]
+
+let render translator query =
+  match Translate.translate translator (Xparser.parse query) with
+  | Some stmt -> Sql.to_string stmt
+  | None -> "<empty>"
+  | exception Translate.Unsupported m -> "<unsupported: " ^ m ^ ">"
+
+(* Variants of each definition's root paths, every intermediate step
+   kept, replaced by [*] or dropped (leaving a [//]): each is a distinct
+   regex on the definition, so enough of them fill any memo. Translates
+   until the memo has been cleared once; [false] if it never was. *)
+let push_past_bound translator schema =
+  (* [None] drops a step; a run of drops renders as one [//]. *)
+  let rec variants = function
+    | [] -> Seq.return []
+    | step :: rest ->
+      Seq.flat_map
+        (fun choice -> Seq.map (fun tail -> choice :: tail) (variants rest))
+        (List.to_seq [ Some step; Some "*"; None ])
+  in
+  let render_steps steps last =
+    let buf = Buffer.create 64 and sep = ref "/" in
+    List.iter
+      (function
+        | None -> sep := "//"
+        | Some s ->
+          Buffer.add_string buf (!sep ^ s);
+          sep := "/")
+      steps;
+    Buffer.add_string buf (!sep ^ last);
+    Buffer.contents buf
+  in
+  let queries =
+    Seq.flat_map
+      (fun d ->
+        match Graph.root_paths schema d with
+        | None -> Seq.empty
+        | Some ps ->
+          Seq.flat_map
+            (fun p ->
+              match List.rev (List.filter (( <> ) "") (String.split_on_char '/' p)) with
+              | last :: above ->
+                Seq.map (fun v -> render_steps v last) (variants (List.rev above))
+              | [] -> Seq.empty)
+            (List.to_seq ps))
+      (List.to_seq (Graph.defs schema))
+  in
+  Seq.exists
+    (fun q ->
+      let before = Translate.memo_length translator in
+      ignore (render translator q);
+      Translate.memo_length translator < before)
+    queries
+
+let gen_vocab_query names =
+  let open QCheck.Gen in
+  let name = oneofl names in
+  let test = oneof [ name; return "*" ] in
+  let step =
+    oneof
+      [
+        map (fun t -> "/" ^ t) test;
+        map (fun t -> "//" ^ t) test;
+        map (fun t -> "/parent::" ^ t) test;
+        map (fun t -> "/ancestor::" ^ t) test;
+      ]
+  in
+  let predicate =
+    oneof
+      [
+        return "";
+        map (fun n -> "[" ^ n ^ "]") name;
+        map (fun n -> "[.//" ^ n ^ "]") name;
+        map (fun n -> "[ancestor::" ^ n ^ "]") name;
+        return "[@id]";
+      ]
+  in
+  map2
+    (fun first rest ->
+      "//" ^ first ^ String.concat "" (List.map (fun (s, p) -> s ^ p) rest))
+    name
+    (list_size (int_range 0 3) (pair step predicate))
+
+(* Per schema: its mapping, corpus, vocabulary, a warmed translator and
+   one pushed past the memo bound (XMark only: DBLP's flat schema has
+   too few distinct regexes to fill it). *)
+let memo_translators =
+  lazy
+    (List.map
+       (fun (name, schema, corpus) ->
+         let mapping = Mapping.of_schema schema in
+         let warm = Translate.create mapping and wrapped = Translate.create mapping in
+         List.iter (fun q -> ignore (render warm q)) corpus;
+         if name = "xmark" && not (push_past_bound wrapped schema) then
+           failwith "xmark: the memo never passed its bound";
+         List.iter (fun q -> ignore (render wrapped q)) corpus;
+         let names =
+           List.sort_uniq compare (List.map (fun d -> d.Graph.name) (Graph.defs schema))
+         in
+         name, mapping, corpus, names, warm, wrapped)
+       (Lazy.force memo_schemas))
+
+let prop_memo_is_invisible =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ "xmark"; "dblp" ] >>= fun schema ->
+      let _, _, corpus, names, _, _ =
+        List.find (fun (n, _, _, _, _, _) -> n = schema) (Lazy.force memo_translators)
+      in
+      map (fun q -> schema, q) (oneof [ oneofl corpus; gen_vocab_query names ]))
+  in
+  QCheck.Test.make ~count:400 ~name:"memoised decisions leave the SQL byte-identical"
+    (QCheck.make ~print:(fun (schema, q) -> schema ^ ": " ^ q) gen)
+    (fun (schema, query) ->
+      let _, mapping, _, _, warm, wrapped =
+        List.find (fun (n, _, _, _, _, _) -> n = schema) (Lazy.force memo_translators)
+      in
+      match Xparser.parse query with
+      | exception Xparser.Error _ -> QCheck.assume_fail ()
+      | _ ->
+        let fresh = render (Translate.create mapping) query in
+        let w = render warm query and r = render wrapped query in
+        Translate.memo_length wrapped <= Translate.memo_capacity
+        && (String.equal fresh w
+           || QCheck.Test.fail_reportf "warm translator differs on %s:\n%s\n%s" query fresh w)
+        && (String.equal fresh r
+           || QCheck.Test.fail_reportf "refilled translator differs on %s:\n%s\n%s" query fresh r))
+
 let () =
   let tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "translate"
@@ -404,4 +554,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_translator_vs_eval; prop_random_documents ] );
+      ( "decision memo",
+        [ QCheck_alcotest.to_alcotest prop_memo_is_invisible ] );
     ]
