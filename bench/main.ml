@@ -1036,9 +1036,9 @@ let report_load ~dataset ~phase ~conns ~qps ~total (r : load) (m : Metrics.t) =
           \"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\"bytes_in\":%d,\
           \"bytes_out\":%d,\"queue_depth_hwm\":%d,\"peak_conns\":%d"
          conns qps achieved total r.ok r.req_rejected r.conn_rejected r.load_failed
-         (json_float p50) (json_float p95) (json_float p99) (Metrics.bytes_in m)
-         (Metrics.bytes_out m) (Metrics.queue_depth_hwm m)
-         (Metrics.peak_connections m))
+         (json_float p50) (json_float p95) (json_float p99) (Metrics.get m Metrics.Bytes_in)
+         (Metrics.get m Metrics.Bytes_out) (Metrics.get m Metrics.Queue_depth_hwm)
+         (Metrics.get m Metrics.Peak_active))
     ()
 
 let net () =
@@ -1092,12 +1092,12 @@ let net () =
      — rejects && survivors: %b\n"
     r.conn_rejected r.req_rejected r.ok
     ((r.conn_rejected > 0 || r.req_rejected > 0) && r.ok > 0);
-  let m = Server.metrics overload in
+  let get = Metrics.get (Server.metrics overload) in
   Printf.printf
     "overload server counters: accepted %d, rejected %d, peak active %d, \
      queue hwm %d, bytes in %d, bytes out %d\n"
-    (Metrics.accepted m) (Metrics.rejected m) (Metrics.peak_connections m)
-    (Metrics.queue_depth_hwm m) (Metrics.bytes_in m) (Metrics.bytes_out m);
+    (get Metrics.Accepted) (get Metrics.Rejected) (get Metrics.Peak_active)
+    (get Metrics.Queue_depth_hwm) (get Metrics.Bytes_in) (get Metrics.Bytes_out);
   Server.stop overload
 
 (* ------------------------------------------------------------------ *)
@@ -1229,7 +1229,8 @@ let write_bench () =
               text = Printf.sprintf "w%d" i }))
   done;
   let dt = Metrics.now () -. t0 in
-  let retained = Metrics.retained m and inval = Metrics.invalidations m in
+  let retained = Metrics.get m Metrics.Retained
+  and inval = Metrics.get m Metrics.Invalidations in
   let total = retained + inval in
   let retention =
     if total = 0 then 0.0 else float_of_int retained /. float_of_int total

@@ -454,10 +454,10 @@ let revalidate_plans t stmt plans =
           (* The shard's epoch moved, but every commit since this plan was
              prepared is footprint-disjoint from it (fine-grained write
              path): keep the plan. *)
-          Metrics.incr_retained t.shard_metrics.(s);
+          Metrics.incr t.shard_metrics.(s) Metrics.Retained;
           false
         | Some _ ->
-          Metrics.incr_invalidations t.shard_metrics.(s);
+          Metrics.incr t.shard_metrics.(s) Metrics.Invalidations;
           true
       in
       if stale then begin
@@ -489,7 +489,7 @@ let submit_shard_runs t plans =
 
 let scatter t ~key ~plans stmt =
   let m = Session.metrics t.session in
-  Metrics.incr_queries m;
+  Metrics.incr m Metrics.Queries;
   revalidate_plans t stmt plans;
   let t0 = Metrics.now () in
   let futures = submit_shard_runs t plans in
@@ -501,12 +501,12 @@ let scatter t ~key ~plans stmt =
   Array.iteri
     (fun s (r, dt, stats) ->
       let sm = t.shard_metrics.(s) in
-      Metrics.incr_queries sm;
+      Metrics.incr sm Metrics.Queries;
       Metrics.record sm Metrics.Execute dt;
       Metrics.record sm Metrics.Queue queue_waits.(s);
       Metrics.add_engine sm stats;
       let rows = List.length r.Engine.rows in
-      Metrics.add_rows sm rows;
+      Metrics.add sm Metrics.Rows rows;
       shard_rows.(s) <- rows;
       if dt > !critical then critical := dt)
     outcomes;
@@ -514,7 +514,7 @@ let scatter t ~key ~plans stmt =
     Metrics.time m Metrics.Merge (fun () ->
         Merge.merge ~key (Array.to_list (Array.map (fun (r, _, _) -> r) outcomes)))
   in
-  Metrics.add_rows m (List.length merged.Engine.rows);
+  Metrics.add m Metrics.Rows (List.length merged.Engine.rows);
   t.last <- Some { critical_path = !critical; queue_waits; shard_rows };
   merged
 
@@ -526,7 +526,7 @@ let scatter t ~key ~plans stmt =
 let order_scatter t (oe : order_exec) =
   let left = oe.oplan.Analysis.op_left and right = oe.oplan.Analysis.op_right in
   let m = Session.metrics t.session in
-  Metrics.incr_queries m;
+  Metrics.incr m Metrics.Queries;
   revalidate_plans t (Sql.Select left.Analysis.os_select) oe.lplans;
   revalidate_plans t (Sql.Select right.Analysis.os_select) oe.rplans;
   let t0 = Metrics.now () in
@@ -542,12 +542,12 @@ let order_scatter t (oe : order_exec) =
     Array.iteri
       (fun s (r, dt, stats) ->
         let sm = t.shard_metrics.(s) in
-        Metrics.incr_queries sm;
+        Metrics.incr sm Metrics.Queries;
         Metrics.record sm Metrics.Execute dt;
         Metrics.record sm Metrics.Queue waits.(s);
         Metrics.add_engine sm stats;
         let rows = List.length r.Engine.rows in
-        Metrics.add_rows sm rows;
+        Metrics.add sm Metrics.Rows rows;
         shard_rows.(s) <- shard_rows.(s) + rows;
         if dt > !critical then critical := dt)
       outs
@@ -578,7 +578,7 @@ let order_scatter t (oe : order_exec) =
   let r = Engine.run_plan plan in
   Metrics.add_engine m (Engine.stats_diff (Engine.plan_stats plan) before);
   Metrics.record m Metrics.Execute (Metrics.now () -. t0);
-  Metrics.add_rows m (List.length r.Engine.rows);
+  Metrics.add m Metrics.Rows (List.length r.Engine.rows);
   let queue_waits = Array.init t.nshards (fun s -> lwaits.(s) +. rwaits.(s)) in
   t.last <- Some { critical_path = !critical; queue_waits; shard_rows };
   r
@@ -587,7 +587,7 @@ let execute t p =
   match mode_for t p with
   | Empty -> Session.execute t.session p
   | Single _ ->
-    Metrics.incr_fallbacks (Session.metrics t.session);
+    Metrics.incr (Session.metrics t.session) Metrics.Fallbacks;
     Session.execute t.session p
   | Scatter { key; plans } ->
     let stmt = match Session.sql p with Some s -> s | None -> assert false in

@@ -229,7 +229,8 @@ let respond t c resp =
     Mutex.lock c.wlock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock c.wlock)
-      (fun () -> Metrics.add_bytes_out t.metrics (Wire.send_response_buf c.wbuf c.fd resp))
+      (fun () ->
+        Metrics.add t.metrics Metrics.Bytes_out (Wire.send_response_buf c.wbuf c.fd resp))
   with Unix.Unix_error _ | Wire.Codec _ ->
     locked t (fun () -> c.draining <- true)
 
@@ -261,7 +262,7 @@ let send_window t c id st window =
   let w = if window <= 0 then cap else min window cap in
   let batch, rest = take_rows w st.cursor in
   st.cursor <- rest;
-  Metrics.add_rows t.metrics (List.length batch);
+  Metrics.add t.metrics Metrics.Rows (List.length batch);
   respond t c (Wire.Rows { stmt = id; rows = batch; more = rest <> [] })
 
 (* Returns [true] when the connection must drain (quit, fatal error). *)
@@ -390,7 +391,7 @@ let worker_loop t factory () =
     | Some (c, req, t_enq) ->
       let t0 = Metrics.now () in
       Metrics.record t.metrics Metrics.Queue (t0 -. t_enq);
-      Metrics.incr_queries t.metrics;
+      Metrics.incr t.metrics Metrics.Queries;
       let close =
         try process t exec c req
         with e ->
@@ -430,7 +431,7 @@ let enqueue_requests t c reqs =
         List.iter
           (fun req ->
             if Queue.length c.pending >= t.cfg.queue_depth then begin
-              Metrics.incr_rejected t.metrics;
+              Metrics.incr t.metrics Metrics.Rejected;
               rejects :=
                 Wire.Error
                   {
@@ -444,7 +445,7 @@ let enqueue_requests t c reqs =
               if not c.busy then begin
                 if Queue.length t.queue >= t.cfg.queue_depth then begin
                   ignore (Queue.pop c.pending);
-                  Metrics.incr_rejected t.metrics;
+                  Metrics.incr t.metrics Metrics.Rejected;
                   rejects :=
                     Wire.Error
                       {
@@ -456,7 +457,7 @@ let enqueue_requests t c reqs =
                 else begin
                   c.busy <- true;
                   Queue.push (c, Queue.pop c.pending, Metrics.now ()) t.queue;
-                  Metrics.note_queue_depth t.metrics (Queue.length t.queue);
+                  Metrics.note_max t.metrics Metrics.Queue_depth_hwm (Queue.length t.queue);
                   Condition.broadcast t.cond
                 end
               end
@@ -481,7 +482,7 @@ let handle_readable t c =
     match Unix.read c.fd scratch 0 (Bytes.length scratch) with
     | 0 -> true
     | n ->
-      Metrics.add_bytes_in t.metrics n;
+      Metrics.add t.metrics Metrics.Bytes_in n;
       Buffer.add_subbytes c.rbuf scratch 0 n;
       read_chunks eof
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> eof
@@ -547,7 +548,7 @@ let handle_accept t =
                 }
               in
               Hashtbl.replace t.conns cid c;
-              Metrics.incr_accepted t.metrics;
+              Metrics.incr t.metrics Metrics.Accepted;
               Metrics.connection_opened t.metrics;
               Some c
             end)
@@ -555,7 +556,7 @@ let handle_accept t =
       (match admitted with
        | Some _ -> ()
        | None ->
-         Metrics.incr_rejected t.metrics;
+         Metrics.incr t.metrics Metrics.Rejected;
          (try
             ignore
               (Wire.send_response fd

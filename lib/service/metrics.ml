@@ -1,3 +1,5 @@
+module Engine = Ppfx_minidb.Engine
+
 type stage = Parse | Translate | Plan | Queue | Execute | Merge
 
 let stage_name = function
@@ -9,6 +11,62 @@ let stage_name = function
   | Merge -> "merge"
 
 let all_stages = [ Parse; Translate; Plan; Queue; Execute; Merge ]
+
+let stage_slot = function
+  | Parse -> 0 | Translate -> 1 | Plan -> 2 | Queue -> 3 | Execute -> 4 | Merge -> 5
+
+type counter =
+  | Queries | Prepares | Hits | Misses | Invalidations | Retained | Evictions | Fallbacks
+  | Rows
+  | Accepted | Rejected | Active | Peak_active | Bytes_in | Bytes_out | Queue_depth_hwm
+  | Wal_appends | Wal_bytes | Wal_fsyncs | Checkpoints | Recoveries | Clean_starts
+  | Replayed_records | Truncated_tails | Truncated_bytes | Clean_shutdowns
+
+type group = Service | Net | Durability
+
+let group_name = function Service -> "service" | Net -> "net" | Durability -> "durability"
+
+let counters =
+  [
+    (Queries, "queries", Service);
+    (Prepares, "prepares", Service);
+    (Hits, "hits", Service);
+    (Misses, "misses", Service);
+    (Invalidations, "invalidations", Service);
+    (Retained, "retained", Service);
+    (Evictions, "evictions", Service);
+    (Fallbacks, "fallbacks", Service);
+    (Rows, "rows", Service);
+    (Accepted, "accepted", Net);
+    (Rejected, "rejected", Net);
+    (Active, "active", Net);
+    (Peak_active, "peak_active", Net);
+    (Bytes_in, "bytes_in", Net);
+    (Bytes_out, "bytes_out", Net);
+    (Queue_depth_hwm, "queue_depth_hwm", Net);
+    (Wal_appends, "wal_appends", Durability);
+    (Wal_bytes, "wal_bytes", Durability);
+    (Wal_fsyncs, "wal_fsyncs", Durability);
+    (Checkpoints, "checkpoints", Durability);
+    (Recoveries, "recoveries", Durability);
+    (Clean_starts, "clean_starts", Durability);
+    (Replayed_records, "replayed_records", Durability);
+    (Truncated_tails, "truncated_tails", Durability);
+    (Truncated_bytes, "truncated_bytes", Durability);
+    (Clean_shutdowns, "clean_shutdowns", Durability);
+  ]
+
+(* A counter's index into every sink's [counts]: its position in
+   [counters], which the check below holds the match to. *)
+let slot = function
+  | Queries -> 0 | Prepares -> 1 | Hits -> 2 | Misses -> 3 | Invalidations -> 4
+  | Retained -> 5 | Evictions -> 6 | Fallbacks -> 7 | Rows -> 8 | Accepted -> 9
+  | Rejected -> 10 | Active -> 11 | Peak_active -> 12 | Bytes_in -> 13 | Bytes_out -> 14
+  | Queue_depth_hwm -> 15 | Wal_appends -> 16 | Wal_bytes -> 17 | Wal_fsyncs -> 18
+  | Checkpoints -> 19 | Recoveries -> 20 | Clean_starts -> 21 | Replayed_records -> 22
+  | Truncated_tails -> 23 | Truncated_bytes -> 24 | Clean_shutdowns -> 25
+
+let () = List.iteri (fun i (c, _, _) -> assert (slot c = i)) counters
 
 (* Latency histogram: bucket [i] counts observations whose duration in
    nanoseconds lies in [2^i, 2^(i+1)). 64 buckets cover every float
@@ -29,28 +87,20 @@ let bucket_midpoint_seconds b =
   (2.0 ** (float_of_int b +. 0.5)) *. 1e-9
 
 type acc = {
-  mutable count : int;
-  mutable total : float;
-  mutable min : float;
-  mutable max : float;
+  mutable count : int; mutable total : float; mutable min : float; mutable max : float;
   hist : int array;
 }
 
 let acc_create () =
-  {
-    count = 0;
-    total = 0.0;
-    min = infinity;
-    max = neg_infinity;
-    hist = Array.make hist_buckets 0;
-  }
+  let hist = Array.make hist_buckets 0 in
+  { count = 0; total = 0.0; min = infinity; max = neg_infinity; hist }
 
-let acc_reset a =
-  a.count <- 0;
-  a.total <- 0.0;
-  a.min <- infinity;
-  a.max <- neg_infinity;
-  Array.fill a.hist 0 hist_buckets 0
+let acc_merge ~into a =
+  into.count <- into.count + a.count;
+  into.total <- into.total +. a.total;
+  into.min <- Float.min into.min a.min;
+  into.max <- Float.max into.max a.max;
+  Array.iteri (fun b n -> into.hist.(b) <- into.hist.(b) + n) a.hist
 
 (* Quantile q (in [0,1]) from the log2 histogram: the midpoint of the
    bucket containing the ceil(q * count)-th observation. *)
@@ -71,42 +121,10 @@ let acc_percentile a q =
   end
 
 type t = {
-  parse : acc;
-  translate : acc;
-  plan : acc;
-  queue : acc;
-  execute : acc;
-  merge : acc;
-  mutable queries : int;
-  mutable prepares : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-  mutable retained : int;
-  mutable evictions : int;
-  mutable fallbacks : int;
-  mutable rows : int;
+  stages : acc array;  (** indexed by [stage_slot] *)
+  counts : int array;  (** indexed by [slot] *)
   mutable shard_rows : int array;
-  mutable engine : Ppfx_minidb.Engine.exec_stats;
-  (* network serving counters (the socket server's sink) *)
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable active : int;
-  mutable peak_active : int;
-  mutable bytes_in : int;
-  mutable bytes_out : int;
-  mutable queue_hwm : int;
-  (* durability counters (the WAL layer's sink) *)
-  mutable wal_appends : int;
-  mutable wal_bytes : int;
-  mutable wal_fsyncs : int;
-  mutable checkpoints : int;
-  mutable recoveries : int;  (** starts that scanned + replayed the log *)
-  mutable clean_starts : int;  (** starts that skipped the scan (clean marker) *)
-  mutable replayed_records : int;
-  mutable truncated_tails : int;  (** recoveries that cut a torn/corrupt tail *)
-  mutable truncated_bytes : int;
-  mutable clean_shutdowns : int;
+  mutable engine : Engine.exec_stats;
   (* The server records from several domains at once; every mutation is
      serialized here. Single-threaded users pay one uncontended lock. *)
   lock : Mutex.t;
@@ -114,89 +132,24 @@ type t = {
 
 let create () =
   {
-    parse = acc_create ();
-    translate = acc_create ();
-    plan = acc_create ();
-    queue = acc_create ();
-    execute = acc_create ();
-    merge = acc_create ();
-    queries = 0;
-    prepares = 0;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
-    retained = 0;
-    evictions = 0;
-    fallbacks = 0;
-    rows = 0;
+    stages = Array.init (List.length all_stages) (fun _ -> acc_create ());
+    counts = Array.make (List.length counters) 0;
     shard_rows = [||];
-    engine = Ppfx_minidb.Engine.stats_zero;
-    accepted = 0;
-    rejected = 0;
-    active = 0;
-    peak_active = 0;
-    bytes_in = 0;
-    bytes_out = 0;
-    queue_hwm = 0;
-    wal_appends = 0;
-    wal_bytes = 0;
-    wal_fsyncs = 0;
-    checkpoints = 0;
-    recoveries = 0;
-    clean_starts = 0;
-    replayed_records = 0;
-    truncated_tails = 0;
-    truncated_bytes = 0;
-    clean_shutdowns = 0;
+    engine = Engine.stats_zero;
     lock = Mutex.create ();
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let reset t =
-  locked t @@ fun () ->
-  List.iter acc_reset [ t.parse; t.translate; t.plan; t.queue; t.execute; t.merge ];
-  t.queries <- 0;
-  t.prepares <- 0;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.invalidations <- 0;
-  t.retained <- 0;
-  t.evictions <- 0;
-  t.fallbacks <- 0;
-  t.rows <- 0;
+  Mutex.protect t.lock @@ fun () ->
+  Array.iteri (fun i _ -> t.stages.(i) <- acc_create ()) t.stages;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
   t.shard_rows <- [||];
-  t.engine <- Ppfx_minidb.Engine.stats_zero;
-  t.accepted <- 0;
-  t.rejected <- 0;
-  t.active <- 0;
-  t.peak_active <- 0;
-  t.bytes_in <- 0;
-  t.bytes_out <- 0;
-  t.queue_hwm <- 0;
-  t.wal_appends <- 0;
-  t.wal_bytes <- 0;
-  t.wal_fsyncs <- 0;
-  t.checkpoints <- 0;
-  t.recoveries <- 0;
-  t.clean_starts <- 0;
-  t.replayed_records <- 0;
-  t.truncated_tails <- 0;
-  t.truncated_bytes <- 0;
-  t.clean_shutdowns <- 0
+  t.engine <- Engine.stats_zero
 
-let acc t = function
-  | Parse -> t.parse
-  | Translate -> t.translate
-  | Plan -> t.plan
-  | Queue -> t.queue
-  | Execute -> t.execute
-  | Merge -> t.merge
+let acc t stage = t.stages.(stage_slot stage)
 
 let record t stage seconds =
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let a = acc t stage in
   a.count <- a.count + 1;
   a.total <- a.total +. seconds;
@@ -211,226 +164,157 @@ let time t stage f =
   let t0 = now () in
   Fun.protect ~finally:(fun () -> record t stage (now () -. t0)) f
 
-let incr_queries t = locked t @@ fun () -> t.queries <- t.queries + 1
-let incr_prepares t = locked t @@ fun () -> t.prepares <- t.prepares + 1
-let incr_hits t = locked t @@ fun () -> t.hits <- t.hits + 1
-let incr_misses t = locked t @@ fun () -> t.misses <- t.misses + 1
-let incr_invalidations t = locked t @@ fun () -> t.invalidations <- t.invalidations + 1
-let incr_retained t = locked t @@ fun () -> t.retained <- t.retained + 1
-let incr_evictions t = locked t @@ fun () -> t.evictions <- t.evictions + 1
-let incr_fallbacks t = locked t @@ fun () -> t.fallbacks <- t.fallbacks + 1
-let add_rows t n = locked t @@ fun () -> t.rows <- t.rows + n
+(* The counter mutators sit on the serving hot path: no closure, no
+   lookup, one lock. Nothing between lock and unlock can raise. *)
+let add t c n =
+  let i = slot c in
+  Mutex.lock t.lock;
+  t.counts.(i) <- t.counts.(i) + n;
+  Mutex.unlock t.lock
+
+let incr t c = add t c 1
+
+let note_max t c n =
+  let i = slot c in
+  Mutex.lock t.lock;
+  if n > t.counts.(i) then t.counts.(i) <- n;
+  Mutex.unlock t.lock
+
+let get t c = t.counts.(slot c)
+let hits t = get t Hits
+let misses t = get t Misses
+let invalidations t = get t Invalidations
+let retained t = get t Retained
+let bytes_out t = get t Bytes_out
+let checkpoints t = get t Checkpoints
+let wal_bytes t = get t Wal_bytes
+let wal_fsyncs t = get t Wal_fsyncs
+
+let connection_opened t =
+  incr t Active;
+  note_max t Peak_active (get t Active)
+
+let connection_closed t = add t Active (-1)
+
+let add_recovery t ~replayed ~truncated_bytes ~clean =
+  if clean then incr t Clean_starts
+  else begin
+    incr t Recoveries;
+    add t Replayed_records replayed;
+    if truncated_bytes > 0 then begin
+      incr t Truncated_tails;
+      add t Truncated_bytes truncated_bytes
+    end
+  end
 
 let set_shard_rows t counts =
-  locked t @@ fun () -> t.shard_rows <- Array.of_list counts
+  Mutex.protect t.lock @@ fun () -> t.shard_rows <- Array.of_list counts
+
+let add_engine t stats =
+  Mutex.protect t.lock @@ fun () -> t.engine <- Engine.stats_add t.engine stats
+
+(* Snapshot [src] under its own lock, then add under [into]'s: never both
+   locks at once, so absorbing a sink into itself cannot deadlock. *)
+let absorb ~into src =
+  let counts, stages, engine =
+    Mutex.protect src.lock @@ fun () ->
+    let stages = Array.map (fun a -> { a with hist = Array.copy a.hist }) src.stages in
+    (Array.copy src.counts, stages, src.engine)
+  in
+  Mutex.protect into.lock @@ fun () ->
+  Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) counts;
+  Array.iteri (fun i a -> acc_merge ~into:into.stages.(i) a) stages;
+  into.engine <- Engine.stats_add into.engine engine
 
 (* Largest shard over the mean: 1.0 is perfect balance. *)
 let shard_skew_of rows =
   let n = Array.length rows in
-  if n = 0 then nan
-  else
-    let total = Array.fold_left ( + ) 0 rows in
-    if total = 0 then nan
-    else
-      let mean = float_of_int total /. float_of_int n in
-      float_of_int (Array.fold_left max 0 rows) /. mean
+  let total = Array.fold_left ( + ) 0 rows in
+  if n = 0 || total = 0 then nan
+  else float_of_int (Array.fold_left max 0 rows) /. (float_of_int total /. float_of_int n)
 
-let add_engine t stats =
-  locked t @@ fun () -> t.engine <- Ppfx_minidb.Engine.stats_add t.engine stats
-
-let incr_accepted t = locked t @@ fun () -> t.accepted <- t.accepted + 1
-let incr_rejected t = locked t @@ fun () -> t.rejected <- t.rejected + 1
-
-let connection_opened t =
-  locked t @@ fun () ->
-  t.active <- t.active + 1;
-  if t.active > t.peak_active then t.peak_active <- t.active
-
-let connection_closed t = locked t @@ fun () -> t.active <- max 0 (t.active - 1)
-
-let add_bytes_in t n = locked t @@ fun () -> t.bytes_in <- t.bytes_in + n
-let add_bytes_out t n = locked t @@ fun () -> t.bytes_out <- t.bytes_out + n
-
-let note_queue_depth t d =
-  locked t @@ fun () -> if d > t.queue_hwm then t.queue_hwm <- d
-
-let add_wal_appends t ~count ~bytes =
-  locked t @@ fun () ->
-  t.wal_appends <- t.wal_appends + count;
-  t.wal_bytes <- t.wal_bytes + bytes
-
-let add_wal_fsyncs t n = locked t @@ fun () -> t.wal_fsyncs <- t.wal_fsyncs + n
-let add_checkpoints t n = locked t @@ fun () -> t.checkpoints <- t.checkpoints + n
-
-let add_recovery t ~replayed ~truncated_bytes ~clean =
-  locked t @@ fun () ->
-  if clean then t.clean_starts <- t.clean_starts + 1
-  else begin
-    t.recoveries <- t.recoveries + 1;
-    t.replayed_records <- t.replayed_records + replayed;
-    if truncated_bytes > 0 then begin
-      t.truncated_tails <- t.truncated_tails + 1;
-      t.truncated_bytes <- t.truncated_bytes + truncated_bytes
-    end
-  end
-
-let incr_clean_shutdowns t =
-  locked t @@ fun () -> t.clean_shutdowns <- t.clean_shutdowns + 1
-
-let queries t = t.queries
-let prepares t = t.prepares
-let hits t = t.hits
-let misses t = t.misses
-let invalidations t = t.invalidations
-let retained t = t.retained
-let evictions t = t.evictions
-let fallbacks t = t.fallbacks
-let rows t = t.rows
 let shard_rows t = Array.to_list t.shard_rows
 let shard_skew t = shard_skew_of t.shard_rows
 let engine_stats t = t.engine
-
-let wal_appends t = t.wal_appends
-let wal_bytes t = t.wal_bytes
-let wal_fsyncs t = t.wal_fsyncs
-let checkpoints t = t.checkpoints
-let recoveries t = t.recoveries
-let clean_starts t = t.clean_starts
-let replayed_records t = t.replayed_records
-let truncated_tails t = t.truncated_tails
-let truncated_bytes t = t.truncated_bytes
-let clean_shutdowns t = t.clean_shutdowns
-
-let accepted t = t.accepted
-let rejected t = t.rejected
-let active_connections t = t.active
-let peak_connections t = t.peak_active
-let bytes_in t = t.bytes_in
-let bytes_out t = t.bytes_out
-let queue_depth_hwm t = t.queue_hwm
-
 let stage_count t stage = (acc t stage).count
 let stage_total t stage = (acc t stage).total
 let stage_percentile t stage q = acc_percentile (acc t stage) q
 
 let hit_rate t =
-  let lookups = t.hits + t.misses in
-  if lookups = 0 then nan else float_of_int t.hits /. float_of_int lookups
+  let lookups = get t Hits + get t Misses in
+  if lookups = 0 then nan else float_of_int (get t Hits) /. float_of_int lookups
+
+(* [(name, value)] for every counter in [group], in table order. *)
+let group_counts t group =
+  List.filter_map
+    (fun (c, name, g) -> if g = group then Some (name, get t c) else None) counters
 
 let dump t =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "service metrics\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  queries %d, prepares %d, fallbacks %d, result rows %d\n"
-       t.queries t.prepares t.fallbacks t.rows);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  cache: %d hits, %d misses (hit rate %s), %d invalidations, %d retained, %d evictions\n"
-       t.hits t.misses
-       (let r = hit_rate t in
-        if Float.is_nan r then "n/a" else Printf.sprintf "%.1f%%" (100.0 *. r))
-       t.invalidations t.retained t.evictions);
+  let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let group_line group suffix =
+    let counts = group_counts t group in
+    if group = Service || List.exists (fun (_, n) -> n <> 0) counts then
+      line "  %s: %s%s\n" (group_name group)
+        (String.concat ", " (List.map (fun (name, n) -> Printf.sprintf "%s %d" name n) counts))
+        suffix
+  in
+  let hit_rate = hit_rate t and skew = shard_skew t in
+  line "service metrics\n";
+  group_line Service
+    (if Float.is_nan hit_rate then " (hit rate n/a)"
+     else Printf.sprintf " (hit rate %.1f%%)" (100.0 *. hit_rate));
   if Array.length t.shard_rows > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "  shards: rows [%s], skew %s\n"
-         (String.concat "; " (List.map string_of_int (Array.to_list t.shard_rows)))
-         (let s = shard_skew_of t.shard_rows in
-          if Float.is_nan s then "n/a" else Printf.sprintf "%.2fx" s));
-  Buffer.add_string buf
-    (Printf.sprintf "  engine: %s\n" (Ppfx_minidb.Engine.stats_to_string t.engine));
-  if t.accepted > 0 || t.rejected > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  net: %d accepted, %d rejected, %d active (peak %d), %d bytes in, \
-          %d bytes out, queue depth hwm %d\n"
-         t.accepted t.rejected t.active t.peak_active t.bytes_in t.bytes_out
-         t.queue_hwm);
-  if
-    t.wal_appends > 0 || t.checkpoints > 0 || t.recoveries > 0 || t.clean_starts > 0
-    || t.clean_shutdowns > 0
-  then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  durability: %d wal appends (%d bytes), %d fsyncs, %d checkpoints, \
-          %d clean shutdowns\n\
-         \  durability: %d recoveries (%d records replayed, %d torn tails, %d \
-          bytes truncated), %d clean starts\n"
-         t.wal_appends t.wal_bytes t.wal_fsyncs t.checkpoints t.clean_shutdowns
-         t.recoveries t.replayed_records t.truncated_tails t.truncated_bytes
-         t.clean_starts);
-  Buffer.add_string buf
-    (Printf.sprintf "  %-10s %8s %12s %12s %10s %10s %10s %10s %10s\n" "stage" "count"
-       "total ms" "mean ms" "min ms" "max ms" "p50 ms" "p95 ms" "p99 ms");
+    line "  shards: rows [%s], skew %s\n"
+      (String.concat "; " (List.map string_of_int (shard_rows t)))
+      (if Float.is_nan skew then "n/a" else Printf.sprintf "%.2fx" skew);
+  line "  engine: %s\n" (Engine.stats_to_string t.engine);
+  group_line Net "";
+  group_line Durability "";
+  line "  %-10s %8s %12s %12s %10s %10s %10s %10s %10s\n" "stage" "count" "total ms"
+    "mean ms" "min ms" "max ms" "p50 ms" "p95 ms" "p99 ms";
   List.iter
     (fun stage ->
-      let a = acc t stage in
+      let a = acc t stage and ms s = 1e3 *. s in
       if a.count = 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "  %-10s %8d %12s %12s %10s %10s %10s %10s %10s\n"
-             (stage_name stage) 0 "-" "-" "-" "-" "-" "-" "-")
+        line "  %-10s %8d %12s %12s %10s %10s %10s %10s %10s\n" (stage_name stage) 0 "-" "-"
+          "-" "-" "-" "-" "-"
       else
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  %-10s %8d %12.3f %12.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n"
-             (stage_name stage) a.count (1e3 *. a.total)
-             (1e3 *. a.total /. float_of_int a.count)
-             (1e3 *. a.min) (1e3 *. a.max)
-             (1e3 *. acc_percentile a 0.50)
-             (1e3 *. acc_percentile a 0.95)
-             (1e3 *. acc_percentile a 0.99)))
+        line "  %-10s %8d %12.3f %12.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n"
+          (stage_name stage) a.count (ms a.total)
+          (ms a.total /. float_of_int a.count)
+          (ms a.min) (ms a.max)
+          (ms (acc_percentile a 0.50))
+          (ms (acc_percentile a 0.95))
+          (ms (acc_percentile a 0.99)))
     all_stages;
   Buffer.contents buf
 
 let to_json t =
+  let fields kvs =
+    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) kvs)
+  in
   let stage_json stage =
     let a = acc t stage in
     let q name v =
-      Printf.sprintf "\"%s\":%s" name
-        (if a.count = 0 then "null" else Printf.sprintf "%.9f" v)
+      Printf.sprintf "\"%s\":%s" name (if a.count = 0 then "null" else Printf.sprintf "%.9f" v)
     in
-    Printf.sprintf "\"%s\":{\"count\":%d,\"total_s\":%.9f,%s,%s,%s,%s,%s}"
-      (stage_name stage) a.count a.total
-      (q "min_s" a.min) (q "max_s" a.max)
+    Printf.sprintf "\"%s\":{\"count\":%d,\"total_s\":%.9f,%s,%s,%s,%s,%s}" (stage_name stage)
+      a.count a.total (q "min_s" a.min) (q "max_s" a.max)
       (q "p50_s" (acc_percentile a 0.50))
       (q "p95_s" (acc_percentile a 0.95))
       (q "p99_s" (acc_percentile a 0.99))
   in
-  let engine_json =
-    Printf.sprintf "{%s}"
-      (String.concat ","
-         (List.map
-            (fun (c : Ppfx_minidb.Engine.counter) ->
-              Printf.sprintf "\"%s\":%d" c.name (c.get t.engine))
-            Ppfx_minidb.Engine.counters))
+  let engine =
+    List.map (fun (c : Engine.counter) -> (c.name, c.get t.engine)) Engine.counters
   in
-  let net_json =
-    Printf.sprintf
-      "{\"accepted\":%d,\"rejected\":%d,\"active\":%d,\"peak_active\":%d,\
-       \"bytes_in\":%d,\"bytes_out\":%d,\"queue_depth_hwm\":%d}"
-      t.accepted t.rejected t.active t.peak_active t.bytes_in t.bytes_out
-      t.queue_hwm
-  in
-  let shards_json =
-    Printf.sprintf "{\"rows\":[%s],\"skew\":%s}"
-      (String.concat "," (List.map string_of_int (Array.to_list t.shard_rows)))
-      (let s = shard_skew_of t.shard_rows in
-       if Float.is_nan s then "null" else Printf.sprintf "%.4f" s)
-  in
-  let durability_json =
-    Printf.sprintf
-      "{\"wal_appends\":%d,\"wal_bytes\":%d,\"wal_fsyncs\":%d,\
-       \"checkpoints\":%d,\"recoveries\":%d,\"clean_starts\":%d,\
-       \"replayed_records\":%d,\"truncated_tails\":%d,\"truncated_bytes\":%d,\
-       \"clean_shutdowns\":%d}"
-      t.wal_appends t.wal_bytes t.wal_fsyncs t.checkpoints t.recoveries
-      t.clean_starts t.replayed_records t.truncated_tails t.truncated_bytes
-      t.clean_shutdowns
-  in
+  let group g = Printf.sprintf "\"%s\":{%s}" (group_name g) (fields (group_counts t g)) in
+  let skew = shard_skew t in
   Printf.sprintf
-    "{\"queries\":%d,\"prepares\":%d,\"hits\":%d,\"misses\":%d,\
-     \"invalidations\":%d,\"retained\":%d,\"evictions\":%d,\"fallbacks\":%d,\
-     \"rows\":%d,\"engine\":%s,\"net\":%s,\"shards\":%s,\"durability\":%s,\
-     \"stages\":{%s}}"
-    t.queries t.prepares t.hits t.misses t.invalidations t.retained t.evictions
-    t.fallbacks t.rows engine_json net_json shards_json durability_json
+    "{%s,\"engine\":{%s},%s,\"shards\":{\"rows\":[%s],\"skew\":%s},%s,\"stages\":{%s}}"
+    (fields (group_counts t Service))
+    (fields engine) (group Net)
+    (String.concat "," (List.map string_of_int (shard_rows t)))
+    (if Float.is_nan skew then "null" else Printf.sprintf "%.4f" skew)
+    (group Durability)
     (String.concat "," (List.map stage_json all_stages))

@@ -51,16 +51,16 @@ let key t canonical ~values =
   canonical ^ (if values then "\x00values\x00" else "\x00") ^ t.fingerprint
 
 let prepare ?(values = false) t text =
-  Metrics.incr_prepares t.metrics;
+  Metrics.incr t.metrics Metrics.Prepares;
   let expr = Metrics.time t.metrics Metrics.Parse (fun () -> Xparser.parse text) in
   let canonical = Ast.to_string expr in
   let key = key t canonical ~values in
   match Lru.find t.cache key with
   | Some entry ->
-    Metrics.incr_hits t.metrics;
+    Metrics.incr t.metrics Metrics.Hits;
     entry
   | None ->
-    Metrics.incr_misses t.metrics;
+    Metrics.incr t.metrics Metrics.Misses;
     let sql =
       Metrics.time t.metrics Metrics.Translate (fun () ->
           Translate.translate ~values t.translator expr)
@@ -79,14 +79,14 @@ let prepare ?(values = false) t text =
     in
     let entry = { canonical; values; sql; plan } in
     (match Lru.add t.cache key entry with
-     | Some _evicted -> Metrics.incr_evictions t.metrics
+     | Some _evicted -> Metrics.incr t.metrics Metrics.Evictions
      | None -> ());
     entry
 
 let empty_result = { Engine.columns = []; rows = [] }
 
 let replan t (p : prepared) stmt =
-  Metrics.incr_invalidations t.metrics;
+  Metrics.incr t.metrics Metrics.Invalidations;
   let plan =
     Metrics.time t.metrics Metrics.Plan (fun () -> Engine.prepare (db t) stmt)
   in
@@ -95,7 +95,7 @@ let replan t (p : prepared) stmt =
   plan
 
 let execute t (p : prepared) =
-  Metrics.incr_queries t.metrics;
+  Metrics.incr t.metrics Metrics.Queries;
   match p.sql with
   | None -> empty_result
   | Some stmt ->
@@ -105,7 +105,7 @@ let execute t (p : prepared) =
       | Some plan when Engine.plan_compatible plan ->
         (* The store changed, but every commit since prepare is logged and
            disjoint from this plan's table/pathid footprint: keep it. *)
-        Metrics.incr_retained t.metrics;
+        Metrics.incr t.metrics Metrics.Retained;
         plan
       | Some _ | None ->
         (* The store moved in a way that overlaps (or cannot be proven
@@ -134,7 +134,7 @@ let execute t (p : prepared) =
 let execute_ids t p =
   match p.sql with
   | None ->
-    Metrics.incr_queries t.metrics;
+    Metrics.incr t.metrics Metrics.Queries;
     []
   | Some _ -> Translate.result_ids (execute t p)
 

@@ -1,67 +1,16 @@
 module Tree = Ppfx_xml.Tree
 module Graph = Ppfx_schema.Graph
-module Value = Ppfx_minidb.Value
+module Codec = Ppfx_minidb.Codec
 module Update = Ppfx_update.Update
 
-exception Corrupt of string
+(* Records and sidecars are built from Codec's primitives ([put_varint],
+   [get_string], [put_value], ...), so a payload that fails to decode
+   raises the same [Corrupt] a bad database image does. *)
+open Codec
+
+exception Corrupt = Codec.Corrupt
 
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
-
-(* --- primitives ----------------------------------------------------- *)
-(* Same zigzag-LEB128 discipline as Ppfx_minidb.Codec, over an explicit
-   buffer/cursor pair so records, snapshot sidecars, and manifests all
-   share one encoding. *)
-
-type dec = { s : string; mutable pos : int }
-
-let dec_of_string s = { s; pos = 0 }
-
-let get_byte d =
-  if d.pos >= String.length d.s then corrupt "truncated input"
-  else begin
-    let c = Char.code d.s.[d.pos] in
-    d.pos <- d.pos + 1;
-    c
-  end
-
-let get_bytes d n =
-  if n < 0 || d.pos + n > String.length d.s then corrupt "truncated input"
-  else begin
-    let r = String.sub d.s d.pos n in
-    d.pos <- d.pos + n;
-    r
-  end
-
-let at_end d = d.pos >= String.length d.s
-
-let put_varint b n =
-  let n = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
-  let continue_ = ref true in
-  while !continue_ do
-    let byte = !n land 0x7F in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char b (Char.chr byte);
-      continue_ := false
-    end
-    else Buffer.add_char b (Char.chr (byte lor 0x80))
-  done
-
-let get_varint d =
-  let rec go shift acc =
-    if shift > Sys.int_size then corrupt "varint too long";
-    let byte = get_byte d in
-    let acc = acc lor ((byte land 0x7F) lsl shift) in
-    if byte land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let z = go 0 0 in
-  (z lsr 1) lxor (-(z land 1))
-
-let put_str b s =
-  put_varint b (String.length s);
-  Buffer.add_string b s
-
-let get_str d = get_bytes d (get_varint d)
 
 let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
 
@@ -88,42 +37,6 @@ let get_list f d =
   if n < 0 then corrupt "negative list length";
   List.init n (fun _ -> f d)
 
-(* --- values (same tags as Codec) ------------------------------------ *)
-
-let put_value b (v : Value.t) =
-  match v with
-  | Value.Null -> Buffer.add_char b '\000'
-  | Value.Int i ->
-    Buffer.add_char b '\001';
-    put_varint b i
-  | Value.Float f ->
-    Buffer.add_char b '\002';
-    let bits = Int64.bits_of_float f in
-    for k = 0 to 7 do
-      Buffer.add_char b
-        (Char.chr (Int64.to_int (Int64.shift_right_logical bits (k * 8)) land 0xFF))
-    done
-  | Value.Str s ->
-    Buffer.add_char b '\003';
-    put_str b s
-  | Value.Bin s ->
-    Buffer.add_char b '\004';
-    put_str b s
-
-let get_value d : Value.t =
-  match get_byte d with
-  | 0 -> Value.Null
-  | 1 -> Value.Int (get_varint d)
-  | 2 ->
-    let bits = ref 0L in
-    for k = 0 to 7 do
-      bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (get_byte d)) (k * 8))
-    done;
-    Value.Float (Int64.float_of_bits !bits)
-  | 3 -> Value.Str (get_str d)
-  | 4 -> Value.Bin (get_str d)
-  | tag -> corrupt "unknown value tag %d" tag
-
 (* --- XML fragments --------------------------------------------------- *)
 (* Structural, not via Printer/Parser: whitespace-only text nodes and
    every attribute byte round-trip exactly. *)
@@ -131,27 +44,27 @@ let get_value d : Value.t =
 let rec put_tree b = function
   | Tree.Text s ->
     Buffer.add_char b '\000';
-    put_str b s
+    put_string b s
   | Tree.Element e ->
     Buffer.add_char b '\001';
-    put_str b e.Tree.tag;
+    put_string b e.Tree.tag;
     put_list
       (fun b (k, v) ->
-        put_str b k;
-        put_str b v)
+        put_string b k;
+        put_string b v)
       b e.Tree.attrs;
     put_list put_tree b e.Tree.children
 
 let rec get_tree d =
   match get_byte d with
-  | 0 -> Tree.Text (get_str d)
+  | 0 -> Tree.Text (get_string d)
   | 1 ->
-    let tag = get_str d in
+    let tag = get_string d in
     let attrs =
       get_list
         (fun d ->
-          let k = get_str d in
-          let v = get_str d in
+          let k = get_string d in
+          let v = get_string d in
           (k, v))
         d
     in
@@ -178,12 +91,12 @@ let put_op b (op : Update.op) =
   | Update.Set_attribute { target; name; value } ->
     Buffer.add_char b '\003';
     put_varint b target;
-    put_str b name;
-    put_opt put_str b value
+    put_string b name;
+    put_opt put_string b value
   | Update.Set_text { target; text } ->
     Buffer.add_char b '\004';
     put_varint b target;
-    put_str b text
+    put_string b text
 
 let get_op d : Update.op =
   match get_byte d with
@@ -199,12 +112,12 @@ let get_op d : Update.op =
     Update.Replace_subtree { target; fragment }
   | 3 ->
     let target = get_varint d in
-    let name = get_str d in
-    let value = get_opt get_str d in
+    let name = get_string d in
+    let value = get_opt get_string d in
     Update.Set_attribute { target; name; value }
   | 4 ->
     let target = get_varint d in
-    let text = get_str d in
+    let text = get_string d in
     Update.Set_text { target; text }
   | tag -> corrupt "unknown op tag %d" tag
 
@@ -214,18 +127,18 @@ let put_row_op b (op : Update.row_op) =
   match op with
   | Update.Row_insert { table; values } ->
     Buffer.add_char b '\000';
-    put_str b table;
+    put_string b table;
     put_varint b (Array.length values);
     Array.iter (put_value b) values
   | Update.Row_update { table; elem; values } ->
     Buffer.add_char b '\001';
-    put_str b table;
+    put_string b table;
     put_varint b elem;
     put_varint b (Array.length values);
     Array.iter (put_value b) values
   | Update.Row_delete { table; elem } ->
     Buffer.add_char b '\002';
-    put_str b table;
+    put_string b table;
     put_varint b elem
 
 let get_values d =
@@ -236,16 +149,16 @@ let get_values d =
 let get_row_op d : Update.row_op =
   match get_byte d with
   | 0 ->
-    let table = get_str d in
+    let table = get_string d in
     let values = get_values d in
     Update.Row_insert { table; values }
   | 1 ->
-    let table = get_str d in
+    let table = get_string d in
     let elem = get_varint d in
     let values = get_values d in
     Update.Row_update { table; elem; values }
   | 2 ->
-    let table = get_str d in
+    let table = get_string d in
     let elem = get_varint d in
     Update.Row_delete { table; elem }
   | tag -> corrupt "unknown row-op tag %d" tag
@@ -256,8 +169,8 @@ let put_routing b (rt : Update.routing) =
   put_opt put_varint b rt.Update.rt_right;
   put_opt
     (fun b (rel, fk) ->
-      put_str b rel;
-      put_str b fk)
+      put_string b rel;
+      put_string b fk)
     b rt.Update.rt_fk
 
 let get_routing d : Update.routing =
@@ -267,8 +180,8 @@ let get_routing d : Update.routing =
   let rt_fk =
     get_opt
       (fun d ->
-        let rel = get_str d in
-        let fk = get_str d in
+        let rel = get_string d in
+        let fk = get_string d in
         (rel, fk))
       d
   in
@@ -279,7 +192,7 @@ let put_changeset b (cs : Update.changeset) =
   put_list
     (fun b (id, path) ->
       put_varint b id;
-      put_str b path)
+      put_string b path)
     b cs.Update.cs_new_paths;
   put_list put_varint b cs.Update.cs_dead_paths;
   put_list put_varint b cs.Update.cs_pathids;
@@ -291,7 +204,7 @@ let get_changeset d : Update.changeset =
     get_list
       (fun d ->
         let id = get_varint d in
-        let path = get_str d in
+        let path = get_string d in
         (id, path))
       d
   in
@@ -306,11 +219,11 @@ type extras = { partition_counts : int list; boundary_fks : string list }
 
 let put_extras b e =
   put_list put_varint b e.partition_counts;
-  put_list put_str b e.boundary_fks
+  put_list put_string b e.boundary_fks
 
 let get_extras d =
   let partition_counts = get_list get_varint d in
-  let boundary_fks = get_list get_str d in
+  let boundary_fks = get_list get_string d in
   { partition_counts; boundary_fks }
 
 (* --- log records ------------------------------------------------------ *)
@@ -333,7 +246,7 @@ let encode r =
   Buffer.contents b
 
 let decode s =
-  let d = dec_of_string s in
+  let d = cursor s in
   let r_seq = get_varint d in
   let r_op = get_opt get_op d in
   let r_inserts = get_bool d in
@@ -347,20 +260,20 @@ let decode s =
 let rec put_shadow_node b (n : Update.shadow_node) =
   put_varint b n.Update.sn_id;
   put_varint b n.Update.sn_doc;
-  put_str b n.Update.sn_tag;
-  put_str b n.Update.sn_label;
+  put_string b n.Update.sn_tag;
+  put_string b n.Update.sn_label;
   put_varint b n.Update.sn_path_id;
   put_list
     (fun b (k, v) ->
-      put_str b k;
-      put_str b v)
+      put_string b k;
+      put_string b v)
     b n.Update.sn_attrs;
   put_list
     (fun b (it : Update.shadow_item) ->
       match it with
       | Update.Sh_text s ->
         Buffer.add_char b '\000';
-        put_str b s
+        put_string b s
       | Update.Sh_node c ->
         Buffer.add_char b '\001';
         put_shadow_node b c)
@@ -369,14 +282,14 @@ let rec put_shadow_node b (n : Update.shadow_node) =
 let rec get_shadow_node d : Update.shadow_node =
   let sn_id = get_varint d in
   let sn_doc = get_varint d in
-  let sn_tag = get_str d in
-  let sn_label = get_str d in
+  let sn_tag = get_string d in
+  let sn_label = get_string d in
   let sn_path_id = get_varint d in
   let sn_attrs =
     get_list
       (fun d ->
-        let k = get_str d in
-        let v = get_str d in
+        let k = get_string d in
+        let v = get_string d in
         (k, v))
       d
   in
@@ -384,7 +297,7 @@ let rec get_shadow_node d : Update.shadow_node =
     get_list
       (fun d : Update.shadow_item ->
         match get_byte d with
-        | 0 -> Update.Sh_text (get_str d)
+        | 0 -> Update.Sh_text (get_string d)
         | 1 -> Update.Sh_node (get_shadow_node d)
         | tag -> corrupt "unknown shadow item tag %d" tag)
       d
@@ -420,8 +333,8 @@ let put_schema b g =
   in
   put_list
     (fun b (d : Graph.def) ->
-      put_str b d.Graph.name;
-      put_list put_str b d.Graph.attrs;
+      put_string b d.Graph.name;
+      put_list put_string b d.Graph.attrs;
       put_bool b d.Graph.has_text)
     b defs;
   put_list
@@ -439,8 +352,8 @@ let get_schema d =
   let specs =
     get_list
       (fun d ->
-        let name = get_str d in
-        let attrs = get_list get_str d in
+        let name = get_string d in
+        let attrs = get_list get_string d in
         let has_text = get_bool d in
         (name, attrs, has_text))
       d
@@ -484,7 +397,7 @@ let encode_meta m =
   Buffer.contents b
 
 let decode_meta s =
-  let d = dec_of_string s in
+  let d = cursor s in
   let m_schema = get_schema d in
   let m_shadow = get_opt get_shadow d in
   let m_extras = get_opt get_extras d in

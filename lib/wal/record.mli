@@ -2,17 +2,19 @@
     (sequence number + staged op + changeset + cluster extras), shadow
     snapshots, the schema graph, and the checkpoint sidecar.
 
-    The byte discipline is the same zigzag-LEB128 one as
-    {!Ppfx_minidb.Codec}; XML fragments are encoded structurally (tag /
-    attrs / interleaved children), {e not} through the printer/parser
-    pair, so whitespace-only text nodes round-trip exactly. *)
+    Every payload is built from {!Ppfx_minidb.Codec}'s primitives
+    (zigzag-LEB128 varints, length-prefixed strings, tagged values); XML
+    fragments are encoded structurally (tag / attrs / interleaved
+    children), {e not} through the printer/parser pair, so whitespace-only
+    text nodes round-trip exactly. *)
 
 module Graph = Ppfx_schema.Graph
 module Update = Ppfx_update.Update
 
 exception Corrupt of string
-(** Malformed bytes. A record payload that passed its frame CRC but
-    fails to decode is treated by recovery exactly like a torn frame. *)
+(** Malformed bytes; the same exception as {!Ppfx_minidb.Codec.Corrupt}.
+    A record payload that passed its frame CRC but fails to decode is
+    treated by recovery exactly like a torn frame. *)
 
 type extras = {
   partition_counts : int list;  (** per-shard element row counts *)

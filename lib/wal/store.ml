@@ -44,12 +44,7 @@ type t = {
   mutable seg_bytes : int;
   mutable unsynced : int;
   mutable metrics : Metrics.t option;
-  (* counters observed before a metrics sink is attached *)
-  mutable acc_appends : int;
-  mutable acc_bytes : int;
-  mutable acc_fsyncs : int;
-  mutable acc_checkpoints : int;
-  mutable acc_recovery : (int * int * bool) option;
+  own : Metrics.t;  (** counts made before a sink is attached *)
 }
 
 let dir t = t.dir
@@ -63,38 +58,12 @@ let rec mkdirs d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let note_append t bytes =
-  match t.metrics with
-  | Some m -> Metrics.add_wal_appends m ~count:1 ~bytes
-  | None ->
-    t.acc_appends <- t.acc_appends + 1;
-    t.acc_bytes <- t.acc_bytes + bytes
-
-let note_fsync t =
-  match t.metrics with
-  | Some m -> Metrics.add_wal_fsyncs m 1
-  | None -> t.acc_fsyncs <- t.acc_fsyncs + 1
-
-let note_checkpoint t =
-  match t.metrics with
-  | Some m -> Metrics.add_checkpoints m 1
-  | None -> t.acc_checkpoints <- t.acc_checkpoints + 1
+let sink t = match t.metrics with Some m -> m | None -> t.own
 
 let set_metrics t m =
   t.metrics <- Some m;
-  if t.acc_appends > 0 then
-    Metrics.add_wal_appends m ~count:t.acc_appends ~bytes:t.acc_bytes;
-  if t.acc_fsyncs > 0 then Metrics.add_wal_fsyncs m t.acc_fsyncs;
-  if t.acc_checkpoints > 0 then Metrics.add_checkpoints m t.acc_checkpoints;
-  (match t.acc_recovery with
-   | Some (replayed, truncated_bytes, clean) ->
-     Metrics.add_recovery m ~replayed ~truncated_bytes ~clean
-   | None -> ());
-  t.acc_appends <- 0;
-  t.acc_bytes <- 0;
-  t.acc_fsyncs <- 0;
-  t.acc_checkpoints <- 0;
-  t.acc_recovery <- None
+  Metrics.absorb ~into:m t.own;
+  Metrics.reset t.own
 
 (* --- generation files ------------------------------------------------ *)
 
@@ -189,11 +158,7 @@ let make ~io ~durability ~checkpoint_bytes ~checkpoint_records ~dir ~gen ~next_s
     seg_bytes = 0;
     unsynced = 0;
     metrics = None;
-    acc_appends = 0;
-    acc_bytes = 0;
-    acc_fsyncs = 0;
-    acc_checkpoints = 0;
-    acc_recovery = None;
+    own = Metrics.create ();
   }
 
 let default_checkpoint_bytes = 4 * 1024 * 1024
@@ -227,19 +192,20 @@ let append t ?op ?(inserts = true) ?extras cs =
   t.next_seq <- seq + 1;
   t.seg_records <- t.seg_records + 1;
   t.seg_bytes <- t.seg_bytes + String.length framed;
-  note_append t (String.length framed);
+  Metrics.incr (sink t) Metrics.Wal_appends;
+  Metrics.add (sink t) Metrics.Wal_bytes (String.length framed);
   (match t.durability with
    | Off -> t.unsynced <- t.unsynced + 1
    | Fsync ->
      Io.fsync t.io fd;
      t.unsynced <- 0;
-     note_fsync t
+     Metrics.incr (sink t) Metrics.Wal_fsyncs
    | Batch n ->
      t.unsynced <- t.unsynced + 1;
      if t.unsynced >= max 1 n then begin
        Io.fsync t.io fd;
        t.unsynced <- 0;
-       note_fsync t
+       Metrics.incr (sink t) Metrics.Wal_fsyncs
      end);
   seq
 
@@ -248,7 +214,7 @@ let flush t =
   | Some fd when t.unsynced > 0 ->
     Io.fsync t.io fd;
     t.unsynced <- 0;
-    note_fsync t
+    Metrics.incr (sink t) Metrics.Wal_fsyncs
   | Some _ | None -> ()
 
 let should_checkpoint t =
@@ -268,7 +234,7 @@ let checkpoint t ~db ~meta =
   t.seg_records <- 0;
   t.seg_bytes <- 0;
   t.unsynced <- 0;
-  note_checkpoint t;
+  Metrics.incr (sink t) Metrics.Checkpoints;
   cleanup t;
   open_segment t
 
@@ -280,7 +246,7 @@ let close_clean t ~db ~meta =
   checkpoint t ~db ~meta;
   Manifest.write t.io ~dir:t.dir
     { Manifest.gen = t.gen; base_seq = t.next_seq - 1; clean = true };
-  (match t.metrics with Some m -> Metrics.incr_clean_shutdowns m | None -> ());
+  Metrics.incr (sink t) Metrics.Clean_shutdowns;
   close_fd t
 
 let dispose t = close_fd t
@@ -358,11 +324,7 @@ let recover ?(io = Io.live) ?(durability = Fsync)
     Manifest.write io ~dir { man with Manifest.clean = false };
   cleanup t;
   open_segment t;
-  t.acc_recovery <- Some (replayed, truncated, man.Manifest.clean);
-  (match t.metrics with
-   | Some m ->
-     Metrics.add_recovery m ~replayed ~truncated_bytes:truncated ~clean:man.Manifest.clean
-   | None -> ());
+  Metrics.add_recovery (sink t) ~replayed ~truncated_bytes:truncated ~clean:man.Manifest.clean;
   Ok
     {
       store = t;

@@ -404,10 +404,10 @@ let test_cluster_metrics () =
       let ids = Cluster.run_ids c "//keyword" in
       Alcotest.(check bool) "some keywords" true (ids <> []);
       let m = Cluster.metrics c in
-      Alcotest.(check int) "one query" 1 (Metrics.queries m);
-      Alcotest.(check int) "no fallback" 0 (Metrics.fallbacks m);
+      Alcotest.(check int) "one query" 1 (Metrics.get m Metrics.Queries);
+      Alcotest.(check int) "no fallback" 0 (Metrics.get m Metrics.Fallbacks);
       Alcotest.(check int) "merge recorded" 1 (Metrics.stage_count m Metrics.Merge);
-      Alcotest.(check int) "rows recorded" (List.length ids) (Metrics.rows m);
+      Alcotest.(check int) "rows recorded" (List.length ids) (Metrics.get m Metrics.Rows);
       Array.iteri
         (fun s sm ->
           Alcotest.(check int) (Printf.sprintf "shard %d executed once" s) 1
@@ -425,11 +425,11 @@ let test_cluster_metrics () =
            (Array.fold_left ( + ) 0 s.Cluster.shard_rows));
       ignore (Cluster.run_ids c "//item/following::item");
       Alcotest.(check int) "order axis is not a fallback" 0
-        (Metrics.fallbacks (Cluster.metrics c));
+        (Metrics.get (Cluster.metrics c) Metrics.Fallbacks);
       Alcotest.(check int) "order-axis side merges recorded" 2
         (Metrics.stage_count (Cluster.metrics c) Metrics.Merge);
       ignore (Cluster.run_ids c "//parlist[count(listitem) >= 2]");
-      Alcotest.(check int) "fallback counted" 1 (Metrics.fallbacks (Cluster.metrics c)))
+      Alcotest.(check int) "fallback counted" 1 (Metrics.get (Cluster.metrics c) Metrics.Fallbacks))
 
 (* Order-axis queries must route through the two-sided decomposition
    (Order_partitionable — no single-store fallback) and still come back
@@ -495,7 +495,7 @@ let test_cluster_load_invalidates () =
         (2 * List.length before) (List.length after);
       let invalidations =
         Array.fold_left
-          (fun acc sm -> acc + Metrics.invalidations sm)
+          (fun acc sm -> acc + Metrics.get sm Metrics.Invalidations)
           0 (Cluster.shard_metrics c)
       in
       Alcotest.(check bool) "shard plans re-prepared after the load" true

@@ -134,10 +134,10 @@ let prepared_outlives_eviction () =
   let a = Client.prepare c qa in
   let b = Client.prepare c qb in
   let m = Session.metrics session in
-  Alcotest.(check int) "B evicted A" 1 (Metrics.evictions m);
+  Alcotest.(check int) "B evicted A" 1 (Metrics.get m Metrics.Evictions);
   Alcotest.(check (list int)) "A still answers"
     expected (Ppfx_translate.Translate.result_ids (Client.execute_result c a));
-  Alcotest.(check int) "no prepare on execute" 2 (Metrics.prepares m);
+  Alcotest.(check int) "no prepare on execute" 2 (Metrics.get m Metrics.Prepares);
   Alcotest.(check int) "one entry cached" 1 (Session.cache_length session);
   Client.close_stmt c a;
   Client.close_stmt c b
@@ -187,9 +187,9 @@ let concurrent_pool () =
   Alcotest.(check int) "every concurrent result identical" 0
     (Atomic.get mismatches);
   let m = Server.metrics server in
-  Alcotest.(check bool) "connections were pooled" true (Metrics.accepted m <= 4);
+  Alcotest.(check bool) "connections were pooled" true (Metrics.get m Metrics.Accepted <= 4);
   Alcotest.(check bool) "traffic counted" true
-    (Metrics.bytes_in m > 0 && Metrics.bytes_out m > 0)
+    (Metrics.get m Metrics.Bytes_in > 0 && Metrics.get m Metrics.Bytes_out > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Error containment                                                   *)
@@ -277,8 +277,8 @@ let connection_admission () =
   (* The admitted connection is unaffected by the rejection. *)
   Client.ping first;
   let m = Server.metrics server in
-  Alcotest.(check int) "one accepted" 1 (Metrics.accepted m);
-  Alcotest.(check bool) "rejection counted" true (Metrics.rejected m >= 1);
+  Alcotest.(check int) "one accepted" 1 (Metrics.get m Metrics.Accepted);
+  Alcotest.(check bool) "rejection counted" true (Metrics.get m Metrics.Rejected >= 1);
   (* Closing the admitted connection frees the slot. *)
   Client.close first;
   let rec retry n =
@@ -302,8 +302,8 @@ let request_admission () =
      Alcotest.fail "request admitted through a zero-depth queue"
    | exception Client.Server_error { code = Wire.Admission; _ } -> ());
   let m = Server.metrics server in
-  Alcotest.(check int) "connection was accepted" 1 (Metrics.accepted m);
-  Alcotest.(check bool) "request rejected" true (Metrics.rejected m >= 1)
+  Alcotest.(check int) "connection was accepted" 1 (Metrics.get m Metrics.Accepted);
+  Alcotest.(check bool) "request rejected" true (Metrics.get m Metrics.Rejected >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Pool retries                                                        *)

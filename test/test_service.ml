@@ -134,13 +134,13 @@ let test_metrics_accumulators () =
   (* time records even when the thunk raises *)
   (try Metrics.time m Metrics.Execute (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check int) "raise recorded" 2 (Metrics.stage_count m Metrics.Execute);
-  Metrics.incr_hits m;
-  Metrics.incr_hits m;
-  Metrics.incr_misses m;
+  Metrics.incr m Metrics.Hits;
+  Metrics.incr m Metrics.Hits;
+  Metrics.incr m Metrics.Misses;
   Alcotest.(check (float 1e-9)) "hit rate" (2.0 /. 3.0) (Metrics.hit_rate m);
   Metrics.reset m;
   Alcotest.(check int) "reset clears stages" 0 (Metrics.stage_count m Metrics.Parse);
-  Alcotest.(check int) "reset clears counters" 0 (Metrics.hits m)
+  Alcotest.(check int) "reset clears counters" 0 (Metrics.get m Metrics.Hits)
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -149,8 +149,8 @@ let contains ~needle haystack =
 
 let test_metrics_dump () =
   let m = Metrics.create () in
-  Metrics.incr_queries m;
-  Metrics.incr_misses m;
+  Metrics.incr m Metrics.Queries;
+  Metrics.incr m Metrics.Misses;
   Metrics.record m Metrics.Translate 0.001;
   let dump = Metrics.dump m in
   List.iter
@@ -163,39 +163,131 @@ let test_metrics_dump () =
       Alcotest.(check bool) ("json mentions " ^ needle) true (contains ~needle json))
     [ "\"queries\":1"; "\"misses\":1"; "\"translate\":{\"count\":1" ]
 
+(* The body of the flat JSON object under [key]: what lies between
+   ["key":{] and the next closing brace. *)
+let json_object json key =
+  let prefix = Printf.sprintf "\"%s\":{" key in
+  let rec find i =
+    if String.sub json i (String.length prefix) = prefix then i + String.length prefix
+    else find (i + 1)
+  in
+  let start = find 0 in
+  String.sub json start (String.index_from json start '}' - start)
+
+(* The top-level fields that precede the first nested object. *)
+let json_top_fields json =
+  let body = String.sub json 1 (String.index_from json 1 '{' - 1) in
+  String.sub body 0 (String.rindex body ',')
+
+let json_keys body =
+  List.map
+    (fun field -> List.nth (String.split_on_char '"' field) 1)
+    (String.split_on_char ',' body)
+
 (* The engine counters are declared once in Engine.counters; the JSON
    snapshot must still carry exactly the established keys, each once, and
    the dump must print every declared counter. *)
 let test_metrics_engine_counters () =
   let m = Metrics.create () in
-  let json = Metrics.to_json m in
-  let engine =
-    let prefix = "\"engine\":{" in
-    let rec find i =
-      if String.sub json i (String.length prefix) = prefix then i + String.length prefix
-      else find (i + 1)
-    in
-    let start = find 0 in
-    String.sub json start (String.index_from json start '}' - start)
-  in
-  let keys =
-    List.map
-      (fun field -> List.nth (String.split_on_char '"' field) 1)
-      (String.split_on_char ',' engine)
-  in
   Alcotest.(check (list string)) "engine keys"
     [
       "rows_scanned"; "rows_probed"; "rows_emitted"; "regex_plan_evals"; "regex_exec_evals";
       "dfa_execs"; "hash_builds"; "reductions"; "partitions_scanned"; "partitions_pruned";
       "peak_bytes";
     ]
-    keys;
+    (json_keys (json_object (Metrics.to_json m) "engine"));
   let dump = Metrics.dump m in
   List.iter
     (fun (c : Engine.counter) ->
       Alcotest.(check bool) ("dump prints " ^ c.label) true
         (contains ~needle:(c.label ^ " 0") dump))
     Engine.counters
+
+let occurrences ~needle haystack =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length haystack then acc
+    else go (i + 1) (if String.sub haystack i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let all_stages = Metrics.[ Parse; Translate; Plan; Queue; Execute; Merge ]
+
+let group_fields json = function
+  | Metrics.Service -> json_top_fields json
+  | group -> json_object json (Metrics.group_name group)
+
+(* The serving counters are declared once, in Metrics' table: the JSON
+   keeps the established keys per group; a counter moved alone shows up
+   once in the JSON, under its group, and once in the dump, on its
+   group's line; reset zeroes every counter and stage; absorb sums them. *)
+let test_metrics_counter_table () =
+  let json = Metrics.to_json (Metrics.create ()) in
+  List.iter
+    (fun (group, keys) ->
+      Alcotest.(check (list string))
+        (Metrics.group_name group ^ " keys")
+        keys
+        (json_keys (group_fields json group)))
+    [
+      ( Metrics.Service,
+        [ "queries"; "prepares"; "hits"; "misses"; "invalidations"; "retained"; "evictions";
+          "fallbacks"; "rows" ] );
+      ( Metrics.Net,
+        [ "accepted"; "rejected"; "active"; "peak_active"; "bytes_in"; "bytes_out";
+          "queue_depth_hwm" ] );
+      ( Metrics.Durability,
+        [ "wal_appends"; "wal_bytes"; "wal_fsyncs"; "checkpoints"; "recoveries";
+          "clean_starts"; "replayed_records"; "truncated_tails"; "truncated_bytes";
+          "clean_shutdowns" ] );
+    ];
+  List.iteri
+    (fun i (c, name, group) ->
+      let m = Metrics.create () in
+      let v = 1000 + i in
+      Metrics.add m c v;
+      let json = Metrics.to_json m and dump = Metrics.dump m in
+      let field = Printf.sprintf "\"%s\":%d" name v in
+      Alcotest.(check int) (name ^ " once in the JSON") 1 (occurrences ~needle:field json);
+      Alcotest.(check int) (name ^ " under its JSON group") 1
+        (occurrences ~needle:field (group_fields json group));
+      let label = Printf.sprintf " %s %d" name v in
+      Alcotest.(check int) (name ^ " once in the dump") 1 (occurrences ~needle:label dump);
+      let line_prefix = Printf.sprintf "  %s: " (Metrics.group_name group) in
+      Alcotest.(check bool) (name ^ " on its group's dump line") true
+        (List.exists
+           (fun line ->
+             String.starts_with ~prefix:line_prefix line && contains ~needle:label line)
+           (String.split_on_char '\n' dump)))
+    Metrics.counters;
+  let filled n =
+    let m = Metrics.create () in
+    List.iteri (fun i (c, _, _) -> Metrics.add m c (n * (i + 1))) Metrics.counters;
+    List.iter (fun s -> Metrics.record m s (float_of_int n)) all_stages;
+    m
+  in
+  let into = filled 1 and src = filled 10 in
+  Metrics.absorb ~into src;
+  List.iteri
+    (fun i (c, name, _) ->
+      Alcotest.(check int) (name ^ " absorbed") (11 * (i + 1)) (Metrics.get into c))
+    Metrics.counters;
+  List.iter
+    (fun s ->
+      Alcotest.(check int) (Metrics.stage_name s ^ " count absorbed") 2
+        (Metrics.stage_count into s);
+      Alcotest.(check (float 1e-9)) (Metrics.stage_name s ^ " total absorbed") 11.0
+        (Metrics.stage_total into s))
+    all_stages;
+  Metrics.reset src;
+  List.iter
+    (fun (c, name, _) ->
+      Alcotest.(check int) (name ^ " reset") 0 (Metrics.get src c);
+      Alcotest.(check bool) (name ^ " absorbed by value") true (Metrics.get into c > 0))
+    Metrics.counters;
+  List.iter
+    (fun s -> Alcotest.(check int) (Metrics.stage_name s ^ " reset") 0 (Metrics.stage_count src s))
+    all_stages
 
 (* ------------------------------------------------------------------ *)
 (* Engine prepared plans                                               *)
@@ -252,10 +344,10 @@ let test_session_caches () =
   let session = Session.of_doc ~schema (Lazy.force doc1) in
   let m = Session.metrics session in
   let ids1 = Session.run_ids session "//keyword" in
-  Alcotest.(check int) "first arrival misses" 1 (Metrics.misses m);
-  Alcotest.(check int) "no hit yet" 0 (Metrics.hits m);
+  Alcotest.(check int) "first arrival misses" 1 (Metrics.get m Metrics.Misses);
+  Alcotest.(check int) "no hit yet" 0 (Metrics.get m Metrics.Hits);
   let ids2 = Session.run_ids session "//keyword" in
-  Alcotest.(check int) "second arrival hits" 1 (Metrics.hits m);
+  Alcotest.(check int) "second arrival hits" 1 (Metrics.get m Metrics.Hits);
   Alcotest.(check (list int)) "same answer" ids1 ids2;
   Alcotest.(check int) "translated once" 1 (Metrics.stage_count m Metrics.Translate);
   Alcotest.(check int) "planned once" 1 (Metrics.stage_count m Metrics.Plan);
@@ -269,8 +361,8 @@ let test_session_normalizes () =
   Alcotest.(check string) "same canonical form" (Session.canonical p1)
     (Session.canonical p2);
   Alcotest.(check int) "textual variants share one entry" 1
-    (Metrics.misses (Session.metrics session));
-  Alcotest.(check int) "second prepare was a hit" 1 (Metrics.hits (Session.metrics session))
+    (Metrics.get (Session.metrics session) Metrics.Misses);
+  Alcotest.(check int) "second prepare was a hit" 1 (Metrics.get (Session.metrics session) Metrics.Hits)
 
 let test_session_capacity () =
   let session = Session.of_doc ~cache_capacity:2 ~schema (Lazy.force doc1) in
@@ -278,7 +370,7 @@ let test_session_capacity () =
   ignore (Session.run_ids session "//person");
   ignore (Session.run_ids session "//bidder");
   Alcotest.(check int) "cache bounded" 2 (Session.cache_length session);
-  Alcotest.(check int) "eviction counted" 1 (Metrics.evictions (Session.metrics session));
+  Alcotest.(check int) "eviction counted" 1 (Metrics.get (Session.metrics session) Metrics.Evictions);
   (* The evicted query still answers correctly (re-translated). *)
   let cold = cold_render (Session.store session) "//keyword" in
   Alcotest.(check string) "evicted entry recomputed" cold (warm_render session "//keyword")
@@ -299,7 +391,7 @@ let test_session_epoch_invalidation () =
   Session.load session (Lazy.force doc2);
   Alcotest.(check bool) "epoch moved" true (Session.epoch session <> e0);
   let after = Session.execute_ids session p in
-  Alcotest.(check int) "invalidation counted" 1 (Metrics.invalidations m);
+  Alcotest.(check int) "invalidation counted" 1 (Metrics.get m Metrics.Invalidations);
   Alcotest.(check bool) "answer grew across documents" true
     (List.length after > List.length before);
   let cold = cold_render (Session.store session) "//keyword" in
@@ -307,7 +399,7 @@ let test_session_epoch_invalidation () =
     (warm_render session "//keyword");
   (* Replans exactly once: the refreshed plan serves later arrivals. *)
   ignore (Session.execute_ids session p);
-  Alcotest.(check int) "no further invalidations" 1 (Metrics.invalidations m)
+  Alcotest.(check int) "no further invalidations" 1 (Metrics.get m Metrics.Invalidations)
 
 let test_batch () =
   let session = Session.of_doc ~schema (Lazy.force doc1) in
@@ -396,9 +488,9 @@ let prop_warm_equals_cold =
            entry); the second is a guaranteed warm hit. *)
         let m = Session.metrics session in
         let warm1 = warm_render session query in
-        let hits_before = Metrics.hits m in
+        let hits_before = Metrics.get m Metrics.Hits in
         let warm2 = warm_render session query in
-        if Metrics.hits m <= hits_before then
+        if Metrics.get m Metrics.Hits <= hits_before then
           QCheck.Test.fail_reportf "query %s: second arrival did not hit the cache"
             query
         else if warm1 <> cold then
@@ -449,6 +541,7 @@ let () =
             "accumulators", test_metrics_accumulators;
             "dump", test_metrics_dump;
             "engine counters", test_metrics_engine_counters;
+            "counter table", test_metrics_counter_table;
           ] );
       ( "engine-plans",
         List.map tc

@@ -227,21 +227,21 @@ let test_plan_retained_on_disjoint_commit () =
      footprint (keyword relation + its pathids). *)
   let city = List.hd (find_by_tag u "city") in
   ignore (Update.exec u (Update.Set_text { target = city; text = "nowhere" }));
-  let ret0 = Metrics.retained m and inv0 = Metrics.invalidations m in
+  let ret0 = Metrics.get m Metrics.Retained and inv0 = Metrics.get m Metrics.Invalidations in
   let after = Session.execute_ids session p in
   Alcotest.(check (list int)) "identical result through the retained plan" before after;
-  Alcotest.(check int) "plan retained, not re-planned" (ret0 + 1) (Metrics.retained m);
-  Alcotest.(check int) "zero invalidations" inv0 (Metrics.invalidations m);
+  Alcotest.(check int) "plan retained, not re-planned" (ret0 + 1) (Metrics.get m Metrics.Retained);
+  Alcotest.(check int) "zero invalidations" inv0 (Metrics.get m Metrics.Invalidations);
   (* An overlapping commit — inserting a keyword — must invalidate. *)
   let text_el = List.hd (find_by_tag u "text") in
   ignore
     (Update.exec u
        (Update.Insert_subtree
           { parent = text_el; before = None; fragment = frag "<keyword>zzz</keyword>" }));
-  let inv1 = Metrics.invalidations m in
+  let inv1 = Metrics.get m Metrics.Invalidations in
   let grown = Session.execute_ids session p in
   Alcotest.(check int) "keyword insert invalidates the plan" (inv1 + 1)
-    (Metrics.invalidations m);
+    (Metrics.get m Metrics.Invalidations);
   Alcotest.(check int) "and the re-planned query sees the new keyword"
     (List.length before + 1) (List.length grown)
 
@@ -279,30 +279,30 @@ let test_plan_older_than_log_conservatively_invalidates () =
   in
   (* within the log's horizon the disjoint-pathid proof still works *)
   flood 64;
-  let ret0 = Metrics.retained m and inv0 = Metrics.invalidations m in
+  let ret0 = Metrics.get m Metrics.Retained and inv0 = Metrics.get m Metrics.Invalidations in
   Alcotest.(check (list int)) "retained plan answers identically" before
     (Session.execute_ids session p);
   Alcotest.(check int) "64 logged commits: plan retained" (ret0 + 1)
-    (Metrics.retained m);
+    (Metrics.get m Metrics.Retained);
   Alcotest.(check int) "no invalidation inside the horizon" inv0
-    (Metrics.invalidations m);
+    (Metrics.get m Metrics.Invalidations);
   (* past the bounded log's capacity the delta is unprovable *)
   flood (Database.log_capacity + 8);
-  let ret1 = Metrics.retained m and inv1 = Metrics.invalidations m in
+  let ret1 = Metrics.get m Metrics.Retained and inv1 = Metrics.get m Metrics.Invalidations in
   Alcotest.(check (list int)) "re-planned query still answers identically" before
     (Session.execute_ids session p);
   Alcotest.(check int) "plan fell off the log horizon: conservative re-plan"
-    (inv1 + 1) (Metrics.invalidations m);
-  Alcotest.(check int) "not counted as retained" ret1 (Metrics.retained m);
+    (inv1 + 1) (Metrics.get m Metrics.Invalidations);
+  Alcotest.(check int) "not counted as retained" ret1 (Metrics.get m Metrics.Retained);
   (* a plan prepared after the flood retains normally across a fresh
      disjoint commit: the bound only costs staleness, not precision *)
   let p2 = Session.prepare session "//item[location]/name" in
   ignore (Session.execute_ids session p2);
   ignore (Update.exec u (Update.Set_text { target = person_name; text = "last" }));
-  let ret2 = Metrics.retained m in
+  let ret2 = Metrics.get m Metrics.Retained in
   ignore (Session.execute_ids session p2);
   Alcotest.(check int) "fresh plan retained through a disjoint commit" (ret2 + 1)
-    (Metrics.retained m)
+    (Metrics.get m Metrics.Retained)
 
 (* ------------------------------------------------------------------ *)
 (* Random mutation sequences                                           *)

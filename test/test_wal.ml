@@ -14,6 +14,8 @@ module Xmlparser = Ppfx_xml.Parser
 module Graph = Ppfx_schema.Graph
 module Database = Ppfx_minidb.Database
 module Table = Ppfx_minidb.Table
+module Value = Ppfx_minidb.Value
+module Codec = Ppfx_minidb.Codec
 module Loader = Ppfx_shred.Loader
 module Update = Ppfx_update.Update
 module Session = Ppfx_service.Session
@@ -263,6 +265,79 @@ let test_meta_round_trip () =
   | _ -> Alcotest.fail "truncated meta must be rejected"
   | exception Record.Corrupt _ -> ()
 
+(* Golden bytes: a fixed WAL record, checkpoint sidecar and PPFXDB5
+   database image, each pinned to the bytes the encoders have always
+   emitted, so neither on-disk format drifts unnoticed. The database
+   covers every value tag, a partition spec, an index, a key and a
+   compacted tombstone. *)
+let golden_store () =
+  let tree =
+    Xmlparser.parse {|<site><people><person id="p1"><name>ann</name></person></people></site>|}
+  in
+  Update.create (Graph.infer (Doc.of_tree tree)) [ tree ]
+
+let golden_database () =
+  let db = Database.create () in
+  let t =
+    Database.create_table db ~name:"vals"
+      ~partition:{ Table.part_col = "k"; part_sort = "id" }
+      ~columns:
+        [ { Table.name = "id"; ty = Value.Tint }; { Table.name = "k"; ty = Value.Tint };
+          { Table.name = "f"; ty = Value.Tfloat }; { Table.name = "s"; ty = Value.Tstr };
+          { Table.name = "b"; ty = Value.Tbin } ]
+  in
+  List.iter
+    (fun row -> ignore (Table.insert t row))
+    Value.
+      [
+        [| Int 0; Int (-3); Float 1.5; Str "x"; Bin "\000\255" |];
+        [| Int 300; Int 7; Null; Str ""; Null |];
+        [| Int 2; Int 7; Float (-0.25); Null; Bin "" |];
+      ];
+  ignore (Table.delete t 2);
+  Table.create_index t [ "s" ];
+  Table.create_key t "id";
+  db
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_golden_bytes () =
+  let u = golden_store () in
+  let op =
+    Update.Insert_subtree
+      { parent = the_one u "people"; before = None;
+        fragment = frag {|<person id="p9"><name>wal</name></person>|} }
+  in
+  let record =
+    { Record.r_seq = 5; r_op = Some op; r_inserts = true; r_cs = Update.stage u op;
+      r_extras = Some { Record.partition_counts = [ 3; 0; 4 ];
+                        boundary_fks = [ "parent_person" ] } }
+  in
+  Alcotest.(check string) "WAL record"
+    ("0a01000400010c706572736f6e020469640470390201086e616d650002000677616c010a" ^
+     "010873697465021001020102040c4000014000010102030c616e6e77616c030001020102" ^
+     "010c70656f706c6504100104010204124000014000014000010104030c616e6e77616c03" ^
+     "0001020102010c706572736f6e0612010601040418400001400001400001400001010603" ^
+     "06616e6e03000102010403047031000c706572736f6e12010a0104041840000140000140" ^
+     "00014000030106030677616c0300010401040304703900086e616d6510010c010a041e40" ^
+     "00014000014000014000034000010108030677616c030677616c01020102000008020806" ^
+     "040104010600010c706572736f6e1270656f706c655f69640106060008021a706172656e" ^
+     "745f706572736f6e")
+    (hex (Record.encode record));
+  Alcotest.(check string) "checkpoint sidecar"
+    ("08087369746500000c70656f706c6500000c706572736f6e0204696400086e616d650001" ^
+     "06000202040406000102020208736974650c4000014000010200020104020c70656f706c" ^
+     "65124000014000014000010400020106020c706572736f6e184000014000014000014000" ^
+     "01060204696404703102010802086e616d651e4000014000014000014000014000010800" ^
+     "020006616e6e0a0a00")
+    (hex (Record.encode_meta (Server.store_meta (golden_store ()))));
+  Alcotest.(check string) "database image"
+    ("50504658444235020876616c730a04696400026b0002660102730202620301026b046964" ^
+     "040100010502000000000000f83f030278040400ff01d804010e00030000040202730204" ^
+     "696402046964")
+    (hex (Codec.database_to_string (golden_database ())))
+
 (* A version-1 sidecar carried a layout flag right after the schema; its
    payload would misdecode under the current layout, so the magic check
    must reject it before decoding. *)
@@ -435,6 +510,10 @@ let test_checkpoint_rotation () =
          (run_q u' {|//person[address/city='after-rotation']|}));
     Wstore.close r.Wstore.store
 
+(* Counts made before a sink attaches — the appends, their fsyncs and a
+   checkpoint — reach it exactly once when it attaches; later counts go
+   to it live, never twice. Writing generation 0 at init is not counted
+   as a checkpoint, and its file syncs are not log fsyncs. *)
 let test_recovery_metrics () =
   with_dir @@ fun dir ->
   let u = small () in
@@ -442,23 +521,41 @@ let test_recovery_metrics () =
     Wstore.init ~durability:Wstore.Fsync ~dir ~db:(Update.db u)
       ~meta:(Server.store_meta u) ()
   in
+  ignore (logged_exec u w (small_op_insert u));
+  Wstore.checkpoint w ~db:(Update.db u) ~meta:(Server.store_meta u);
+  ignore (logged_exec u w (small_op_text u));
   let m = Metrics.create () in
   Wstore.set_metrics w m;
-  ignore (logged_exec u w (small_op_insert u));
-  Alcotest.(check int) "append counted" 1 (Metrics.wal_appends m);
-  Alcotest.(check bool) "append bytes counted" true (Metrics.wal_bytes m > 0);
-  Alcotest.(check bool) "fsync counted" true (Metrics.wal_fsyncs m >= 1);
+  let get = Metrics.get m in
+  Alcotest.(check int) "appends before attach" 2 (get Metrics.Wal_appends);
+  Alcotest.(check int) "their fsyncs" 2 (get Metrics.Wal_fsyncs);
+  Alcotest.(check int) "the checkpoint before attach" 1 (get Metrics.Checkpoints);
+  let bytes = get Metrics.Wal_bytes in
+  Alcotest.(check bool) "append bytes counted" true (bytes > 0);
+  ignore
+    (logged_exec u w (Update.Set_text { target = the_one u "city"; text = "bergen" }));
+  Alcotest.(check int) "a later append counted once" 3 (get Metrics.Wal_appends);
+  Alcotest.(check int) "its fsync counted once" 3 (get Metrics.Wal_fsyncs);
+  Alcotest.(check bool) "its bytes added" true (get Metrics.Wal_bytes > bytes);
+  Alcotest.(check int) "no checkpoint recounted" 1 (get Metrics.Checkpoints);
   Wstore.close_clean w ~db:(Update.db u) ~meta:(Server.store_meta u);
-  Alcotest.(check int) "clean shutdown counted" 1 (Metrics.clean_shutdowns m);
-  Alcotest.(check bool) "final checkpoint counted" true (Metrics.checkpoints m >= 1);
+  Alcotest.(check int) "clean shutdown counted" 1 (get Metrics.Clean_shutdowns);
+  Alcotest.(check int) "final checkpoint counted" 2 (get Metrics.Checkpoints);
+  let again = Metrics.create () in
+  Wstore.set_metrics w again;
+  Alcotest.(check int) "a second sink is not sent the counts again" 0
+    (Metrics.get again Metrics.Wal_appends);
   match Wstore.recover ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok r ->
     (* counters observed before the sink attaches are pushed at once *)
     let m2 = Metrics.create () in
     Wstore.set_metrics r.Wstore.store m2;
-    Alcotest.(check int) "clean start counted" 1 (Metrics.clean_starts m2);
-    Alcotest.(check int) "not counted as a replay recovery" 0 (Metrics.recoveries m2);
+    Alcotest.(check int) "clean start counted" 1 (Metrics.get m2 Metrics.Clean_starts);
+    Alcotest.(check int) "not counted as a replay recovery" 0
+      (Metrics.get m2 Metrics.Recoveries);
+    Alcotest.(check int) "the old store's appends stay with their sink" 0
+      (Metrics.get m2 Metrics.Wal_appends);
     Wstore.close r.Wstore.store
 
 let test_durability_of_string () =
@@ -880,6 +977,7 @@ let () =
             "record round trip", test_record_round_trip;
             "checkpoint sidecar round trip", test_meta_round_trip;
             "version-1 sidecar rejected by magic", test_meta_old_magic_rejected;
+            "golden bytes", test_golden_bytes;
           ] );
       ( "store",
         List.map tc
