@@ -729,6 +729,16 @@ module Regex = Ppfx_regex.Regex
    filters. *)
 let engine_queries = [ "Q2"; "Q3"; "Q4"; "Q6"; "Q9"; "Q10"; "Q11"; "Q21"; "XE1"; "XE2" ]
 
+(* Minor-heap words per warm execution of [plan], over five runs:
+   deterministic for a plan, unlike its time. *)
+let minor_words_per_exec plan =
+  let n = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Engine.run_plan plan)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* A fixed 96k-element point (items_per_region 200), whatever --small
    says: the warm full-optimizer plans of the engine queries on a
    document large enough that per-row work — DISTINCT, the partition
@@ -742,8 +752,8 @@ let engine_point () =
   let tr = Translate.create store.Loader.mapping in
   let dataset = Printf.sprintf "XMark (%d elements)" (Doc.size doc) in
   Printf.printf "\n%s — warm full plans, median of %d batches\n" dataset (max 1 config.reps);
-  Printf.printf "%-5s %7s %10s %10s %10s  %s\n" "query" "#nodes" "exec ms" "p10 ms" "p90 ms"
-    "distinct";
+  Printf.printf "%-5s %7s %10s %10s %10s  %-8s %11s\n" "query" "#nodes" "exec ms" "p10 ms"
+    "p90 ms" "distinct" "words/exec";
   List.iter
     (fun qname ->
       match Translate.translate tr (Xparser.parse (Xmark.query qname)) with
@@ -762,14 +772,16 @@ let engine_point () =
           | Some `Rows -> "rows"
           | None -> "none"
         in
+        let words = minor_words_per_exec plan in
         record ~dataset ~query:qname ~engine:"full" ~nodes:!nodes ~seconds:timing.b_med
           ~extra:
             (Printf.sprintf
-               "\"p10_seconds\":%.9f,\"p90_seconds\":%.9f,\"execs\":%d,\"distinct\":\"%s\""
-               timing.b_p10 timing.b_p90 timing.b_runs mode)
+               "\"p10_seconds\":%.9f,\"p90_seconds\":%.9f,\"execs\":%d,\"distinct\":\"%s\",\
+                \"minor_words_per_exec\":%.1f"
+               timing.b_p10 timing.b_p90 timing.b_runs mode words)
           ();
-        Printf.printf "%-5s %7d %10.3f %10.3f %10.3f  %s\n" qname !nodes
-          (1e3 *. timing.b_med) (1e3 *. timing.b_p10) (1e3 *. timing.b_p90) mode;
+        Printf.printf "%-5s %7d %10.3f %10.3f %10.3f  %-8s %11.0f\n" qname !nodes
+          (1e3 *. timing.b_med) (1e3 *. timing.b_p10) (1e3 *. timing.b_p90) mode words;
         flush stdout)
     engine_queries
 
@@ -797,6 +809,9 @@ let regex_build_point () =
   Printf.printf "Q2 path regex cold build: %.3f ms, %.0f minor words, %d DFA states\n"
     (1e3 *. seconds) words states
 
+(* The allocation bound of the engine section's acceptance line. *)
+let max_words_per_row = 10
+
 let engine_bench () =
   current_section := "engine";
   print_endline
@@ -816,11 +831,12 @@ let engine_bench () =
   let queries = engine_queries in
   Printf.printf "\n%s — warm prepared plans, median of %d batches of >= %.0f ms each\n"
     st.label (max 1 config.reps) (1e3 *. min_batch_s);
-  Printf.printf "%-5s %-12s %7s %10s %11s %12s %12s %10s\n" "query" "plan" "#nodes"
-    "exec ms" "regex/exec" "scanned/exec" "probed/exec" "rx-cache";
+  Printf.printf "%-5s %-12s %7s %10s %11s %12s %12s %10s %11s\n" "query" "plan" "#nodes"
+    "exec ms" "regex/exec" "scanned/exec" "probed/exec" "rx-cache" "words/exec";
   Regex.cache_clear ();
   let outcomes = ref [] in
   let warm_dfa = ref 0 and warm_nfa = ref 0 and warm_pruned = ref 0 in
+  let warm_words = ref 0.0 and warm_rows = ref 0 in
   List.iter
     (fun qname ->
       let q = Xmark.query qname in
@@ -841,6 +857,7 @@ let engine_bench () =
             in
             let seconds = timing.b_med in
             let total = Engine.stats_diff (Engine.plan_stats plan) before in
+            let words_pe = minor_words_per_exec plan in
             let per_exec n = float_of_int n /. float_of_int timing.b_runs in
             (* Exec-time regex machine runs of either flavor: shared
                frozen-DFA executions plus NFA simulations. *)
@@ -849,6 +866,8 @@ let engine_bench () =
             and scanned_pe = per_exec total.Engine.rows_scanned
             and probed_pe = per_exec total.Engine.rows_probed in
             if String.equal cname "full" then begin
+              warm_words := !warm_words +. words_pe;
+              warm_rows := !warm_rows + !nodes;
               warm_dfa := !warm_dfa + total.Engine.dfa_execs;
               warm_nfa := !warm_nfa + total.Engine.regex_exec_evals;
               warm_pruned := !warm_pruned + total.Engine.partitions_pruned
@@ -876,6 +895,7 @@ let engine_bench () =
                    @ [
                        Printf.sprintf "\"p10_seconds\":%.9f,\"p90_seconds\":%.9f,\"execs\":%d"
                          timing.b_p10 timing.b_p90 timing.b_runs;
+                       Printf.sprintf "\"minor_words_per_exec\":%.1f" words_pe;
                        Printf.sprintf
                          "\"regex_evals_per_exec\":%.1f,\
                           \"regex_cache_hits\":%d,\"regex_cache_misses\":%d,\
@@ -886,9 +906,9 @@ let engine_bench () =
                      ]))
               ();
             outcomes := (qname, cname, seconds, regex_pe) :: !outcomes;
-            Printf.printf "%-5s %-12s %7d %10.3f %11.1f %12.1f %12.1f %6d/%d\n" qname
+            Printf.printf "%-5s %-12s %7d %10.3f %11.1f %12.1f %12.1f %6d/%d %11.0f\n" qname
               cname !nodes (1e3 *. seconds) regex_pe scanned_pe probed_pe hits
-              (hits + misses);
+              (hits + misses) words_pe;
             flush stdout)
           configs)
     queries;
@@ -923,6 +943,13 @@ let engine_bench () =
    | None -> ());
   Printf.printf "warm full plans: dfa_execs > 0: %b; exec-time regex NFA simulations = 0: %b\n"
     (!warm_dfa > 0) (!warm_nfa = 0);
+  (* Only the answer allocates: a two-column row and its list cell are 6
+     words; the bound leaves room for an execution's fixed cost. *)
+  let words_per_row = !warm_words /. float_of_int (max 1 !warm_rows) in
+  Printf.printf "warm full plans: minor words per emitted row <= %d: %b (%.1f)\n"
+    max_words_per_row
+    (words_per_row <= float_of_int max_words_per_row)
+    words_per_row;
   Printf.printf
     "regex compile cache: %d entries, %d DFA table entries, %d hits, %d misses overall\n"
     (Regex.cache_size ()) (Regex.cache_table_length ()) (Regex.cache_hits ())

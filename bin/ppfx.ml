@@ -495,8 +495,12 @@ let serve_cmd =
   in
   let serve_tcp ~host ~port ~workers ~max_conns ~queue_depth ~window ~cache
       ~shards ~pool ~options ~no_metrics ~data_dir ~durability ~load_source () =
+    (* [sinks] names the executors' own metrics, dumped after the
+       server's: the server counts wire requests, a session or the
+       cluster counts prepares, cache hits and plan executions, so the two
+       are reported side by side rather than summed. *)
     let start_and_wait ?(attach = fun _ -> ()) ?(on_stop = fun () -> ())
-        ~shards factory =
+        ?(sinks = fun () -> []) ~shards factory =
       let config =
         { Server.default_config with
           host; port; workers;
@@ -526,7 +530,12 @@ let serve_cmd =
       on_stop ();
       if not no_metrics then begin
         print_newline ();
-        print_string (Metrics.dump (Server.metrics server))
+        print_string (Metrics.dump (Server.metrics server));
+        List.iter
+          (fun (label, m) ->
+            Printf.printf "\n%s\n" label;
+            print_string (Metrics.dump m))
+          (sinks ())
       end
     in
     if shards = 1 then begin
@@ -537,7 +546,15 @@ let serve_cmd =
          session retain footprint-disjoint prepared plans. *)
       let serve_single ?wal u store =
         let write_path = (Mutex.create (), u) in
-        start_and_wait ~shards:1
+        (* Each worker domain builds its session through the factory. *)
+        let sessions = ref [] and sessions_lock = Mutex.create () in
+        let sinks () =
+          let m = Metrics.create () in
+          let ss = Mutex.protect sessions_lock (fun () -> !sessions) in
+          List.iter (fun s -> Metrics.absorb ~into:m (Session.metrics s)) ss;
+          [ Printf.sprintf "worker sessions (%d)" (List.length ss), m ]
+        in
+        start_and_wait ~shards:1 ~sinks
           ~attach:(fun server ->
             Option.iter
               (fun w -> Wstore.set_metrics w (Server.metrics server))
@@ -549,8 +566,9 @@ let serve_cmd =
                   ~meta:(Server.store_meta u))
               wal)
           (fun () ->
-            Server.session_executor ~update:write_path ?wal
-              (Session.create ~cache_capacity:cache ~options store))
+            let s = Session.create ~cache_capacity:cache ~options store in
+            Mutex.protect sessions_lock (fun () -> sessions := s :: !sessions);
+            Server.session_executor ~update:write_path ?wal s)
       in
       match data_dir with
       | Some dir when Wstore.exists ~dir:(store_dir dir) ->
@@ -610,8 +628,9 @@ let serve_cmd =
              ~finally:(fun () -> Cluster.close cluster)
              (fun () ->
                let lock = Mutex.create () in
-               start_and_wait ~shards:n (fun () ->
-                   Server.cluster_executor lock cluster)))
+               start_and_wait ~shards:n
+                 ~sinks:(fun () -> [ "cluster", Cluster.metrics cluster ])
+                 (fun () -> Server.cluster_executor lock cluster)))
       | _ ->
         let tree, _doc, schema = load_source () in
         Cluster.with_cluster ?pool_size:pool ~cache_capacity:cache ~options
@@ -622,8 +641,9 @@ let serve_cmd =
                Cluster.make_durable ~durability ~data_dir:dir cluster
              | None -> ());
             let lock = Mutex.create () in
-            start_and_wait ~shards (fun () ->
-                Server.cluster_executor lock cluster))
+            start_and_wait ~shards
+              ~sinks:(fun () -> [ "cluster", Cluster.metrics cluster ])
+              (fun () -> Server.cluster_executor lock cluster))
     end
   in
   let run doc_path schema_path queries_path cache repeat shards pool no_opt

@@ -319,6 +319,11 @@ let iter_rows f t =
     if Array.length t.rows.(id) > 0 then f id t.rows.(id)
   done
 
+let iter_ids f t =
+  for id = 0 to t.row_count - 1 do
+    if Array.length t.rows.(id) > 0 then f id
+  done
+
 let create_index t cols =
   if List.exists (fun (existing, _, _) -> existing = cols) t.indexes then ()
   else begin

@@ -64,6 +64,9 @@ val row : t -> int -> Value.t array
 
 val iter_rows : (int -> Value.t array -> unit) -> t -> unit
 
+val iter_ids : (int -> unit) -> t -> unit
+(** The ids {!iter_rows} visits, for a caller that fetches rows itself. *)
+
 val create_index : t -> string list -> unit
 (** Create (and backfill) a B+tree index on the given columns. Idempotent
     for an identical column list. *)

@@ -27,6 +27,28 @@ val compare_sql : t -> t -> int option
     unparsable) — matching XPath 1.0 comparison semantics, which the
     translator relies on. [Bin] compares bytewise against [Bin] or [Str]. *)
 
+val incomparable : int
+(** The code {!compare_sql_code} returns for an unknown comparison
+    ([min_int]); a known comparison returns -1, 0 or 1. *)
+
+val compare_sql_code : t -> t -> int
+(** {!compare_sql} without the option: {!incomparable} for [None]. The
+    executor's comparisons use it, so a comparison allocates nothing. *)
+
+val compare_sql_concat : t -> t -> t -> int
+(** [compare_sql_concat v a b] is [compare_sql_code v (concat a b)]. When
+    all three are [Str] or [Bin] it compares in place and builds no
+    string: the Dewey containment bound [BETWEEN d AND d || x'FF'] (paper
+    Section 4.2) is checked on every row. *)
+
+val compare_total_concat : t -> t -> t -> int
+(** [compare_total_concat v a b] is [compare_total v (concat a b)],
+    compared in place when [a] and [b] are [Str] or [Bin]. *)
+
+val compare_total_bin_prefix : t -> string -> int -> int
+(** [compare_total_bin_prefix v s len] is
+    [compare_total v (Bin (String.sub s 0 len))], without the copy. *)
+
 val equal : t -> t -> bool
 (** Equality under {!compare_total}. *)
 

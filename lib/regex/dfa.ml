@@ -165,15 +165,14 @@ let build (nfa : Nfa.t) ~max_states =
       }
   with Too_big -> None
 
-let search t subject =
-  let n = String.length subject in
-  let trans = t.trans in
-  let rec go state i =
-    if Array.unsafe_get t.accept_now state then true
-    else if i >= n then Array.unsafe_get t.accept_at_eol state
-    else
-      go
-        (Array.unsafe_get trans ((state lsl 8) lor Char.code (String.unsafe_get subject i)))
-        (i + 1)
-  in
-  if n = 0 then t.accept_empty else go 0 0
+(* A top-level loop taking every operand: a local one capturing [t] and
+   [subject] would be a closure built on every search. *)
+let rec run t subject state i =
+  if Array.unsafe_get t.accept_now state then true
+  else if i >= String.length subject then Array.unsafe_get t.accept_at_eol state
+  else
+    run t subject
+      (Array.unsafe_get t.trans ((state lsl 8) lor Char.code (String.unsafe_get subject i)))
+      (i + 1)
+
+let search t subject = if String.length subject = 0 then t.accept_empty else run t subject 0 0

@@ -55,8 +55,37 @@ let label ~doc_id dewey =
     (Ordpath.of_components
        (List.map (fun c -> (2 * c) - 1) (doc_id :: Dewey.to_components dewey)))
 
+(* Every element's 1-based position among its same-tag siblings
+   (document order) and their count: one pass over each parent's
+   children, not one per child. *)
+let sibling_ranks doc =
+  let ords = Array.make (Doc.size doc + 1) 1 and counts = Array.make (Doc.size doc + 1) 1 in
+  let groups = Hashtbl.create 16 in
+  Doc.iter
+    (fun p ->
+      Hashtbl.clear groups;
+      List.iter
+        (fun s ->
+          let tag = (Doc.element doc s).Doc.tag in
+          Hashtbl.replace groups tag
+            (s :: Option.value ~default:[] (Hashtbl.find_opt groups tag)))
+        p.Doc.children;
+      Hashtbl.iter
+        (fun _ ids ->
+          let ids = List.sort Int.compare ids in
+          let n = List.length ids in
+          List.iteri
+            (fun i s ->
+              ords.(s) <- i + 1;
+              counts.(s) <- n)
+            ids)
+        groups)
+    doc;
+  ords, counts
+
 let load ?keep t doc =
   let keep = match keep with None -> fun _ -> true | Some f -> f in
+  let ords, sibling_counts = sibling_ranks doc in
   let schema = Mapping.schema t.mapping in
   let doc_id = List.length t.docs + 1 in
   (* Global ids: offset this document's preorder ids past all previously
@@ -115,20 +144,7 @@ let load ?keep t doc =
             | None -> Value.Null)
           def.Graph.attrs
       in
-      (* 1-based position among same-tag siblings, and their total count
-         (document order). *)
-      let ord, sibs =
-        if e.Doc.parent = 0 then 1, 1
-        else begin
-          let siblings = (Doc.element doc e.Doc.parent).Doc.children in
-          List.fold_left
-            (fun (ord, sibs) s ->
-              if String.equal (Doc.element doc s).Doc.tag e.Doc.tag then
-                (if s < e.Doc.id then ord + 1 else ord), sibs + 1
-              else ord, sibs)
-            (1, 0) siblings
-        end
-      in
+      let ord = ords.(e.Doc.id) and sibs = sibling_counts.(e.Doc.id) in
       let row =
         Array.of_list
           ([ Value.Int (global e.Doc.id) ]

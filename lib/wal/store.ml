@@ -67,14 +67,24 @@ let set_metrics t m =
 
 (* --- generation files ------------------------------------------------ *)
 
+(* An atomic write fsyncs the file and its directory: two fsyncs under
+   [Wal_fsyncs], next to the log's own. *)
+let atomic_write t ~path contents =
+  Io.atomic_write t.io ~path contents;
+  Metrics.add (sink t) Metrics.Wal_fsyncs 2
+
+let write_manifest t m =
+  Manifest.write t.io ~dir:t.dir m;
+  Metrics.add (sink t) Metrics.Wal_fsyncs 2
+
 let write_generation t ~gen ~db ~meta =
-  Io.atomic_write t.io
+  atomic_write t
     ~path:(Filename.concat t.dir (db_file gen))
     (Codec.database_to_string db);
-  Io.atomic_write t.io
+  atomic_write t
     ~path:(Filename.concat t.dir (meta_file gen))
     (meta_magic ^ Log.frame (Record.encode_meta meta));
-  Io.atomic_write t.io ~path:(Filename.concat t.dir (seg_file gen)) Log.magic
+  atomic_write t ~path:(Filename.concat t.dir (seg_file gen)) Log.magic
 
 let read_meta path =
   match open_in_bin path with
@@ -170,7 +180,7 @@ let init ?(io = Io.live) ?(durability = Fsync)
   mkdirs dir;
   let t = make ~io ~durability ~checkpoint_bytes ~checkpoint_records ~dir ~gen:0 ~next_seq:1 in
   write_generation t ~gen:0 ~db ~meta;
-  Manifest.write io ~dir { Manifest.gen = 0; base_seq = 0; clean = false };
+  write_manifest t { Manifest.gen = 0; base_seq = 0; clean = false };
   cleanup t;
   open_segment t;
   t
@@ -227,8 +237,7 @@ let checkpoint t ~db ~meta =
   (* The manifest rename is the commit point of the rotation: everything
      it names is already durable, and until it lands recovery uses the
      previous generation plus its (complete, never-truncated) segment. *)
-  Manifest.write t.io ~dir:t.dir
-    { Manifest.gen = gen'; base_seq = t.next_seq - 1; clean = false };
+  write_manifest t { Manifest.gen = gen'; base_seq = t.next_seq - 1; clean = false };
   close_fd t;
   t.gen <- gen';
   t.seg_records <- 0;
@@ -244,8 +253,7 @@ let close t =
 
 let close_clean t ~db ~meta =
   checkpoint t ~db ~meta;
-  Manifest.write t.io ~dir:t.dir
-    { Manifest.gen = t.gen; base_seq = t.next_seq - 1; clean = true };
+  write_manifest t { Manifest.gen = t.gen; base_seq = t.next_seq - 1; clean = true };
   Metrics.incr (sink t) Metrics.Clean_shutdowns;
   close_fd t
 
@@ -316,12 +324,12 @@ let recover ?(io = Io.live) ?(durability = Fsync)
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
         Unix.ftruncate fd valid_end;
-        Unix.fsync fd)
+        Unix.fsync fd);
+    Metrics.incr (sink t) Metrics.Wal_fsyncs
   end;
   (* From here the segment can grow again, so the clean marker must go
      before any ack does. *)
-  if man.Manifest.clean then
-    Manifest.write io ~dir { man with Manifest.clean = false };
+  if man.Manifest.clean then write_manifest t { man with Manifest.clean = false };
   cleanup t;
   open_segment t;
   Metrics.add_recovery (sink t) ~replayed ~truncated_bytes:truncated ~clean:man.Manifest.clean;
