@@ -718,7 +718,7 @@ module Regex = Ppfx_regex.Regex
    this section measures warm prepared plans: prepare once per opts
    configuration, execute it in [reps] batches ({!time_batched}), and
    read per-execution operator counters off the plan via
-   [Engine.plan_stats] snapshots, divided by the executions run. Regex cache
+   [Engine.report_stats], divided by the executions run. Regex cache
    hits/misses are deltas around the prepare — compiled patterns are
    shared across prepares, so every configuration after the first hits. *)
 (* Q9/Q10/Q11 are the order-axis queries (preceding-sibling, following
@@ -850,13 +850,16 @@ let engine_bench () =
             let hits = Regex.cache_hits () - h0
             and misses = Regex.cache_misses () - m0 in
             let nodes = ref 0 in
-            let before = Engine.plan_stats plan in
+            (* Plan-time work is reported apart from the timed runs. *)
+            let lifetime = Engine.stats_create () and total = Engine.stats_create () in
+            Engine.report_stats plan ~into:lifetime;
             let timing =
               time_batched (fun () ->
                   nodes := List.length (Translate.result_ids (Engine.run_plan plan)))
             in
             let seconds = timing.b_med in
-            let total = Engine.stats_diff (Engine.plan_stats plan) before in
+            Engine.report_stats plan ~into:total;
+            Engine.stats_accumulate ~into:lifetime total;
             let words_pe = minor_words_per_exec plan in
             let per_exec n = float_of_int n /. float_of_int timing.b_runs in
             (* Exec-time regex machine runs of either flavor: shared
@@ -878,7 +881,6 @@ let engine_bench () =
             in
             (* Per-execution counters as rates over the timed runs;
                plan-lifetime ones as the plan's value. *)
-            let lifetime = Engine.plan_stats plan in
             record ~dataset:st.label ~query:qname ~engine:cname ~nodes:!nodes
               ~seconds
               ~extra:

@@ -495,10 +495,9 @@ let serve_cmd =
   in
   let serve_tcp ~host ~port ~workers ~max_conns ~queue_depth ~window ~cache
       ~shards ~pool ~options ~no_metrics ~data_dir ~durability ~load_source () =
-    (* [sinks] names the executors' own metrics, dumped after the
-       server's: the server counts wire requests, a session or the
-       cluster counts prepares, cache hits and plan executions, so the two
-       are reported side by side rather than summed. *)
+    (* [sinks] are the executors' own metrics: the worker sessions' or
+       the cluster's. At shutdown they and the server's absorb into one
+       dump. *)
     let start_and_wait ?(attach = fun _ -> ()) ?(on_stop = fun () -> ())
         ?(sinks = fun () -> []) ~shards factory =
       let config =
@@ -529,13 +528,10 @@ let serve_cmd =
          before exiting. *)
       on_stop ();
       if not no_metrics then begin
+        let m = Metrics.create () in
+        List.iter (fun s -> Metrics.absorb ~into:m s) (Server.metrics server :: sinks ());
         print_newline ();
-        print_string (Metrics.dump (Server.metrics server));
-        List.iter
-          (fun (label, m) ->
-            Printf.printf "\n%s\n" label;
-            print_string (Metrics.dump m))
-          (sinks ())
+        print_string (Metrics.dump m)
       end
     in
     if shards = 1 then begin
@@ -549,10 +545,7 @@ let serve_cmd =
         (* Each worker domain builds its session through the factory. *)
         let sessions = ref [] and sessions_lock = Mutex.create () in
         let sinks () =
-          let m = Metrics.create () in
-          let ss = Mutex.protect sessions_lock (fun () -> !sessions) in
-          List.iter (fun s -> Metrics.absorb ~into:m (Session.metrics s)) ss;
-          [ Printf.sprintf "worker sessions (%d)" (List.length ss), m ]
+          List.map Session.metrics (Mutex.protect sessions_lock (fun () -> !sessions))
         in
         start_and_wait ~shards:1 ~sinks
           ~attach:(fun server ->
@@ -629,7 +622,7 @@ let serve_cmd =
              (fun () ->
                let lock = Mutex.create () in
                start_and_wait ~shards:n
-                 ~sinks:(fun () -> [ "cluster", Cluster.metrics cluster ])
+                 ~sinks:(fun () -> [ Cluster.metrics cluster ])
                  (fun () -> Server.cluster_executor lock cluster)))
       | _ ->
         let tree, _doc, schema = load_source () in
@@ -642,7 +635,7 @@ let serve_cmd =
              | None -> ());
             let lock = Mutex.create () in
             start_and_wait ~shards
-              ~sinks:(fun () -> [ "cluster", Cluster.metrics cluster ])
+              ~sinks:(fun () -> [ Cluster.metrics cluster ])
               (fun () -> Server.cluster_executor lock cluster))
     end
   in

@@ -239,6 +239,15 @@ let maybe_checkpoint t =
         Wstore.checkpoint sw ~db:t.shard_stores.(s).Loader.db ~meta:(shard_meta t))
     t.shard_wals
 
+(* A grown boundary set can flip cached Partitionable verdicts, so the
+   routing cache is rebuilt. *)
+let add_boundary_fks t fks =
+  let bfks = List.sort_uniq compare (fks @ t.boundary_fks) in
+  if bfks <> t.boundary_fks then begin
+    t.boundary_fks <- bfks;
+    Lru.clear t.cache
+  end
+
 let load t tree =
   if durable t then
     invalid_arg
@@ -249,17 +258,7 @@ let load t tree =
   Update.extend t.update (Session.store t.session) tree;
   let stores, p = partition_into ~counts:t.partition_counts t.shard_stores doc in
   t.shard_stores <- stores;
-  let bfks =
-    List.sort_uniq compare
-      (boundary_fks_of (Session.store t.session) doc p @ t.boundary_fks)
-  in
-  (* A grown boundary set can flip earlier Partitionable verdicts, so the
-     routing cache must be rebuilt (plans are invalid anyway: the load
-     moved every shard's epoch). *)
-  if bfks <> t.boundary_fks then begin
-    t.boundary_fks <- bfks;
-    Lru.clear t.cache
-  end;
+  add_boundary_fks t (boundary_fks_of (Session.store t.session) doc p);
   refresh_shard_gauge t
 
 (* ------------------------------------------------------------------ *)
@@ -284,11 +283,7 @@ let shard_holds (st : Loader.t) rel id =
 let holders t id =
   match Update.node_relation t.update id with
   | rel ->
-    let hs = ref [] in
-    Array.iteri
-      (fun s st -> if shard_holds st rel id then hs := s :: !hs)
-      t.shard_stores;
-    List.rev !hs
+    List.filter (fun s -> shard_holds t.shard_stores.(s) rel id) (List.init t.nshards Fun.id)
   | exception Ppfx_update.Update.Update_error _ -> []
 
 let lightest t =
@@ -296,14 +291,6 @@ let lightest t =
   let best = ref 0 in
   Array.iteri (fun s c -> if c < counts.(!best) then best := s) counts;
   !best
-
-let add_boundary_fk t fk =
-  let bfks = List.sort_uniq compare (fk :: t.boundary_fks) in
-  if bfks <> t.boundary_fks then begin
-    t.boundary_fks <- bfks;
-    (* A grown boundary set can flip cached Partitionable verdicts. *)
-    Lru.clear t.cache
-  end
 
 (* Which shard owns a changeset's new rows? Probe the splice point's
    element-sibling anchors first (a non-replicated anchor pins the
@@ -314,13 +301,8 @@ let add_boundary_fk t fk =
    shards. *)
 let owner_shard t (rt : Update.routing) =
   let anchor_owner =
-    List.fold_left
-      (fun acc anchor ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match holders t anchor with [ s ] -> Some s | _ -> None))
-      None
+    List.find_map
+      (fun anchor -> match holders t anchor with [ s ] -> Some s | _ -> None)
       (List.filter_map Fun.id [ rt.Update.rt_left; rt.Update.rt_right ])
   in
   match anchor_owner with
@@ -330,7 +312,7 @@ let owner_shard t (rt : Update.routing) =
     | [ s ] -> s
     | [] -> lightest t
     | _ :: _ :: _ ->
-      Option.iter (fun (_, fkcol) -> add_boundary_fk t fkcol) rt.Update.rt_fk;
+      Option.iter (fun (_, fkcol) -> add_boundary_fks t [ fkcol ]) rt.Update.rt_fk;
       lightest t)
 
 let update t op =
@@ -396,20 +378,12 @@ let prepare ?values t text = Session.prepare ?values t.session text
    catalog: every exported column keeps its source column's type. *)
 let side_columns t (side : Analysis.order_side) =
   let db = (Session.store t.session).Loader.db in
-  let rec go = function
-    | [] -> Some []
-    | (mangled, src_table, src_col) :: rest ->
-      (match Database.table_opt db src_table with
-       | None -> None
-       | Some tbl ->
-         (match Table.column_ty tbl src_col with
-          | None -> None
-          | Some ty ->
-            (match go rest with
-             | None -> None
-             | Some cols -> Some ({ Table.name = mangled; ty } :: cols))))
+  let column (mangled, src_table, src_col) =
+    Option.bind (Database.table_opt db src_table) (fun tbl ->
+        Option.map (fun ty -> { Table.name = mangled; ty }) (Table.column_ty tbl src_col))
   in
-  go side.Analysis.os_cols
+  let cols = List.filter_map column side.Analysis.os_cols in
+  if List.length cols = List.length side.Analysis.os_cols then Some cols else None
 
 let mode_for t p =
   let key = Session.canonical p ^ if Session.values p then "\x00values" else "" in
@@ -466,26 +440,45 @@ let revalidate_plans t stmt plans =
         Metrics.record t.shard_metrics.(s) Metrics.Plan (Metrics.now () -. t0);
         (* Plan-time engine work (the semi-join reduction's regex sweep)
            is attributed to the shard the plan belongs to. *)
-        Metrics.add_engine t.shard_metrics.(s) (Engine.plan_stats plan);
+        Metrics.add_plan t.shard_metrics.(s) plan;
         plans.(s) <- Some plan
       end)
     t.shard_stores
 
-(* One pool task per shard plan. The worker owns its plan for the whole
-   task, so snapshotting its counters around the run is race-free;
-   [Pool.await] gives the coordinator a happens-before edge to read the
-   delta. *)
+(* One pool task per shard plan, answering its result and run time. The
+   worker owns its plan for the whole task; the coordinator reports the
+   plan's counters after [Pool.await], which orders that read after the
+   worker's writes. The left and right plans of an order scatter run at
+   once on two workers, so no sink is shared with a task. *)
 let submit_shard_runs t plans =
   Array.map
     (fun plan ->
       let plan = Option.get plan in
       Pool.submit t.pool (fun () ->
-          let before = Engine.plan_stats plan in
           let s0 = Metrics.now () in
           let r = Engine.run_plan plan in
-          let dt = Metrics.now () -. s0 in
-          r, dt, Engine.stats_diff (Engine.plan_stats plan) before))
+          (r, Metrics.now () -. s0)))
     plans
+
+(* Await one scatter's shard tasks and account each run in its shard's
+   sink: a query, its execute and queue times, its plan's engine counts
+   and its answer rows, which also add into [shard_rows]. Raises
+   [critical] to the longest run; returns the results in shard order. *)
+let await_shards t plans futures ~shard_rows ~critical =
+  Array.mapi
+    (fun s future ->
+      let r, dt = Pool.await future in
+      let sm = t.shard_metrics.(s) in
+      Metrics.incr sm Metrics.Queries;
+      Metrics.record sm Metrics.Execute dt;
+      Metrics.record sm Metrics.Queue (Pool.queue_wait future);
+      Metrics.add_plan sm (Option.get plans.(s));
+      let rows = List.length r.Engine.rows in
+      Metrics.add sm Metrics.Rows rows;
+      shard_rows.(s) <- shard_rows.(s) + rows;
+      if dt > !critical then critical := dt;
+      r)
+    futures
 
 let scatter t ~key ~plans stmt =
   let m = Session.metrics t.session in
@@ -493,28 +486,14 @@ let scatter t ~key ~plans stmt =
   revalidate_plans t stmt plans;
   let t0 = Metrics.now () in
   let futures = submit_shard_runs t plans in
-  let outcomes = Array.map Pool.await futures in
+  let shard_rows = Array.make t.nshards 0 and critical = ref 0.0 in
+  let results = await_shards t plans futures ~shard_rows ~critical in
   Metrics.record m Metrics.Execute (Metrics.now () -. t0);
-  let queue_waits = Array.map Pool.queue_wait futures in
-  let shard_rows = Array.make t.nshards 0 in
-  let critical = ref 0.0 in
-  Array.iteri
-    (fun s (r, dt, stats) ->
-      let sm = t.shard_metrics.(s) in
-      Metrics.incr sm Metrics.Queries;
-      Metrics.record sm Metrics.Execute dt;
-      Metrics.record sm Metrics.Queue queue_waits.(s);
-      Metrics.add_engine sm stats;
-      let rows = List.length r.Engine.rows in
-      Metrics.add sm Metrics.Rows rows;
-      shard_rows.(s) <- rows;
-      if dt > !critical then critical := dt)
-    outcomes;
   let merged =
-    Metrics.time m Metrics.Merge (fun () ->
-        Merge.merge ~key (Array.to_list (Array.map (fun (r, _, _) -> r) outcomes)))
+    Metrics.time m Metrics.Merge (fun () -> Merge.merge ~key (Array.to_list results))
   in
   Metrics.add m Metrics.Rows (List.length merged.Engine.rows);
+  let queue_waits = Array.map Pool.queue_wait futures in
   t.last <- Some { critical_path = !critical; queue_waits; shard_rows };
   merged
 
@@ -532,33 +511,13 @@ let order_scatter t (oe : order_exec) =
   let t0 = Metrics.now () in
   let lf = submit_shard_runs t oe.lplans in
   let rf = submit_shard_runs t oe.rplans in
-  let louts = Array.map Pool.await lf in
-  let routs = Array.map Pool.await rf in
-  let lwaits = Array.map Pool.queue_wait lf in
-  let rwaits = Array.map Pool.queue_wait rf in
-  let shard_rows = Array.make t.nshards 0 in
-  let critical = ref 0.0 in
-  let account outs waits =
-    Array.iteri
-      (fun s (r, dt, stats) ->
-        let sm = t.shard_metrics.(s) in
-        Metrics.incr sm Metrics.Queries;
-        Metrics.record sm Metrics.Execute dt;
-        Metrics.record sm Metrics.Queue waits.(s);
-        Metrics.add_engine sm stats;
-        let rows = List.length r.Engine.rows in
-        Metrics.add sm Metrics.Rows rows;
-        shard_rows.(s) <- shard_rows.(s) + rows;
-        if dt > !critical then critical := dt)
-      outs
-  in
-  account louts lwaits;
-  account routs rwaits;
-  let results outs = Array.to_list (Array.map (fun (r, _, _) -> r) outs) in
+  let shard_rows = Array.make t.nshards 0 and critical = ref 0.0 in
+  let louts = await_shards t oe.lplans lf ~shard_rows ~critical in
+  let routs = await_shards t oe.rplans rf ~shard_rows ~critical in
   let lmerged, rmerged =
     Metrics.time m Metrics.Merge (fun () ->
-        ( Merge.merge ~key:left.Analysis.os_key (results louts),
-          Merge.merge ~key:right.Analysis.os_key (results routs) ))
+        ( Merge.merge ~key:left.Analysis.os_key (Array.to_list louts),
+          Merge.merge ~key:right.Analysis.os_key (Array.to_list routs) ))
   in
   let db = Database.create () in
   let fill name cols (side : Analysis.order_side) merged =
@@ -573,13 +532,13 @@ let order_scatter t (oe : order_exec) =
   let p0 = Metrics.now () in
   let plan = Engine.prepare db (Sql.Select oe.oplan.Analysis.op_coord) in
   Metrics.record m Metrics.Plan (Metrics.now () -. p0);
-  Metrics.add_engine m (Engine.plan_stats plan);
-  let before = Engine.plan_stats plan in
   let r = Engine.run_plan plan in
-  Metrics.add_engine m (Engine.stats_diff (Engine.plan_stats plan) before);
+  Metrics.add_plan m plan;
   Metrics.record m Metrics.Execute (Metrics.now () -. t0);
   Metrics.add m Metrics.Rows (List.length r.Engine.rows);
-  let queue_waits = Array.init t.nshards (fun s -> lwaits.(s) +. rwaits.(s)) in
+  let queue_waits =
+    Array.init t.nshards (fun s -> Pool.queue_wait lf.(s) +. Pool.queue_wait rf.(s))
+  in
   t.last <- Some { critical_path = !critical; queue_waits; shard_rows };
   r
 
@@ -594,10 +553,7 @@ let execute t p =
     scatter t ~key ~plans stmt
   | Order_scatter oe -> order_scatter t oe
 
-let execute_ids t p =
-  match Session.sql p with
-  | None -> Session.execute_ids t.session p
-  | Some _ -> Translate.result_ids (execute t p)
+let execute_ids t p = Translate.result_ids (execute t p)
 
 let run_ids t text = execute_ids t (prepare t text)
 

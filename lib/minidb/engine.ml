@@ -32,10 +32,15 @@ let default_opts = { semijoin_reduction = true; hash_join = true; force = None }
 
 (* Operator-level counters, shared by every operator compiled under one
    ctx (including sub-query plans). Mutable on purpose: they sit in the
-   innermost loops. A plan is executed by one domain at a time (the
-   cluster hands each shard plan to a single worker, and a server's
-   session executor holds a lock), so plain mutation is safe. The interface exports the record [private], so outside this
-   module a snapshot is read-only. *)
+   innermost loops. A plan runs on one domain at a time: a session's
+   plans run only on the domain that owns the session (a server worker
+   runs only its own session's statements), and the cluster hands each
+   shard plan to one pool worker per execution. So plain mutation is
+   safe. A plan's counters are read ({!plan_stats}, {!report_stats}) only
+   by the domain that ran it, or by another after [Pool.await] on the
+   task that ran it, which orders the read after the writes. The
+   interface exports the record [private], so outside this module a
+   snapshot is read-only. *)
 type exec_stats = {
   mutable rows_scanned : int;
   mutable rows_probed : int;
@@ -55,54 +60,69 @@ type exec_stats = {
 
 type scope = Per_exec | Plan_lifetime
 
-(* The counter table: each counter declared once, as (field and JSON
-   name, EXPLAIN label, scope, accessor), in field order. [make f] builds
-   a fresh record by asking [f] for every counter in that order; zero,
-   snapshot, sum, difference and {!counters} itself are all instances of
-   it. *)
-let make f =
-  let rows_scanned = f "rows_scanned" "scanned" Per_exec (fun s -> s.rows_scanned) in
-  let rows_probed = f "rows_probed" "probed" Per_exec (fun s -> s.rows_probed) in
-  let rows_emitted = f "rows_emitted" "emitted" Per_exec (fun s -> s.rows_emitted) in
-  let regex_plan_evals =
-    f "regex_plan_evals" "plan regex evals" Plan_lifetime (fun s -> s.regex_plan_evals)
-  in
-  let regex_exec_evals =
-    f "regex_exec_evals" "exec regex evals" Per_exec (fun s -> s.regex_exec_evals)
-  in
-  let dfa_execs = f "dfa_execs" "dfa execs" Per_exec (fun s -> s.dfa_execs) in
-  let hash_builds = f "hash_builds" "hash builds" Plan_lifetime (fun s -> s.hash_builds) in
-  let reductions = f "reductions" "reductions" Plan_lifetime (fun s -> s.reductions) in
-  let partitions_scanned =
-    f "partitions_scanned" "partitions scanned" Per_exec (fun s -> s.partitions_scanned)
-  in
-  let partitions_pruned =
-    f "partitions_pruned" "partitions pruned" Per_exec (fun s -> s.partitions_pruned)
-  in
-  let peak_bytes = f "peak_bytes" "peak bytes" Plan_lifetime (fun s -> s.peak_bytes) in
-  {
-    rows_scanned; rows_probed; rows_emitted; regex_plan_evals; regex_exec_evals;
-    dfa_execs; hash_builds; reductions; partitions_scanned; partitions_pruned;
-    peak_bytes; content_candidates = 0; content_verified = 0; merge_steps = 0;
-  }
-
 type counter = { name : string; label : string; scope : scope; get : exec_stats -> int }
 
-let counters =
-  let acc = ref [] in
-  ignore
-    (make (fun name label scope get ->
-         acc := { name; label; scope; get } :: !acc;
-         0));
-  List.rev !acc
+(* The counter table: each counter declared once, as its field and JSON
+   name, EXPLAIN label, scope, accessor and setter, in field order. Zero,
+   snapshot, sum, difference, {!counters} and the in-place operations
+   below all walk it. *)
+let fields =
+  let c name label scope get set = ({ name; label; scope; get }, set) in
+  [
+    c "rows_scanned" "scanned" Per_exec (fun s -> s.rows_scanned) (fun s n -> s.rows_scanned <- n);
+    c "rows_probed" "probed" Per_exec (fun s -> s.rows_probed) (fun s n -> s.rows_probed <- n);
+    c "rows_emitted" "emitted" Per_exec (fun s -> s.rows_emitted) (fun s n -> s.rows_emitted <- n);
+    c "regex_plan_evals" "plan regex evals" Plan_lifetime (fun s -> s.regex_plan_evals)
+      (fun s n -> s.regex_plan_evals <- n);
+    c "regex_exec_evals" "exec regex evals" Per_exec (fun s -> s.regex_exec_evals)
+      (fun s n -> s.regex_exec_evals <- n);
+    c "dfa_execs" "dfa execs" Per_exec (fun s -> s.dfa_execs) (fun s n -> s.dfa_execs <- n);
+    c "hash_builds" "hash builds" Plan_lifetime (fun s -> s.hash_builds)
+      (fun s n -> s.hash_builds <- n);
+    c "reductions" "reductions" Plan_lifetime (fun s -> s.reductions)
+      (fun s n -> s.reductions <- n);
+    c "partitions_scanned" "partitions scanned" Per_exec (fun s -> s.partitions_scanned)
+      (fun s n -> s.partitions_scanned <- n);
+    c "partitions_pruned" "partitions pruned" Per_exec (fun s -> s.partitions_pruned)
+      (fun s n -> s.partitions_pruned <- n);
+    c "peak_bytes" "peak bytes" Plan_lifetime (fun s -> s.peak_bytes)
+      (fun s n -> s.peak_bytes <- n);
+  ]
 
-let counters_create () = make (fun _ _ _ _ -> 0)
+let counters = List.map fst fields
 
-let stats_zero = counters_create ()
+let stats_create () =
+  {
+    rows_scanned = 0; rows_probed = 0; rows_emitted = 0; regex_plan_evals = 0;
+    regex_exec_evals = 0; dfa_execs = 0; hash_builds = 0; reductions = 0;
+    partitions_scanned = 0; partitions_pruned = 0; peak_bytes = 0;
+    content_candidates = 0; content_verified = 0; merge_steps = 0;
+  }
 
-let stats_add a b = make (fun _ _ _ get -> get a + get b)
+(* A fresh record holding [f c] in every counter [c]. *)
+let make f =
+  let s = stats_create () in
+  List.iter (fun (c, set) -> set s (f c)) fields;
+  s
 
-let stats_diff a b = make (fun _ _ _ get -> get a - get b)
+let stats_zero = stats_create ()
+
+let stats_add a b = make (fun c -> c.get a + c.get b)
+
+let stats_diff a b = make (fun c -> c.get a - c.get b)
+
+(* [into] gains [cur - mark], then [mark] catches up with [cur]: a
+   top-level loop over [fields] that takes every operand, so it
+   allocates nothing. *)
+let rec report_fields ~into cur mark = function
+  | [] -> ()
+  | ((c : counter), set) :: rest ->
+    let n = c.get cur in
+    set into (c.get into + n - c.get mark);
+    set mark n;
+    report_fields ~into cur mark rest
+
+let stats_accumulate ~into src = report_fields ~into src (stats_create ()) fields
 
 let stats_to_string s =
   String.concat ", " (List.map (fun c -> Printf.sprintf "%s %d" c.label (c.get s)) counters)
@@ -2079,15 +2099,17 @@ let compile_select ctx (sel : Sql.select) =
 (* ------------------------------------------------------------------ *)
 
 (* A compiled statement: the plan tree that EXPLAIN prints and EXPLAIN
-   ANALYZE reads back, the closure that executes it, and the root ctx
+   ANALYZE reads back, the closure that executes it, the root ctx
    holding the counters, footprint and profile flag every sub-plan
-   shares. *)
+   shares, and the mark of the counts already reported
+   ({!report_stats}). *)
 type plan = {
   plan_db : Database.t;
   mutable plan_epoch : int;
   plan_tree : [ `Select of planned | `Union of planned list * dedup ];
   plan_exec : unit -> result;
   plan_ctx : ctx;
+  plan_mark : exec_stats;
 }
 
 let compile ~naive ~opts db stmt =
@@ -2097,7 +2119,7 @@ let compile ~naive ~opts db stmt =
       slots = [||];
       naive;
       opts;
-      counters = counters_create ();
+      counters = stats_create ();
       profiling = ref false;
       subs = ref [];
       footprint = Hashtbl.create 8;
@@ -2164,7 +2186,8 @@ let compile ~naive ~opts db stmt =
           in
           { columns; rows = out_take order o } )
   in
-  { plan_db = db; plan_epoch = Database.epoch db; plan_tree = tree; plan_exec = exec; plan_ctx = ctx }
+  { plan_db = db; plan_epoch = Database.epoch db; plan_tree = tree; plan_exec = exec;
+    plan_ctx = ctx; plan_mark = stats_create () }
 
 let prepare ?(opts = default_opts) db stmt =
   Database.with_read db (fun () -> compile ~naive:false ~opts db stmt)
@@ -2173,7 +2196,9 @@ let plan_epoch p = p.plan_epoch
 
 let plan_valid p = Database.epoch p.plan_db = p.plan_epoch
 
-let plan_stats p = make (fun _ _ _ get -> get p.plan_ctx.counters)
+let plan_stats p = make (fun c -> c.get p.plan_ctx.counters)
+
+let report_stats p ~into = report_fields ~into p.plan_ctx.counters p.plan_mark fields
 
 let plan_footprint p =
   let sorted_keys set = List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) set []) in

@@ -65,14 +65,14 @@ val default_opts : opts
 
 (** {2 Execution statistics}
 
-    Operator-level counters accumulated by every plan: one snapshot per
-    plan ({!plan_stats}), deltas via {!stats_diff}. Plan-time work (the
-    reduction's regex sweep over the dimension table) is counted too, so
-    a freshly prepared plan already has non-zero stats. Each counter is
-    declared once, in {!counters}; every operation below, the service
-    metrics and the CLI iterate that table. A snapshot is read-only
-    outside the engine ([private]); the fields are mutable only so that a
-    plan can count in place. *)
+    Operator-level counters accumulated by every plan: cumulative
+    ({!plan_stats}), and reported in place since the last report
+    ({!report_stats}). Plan-time work (the reduction's regex sweep over
+    the dimension table) is counted too, so a freshly prepared plan
+    already has non-zero stats. Each counter is declared once, in
+    {!counters}; every operation below, the service metrics and the CLI
+    iterate that table. A record is read-only outside the engine
+    ([private]); only the engine's operations write one. *)
 
 type exec_stats = private {
   mutable rows_scanned : int;  (** rows fetched through access paths (incl. hash builds) *)
@@ -132,13 +132,21 @@ val counters : counter list
 val stats_to_string : exec_stats -> string
 (** ["scanned 318, probed 0, ..."]: every counter as [label value]. *)
 
+val stats_create : unit -> exec_stats
+(** A fresh all-zero record to add into. *)
+
+val stats_accumulate : into:exec_stats -> exec_stats -> unit
+(** Add the second record into [into], in place. *)
+
 val stats_zero : exec_stats
 
 val stats_add : exec_stats -> exec_stats -> exec_stats
 
 val stats_diff : exec_stats -> exec_stats -> exec_stats
-(** [stats_diff after before]: per-field subtraction, for deltas around a
-    single execution of a long-lived plan. *)
+(** [stats_diff after before]: per-field subtraction. [stats_zero],
+    [stats_add] and [stats_diff] are kept for the serving benchmark
+    ([servebench/main.ml]), which diffs snapshots; the library reports
+    through {!report_stats}. *)
 
 val run : ?opts:opts -> Database.t -> Sql.statement -> result
 
@@ -207,8 +215,12 @@ val plan_distinct : plan -> [ `Elided | `Hash | `Rows ] option
 
 val plan_stats : plan -> exec_stats
 (** Cumulative counters for this plan: planning work plus every
-    {!run_plan} so far. Snapshot before and after an execution and
-    {!stats_diff} the two to attribute work to that execution. *)
+    {!run_plan} so far. EXPLAIN ANALYZE and the tests read it. *)
+
+val report_stats : plan -> into:exec_stats -> unit
+(** Add the plan's counts since its last report (or its prepare) into
+    [into], in place, and mark them reported. Allocates nothing. Call it
+    from the domain that ran the plan, or after [Pool.await] on its task. *)
 
 (** {2 EXPLAIN and EXPLAIN ANALYZE}
 

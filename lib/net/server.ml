@@ -122,25 +122,16 @@ let cluster_executor lock c =
 (* Typed column metadata                                               *)
 (* ------------------------------------------------------------------ *)
 
+let col_ty = Option.fold ~none:Wire.Tany ~some:Wire.col_ty_of_value_ty
+
 let rec ty_of_expr db (from : (string * string) list) expr : Wire.col_ty =
   match expr with
   | Sql.Col (alias, col) ->
-    (match db with
-     | None -> Wire.Tany
-     | Some db ->
-       (match List.find_opt (fun (_, a) -> a = alias) from with
-        | None -> Wire.Tany
-        | Some (table, _) ->
-          (match
-             (try Table.column_ty (Database.table db table) col
-              with _ -> None)
-           with
-           | Some ty -> Wire.col_ty_of_value_ty ty
-           | None -> Wire.Tany)))
-  | Sql.Const v ->
-    (match Value.type_of v with
-     | Some ty -> Wire.col_ty_of_value_ty ty
-     | None -> Wire.Tany)
+    (match (db, List.find_opt (fun (_, a) -> a = alias) from) with
+     | Some db, Some (table, _) ->
+       col_ty (try Table.column_ty (Database.table db table) col with _ -> None)
+     | _ -> Wire.Tany)
+  | Sql.Const v -> col_ty (Value.type_of v)
   | Sql.Concat (a, b) ->
     (match (ty_of_expr db from a, ty_of_expr db from b) with
      | Wire.Tbin, _ | _, Wire.Tbin -> Wire.Tbin
@@ -227,19 +218,14 @@ let port t = t.bound_port
 let config t = t.cfg
 let metrics t = t.metrics
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* Best-effort frame write. Any transport failure marks the connection
    draining: the event loop stops reading it and it is destroyed once
    idle. Never raises. *)
 let respond t c resp =
   try
-    Mutex.lock c.wlock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock c.wlock)
-      (fun () ->
+    Mutex.protect c.wlock (fun () ->
         Metrics.add t.metrics Metrics.Bytes_out (Wire.send_response_buf c.wbuf c.fd resp))
   with Unix.Unix_error _ | Wire.Codec _ ->
     locked t (fun () -> c.draining <- true)
@@ -272,7 +258,7 @@ let send_window t c id st window =
   let w = if window <= 0 then cap else min window cap in
   let batch, rest = take_rows w st.cursor in
   st.cursor <- rest;
-  Metrics.add t.metrics Metrics.Rows (List.length batch);
+  Metrics.add t.metrics Metrics.Rows_sent (List.length batch);
   respond t c (Wire.Rows { stmt = id; rows = batch; more = rest <> [] })
 
 (* Returns [true] when the connection must drain (quit, fatal error). *)
@@ -410,14 +396,14 @@ let worker_loop t factory () =
     | Some (c, req, t_enq) ->
       let t0 = Metrics.now () in
       Metrics.record t.metrics Metrics.Queue (t0 -. t_enq);
-      Metrics.incr t.metrics Metrics.Queries;
+      Metrics.incr t.metrics Metrics.Requests;
       let close =
         try process t exec c req
         with e ->
           respond t c (Wire.Error { code = Wire.Runtime; message = Printexc.to_string e });
           true
       in
-      Metrics.record t.metrics Metrics.Execute (Metrics.now () -. t0);
+      Metrics.record t.metrics Metrics.Request (Metrics.now () -. t0);
       locked t (fun () ->
           if close then c.draining <- true;
           if c.draining then begin
@@ -595,17 +581,33 @@ let handle_accept t =
   in
   go ()
 
+(* The connections still read from, with their fds. *)
+let readable_conns t =
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun _ c acc -> if c.draining || c.dead then acc else (c.fd, c) :: acc)
+        t.conns [])
+
+(* Read every connection of [conn_fds] whose fd is in [readable]. A
+   worker may have destroyed a connection (closing its fd) while the
+   caller was blocked in select, and [handle_accept] may have already
+   reused that fd number for a fresh connection. Reading through the
+   stale snapshot entry would steal the new connection's bytes into a
+   dead conn's buffer, so liveness is re-checked under the lock:
+   destruction marks [dead] before the fd can be reused. *)
+let read_ready t conn_fds readable =
+  List.iter
+    (fun (fd, c) ->
+      if List.mem fd readable && locked t (fun () -> not (c.dead || c.draining)) then
+        try handle_readable t c with e -> protocol_fail t c (Printexc.to_string e))
+    conn_fds
+
 let io_loop t () =
   let rec loop () =
     let stopping = locked t (fun () -> t.stopping) in
     if stopping then drain_and_exit ()
     else begin
-      let conn_fds =
-        locked t (fun () ->
-            Hashtbl.fold
-              (fun _ c acc -> if c.draining || c.dead then acc else (c.fd, c) :: acc)
-              t.conns [])
-      in
+      let conn_fds = readable_conns t in
       let read_set = t.listener :: t.pipe_r :: List.map fst conn_fds in
       match Unix.select read_set [] [] 0.5 with
       | exception Unix.Unix_error ((EINTR | EBADF), _, _) -> loop ()
@@ -616,22 +618,7 @@ let io_loop t () =
           with Unix.Unix_error _ -> ()
         end;
         if List.mem t.listener readable then handle_accept t;
-        List.iter
-          (fun (fd, c) ->
-            (* A worker may have destroyed [c] (closing its fd) while we
-               were blocked in select, and [handle_accept] above may have
-               already reused that fd number for a fresh connection.
-               Reading through the stale snapshot entry would steal the
-               new connection's bytes into a dead conn's buffer, so
-               re-check liveness under the lock: destruction marks [dead]
-               before the fd can be reused. *)
-            if
-              List.mem fd readable
-              && locked t (fun () -> not (c.dead || c.draining))
-            then
-              try handle_readable t c
-              with e -> protocol_fail t c (Printexc.to_string e))
-          conn_fds;
+        read_ready t conn_fds readable;
         loop ()
     end
   and drain_and_exit () =
@@ -639,24 +626,10 @@ let io_loop t () =
        kernel had received when stop landed, not just frames this loop
        had already decoded. One non-blocking select picks up bytes that
        arrived while we were noticing [stopping]. *)
-    let conn_fds =
-      locked t (fun () ->
-          Hashtbl.fold
-            (fun _ c acc -> if c.draining || c.dead then acc else (c.fd, c) :: acc)
-            t.conns [])
-    in
+    let conn_fds = readable_conns t in
     (match Unix.select (List.map fst conn_fds) [] [] 0.0 with
      | exception Unix.Unix_error _ -> ()
-     | readable, _, _ ->
-       List.iter
-         (fun (fd, c) ->
-           if
-             List.mem fd readable
-             && locked t (fun () -> not (c.dead || c.draining))
-           then
-             try handle_readable t c
-             with e -> protocol_fail t c (Printexc.to_string e))
-         conn_fds);
+     | readable, _, _ -> read_ready t conn_fds readable);
     locked t (fun () ->
         t.reads_done <- true;
         Condition.broadcast t.cond);

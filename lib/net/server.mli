@@ -130,10 +130,13 @@ val port : t -> int
 val config : t -> config
 
 val metrics : t -> Metrics.t
-(** Server-level serving metrics: accepted / rejected / active
-    connections, bytes in and out, dispatch-queue depth high-water mark,
-    request latencies (Queue = dispatch wait, Execute = request service
-    time). *)
+(** Server-level serving metrics, all in the net group and its stages:
+    accepted / rejected / active connections, wire requests served
+    ([Requests]) and rows sent ([Rows_sent]), bytes in and out,
+    dispatch-queue depth high-water mark, and request latencies ([Queue]
+    = dispatch wait, [Request] = request service time). Plan executions
+    are counted by the executors' own sinks, so the two {!Metrics.absorb}
+    into one report. *)
 
 val stop : t -> unit
 (** Drain and shut down; idempotent, safe from any thread. *)

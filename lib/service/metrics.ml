@@ -1,24 +1,27 @@
 module Engine = Ppfx_minidb.Engine
 
-type stage = Parse | Translate | Plan | Queue | Execute | Merge
+type stage = Parse | Translate | Plan | Queue | Request | Execute | Merge
 
 let stage_name = function
   | Parse -> "parse"
   | Translate -> "translate"
   | Plan -> "plan"
   | Queue -> "queue"
+  | Request -> "request"
   | Execute -> "execute"
   | Merge -> "merge"
 
-let all_stages = [ Parse; Translate; Plan; Queue; Execute; Merge ]
+let all_stages = [ Parse; Translate; Plan; Queue; Request; Execute; Merge ]
 
 let stage_slot = function
-  | Parse -> 0 | Translate -> 1 | Plan -> 2 | Queue -> 3 | Execute -> 4 | Merge -> 5
+  | Parse -> 0 | Translate -> 1 | Plan -> 2 | Queue -> 3 | Request -> 4 | Execute -> 5
+  | Merge -> 6
 
 type counter =
   | Queries | Prepares | Hits | Misses | Invalidations | Retained | Evictions | Fallbacks
   | Rows
-  | Accepted | Rejected | Active | Peak_active | Bytes_in | Bytes_out | Queue_depth_hwm
+  | Accepted | Rejected | Requests | Rows_sent | Active | Peak_active | Bytes_in | Bytes_out
+  | Queue_depth_hwm
   | Wal_appends | Wal_bytes | Wal_fsyncs | Checkpoints | Recoveries | Clean_starts
   | Replayed_records | Truncated_tails | Truncated_bytes | Clean_shutdowns
 
@@ -39,6 +42,8 @@ let counters =
     (Rows, "rows", Service);
     (Accepted, "accepted", Net);
     (Rejected, "rejected", Net);
+    (Requests, "requests", Net);
+    (Rows_sent, "rows_sent", Net);
     (Active, "active", Net);
     (Peak_active, "peak_active", Net);
     (Bytes_in, "bytes_in", Net);
@@ -61,10 +66,11 @@ let counters =
 let slot = function
   | Queries -> 0 | Prepares -> 1 | Hits -> 2 | Misses -> 3 | Invalidations -> 4
   | Retained -> 5 | Evictions -> 6 | Fallbacks -> 7 | Rows -> 8 | Accepted -> 9
-  | Rejected -> 10 | Active -> 11 | Peak_active -> 12 | Bytes_in -> 13 | Bytes_out -> 14
-  | Queue_depth_hwm -> 15 | Wal_appends -> 16 | Wal_bytes -> 17 | Wal_fsyncs -> 18
-  | Checkpoints -> 19 | Recoveries -> 20 | Clean_starts -> 21 | Replayed_records -> 22
-  | Truncated_tails -> 23 | Truncated_bytes -> 24 | Clean_shutdowns -> 25
+  | Rejected -> 10 | Requests -> 11 | Rows_sent -> 12 | Active -> 13 | Peak_active -> 14
+  | Bytes_in -> 15 | Bytes_out -> 16 | Queue_depth_hwm -> 17 | Wal_appends -> 18
+  | Wal_bytes -> 19 | Wal_fsyncs -> 20 | Checkpoints -> 21 | Recoveries -> 22
+  | Clean_starts -> 23 | Replayed_records -> 24 | Truncated_tails -> 25
+  | Truncated_bytes -> 26 | Clean_shutdowns -> 27
 
 let () = List.iteri (fun i (c, _, _) -> assert (slot c = i)) counters
 
@@ -124,7 +130,7 @@ type t = {
   stages : acc array;  (** indexed by [stage_slot] *)
   counts : int array;  (** indexed by [slot] *)
   mutable shard_rows : int array;
-  mutable engine : Engine.exec_stats;
+  mutable engine : Engine.exec_stats;  (** added into in place, under [lock] *)
   (* The server records from several domains at once; every mutation is
      serialized here. Single-threaded users pay one uncontended lock. *)
   lock : Mutex.t;
@@ -135,7 +141,7 @@ let create () =
     stages = Array.init (List.length all_stages) (fun _ -> acc_create ());
     counts = Array.make (List.length counters) 0;
     shard_rows = [||];
-    engine = Engine.stats_zero;
+    engine = Engine.stats_create ();
     lock = Mutex.create ();
   }
 
@@ -144,19 +150,21 @@ let reset t =
   Array.iteri (fun i _ -> t.stages.(i) <- acc_create ()) t.stages;
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.shard_rows <- [||];
-  t.engine <- Engine.stats_zero
+  t.engine <- Engine.stats_create ()
 
 let acc t stage = t.stages.(stage_slot stage)
 
+(* The mutators below sit on the serving hot path: no closure, no
+   lookup, one lock. Nothing between lock and unlock can raise. *)
 let record t stage seconds =
-  Mutex.protect t.lock @@ fun () ->
-  let a = acc t stage in
+  let a = acc t stage and b = bucket_of_seconds seconds in
+  Mutex.lock t.lock;
   a.count <- a.count + 1;
   a.total <- a.total +. seconds;
   if seconds < a.min then a.min <- seconds;
   if seconds > a.max then a.max <- seconds;
-  let b = bucket_of_seconds seconds in
-  a.hist.(b) <- a.hist.(b) + 1
+  a.hist.(b) <- a.hist.(b) + 1;
+  Mutex.unlock t.lock
 
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
@@ -164,8 +172,6 @@ let time t stage f =
   let t0 = now () in
   Fun.protect ~finally:(fun () -> record t stage (now () -. t0)) f
 
-(* The counter mutators sit on the serving hot path: no closure, no
-   lookup, one lock. Nothing between lock and unlock can raise. *)
 let add t c n =
   let i = slot c in
   Mutex.lock t.lock;
@@ -210,21 +216,31 @@ let add_recovery t ~replayed ~truncated_bytes ~clean =
 let set_shard_rows t counts =
   Mutex.protect t.lock @@ fun () -> t.shard_rows <- Array.of_list counts
 
-let add_engine t stats =
-  Mutex.protect t.lock @@ fun () -> t.engine <- Engine.stats_add t.engine stats
+let add_plan t plan =
+  Mutex.lock t.lock;
+  Engine.report_stats plan ~into:t.engine;
+  Mutex.unlock t.lock
+
+let engine_stats t =
+  let copy = Engine.stats_create () in
+  Mutex.protect t.lock (fun () -> Engine.stats_accumulate ~into:copy t.engine);
+  copy
 
 (* Snapshot [src] under its own lock, then add under [into]'s: never both
    locks at once, so absorbing a sink into itself cannot deadlock. *)
 let absorb ~into src =
-  let counts, stages, engine =
+  let engine = Engine.stats_create () in
+  let counts, stages, shard_rows =
     Mutex.protect src.lock @@ fun () ->
+    Engine.stats_accumulate ~into:engine src.engine;
     let stages = Array.map (fun a -> { a with hist = Array.copy a.hist }) src.stages in
-    (Array.copy src.counts, stages, src.engine)
+    (Array.copy src.counts, stages, src.shard_rows)
   in
   Mutex.protect into.lock @@ fun () ->
+  if Array.length into.shard_rows = 0 then into.shard_rows <- shard_rows;
   Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) counts;
   Array.iteri (fun i a -> acc_merge ~into:into.stages.(i) a) stages;
-  into.engine <- Engine.stats_add into.engine engine
+  Engine.stats_accumulate ~into:into.engine engine
 
 (* Largest shard over the mean: 1.0 is perfect balance. *)
 let shard_skew_of rows =
@@ -235,7 +251,6 @@ let shard_skew_of rows =
 
 let shard_rows t = Array.to_list t.shard_rows
 let shard_skew t = shard_skew_of t.shard_rows
-let engine_stats t = t.engine
 let stage_count t stage = (acc t stage).count
 let stage_total t stage = (acc t stage).total
 let stage_percentile t stage q = acc_percentile (acc t stage) q

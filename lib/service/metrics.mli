@@ -1,31 +1,39 @@
 (** Serving metrics for the prepared-query service layer.
 
     One latency accumulator per pipeline stage — parse, translate, plan,
-    queue, execute, merge — tracks count, total, min and max elapsed
-    seconds on the monotonic clock ({!now}) {e and} a log2 histogram from
-    which p50/p95/p99 are read. A warm cache hit records only [Execute]
-    time; the gap between a query's stage counts and its execute count is
-    exactly the work the cache skipped. [Queue] and [Merge] come from the
-    cluster scatter-gather layer: the wait for a worker, and the Dewey
-    k-way merge of the per-shard results.
+    queue, request, execute, merge — tracks count, total, min and max
+    elapsed seconds on the monotonic clock ({!now}) {e and} a log2
+    histogram from which p50/p95/p99 are read. A warm cache hit records
+    only [Execute] time; the gap between a query's stage counts and its
+    execute count is exactly the work the cache skipped.
 
     Next to the stages sit the integer counters, each declared once in
-    {!counters} with its name and group. *)
+    {!counters} with its name and group, and the engine's operator
+    counters ({!add_plan}). A counter or stage means one thing in every
+    sink, so the server's, sessions' and cluster's sinks sum ({!absorb}). *)
 
-type stage = Parse | Translate | Plan | Queue | Execute | Merge
+type stage =
+  | Parse | Translate | Plan
+  | Queue  (** the wait for a worker (a server request's or a shard task's) *)
+  | Request  (** a server worker's service of one wire request *)
+  | Execute  (** one plan execution; a cluster's whole scatter-gather *)
+  | Merge  (** the k-way merge of a cluster's per-shard results *)
 
 val stage_name : stage -> string
 
 type counter =
-  | Queries | Prepares | Hits | Misses
+  | Queries  (** plan executions; one per cluster execute *)
+  | Prepares | Hits | Misses
   | Invalidations  (** a cached plan was rebuilt: a store change overlapped its footprint *)
   | Retained
       (** a cached plan survived a store change: {!Ppfx_minidb.Engine.plan_compatible}
           proved the commits since prepare disjoint from its footprint *)
   | Evictions
   | Fallbacks  (** cluster queries run on one store: their SQL was not shard-partitionable *)
-  | Rows  (** result rows produced (per shard, or overall) *)
+  | Rows  (** answer rows produced (per shard, or overall) *)
   | Accepted | Rejected  (** connections/requests past or refused by admission control *)
+  | Requests  (** wire requests a server worker served (Prepare, Execute, Fetch, ...) *)
+  | Rows_sent  (** rows a server wrote in [Rows] frames *)
   | Active | Peak_active  (** live connections, and their high-water mark *)
   | Bytes_in | Bytes_out
   | Queue_depth_hwm  (** dispatch-queue high-water mark *)
@@ -57,7 +65,9 @@ val reset : t -> unit
 
 (** {2 Recording}
 
-    Safe from several domains at once; each call takes the sink's lock once. *)
+    Safe from several domains at once; each call takes the sink's lock
+    once. [record], [incr], [add], [note_max] and [add_plan] allocate
+    nothing. *)
 
 val now : unit -> float
 (** Seconds on the monotonic clock; only differences are meaningful. Every
@@ -90,13 +100,15 @@ val set_shard_rows : t -> int list -> unit
 (** The current per-shard live row counts (a gauge, refreshed by the
     cluster after loads and routed mutations). *)
 
-val add_engine : t -> Ppfx_minidb.Engine.exec_stats -> unit
-(** Accumulate engine operator counters (the {!Ppfx_minidb.Engine.stats_diff}
-    around one execution, or a fresh plan's plan-time stats). *)
+val add_plan : t -> Ppfx_minidb.Engine.plan -> unit
+(** Add the plan's engine counts since its last report into the sink, in
+    place ({!Ppfx_minidb.Engine.report_stats}): after a prepare, re-plan
+    or run, by the plan's owner. *)
 
 val absorb : into:t -> t -> unit
 (** Add every counter, stage accumulator and engine counter of the second
-    sink into [into]; high-water marks add too. [into]'s shard rows stay. *)
+    sink into [into]; high-water marks add too. [into] takes the second
+    sink's shard rows when it has none, and otherwise keeps its own. *)
 
 (** {2 Reading} *)
 
@@ -120,7 +132,7 @@ val shard_skew : t -> float
     no shard counts were recorded or all shards are empty. *)
 
 val engine_stats : t -> Ppfx_minidb.Engine.exec_stats
-(** Cumulative engine operator counters recorded via {!add_engine}. *)
+(** A snapshot of the engine operator counters reported via {!add_plan}. *)
 
 val stage_count : t -> stage -> int
 val stage_total : t -> stage -> float

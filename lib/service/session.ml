@@ -73,7 +73,7 @@ let prepare ?(values = false) t text =
           in
           (* Plan-time work: the semi-join reduction's regex sweep over the
              dimension table happens inside [prepare]. *)
-          Metrics.add_engine t.metrics (Engine.plan_stats plan);
+          Metrics.add_plan t.metrics plan;
           plan)
         sql
     in
@@ -90,9 +90,26 @@ let replan t (p : prepared) stmt =
   let plan =
     Metrics.time t.metrics Metrics.Plan (fun () -> Engine.prepare (db t) stmt)
   in
-  Metrics.add_engine t.metrics (Engine.plan_stats plan);
+  Metrics.add_plan t.metrics plan;
   p.plan <- Some plan;
   plan
+
+(* Run [plan], timed with two clock reads and reported in place: no
+   closure on the warm path. A commit may land between the compatibility
+   check and run_plan's own locked re-check, and again between a re-plan
+   and its run: re-plan until the plan meets its store. An error raised
+   by a plan that is still compatible is the query's own, not
+   staleness. *)
+let rec run t p stmt plan =
+  let t0 = Metrics.now () in
+  match Engine.run_plan plan with
+  | result ->
+    Metrics.record t.metrics Metrics.Execute (Metrics.now () -. t0);
+    Metrics.add_plan t.metrics plan;
+    Metrics.add t.metrics Metrics.Rows (List.length result.Engine.rows);
+    result
+  | exception Engine.Runtime_error _ when not (Engine.plan_compatible plan) ->
+    run t p stmt (replan t p stmt)
 
 let execute t (p : prepared) =
   Metrics.incr t.metrics Metrics.Queries;
@@ -113,30 +130,9 @@ let execute t (p : prepared) =
            plan must be rebuilt. *)
         replan t p stmt
     in
-    let run plan =
-      let before = Engine.plan_stats plan in
-      let result =
-        Metrics.time t.metrics Metrics.Execute (fun () -> Engine.run_plan plan)
-      in
-      Metrics.add_engine t.metrics (Engine.stats_diff (Engine.plan_stats plan) before);
-      result
-    in
-    (* A commit may land between the compatibility check and run_plan's
-       own locked re-check, and again between a re-plan and its run:
-       re-plan until the plan meets its store. An error raised by a plan
-       that is still compatible is the query's own, not staleness. *)
-    let rec go plan =
-      try run plan
-      with Engine.Runtime_error _ when not (Engine.plan_compatible plan) -> go (replan t p stmt)
-    in
-    go plan
+    run t p stmt plan
 
-let execute_ids t p =
-  match p.sql with
-  | None ->
-    Metrics.incr t.metrics Metrics.Queries;
-    []
-  | Some _ -> Translate.result_ids (execute t p)
+let execute_ids t p = Translate.result_ids (execute t p)
 
 let run_ids t text = execute_ids t (prepare t text)
 

@@ -431,6 +431,42 @@ let test_cluster_metrics () =
       ignore (Cluster.run_ids c "//parlist[count(listitem) >= 2]");
       Alcotest.(check int) "fallback counted" 1 (Metrics.get (Cluster.metrics c) Metrics.Fallbacks))
 
+(* An order scatter runs a shard's left and right plans at once on two
+   pool workers, and the coordinator reports each plan after awaiting it.
+   Every warm execution does the same work, so each shard sink's
+   per-execution counters grow by the same amount each time: a count lost
+   or doubled between the concurrent tasks would break the equality. *)
+let test_cluster_order_scatter_counts () =
+  Cluster.with_cluster ~pool_size:2 ~shards:3 schema [ Lazy.force tree1 ] (fun c ->
+      let per_exec =
+        List.filter (fun (k : Engine.counter) -> k.scope = Engine.Per_exec) Engine.counters
+      in
+      let snapshot () =
+        Array.map
+          (fun sm ->
+            let e = Metrics.engine_stats sm in
+            List.map (fun (k : Engine.counter) -> k.get e) per_exec)
+          (Cluster.shard_metrics c)
+      in
+      let run () = ignore (Cluster.run_ids c "//item/following::item") in
+      run ();
+      let growth () =
+        let before = snapshot () in
+        run ();
+        Array.map2 (List.map2 ( - )) (snapshot ()) before
+      in
+      let first = growth () in
+      Alcotest.(check bool) "the shards did work" true
+        (Array.exists (List.exists (fun n -> n > 0)) first);
+      for i = 2 to 6 do
+        Array.iteri
+          (fun s g ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "execution %d, shard %d: same growth" i s)
+              first.(s) g)
+          (growth ())
+      done)
+
 (* Order-axis queries must route through the two-sided decomposition
    (Order_partitionable — no single-store fallback) and still come back
    byte-identical to unsharded execution, on more than one shard. *)
@@ -655,6 +691,7 @@ let () =
             "order-axis scatter", test_cluster_order_axis_scatter;
             "values off and on", test_cluster_values_both_modes;
             "metrics", test_cluster_metrics;
+            "order-scatter shard counts", test_cluster_order_scatter_counts;
             "load invalidates", test_cluster_load_invalidates;
             "multi-document create", test_cluster_multi_doc_create;
           ] );

@@ -379,6 +379,48 @@ let non_transient_not_retried () =
         Alcotest.fail "non-transient failure was retried")
 
 (* ------------------------------------------------------------------ *)
+(* One report                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The server counts wire requests and the worker sessions count plan
+   executions, so their sinks absorb into one report: after two one-shot
+   runs it reads two plan executions and a nonzero request count. *)
+let one_dump () =
+  let sessions = ref [] and lock = Mutex.create () in
+  let factory () =
+    let s = Session.create store in
+    Mutex.protect lock (fun () -> sessions := s :: !sessions);
+    Server.session_executor s
+  in
+  let server = Server.start ~config:{ Server.default_config with workers = 2 } factory in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  with_client server (fun c ->
+      ignore (Client.run c "//item/name");
+      ignore (Client.run c "//keyword"));
+  Server.stop server;
+  let m = Metrics.create () in
+  List.iter
+    (fun s -> Metrics.absorb ~into:m s)
+    (Server.metrics server :: List.map Session.metrics !sessions);
+  Alcotest.(check int) "two plan executions" 2 (Metrics.get m Metrics.Queries);
+  Alcotest.(check bool) "requests counted" true (Metrics.get m Metrics.Requests > 0);
+  Alcotest.(check bool) "rows sent" true (Metrics.get m Metrics.Rows_sent > 0);
+  Alcotest.(check int) "rows sent = rows produced" (Metrics.get m Metrics.Rows)
+    (Metrics.get m Metrics.Rows_sent);
+  let dump = Metrics.dump m in
+  let line_with prefix =
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' dump)
+  in
+  Alcotest.(check bool) "dump reads queries 2" true
+    (line_with "  service: queries 2," <> None);
+  match line_with "  net: " with
+  | None -> Alcotest.fail "no net line in the dump"
+  | Some line ->
+    let fields = List.map String.trim (String.split_on_char ',' line) in
+    Alcotest.(check bool) "net line: nonzero requests" true
+      (List.exists (fun f -> String.starts_with ~prefix:"requests " f && f <> "requests 0") fields)
+
+(* ------------------------------------------------------------------ *)
 (* Shutdown drain                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -466,6 +508,8 @@ let () =
           Alcotest.test_case "non-transient errors surface at once" `Quick
             non_transient_not_retried;
         ] );
+      ( "metrics",
+        [ Alcotest.test_case "server and sessions absorb into one dump" `Quick one_dump ] );
       ( "shutdown",
         [
           Alcotest.test_case "drains in-flight requests" `Quick shutdown_drains;

@@ -211,7 +211,7 @@ let occurrences ~needle haystack =
   in
   go 0 0
 
-let all_stages = Metrics.[ Parse; Translate; Plan; Queue; Execute; Merge ]
+let all_stages = Metrics.[ Parse; Translate; Plan; Queue; Request; Execute; Merge ]
 
 let group_fields json = function
   | Metrics.Service -> json_top_fields json
@@ -234,8 +234,8 @@ let test_metrics_counter_table () =
         [ "queries"; "prepares"; "hits"; "misses"; "invalidations"; "retained"; "evictions";
           "fallbacks"; "rows" ] );
       ( Metrics.Net,
-        [ "accepted"; "rejected"; "active"; "peak_active"; "bytes_in"; "bytes_out";
-          "queue_depth_hwm" ] );
+        [ "accepted"; "rejected"; "requests"; "rows_sent"; "active"; "peak_active";
+          "bytes_in"; "bytes_out"; "queue_depth_hwm" ] );
       ( Metrics.Durability,
         [ "wal_appends"; "wal_bytes"; "wal_fsyncs"; "checkpoints"; "recoveries";
           "clean_starts"; "replayed_records"; "truncated_tails"; "truncated_bytes";
@@ -287,7 +287,15 @@ let test_metrics_counter_table () =
     Metrics.counters;
   List.iter
     (fun s -> Alcotest.(check int) (Metrics.stage_name s ^ " reset") 0 (Metrics.stage_count src s))
-    all_stages
+    all_stages;
+  Alcotest.(check (list string)) "stage names"
+    [ "parse"; "translate"; "plan"; "queue"; "request"; "execute"; "merge" ]
+    (List.map Metrics.stage_name all_stages);
+  List.iter
+    (fun (c, group) ->
+      Alcotest.(check bool) "request counters in the net group" true
+        (List.exists (fun (c', _, g) -> c' = c && g = group) Metrics.counters))
+    Metrics.[ Requests, Net; Rows_sent, Net; Queries, Service; Rows, Service ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine prepared plans                                               *)
@@ -335,6 +343,66 @@ let test_epoch_moves () =
   Alcotest.(check bool) "insert moves epoch" true (e2 <> e1);
   ignore (Ppfx_minidb.Table.delete t 0);
   Alcotest.(check bool) "delete moves epoch" true (Database.epoch db <> e2)
+
+(* ------------------------------------------------------------------ *)
+(* Engine work reporting                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A session reports each plan's work in place after prepare and after
+   every run: after a prepare and three executions its engine counters
+   equal those of a fresh plan of the same SQL run three times. *)
+let test_session_reports_engine_work () =
+  let store = Loader.shred schema (Lazy.force doc1) in
+  List.iter
+    (fun (name, q) ->
+      let session = Session.create store in
+      let p = Session.prepare session q in
+      let rows = ref 0 in
+      for _ = 1 to 3 do
+        rows := !rows + List.length (Session.execute session p).Engine.rows
+      done;
+      let expected =
+        match Session.sql p with
+        | None -> Engine.stats_zero
+        | Some stmt ->
+          let plan = Engine.prepare store.Loader.db stmt in
+          for _ = 1 to 3 do
+            ignore (Engine.run_plan plan)
+          done;
+          Engine.plan_stats plan
+      in
+      let m = Session.metrics session in
+      let got = Metrics.engine_stats m in
+      List.iter
+        (fun (c : Engine.counter) ->
+          Alcotest.(check int) (name ^ " " ^ c.name) (c.get expected) (c.get got))
+        Engine.counters;
+      Alcotest.(check int) (name ^ " queries") 3 (Metrics.get m Metrics.Queries);
+      Alcotest.(check int) (name ^ " rows") !rows (Metrics.get m Metrics.Rows))
+    (Xmark.queries @ Xmark.extension_queries)
+
+(* Minor words per call of [f], over 1,000 warm calls. *)
+let words_per_call f =
+  let n = 1000 in
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (f ())
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* What [Session.execute] allocates beyond the plan's own run: the same
+   warm Q9 through the session and through a bare plan. *)
+let test_session_execute_allocation () =
+  let store = Loader.shred schema (Lazy.force doc1) in
+  let session = Session.create store in
+  let p = Session.prepare session (Xmark.query "Q9") in
+  let plan = Engine.prepare store.Loader.db (Option.get (Session.sql p)) in
+  let own =
+    words_per_call (fun () -> Session.execute session p)
+    -. words_per_call (fun () -> Engine.run_plan plan)
+  in
+  if own > 30.0 then Alcotest.failf "Session.execute allocates %.1f words of its own" own
 
 (* ------------------------------------------------------------------ *)
 (* Session behaviour                                                   *)
@@ -549,6 +617,12 @@ let () =
             "prepare and replay", test_engine_prepare;
             "staleness", test_engine_plan_staleness;
             "epoch moves", test_epoch_moves;
+          ] );
+      ( "reporting",
+        List.map tc
+          [
+            "session engine work = fresh plan's", test_session_reports_engine_work;
+            "execute allocates at most 30 words", test_session_execute_allocation;
           ] );
       ( "session",
         List.map tc
