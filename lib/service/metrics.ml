@@ -166,12 +166,6 @@ let record t stage seconds =
   a.hist.(b) <- a.hist.(b) + 1;
   Mutex.unlock t.lock
 
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-let time t stage f =
-  let t0 = now () in
-  Fun.protect ~finally:(fun () -> record t stage (now () -. t0)) f
-
 let add t c n =
   let i = slot c in
   Mutex.lock t.lock;
@@ -185,6 +179,12 @@ let note_max t c n =
   Mutex.lock t.lock;
   if n > t.counts.(i) then t.counts.(i) <- n;
   Mutex.unlock t.lock
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let time t stage f =
+  let t0 = now () in
+  Fun.protect ~finally:(fun () -> record t stage (now () -. t0)) f
 
 let get t c = t.counts.(slot c)
 let hits t = get t Hits
