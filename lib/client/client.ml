@@ -8,6 +8,7 @@ exception Protocol_error of string
 type t = {
   fd : Unix.file_descr;
   max_frame : int;
+  sbuf : Wire.buf;  (* every request frame is encoded into and written from it *)
   rbuf : Wire.buf;  (* every response frame is read into and decoded from it *)
   mutable server_name : string;
   mutable server_shards : int;
@@ -28,14 +29,14 @@ let resolve host =
     with Not_found -> raise (Protocol_error ("cannot resolve host " ^ host)))
 
 let recv t =
-  match Wire.recv_response_buf ~max_frame:t.max_frame t.rbuf t.fd with
+  match Wire.recv_response ~max_frame:t.max_frame t.rbuf t.fd with
   | None -> raise (Protocol_error "connection closed by server")
   | Some resp -> resp
   | exception Wire.Codec e -> raise (Protocol_error (Wire.codec_error_to_string e))
 
 let request t req =
   if t.closed then raise (Protocol_error "connection is closed");
-  ignore (Wire.send_request t.fd req);
+  ignore (Wire.send_request t.sbuf t.fd req);
   match recv t with
   | Wire.Error { code; message } -> raise (Server_error { code; message })
   | Wire.Bye ->
@@ -76,7 +77,17 @@ let connect ?(host = "127.0.0.1") ?(client_name = "ppfx-client")
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  let t = { fd; max_frame; rbuf = Wire.buf_create (); server_name = ""; server_shards = 1; closed = false } in
+  let t =
+    {
+      fd;
+      max_frame;
+      sbuf = Wire.buf_create ();
+      rbuf = Wire.buf_create ();
+      server_name = "";
+      server_shards = 1;
+      closed = false;
+    }
+  in
   (try
      match
        request t (Wire.Hello { version = Wire.protocol_version; client = client_name })
@@ -93,11 +104,11 @@ let connect ?(host = "127.0.0.1") ?(client_name = "ppfx-client")
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (try ignore (Wire.send_request t.fd Wire.Quit) with _ -> ());
+    (try ignore (Wire.send_request t.sbuf t.fd Wire.Quit) with _ -> ());
     (* Read until Bye/EOF so the server sees an orderly shutdown. *)
     (try
        let rec drain () =
-         match Wire.recv_response_buf ~max_frame:t.max_frame t.rbuf t.fd with
+         match Wire.recv_response ~max_frame:t.max_frame t.rbuf t.fd with
          | Some Wire.Bye | None -> ()
          | Some _ -> drain ()
        in

@@ -10,25 +10,40 @@ let magic = "PPFXDB5"
 
 (* --- primitives ------------------------------------------------------ *)
 
-(* One encoding serves database images and the WAL layer's records and
-   sidecars: writers append to a [Buffer.t], readers advance a cursor over
-   a string. Running out of input is [Corrupt], never [End_of_file]. *)
+(* One encoding serves database images, the WAL layer's records and
+   sidecars, and the wire protocol's messages: writers append to a
+   [Buffer.t], readers advance a cursor over [s.(pos .. lim-1)]. Running
+   out of input is a fault, never [End_of_file]; the cursor's [fail]
+   turns a fault into the exception its reader expects. *)
 
-type cursor = { s : string; mutable pos : int }
+type fault = Truncated | Bad_varint | Bad_tag of int
 
-let cursor s = { s; pos = 0 }
-let at_end d = d.pos >= String.length d.s
+type cursor = { s : string; mutable pos : int; lim : int; fail : fault -> exn }
+
+let corrupt_of_fault = function
+  | Truncated -> Corrupt "truncated input"
+  | Bad_varint -> Corrupt "varint too long"
+  | Bad_tag t -> Corrupt (Printf.sprintf "unknown tag byte %d" t)
+
+let cursor ?(fail = corrupt_of_fault) ?(off = 0) ?len s =
+  let lim = match len with None -> String.length s | Some n -> off + n in
+  if off < 0 || off > lim || lim > String.length s then invalid_arg "Codec.cursor";
+  { s; pos = off; lim; fail }
+
+let remaining d = d.lim - d.pos
 
 let get_byte d =
-  if d.pos >= String.length d.s then corrupt "truncated input"
+  if d.pos >= d.lim then raise (d.fail Truncated)
   else begin
-    let c = Char.code d.s.[d.pos] in
+    let c = Char.code (String.unsafe_get d.s d.pos) in
     d.pos <- d.pos + 1;
     c
   end
 
+(* [n > remaining] rather than [pos + n > lim]: a hostile length near
+   [max_int] must not overflow past the check. *)
 let get_bytes d n =
-  if n < 0 || d.pos + n > String.length d.s then corrupt "truncated input"
+  if n < 0 || n > d.lim - d.pos then raise (d.fail Truncated)
   else begin
     let r = String.sub d.s d.pos n in
     d.pos <- d.pos + n;
@@ -44,24 +59,48 @@ let put_varint b n =
   done;
   Buffer.add_char b (Char.chr !n)
 
+(* Top-level, so that a call allocates no closure. *)
+let rec get_leb128 d shift acc =
+  if shift > Sys.int_size then raise (d.fail Bad_varint);
+  let byte = get_byte d in
+  let acc = acc lor ((byte land 0x7F) lsl shift) in
+  if byte land 0x80 <> 0 then get_leb128 d (shift + 7) acc else acc
+
 let get_varint d =
-  let rec go shift acc =
-    if shift > Sys.int_size then corrupt "varint too long";
-    let byte = get_byte d in
-    let acc = acc lor ((byte land 0x7F) lsl shift) in
-    if byte land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let z = go 0 0 in
+  let z = get_leb128 d 0 0 in
   (z lsr 1) lxor (-(z land 1))
 
 let put_string b s =
   put_varint b (String.length s);
   Buffer.add_string b s
 
-let get_string d =
+let get_string d = get_bytes d (get_varint d)
+
+let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
+
+let get_bool d =
+  match get_byte d with 0 -> false | 1 -> true | c -> raise (d.fail (Bad_tag c))
+
+let put_opt f b = function
+  | None -> Buffer.add_char b '\000'
+  | Some v ->
+    Buffer.add_char b '\001';
+    f b v
+
+let get_opt f d = if get_bool d then Some (f d) else None
+
+let put_list f b l =
+  put_varint b (List.length l);
+  List.iter (f b) l
+
+(* Every element takes at least one byte, so a count past the bytes
+   left is a truncation, caught before anything is built for it. *)
+let get_count d =
   let n = get_varint d in
-  if n < 0 then corrupt "negative string length";
-  get_bytes d n
+  if n < 0 || n > d.lim - d.pos then raise (d.fail Truncated);
+  n
+
+let get_list f d = List.init (get_count d) (fun _ -> f d)
 
 (* --- values --------------------------------------------------------- *)
 
@@ -85,10 +124,28 @@ let get_value d : Value.t =
   match get_byte d with
   | 0 -> Value.Null
   | 1 -> Value.Int (get_varint d)
-  | 2 -> Value.Float (Int64.float_of_bits (String.get_int64_le (get_bytes d 8) 0))
+  | 2 ->
+    if d.lim - d.pos < 8 then raise (d.fail Truncated);
+    let f = Int64.float_of_bits (String.get_int64_le d.s d.pos) in
+    d.pos <- d.pos + 8;
+    Value.Float f
   | 3 -> Value.Str (get_string d)
   | 4 -> Value.Bin (get_string d)
-  | tag -> corrupt "unknown value tag %d" tag
+  | tag -> raise (d.fail (Bad_tag tag))
+
+let put_values b row =
+  put_varint b (Array.length row);
+  for i = 0 to Array.length row - 1 do
+    put_value b (Array.unsafe_get row i)
+  done
+
+let get_values d =
+  let n = get_count d in
+  let row = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    Array.unsafe_set row i (get_value d)
+  done;
+  row
 
 let ty_code = function
   | Value.Tint -> 0
@@ -197,7 +254,7 @@ let database_to_string db =
 let database_of_string s =
   if not (String.starts_with ~prefix:magic s) then
     corrupt "bad magic (not a ppfx database file)";
-  let d = { s; pos = String.length magic } in
+  let d = cursor ~off:(String.length magic) s in
   let db = Database.create () in
   (try
      let ntables = get_varint d in

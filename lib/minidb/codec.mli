@@ -54,22 +54,46 @@ val of_string_result : string -> (Database.t, error) result
 
 (** {2:primitives Primitives}
 
-    Zigzag-LEB128 varints, varint-length-prefixed strings and tagged
-    values (tag byte 0 null, 1 int, 2 float as 8 little-endian bytes of
-    its IEEE bits, 3 string, 4 binary). Writers append to a [Buffer.t];
-    readers advance a {!cursor} over a string and raise {!Corrupt} when
-    the input runs out or a tag is unknown. *)
+    Zigzag-LEB128 varints, varint-length-prefixed strings, flag bytes
+    (0/1), optionals (a flag byte, then the value), varint-counted lists
+    and tagged values (tag byte 0 null, 1 int, 2 float as 8
+    little-endian bytes of its IEEE bits, 3 string, 4 binary). Writers
+    append to a [Buffer.t]; readers advance a {!cursor} over a window of
+    a string, and a read past the window's end, a varint of more than
+    ten bytes or an unknown tag or flag byte is a {!fault}. Decoding
+    allocates only the values it returns. *)
+
+type fault =
+  | Truncated  (** a read runs past the cursor's end *)
+  | Bad_varint  (** a varint longer than ten bytes *)
+  | Bad_tag of int  (** an unknown value tag, or a flag byte other than 0/1 *)
 
 type cursor
 
-val cursor : string -> cursor
-(** A reader at the start of the string. *)
+val cursor : ?fail:(fault -> exn) -> ?off:int -> ?len:int -> string -> cursor
+(** A reader over [s.(off .. off+len-1)] (default: all of [s]); no read
+    goes past that end. A fault raises [fail fault]: by default
+    {!Corrupt} with a message. Raises [Invalid_argument] if the window
+    is not inside [s]. *)
 
-val at_end : cursor -> bool
+val remaining : cursor -> int
+(** Bytes left before the cursor's end. *)
+
 val get_byte : cursor -> int
 val put_varint : Buffer.t -> int -> unit
 val get_varint : cursor -> int
 val put_string : Buffer.t -> string -> unit
 val get_string : cursor -> string
+val put_bool : Buffer.t -> bool -> unit
+val get_bool : cursor -> bool
+val put_opt : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
+val get_opt : (cursor -> 'a) -> cursor -> 'a option
+val put_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+val get_list : (cursor -> 'a) -> cursor -> 'a list
 val put_value : Buffer.t -> Value.t -> unit
 val get_value : cursor -> Value.t
+
+val put_values : Buffer.t -> Value.t array -> unit
+(** A row: its cell count, then each cell as {!put_value}. *)
+
+val get_values : cursor -> Value.t array

@@ -179,7 +179,7 @@ type stmt = {
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  rbuf : Buffer.t;  (* frame reassembly; event loop only *)
+  rbuf : Wire.buf;  (* frame reassembly and decoding; event loop only *)
   wlock : Mutex.t;  (* serializes frame writes to [fd] *)
   wbuf : Wire.buf;  (* frame encoding; under [wlock] *)
   stmts : (int, stmt) Hashtbl.t;  (* worker only (one in-flight request) *)
@@ -210,6 +210,7 @@ type t = {
   mutable reads_done : bool;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
+  io_buf : Wire.buf;  (* event loop only: admission refusals, the final Bye *)
   mutable io_domain : unit Domain.t option;
   mutable worker_domains : unit Domain.t list;
 }
@@ -226,7 +227,7 @@ let locked t f = Mutex.protect t.lock f
 let respond t c resp =
   try
     Mutex.protect c.wlock (fun () ->
-        Metrics.add t.metrics Metrics.Bytes_out (Wire.send_response_buf c.wbuf c.fd resp))
+        Metrics.add t.metrics Metrics.Bytes_out (Wire.send_response c.wbuf c.fd resp))
   with Unix.Unix_error _ | Wire.Codec _ ->
     locked t (fun () -> c.draining <- true)
 
@@ -482,41 +483,26 @@ let protocol_fail t c msg =
       end)
 
 let handle_readable t c =
-  let scratch = Bytes.create 8192 in
-  let rec read_chunks eof =
-    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+  let rec read_chunks () =
+    match Wire.read_some c.rbuf c.fd with
     | 0 -> true
     | n ->
       Metrics.add t.metrics Metrics.Bytes_in n;
-      Buffer.add_subbytes c.rbuf scratch 0 n;
-      read_chunks eof
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> eof
+      read_chunks ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> false
     | exception Unix.Unix_error _ -> true
   in
-  let eof = read_chunks false in
-  (* Extract every complete frame from the reassembly buffer. *)
-  let data = Buffer.to_bytes c.rbuf in
-  let len = Bytes.length data in
-  let off = ref 0 in
+  let eof = read_chunks () in
   let reqs = ref [] in
-  let failed = ref None in
-  (try
-     let continue = ref true in
-     while !continue do
-       match
-         Wire.extract_frame ~max_frame:t.cfg.max_frame data ~off:!off
-           ~len:(len - !off)
-       with
-       | None -> continue := false
-       | Some (payload, consumed) ->
-         off := !off + consumed;
-         reqs := Wire.request_of_payload payload :: !reqs
-     done
-   with Wire.Codec e -> failed := Some (Wire.codec_error_to_string e));
-  Buffer.clear c.rbuf;
-  Buffer.add_subbytes c.rbuf data !off (len - !off);
+  let failed =
+    match
+      Wire.take_requests ~max_frame:t.cfg.max_frame c.rbuf (fun req -> reqs := req :: !reqs)
+    with
+    | () -> None
+    | exception Wire.Codec e -> Some (Wire.codec_error_to_string e)
+  in
   if !reqs <> [] then enqueue_requests t c (List.rev !reqs);
-  match !failed with
+  match failed with
   | Some msg -> protocol_fail t c msg
   | None ->
     if eof then
@@ -540,7 +526,7 @@ let handle_accept t =
                 {
                   cid;
                   fd;
-                  rbuf = Buffer.create 256;
+                  rbuf = Wire.buf_create ();
                   wlock = Mutex.create ();
                   wbuf = Wire.buf_create ();
                   stmts = Hashtbl.create 8;
@@ -564,7 +550,7 @@ let handle_accept t =
          Metrics.incr t.metrics Metrics.Rejected;
          (try
             ignore
-              (Wire.send_response fd
+              (Wire.send_response t.io_buf fd
                  (Wire.Error
                     {
                       code =
@@ -646,7 +632,7 @@ let io_loop t () =
         let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
         List.iter
           (fun c ->
-            (try ignore (Wire.send_response c.fd Wire.Bye)
+            (try ignore (Wire.send_response t.io_buf c.fd Wire.Bye)
              with Unix.Unix_error _ | Wire.Codec _ -> ());
             destroy_conn t c)
           cs);
@@ -697,6 +683,7 @@ let start ?(config = default_config) factory =
       reads_done = false;
       pipe_r;
       pipe_w;
+      io_buf = Wire.buf_create ();
       io_domain = None;
       worker_domains = [];
     }

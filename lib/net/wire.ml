@@ -1,6 +1,7 @@
 module Value = Ppfx_minidb.Value
+module Codec = Ppfx_minidb.Codec
 
-let protocol_version = 2
+let protocol_version = 3
 
 let default_max_frame = 16 * 1024 * 1024
 
@@ -8,6 +9,7 @@ type codec_error =
   | Truncated
   | Oversized of int
   | Bad_tag of int
+  | Bad_varint
   | Trailing of int
 
 exception Codec of codec_error
@@ -16,6 +18,7 @@ let codec_error_to_string = function
   | Truncated -> "truncated frame"
   | Oversized n -> Printf.sprintf "oversized frame (%d bytes)" n
   | Bad_tag t -> Printf.sprintf "unknown tag 0x%02x" t
+  | Bad_varint -> "varint longer than ten bytes"
   | Trailing n -> Printf.sprintf "%d trailing bytes after message" n
 
 type error_code =
@@ -125,12 +128,215 @@ type response =
     }
 
 (* ------------------------------------------------------------------ *)
+(* Message codec: every field through Codec's primitives               *)
+(* ------------------------------------------------------------------ *)
+
+(* A Codec fault inside a frame is the matching typed wire error. *)
+let fault_error : Codec.fault -> exn = function
+  | Codec.Truncated -> Codec Truncated
+  | Codec.Bad_varint -> Codec Bad_varint
+  | Codec.Bad_tag t -> Codec (Bad_tag t)
+
+let put_update_op b = function
+  | Op_insert { parent; before; fragment } ->
+    Buffer.add_char b '\001';
+    Codec.put_varint b parent;
+    Codec.put_opt Codec.put_varint b before;
+    Codec.put_string b fragment
+  | Op_delete { target } ->
+    Buffer.add_char b '\002';
+    Codec.put_varint b target
+  | Op_replace { target; fragment } ->
+    Buffer.add_char b '\003';
+    Codec.put_varint b target;
+    Codec.put_string b fragment
+  | Op_set_attr { target; name; value } ->
+    Buffer.add_char b '\004';
+    Codec.put_varint b target;
+    Codec.put_string b name;
+    Codec.put_opt Codec.put_string b value
+  | Op_set_text { target; text } ->
+    Buffer.add_char b '\005';
+    Codec.put_varint b target;
+    Codec.put_string b text
+
+let encode_request b = function
+  | Hello { version; client } ->
+    Buffer.add_char b '\x01';
+    Codec.put_varint b version;
+    Codec.put_string b client
+  | Prepare { query; values } ->
+    Buffer.add_char b '\x02';
+    Codec.put_string b query;
+    Codec.put_bool b values
+  | Execute { stmt; window } ->
+    Buffer.add_char b '\x03';
+    Codec.put_varint b stmt;
+    Codec.put_varint b window
+  | Fetch { stmt; window } ->
+    Buffer.add_char b '\x04';
+    Codec.put_varint b stmt;
+    Codec.put_varint b window
+  | Close_stmt { stmt } ->
+    Buffer.add_char b '\x05';
+    Codec.put_varint b stmt
+  | Ping -> Buffer.add_char b '\x06'
+  | Quit -> Buffer.add_char b '\x07'
+  | Update { op } ->
+    Buffer.add_char b '\x08';
+    put_update_op b op
+
+let put_column b { name; ty } =
+  Codec.put_string b name;
+  Buffer.add_char b (Char.chr (col_ty_to_int ty))
+
+let encode_response b = function
+  | Welcome { version; server; shards } ->
+    Buffer.add_char b '\x81';
+    Codec.put_varint b version;
+    Codec.put_string b server;
+    Codec.put_varint b shards
+  | Prepared { stmt; columns; empty; sql } ->
+    Buffer.add_char b '\x82';
+    Codec.put_varint b stmt;
+    Codec.put_bool b empty;
+    Codec.put_list put_column b columns;
+    Codec.put_opt Codec.put_string b sql
+  | Rows { stmt; rows; more } ->
+    Buffer.add_char b '\x83';
+    Codec.put_varint b stmt;
+    Codec.put_bool b more;
+    Codec.put_list Codec.put_values b rows
+  | Closed { stmt } ->
+    Buffer.add_char b '\x84';
+    Codec.put_varint b stmt
+  | Pong -> Buffer.add_char b '\x85'
+  | Error { code; message } ->
+    Buffer.add_char b '\x86';
+    Buffer.add_char b (Char.chr (error_code_to_int code));
+    Codec.put_string b message
+  | Bye -> Buffer.add_char b '\x87'
+  | Updated { inserted; updated; deleted; new_paths; dead_paths } ->
+    Buffer.add_char b '\x88';
+    Codec.put_varint b inserted;
+    Codec.put_varint b updated;
+    Codec.put_varint b deleted;
+    Codec.put_varint b new_paths;
+    Codec.put_varint b dead_paths
+
+let get_update_op d =
+  match Codec.get_byte d with
+  | 1 ->
+    let parent = Codec.get_varint d in
+    let before = Codec.get_opt Codec.get_varint d in
+    let fragment = Codec.get_string d in
+    Op_insert { parent; before; fragment }
+  | 2 -> Op_delete { target = Codec.get_varint d }
+  | 3 ->
+    let target = Codec.get_varint d in
+    let fragment = Codec.get_string d in
+    Op_replace { target; fragment }
+  | 4 ->
+    let target = Codec.get_varint d in
+    let name = Codec.get_string d in
+    let value = Codec.get_opt Codec.get_string d in
+    Op_set_attr { target; name; value }
+  | 5 ->
+    let target = Codec.get_varint d in
+    let text = Codec.get_string d in
+    Op_set_text { target; text }
+  | t -> raise (Codec (Bad_tag t))
+
+let decode_request d =
+  match Codec.get_byte d with
+  | 0x01 ->
+    let version = Codec.get_varint d in
+    let client = Codec.get_string d in
+    Hello { version; client }
+  | 0x02 ->
+    let query = Codec.get_string d in
+    let values = Codec.get_bool d in
+    Prepare { query; values }
+  | 0x03 ->
+    let stmt = Codec.get_varint d in
+    let window = Codec.get_varint d in
+    Execute { stmt; window }
+  | 0x04 ->
+    let stmt = Codec.get_varint d in
+    let window = Codec.get_varint d in
+    Fetch { stmt; window }
+  | 0x05 -> Close_stmt { stmt = Codec.get_varint d }
+  | 0x06 -> Ping
+  | 0x07 -> Quit
+  | 0x08 -> Update { op = get_update_op d }
+  | t -> raise (Codec (Bad_tag t))
+
+let get_column d =
+  let name = Codec.get_string d in
+  let ty = col_ty_of_int (Codec.get_byte d) in
+  { name; ty }
+
+let decode_response d =
+  match Codec.get_byte d with
+  | 0x81 ->
+    let version = Codec.get_varint d in
+    let server = Codec.get_string d in
+    let shards = Codec.get_varint d in
+    Welcome { version; server; shards }
+  | 0x82 ->
+    let stmt = Codec.get_varint d in
+    let empty = Codec.get_bool d in
+    let columns = Codec.get_list get_column d in
+    let sql = Codec.get_opt Codec.get_string d in
+    Prepared { stmt; columns; empty; sql }
+  | 0x83 ->
+    let stmt = Codec.get_varint d in
+    let more = Codec.get_bool d in
+    let rows = Codec.get_list Codec.get_values d in
+    Rows { stmt; rows; more }
+  | 0x84 -> Closed { stmt = Codec.get_varint d }
+  | 0x85 -> Pong
+  | 0x86 ->
+    let code = error_code_of_int (Codec.get_byte d) in
+    let message = Codec.get_string d in
+    Error { code; message }
+  | 0x87 -> Bye
+  | 0x88 ->
+    let inserted = Codec.get_varint d in
+    let updated = Codec.get_varint d in
+    let deleted = Codec.get_varint d in
+    let new_paths = Codec.get_varint d in
+    let dead_paths = Codec.get_varint d in
+    Updated { inserted; updated; deleted; new_paths; dead_paths }
+  | t -> raise (Codec (Bad_tag t))
+
+(* Decode one whole message from [s.(off .. off+len-1)]: the window is
+   the frame's declared payload, whatever surrounds it. *)
+let decode decode_msg s ~off ~len =
+  let d = Codec.cursor ~fail:fault_error ~off ~len s in
+  let msg = decode_msg d in
+  let left = Codec.remaining d in
+  if left <> 0 then raise (Codec (Trailing left));
+  msg
+
+let payload encode v =
+  let b = Buffer.create 64 in
+  encode b v;
+  Buffer.contents b
+
+let request_payload = payload encode_request
+let response_payload = payload encode_response
+let request_of_payload s = decode decode_request s ~off:0 ~len:(String.length s)
+let response_of_payload s = decode decode_response s ~off:0 ~len:(String.length s)
+
+(* ------------------------------------------------------------------ *)
 (* Frame buffers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A growable byte buffer: [b.(0 .. len-1)] is the content. One per
-   connection end, reused for every frame it sends or receives. *)
-type buf = { mutable b : Bytes.t; mutable len : int }
+(* [b.(0 .. len-1)] holds frame bytes: a frame to write, or bytes read
+   and not yet decoded. [enc] is where a message is encoded before it
+   is framed into [b]. One per connection end, reused for every frame. *)
+type buf = { enc : Buffer.t; mutable b : Bytes.t; mutable len : int }
 
 let buf_initial = 4096
 
@@ -138,9 +344,7 @@ let buf_initial = 4096
    oversize frame is dropped after that frame. *)
 let buf_retained = 1 lsl 18
 
-let buf_create () = { b = Bytes.create buf_initial; len = 0 }
-
-let buf_contents w = Bytes.sub_string w.b 0 w.len
+let buf_create () = { enc = Buffer.create buf_initial; b = Bytes.create buf_initial; len = 0 }
 
 (* Room for [n] more bytes after [len], keeping the content. *)
 let reserve w n =
@@ -153,366 +357,16 @@ let reserve w n =
 
 let release w =
   w.len <- 0;
+  if Buffer.length w.enc > buf_retained then Buffer.reset w.enc else Buffer.clear w.enc;
   if Bytes.length w.b > buf_retained then w.b <- Bytes.create buf_initial
 
-(* ------------------------------------------------------------------ *)
-(* Primitive writers                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let put_u8 w v =
-  reserve w 1;
-  Bytes.unsafe_set w.b w.len (Char.unsafe_chr (v land 0xff));
-  w.len <- w.len + 1
-
-let put_u16 w v =
-  reserve w 2;
-  Bytes.set_uint16_be w.b w.len (v land 0xffff);
-  w.len <- w.len + 2
-
-let put_u32 w v =
-  reserve w 4;
-  Bytes.set_int32_be w.b w.len (Int32.of_int v);
-  w.len <- w.len + 4
-
-let put_i64 w v =
-  reserve w 8;
-  Bytes.set_int64_be w.b w.len (Int64.of_int v);
-  w.len <- w.len + 8
-
-let put_f64 w v =
-  reserve w 8;
-  Bytes.set_int64_be w.b w.len (Int64.bits_of_float v);
-  w.len <- w.len + 8
-
-let put_str w s =
-  let n = String.length s in
-  put_u32 w n;
-  reserve w n;
-  Bytes.blit_string s 0 w.b w.len n;
-  w.len <- w.len + n
-
-let put_value buf = function
-  | Value.Null -> put_u8 buf 0
-  | Value.Int n ->
-    put_u8 buf 1;
-    put_i64 buf n
-  | Value.Float f ->
-    put_u8 buf 2;
-    put_f64 buf f
-  | Value.Str s ->
-    put_u8 buf 3;
-    put_str buf s
-  | Value.Bin s ->
-    put_u8 buf 4;
-    put_str buf s
+let frame_length ~max_frame b off =
+  let n = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff in
+  if n > max_frame then raise (Codec (Oversized n));
+  n
 
 (* ------------------------------------------------------------------ *)
-(* Primitive readers: every access is bounds-checked against the        *)
-(* payload, so a lying length field inside the payload surfaces as      *)
-(* [Truncated] instead of a read past the frame.                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [s.(0 .. lim-1)] is the payload; [s] may be a longer receive buffer. *)
-type reader = { s : string; lim : int; mutable pos : int }
-
-let need r n = if r.pos + n > r.lim then raise (Codec Truncated)
-
-let get_u8 r =
-  need r 1;
-  let v = Char.code r.s.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let get_u16 r =
-  need r 2;
-  let v = String.get_uint16_be r.s r.pos in
-  r.pos <- r.pos + 2;
-  v
-
-let get_u32 r =
-  need r 4;
-  let v = Int32.to_int (String.get_int32_be r.s r.pos) land 0xffffffff in
-  r.pos <- r.pos + 4;
-  v
-
-let get_i64 r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_be r.s r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let get_f64 r =
-  need r 8;
-  let v = Int64.float_of_bits (String.get_int64_be r.s r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let get_str r =
-  let n = get_u32 r in
-  need r n;
-  let v = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  v
-
-let get_value r =
-  match get_u8 r with
-  | 0 -> Value.Null
-  | 1 -> Value.Int (get_i64 r)
-  | 2 -> Value.Float (get_f64 r)
-  | 3 -> Value.Str (get_str r)
-  | 4 -> Value.Bin (get_str r)
-  | t -> raise (Codec (Bad_tag t))
-
-let finish r v =
-  let left = r.lim - r.pos in
-  if left <> 0 then raise (Codec (Trailing left));
-  v
-
-(* ------------------------------------------------------------------ *)
-(* Message codec                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let encode_request buf req =
-  match req with
-   | Hello { version; client } ->
-     put_u8 buf 0x01;
-     put_u16 buf version;
-     put_str buf client
-   | Prepare { query; values } ->
-     put_u8 buf 0x02;
-     put_str buf query;
-     put_u8 buf (Bool.to_int values)
-   | Execute { stmt; window } ->
-     put_u8 buf 0x03;
-     put_u32 buf stmt;
-     put_u32 buf window
-   | Fetch { stmt; window } ->
-     put_u8 buf 0x04;
-     put_u32 buf stmt;
-     put_u32 buf window
-   | Close_stmt { stmt } ->
-     put_u8 buf 0x05;
-     put_u32 buf stmt
-   | Ping -> put_u8 buf 0x06
-   | Quit -> put_u8 buf 0x07
-   | Update { op } ->
-     put_u8 buf 0x08;
-     (* Element ids ride as i64; fragments travel as XML text and are
-        parsed (and schema-validated) server-side. *)
-     (match op with
-      | Op_insert { parent; before; fragment } ->
-        put_u8 buf 1;
-        put_i64 buf parent;
-        (match before with
-         | None -> put_u8 buf 0
-         | Some b ->
-           put_u8 buf 1;
-           put_i64 buf b);
-        put_str buf fragment
-      | Op_delete { target } ->
-        put_u8 buf 2;
-        put_i64 buf target
-      | Op_replace { target; fragment } ->
-        put_u8 buf 3;
-        put_i64 buf target;
-        put_str buf fragment
-      | Op_set_attr { target; name; value } ->
-        put_u8 buf 4;
-        put_i64 buf target;
-        put_str buf name;
-        (match value with
-         | None -> put_u8 buf 0
-         | Some v ->
-           put_u8 buf 1;
-           put_str buf v)
-      | Op_set_text { target; text } ->
-        put_u8 buf 5;
-        put_i64 buf target;
-        put_str buf text)
-
-let encode_response buf resp =
-  match resp with
-   | Welcome { version; server; shards } ->
-     put_u8 buf 0x81;
-     put_u16 buf version;
-     put_str buf server;
-     put_u16 buf shards
-   | Prepared { stmt; columns; empty; sql } ->
-     put_u8 buf 0x82;
-     put_u32 buf stmt;
-     put_u8 buf (if empty then 1 else 0);
-     put_u32 buf (List.length columns);
-     List.iter
-       (fun { name; ty } ->
-         put_str buf name;
-         put_u8 buf (col_ty_to_int ty))
-       columns;
-     (match sql with
-      | None -> put_u8 buf 0
-      | Some s ->
-        put_u8 buf 1;
-        put_str buf s)
-   | Rows { stmt; rows; more } ->
-     put_u8 buf 0x83;
-     put_u32 buf stmt;
-     put_u8 buf (if more then 1 else 0);
-     put_u32 buf (List.length rows);
-     List.iter
-       (fun row ->
-         put_u16 buf (Array.length row);
-         Array.iter (put_value buf) row)
-       rows
-   | Closed { stmt } ->
-     put_u8 buf 0x84;
-     put_u32 buf stmt
-   | Pong -> put_u8 buf 0x85
-   | Error { code; message } ->
-     put_u8 buf 0x86;
-     put_u8 buf (error_code_to_int code);
-     put_str buf message
-   | Bye -> put_u8 buf 0x87
-   | Updated { inserted; updated; deleted; new_paths; dead_paths } ->
-     put_u8 buf 0x88;
-     put_u32 buf inserted;
-     put_u32 buf updated;
-     put_u32 buf deleted;
-     put_u32 buf new_paths;
-     put_u32 buf dead_paths
-
-let payload encode v =
-  let w = { b = Bytes.create 256; len = 0 } in
-  encode w v;
-  buf_contents w
-
-let request_payload = payload encode_request
-let response_payload = payload encode_response
-
-let request_of_payload s =
-  let r = { s; lim = String.length s; pos = 0 } in
-  let req =
-    match get_u8 r with
-    | 0x01 ->
-      let version = get_u16 r in
-      let client = get_str r in
-      Hello { version; client }
-    | 0x02 ->
-      let query = get_str r in
-      let values =
-        match get_u8 r with 0 -> false | 1 -> true | t -> raise (Codec (Bad_tag t))
-      in
-      Prepare { query; values }
-    | 0x03 ->
-      let stmt = get_u32 r in
-      let window = get_u32 r in
-      Execute { stmt; window }
-    | 0x04 ->
-      let stmt = get_u32 r in
-      let window = get_u32 r in
-      Fetch { stmt; window }
-    | 0x05 -> Close_stmt { stmt = get_u32 r }
-    | 0x06 -> Ping
-    | 0x07 -> Quit
-    | 0x08 ->
-      let op =
-        match get_u8 r with
-        | 1 ->
-          let parent = get_i64 r in
-          let before = match get_u8 r with 0 -> None | _ -> Some (get_i64 r) in
-          let fragment = get_str r in
-          Op_insert { parent; before; fragment }
-        | 2 -> Op_delete { target = get_i64 r }
-        | 3 ->
-          let target = get_i64 r in
-          let fragment = get_str r in
-          Op_replace { target; fragment }
-        | 4 ->
-          let target = get_i64 r in
-          let name = get_str r in
-          let value = match get_u8 r with 0 -> None | _ -> Some (get_str r) in
-          Op_set_attr { target; name; value }
-        | 5 ->
-          let target = get_i64 r in
-          let text = get_str r in
-          Op_set_text { target; text }
-        | t -> raise (Codec (Bad_tag t))
-      in
-      Update { op }
-    | t -> raise (Codec (Bad_tag t))
-  in
-  finish r req
-
-let decode_response r =
-  let resp =
-    match get_u8 r with
-    | 0x81 ->
-      let version = get_u16 r in
-      let server = get_str r in
-      let shards = get_u16 r in
-      Welcome { version; server; shards }
-    | 0x82 ->
-      let stmt = get_u32 r in
-      let empty = get_u8 r = 1 in
-      let ncols = get_u32 r in
-      let columns =
-        List.init ncols (fun _ ->
-            let name = get_str r in
-            let ty = col_ty_of_int (get_u8 r) in
-            { name; ty })
-      in
-      let sql = match get_u8 r with 0 -> None | _ -> Some (get_str r) in
-      Prepared { stmt; columns; empty; sql }
-    | 0x83 ->
-      let stmt = get_u32 r in
-      let more = get_u8 r = 1 in
-      let nrows = get_u32 r in
-      let rows =
-        List.init nrows (fun _ ->
-            let ncols = get_u16 r in
-            Array.init ncols (fun _ -> get_value r))
-      in
-      Rows { stmt; rows; more }
-    | 0x84 -> Closed { stmt = get_u32 r }
-    | 0x85 -> Pong
-    | 0x86 ->
-      let code = error_code_of_int (get_u8 r) in
-      let message = get_str r in
-      Error { code; message }
-    | 0x87 -> Bye
-    | 0x88 ->
-      let inserted = get_u32 r in
-      let updated = get_u32 r in
-      let deleted = get_u32 r in
-      let new_paths = get_u32 r in
-      let dead_paths = get_u32 r in
-      Updated { inserted; updated; deleted; new_paths; dead_paths }
-    | t -> raise (Codec (Bad_tag t))
-  in
-  finish r resp
-
-let response_of_payload s = decode_response { s; lim = String.length s; pos = 0 }
-
-(* ------------------------------------------------------------------ *)
-(* Framing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let frame_of_payload payload =
-  let n = String.length payload in
-  let b = Bytes.create (n + 4) in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.unsafe_to_string b
-
-let extract_frame ?(max_frame = default_max_frame) buf ~off ~len =
-  if len < 4 then None
-  else begin
-    let n = Int32.to_int (Bytes.get_int32_be buf off) land 0xffffffff in
-    if n > max_frame then raise (Codec (Oversized n));
-    if len < 4 + n then None
-    else Some (Bytes.sub_string buf (off + 4) n, 4 + n)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Blocking transport                                                  *)
+(* Transport                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let rec restart_write fd bytes off len =
@@ -524,24 +378,20 @@ let rec restart_write fd bytes off len =
       ignore (Unix.select [] [ fd ] [] 1.0);
       restart_write fd bytes off len
 
-let write_frame fd payload =
-  let frame = frame_of_payload payload in
-  restart_write fd (Bytes.unsafe_of_string frame) 0 (String.length frame);
-  String.length frame
+(* Encode into [w.enc], frame behind the 4-byte length prefix in [w.b],
+   write from there. *)
+let send encode w fd msg =
+  Fun.protect ~finally:(fun () -> release w) @@ fun () ->
+  encode w.enc msg;
+  let n = Buffer.length w.enc in
+  reserve w (4 + n);
+  Bytes.set_int32_be w.b 0 (Int32.of_int n);
+  Buffer.blit w.enc 0 w.b 4 n;
+  restart_write fd w.b 0 (4 + n);
+  4 + n
 
-(* The frame in place: a length-prefix placeholder, the payload encoded
-   after it, then the prefix patched. *)
-let frame_response w resp =
-  w.len <- 0;
-  put_u32 w 0;
-  encode_response w resp;
-  Bytes.set_int32_be w.b 0 (Int32.of_int (w.len - 4))
-
-let send_response_buf w fd resp =
-  frame_response w resp;
-  let n = w.len in
-  Fun.protect ~finally:(fun () -> release w) (fun () -> restart_write fd w.b 0 n);
-  n
+let send_request w fd req = send encode_request w fd req
+let send_response w fd resp = send encode_response w fd resp
 
 (* Read exactly [n] bytes into [w.b.(0 .. n-1)], discarding the old
    content; [Exit] on a clean close before the first byte,
@@ -561,33 +411,35 @@ let read_exactly fd w n ~at_start =
   in
   go 0
 
-(* One frame's payload into [w]; false on a clean EOF at a frame
-   boundary. *)
-let read_frame ?(max_frame = default_max_frame) w fd =
+let recv_response ?(max_frame = default_max_frame) w fd =
+  Fun.protect ~finally:(fun () -> release w) @@ fun () ->
   match read_exactly fd w 4 ~at_start:true with
-  | exception Exit -> false
+  | exception Exit -> None
   | () ->
-    let n = Int32.to_int (Bytes.get_int32_be w.b 0) land 0xffffffff in
-    if n > max_frame then raise (Codec (Oversized n));
+    let n = frame_length ~max_frame w.b 0 in
     read_exactly fd w n ~at_start:false;
-    true
+    Some (decode decode_response (Bytes.unsafe_to_string w.b) ~off:0 ~len:n)
 
-let read_payload ?max_frame fd =
-  let w = { b = Bytes.create 4; len = 0 } in
-  if read_frame ?max_frame w fd then Some (buf_contents w) else None
+let read_some w fd =
+  reserve w buf_initial;
+  let n = Unix.read fd w.b w.len (Bytes.length w.b - w.len) in
+  w.len <- w.len + n;
+  n
 
-let recv_response_buf ?max_frame w fd =
-  Fun.protect
-    ~finally:(fun () -> release w)
-    (fun () ->
-      if read_frame ?max_frame w fd then
-        Some (decode_response { s = Bytes.unsafe_to_string w.b; lim = w.len; pos = 0 })
-      else None)
-
-let send_request fd req = write_frame fd (request_payload req)
-let send_response fd resp = write_frame fd (response_payload resp)
-
-let recv_request ?max_frame fd =
-  Option.map request_of_payload (read_payload ?max_frame fd)
-
-let recv_response ?max_frame fd = recv_response_buf ?max_frame (buf_create ()) fd
+let take_requests ?(max_frame = default_max_frame) w f =
+  let s = Bytes.unsafe_to_string w.b in
+  let rec go off =
+    if w.len - off < 4 then off
+    else begin
+      let n = frame_length ~max_frame w.b off in
+      if w.len - off - 4 < n then off
+      else begin
+        f (decode decode_request s ~off:(off + 4) ~len:n);
+        go (off + 4 + n)
+      end
+    end
+  in
+  let off = go 0 in
+  Bytes.blit w.b off w.b 0 (w.len - off);
+  w.len <- w.len - off;
+  if w.len = 0 then release w

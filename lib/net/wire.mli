@@ -3,28 +3,35 @@
     Every frame on the wire is a 4-byte big-endian payload length
     followed by exactly that many payload bytes; the first payload byte
     is the message tag. Requests (client to server) use tags [0x01-0x08],
-    responses (server to client) [0x81-0x88]. All integers are
-    big-endian; strings are a [u32] byte length followed by the bytes;
-    cells are self-describing (a one-byte type tag before the value), so
-    a result stream can be decoded without out-of-band schema knowledge,
-    while the {!column} metadata sent with {!response.Prepared} gives the
-    client static names and type hints.
+    responses (server to client) [0x81-0x88]. The payload after the tag
+    is written with {!Ppfx_minidb.Codec}'s primitives, the ones the
+    database image and the write-ahead log use: integers are zigzag
+    LEB128 varints, strings a varint byte length followed by the bytes,
+    flags one byte (0 or 1), an optional a flag then the value, a list a
+    varint count then the elements. Cells are self-describing (a
+    one-byte type tag before the value), so a result stream can be
+    decoded without out-of-band schema knowledge, while the {!column}
+    metadata sent with {!response.Prepared} gives the client static
+    names and type hints.
 
     The codec never reads past the declared payload: every field decode
     is bounds-checked against the length prefix, a payload with leftover
     bytes is rejected ([Trailing]), and a length prefix above the
     [max_frame] bound is rejected before any payload is read
-    ([Oversized]) — the typed {!Codec} errors the satellite tests pin
-    down. Protocol evolution is carried by the versioned handshake:
-    [Hello]/[Welcome] exchange {!protocol_version} and a server refuses
-    mismatches with [Version_mismatch]. *)
+    ([Oversized]) — the typed {!Codec} errors. Protocol evolution is
+    carried by the versioned handshake: [Hello]/[Welcome] exchange
+    {!protocol_version} and a server refuses mismatches with
+    [Version_mismatch]. *)
 
 module Value = Ppfx_minidb.Value
 
 val protocol_version : int
-(** Version 2, which added the [values] byte of [Prepare]. Sent in
-    [Hello], echoed in [Welcome]; a server answers any other version
-    with [Version_mismatch]. *)
+(** Version 3, which moved every field to the varint codec (version 2
+    added the [values] byte of [Prepare]). Sent in [Hello], echoed in
+    [Welcome]; a server answers any other version with
+    [Version_mismatch]. An older client's [Hello] bytes do not decode as
+    a version-3 [Hello], so it gets a [Protocol] error instead; either
+    way the connection is closed. *)
 
 val default_max_frame : int
 (** 16 MiB: the largest frame either side accepts by default. *)
@@ -34,7 +41,8 @@ val default_max_frame : int
 type codec_error =
   | Truncated  (** a field extends past the frame's declared length *)
   | Oversized of int  (** declared payload length exceeds [max_frame] *)
-  | Bad_tag of int  (** unknown message or cell tag *)
+  | Bad_tag of int  (** unknown message, flag or cell tag *)
+  | Bad_varint  (** a varint longer than ten bytes *)
   | Trailing of int  (** decoded message left this many unread bytes *)
 
 exception Codec of codec_error
@@ -118,78 +126,56 @@ type response =
       dead_paths : int;  (** paths whose last instance died *)
     }
 
-(** {2 Encoding} *)
+(** {2 Payloads}
+
+    The string form of the frame codec, without the length prefix. *)
 
 val request_payload : request -> string
 val response_payload : response -> string
-(** Payload bytes (no length prefix). *)
-
-val frame_of_payload : string -> string
-(** Prefix a payload with its 4-byte length. *)
-
-(** {2 Decoding} *)
 
 val request_of_payload : string -> request
 val response_of_payload : string -> response
 (** Raise {!Codec} on malformed payloads; total (every byte of the
     payload is consumed or the decode fails). *)
 
-val extract_frame :
-  ?max_frame:int -> Bytes.t -> off:int -> len:int -> (string * int) option
-(** [extract_frame buf ~off ~len] inspects the byte window for one
-    complete frame: [Some (payload, consumed)] when the window starts
-    with a whole frame, [None] when more bytes are needed. Raises
-    [Codec (Oversized _)] as soon as the prefix declares a payload
-    larger than [max_frame], without waiting for the bytes. *)
-
 (** {2 Frame buffers}
 
-    A growable byte buffer owned by one connection end — the server's
-    per-connection send side (used under that connection's write lock),
-    a client's receive side — and reused for every frame it moves: a
-    response is encoded once, in place behind its length prefix, and
-    written straight from the buffer; a received payload is decoded
-    straight from it. After a frame larger than 256 KiB the buffer shrinks
-    back to its initial 4 KiB (a 512-row window of the XMark 10x results
-    is at most 25 KiB, or 88 KiB with string values). Buffers are per
-    connection, never per domain: two systhreads of one domain may each drive a connection. *)
+    A growable byte buffer owned by one connection end and reused for
+    every frame it moves: the server's per-connection send side (used
+    under that connection's write lock) and receive side (event loop
+    only), the event loop's own for frames to connections it does not
+    serve, a client's send and receive sides. A message is encoded once,
+    framed behind its length prefix in the buffer and written from it; a
+    received payload is decoded where it lies, bounded by the frame's
+    declared length, whatever the buffer held before. After a frame
+    larger than 256 KiB the buffer shrinks back to its initial 4 KiB (a
+    512-row window of [(id, dewey_pos)] rows is about 13 KiB). Buffers
+    are per connection, never per domain: two systhreads of one domain
+    may each drive a connection. *)
 
 type buf
 
 val buf_create : unit -> buf
 
-val frame_response : buf -> response -> unit
-(** Replace the buffer's content with one whole frame of the response:
-    the same bytes as [frame_of_payload (response_payload r)]. *)
+val send_request : buf -> Unix.file_descr -> request -> int
+val send_response : buf -> Unix.file_descr -> response -> int
+(** Write one frame from the buffer, looping over partial writes;
+    returns the byte count. *)
 
-val buf_contents : buf -> string
-(** The buffered bytes (a copy). *)
+val recv_response : ?max_frame:int -> buf -> Unix.file_descr -> response option
+(** Read one frame into the buffer and decode it; [None] on a clean EOF
+    at a frame boundary. Raises [Codec Truncated] when the peer closes
+    mid-frame, and [Codec (Oversized _)] from the length prefix alone. *)
 
-val send_response_buf : buf -> Unix.file_descr -> response -> int
-(** {!frame_response}, then write the frame from the buffer; returns the
-    byte count. *)
+val read_some : buf -> Unix.file_descr -> int
+(** One [Unix.read] appended to the buffer's undecoded bytes; returns
+    its count (0 at end of stream) and raises what [Unix.read] raises,
+    so a nonblocking descriptor raises [EAGAIN] when it has nothing. *)
 
-val recv_response_buf : ?max_frame:int -> buf -> Unix.file_descr -> response option
-(** {!recv_response} reading into and decoding from the buffer. The
-    frame's declared length bounds the decode, whatever the buffer held
-    before, so [Truncated], [Trailing] and [Oversized] fire exactly as in
-    {!response_of_payload}. *)
-
-(** {2 Blocking transport helpers}
-
-    Convenience wrappers used by the client and the tests; the server's
-    event loop assembles frames incrementally with {!extract_frame}
-    instead. Each returns the byte count moved, for traffic metrics. *)
-
-val write_frame : Unix.file_descr -> string -> int
-(** Write one frame (length prefix + payload); loops over partial
-    writes. *)
-
-val read_payload : ?max_frame:int -> Unix.file_descr -> string option
-(** Read exactly one frame; [None] on a clean EOF at a frame boundary.
-    Raises [Codec Truncated] when the peer closes mid-frame. *)
-
-val send_request : Unix.file_descr -> request -> int
-val send_response : Unix.file_descr -> response -> int
-val recv_request : ?max_frame:int -> Unix.file_descr -> request option
-val recv_response : ?max_frame:int -> Unix.file_descr -> response option
+val take_requests : ?max_frame:int -> buf -> (request -> unit) -> unit
+(** Decode every complete request frame at the front of the buffer where
+    it lies, in order, passing each to the callback, then move the
+    incomplete tail to the front. Raises {!Codec} on a malformed frame,
+    and [Oversized] as soon as a length prefix declares a payload above
+    [max_frame], without waiting for its bytes. A buffer that reassembles
+    requests this way is used for nothing else. *)

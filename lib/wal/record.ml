@@ -12,31 +12,6 @@ exception Corrupt = Codec.Corrupt
 
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
 
-let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-
-let get_bool d =
-  match get_byte d with
-  | 0 -> false
-  | 1 -> true
-  | c -> corrupt "bad bool byte %d" c
-
-let put_opt f b = function
-  | None -> Buffer.add_char b '\000'
-  | Some v ->
-    Buffer.add_char b '\001';
-    f b v
-
-let get_opt f d = if get_bool d then Some (f d) else None
-
-let put_list f b l =
-  put_varint b (List.length l);
-  List.iter (f b) l
-
-let get_list f d =
-  let n = get_varint d in
-  if n < 0 then corrupt "negative list length";
-  List.init n (fun _ -> f d)
-
 (* --- XML fragments --------------------------------------------------- *)
 (* Structural, not via Printer/Parser: whitespace-only text nodes and
    every attribute byte round-trip exactly. *)
@@ -128,23 +103,16 @@ let put_row_op b (op : Update.row_op) =
   | Update.Row_insert { table; values } ->
     Buffer.add_char b '\000';
     put_string b table;
-    put_varint b (Array.length values);
-    Array.iter (put_value b) values
+    put_values b values
   | Update.Row_update { table; elem; values } ->
     Buffer.add_char b '\001';
     put_string b table;
     put_varint b elem;
-    put_varint b (Array.length values);
-    Array.iter (put_value b) values
+    put_values b values
   | Update.Row_delete { table; elem } ->
     Buffer.add_char b '\002';
     put_string b table;
     put_varint b elem
-
-let get_values d =
-  let n = get_varint d in
-  if n < 0 then corrupt "negative value count";
-  Array.init n (fun _ -> get_value d)
 
 let get_row_op d : Update.row_op =
   match get_byte d with
@@ -252,7 +220,7 @@ let decode s =
   let r_inserts = get_bool d in
   let r_cs = get_changeset d in
   let r_extras = get_opt get_extras d in
-  if not (at_end d) then corrupt "trailing bytes after record";
+  if remaining d <> 0 then corrupt "trailing bytes after record";
   { r_seq; r_op; r_inserts; r_cs; r_extras }
 
 (* --- shadow snapshots ------------------------------------------------- *)
@@ -401,5 +369,5 @@ let decode_meta s =
   let m_schema = get_schema d in
   let m_shadow = get_opt get_shadow d in
   let m_extras = get_opt get_extras d in
-  if not (at_end d) then corrupt "trailing bytes after checkpoint meta";
+  if remaining d <> 0 then corrupt "trailing bytes after checkpoint meta";
   { m_schema; m_shadow; m_extras }

@@ -223,6 +223,29 @@ let test_load_result_typed () =
   Alcotest.(check bool) "errors render" true
     (String.length (Codec.error_to_string (Codec.Corrupted "x")) > 0)
 
+(* Decoding allocates only the values it returns: an [Int] cell is its
+   two-word block, a [Float] cell its block and the boxed float, and a
+   varint costs nothing of its own. *)
+let test_decode_allocates_values () =
+  let words_per_cell value =
+    let b = Buffer.create 16384 in
+    for i = 0 to 999 do
+      Codec.put_value b (value i)
+    done;
+    let d = Codec.cursor (Buffer.contents b) in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Codec.get_value d))
+    done;
+    let words = (Gc.minor_words () -. w0) /. 1000. in
+    Alcotest.(check int) "cursor consumed" 0 (Codec.remaining d);
+    words
+  in
+  let ints = words_per_cell (fun i -> Value.Int ((i * 7919) - 500_000)) in
+  if ints > 2. then Alcotest.failf "Int cells: %.2f words each" ints;
+  let floats = words_per_cell (fun i -> Value.Float (float_of_int i /. 7.)) in
+  if floats > 4. then Alcotest.failf "Float cells: %.2f words each" floats
+
 (* Fuzz the decoder with mangled-but-plausible images: every truncation
    and every byte flip of a valid image must come back as a typed
    [Error] (or, for flips that happen to keep the image well-formed, an
@@ -278,6 +301,7 @@ let () =
             "partitioned layout", test_partitioned_round_trip;
             "corrupt input", test_corrupt_rejected;
             "typed load errors", test_load_result_typed;
+            "decoding allocates only the values", test_decode_allocates_values;
           ] );
       ( "round-trip properties",
         [ QCheck_alcotest.to_alcotest prop_partitioned_codec_identity ] );

@@ -30,6 +30,13 @@ let with_client server f =
   let c = Client.connect ~port:(Server.port server) () in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
+(* Raw protocol ends for the tests that speak to the server below
+   [Client]; one test at a time uses them, as one connection end would. *)
+let raw_sbuf = Wire.buf_create ()
+let raw_rbuf = Wire.buf_create ()
+let send fd req = ignore (Wire.send_request raw_sbuf fd req)
+let recv fd = Wire.recv_response raw_rbuf fd
+
 (* ------------------------------------------------------------------ *)
 (* Result identity vs the in-process session                           *)
 (* ------------------------------------------------------------------ *)
@@ -142,18 +149,18 @@ let prepared_outlives_eviction () =
   Client.close_stmt c a;
   Client.close_stmt c b
 
-(* A version-1 client is refused at the handshake, and its connection is
-   closed. *)
-let old_version_refused () =
+(* A client of an older protocol version is refused at the handshake,
+   and its connection is closed. *)
+let old_version_refused version () =
   with_server @@ fun server ->
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-  ignore (Wire.send_request fd (Wire.Hello { version = 1; client = "v1" }));
-  (match Wire.recv_response fd with
+  send fd (Wire.Hello { version; client = "old" });
+  (match recv fd with
    | Some (Wire.Error { code = Wire.Version_mismatch; _ }) -> ()
    | _ -> Alcotest.fail "expected Version_mismatch");
-  match Wire.recv_response fd with
+  match recv fd with
   | None -> ()
   | Some _ -> Alcotest.fail "connection not closed after Version_mismatch"
   | exception Wire.Codec Wire.Truncated -> ()
@@ -212,10 +219,8 @@ let query_error_keeps_connection () =
 let raw_connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  ignore
-    (Wire.send_request fd
-       (Wire.Hello { version = Wire.protocol_version; client = "raw" }));
-  (match Wire.recv_response fd with
+  send fd (Wire.Hello { version = Wire.protocol_version; client = "raw" });
+  (match recv fd with
    | Some (Wire.Welcome _) -> ()
    | _ -> Alcotest.fail "no Welcome on raw connection");
   fd
@@ -226,12 +231,13 @@ let malformed_frame_isolated () =
   let fd = raw_connect (Server.port server) in
   (* A frame with an unknown tag: the offending connection gets a
      Protocol error frame and is closed... *)
-  ignore (Wire.write_frame fd "\x50\xde\xad\xbe\xef");
-  (match Wire.recv_response fd with
+  let frame = "\x00\x00\x00\x05\x50\xde\xad\xbe\xef" in
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
+  (match recv fd with
    | Some (Wire.Error { code = Wire.Protocol; _ }) -> ()
    | Some _ -> Alcotest.fail "expected a Protocol error frame"
    | None -> Alcotest.fail "connection closed without an error frame");
-  (match Wire.recv_response fd with
+  (match recv fd with
    | None -> ()
    | Some _ -> Alcotest.fail "connection not closed after protocol error"
    | exception Wire.Codec Wire.Truncated -> ());
@@ -249,10 +255,10 @@ let abrupt_disconnect_isolated () =
   (* Kill a connection mid-request: send Execute for a prepared
      statement and slam the socket shut without reading. *)
   let fd = raw_connect (Server.port server) in
-  ignore (Wire.send_request fd (Wire.Prepare { query = Xmark.query "Q1"; values = false }));
-  (match Wire.recv_response fd with
+  send fd (Wire.Prepare { query = Xmark.query "Q1"; values = false });
+  (match recv fd with
    | Some (Wire.Prepared { stmt; _ }) ->
-     ignore (Wire.send_request fd (Wire.Execute { stmt; window = 0 }))
+     send fd (Wire.Execute { stmt; window = 0 })
    | _ -> Alcotest.fail "prepare failed");
   Unix.close fd;
   (* The server must absorb the dead peer (EPIPE/ECONNRESET on its
@@ -427,17 +433,17 @@ let one_dump () =
 let shutdown_drains () =
   let server = Server.start factory in
   let fd = raw_connect (Server.port server) in
-  ignore (Wire.send_request fd (Wire.Prepare { query = Xmark.query "Q1"; values = false }));
+  send fd (Wire.Prepare { query = Xmark.query "Q1"; values = false });
   let stmt =
-    match Wire.recv_response fd with
+    match recv fd with
     | Some (Wire.Prepared { stmt; _ }) -> stmt
     | _ -> Alcotest.fail "prepare failed"
   in
   (* Fire the request and only then stop the server: the response must
      still arrive (drained), followed by Bye. *)
-  ignore (Wire.send_request fd (Wire.Execute { stmt; window = 0 }));
+  send fd (Wire.Execute { stmt; window = 0 });
   let stopper = Thread.create (fun () -> Server.stop server) () in
-  (match Wire.recv_response fd with
+  (match recv fd with
    | Some (Wire.Rows { rows; more; _ }) ->
      Alcotest.(check bool) "in-flight request completed" true (rows <> []);
      Alcotest.(check bool) "no dangling cursor" false more
@@ -448,7 +454,7 @@ let shutdown_drains () =
         | Wire.Bye -> "Bye"
         | _ -> "other")
    | None -> Alcotest.fail "connection closed before the response");
-  (match Wire.recv_response fd with
+  (match recv fd with
    | Some Wire.Bye | None -> ()
    | Some _ -> Alcotest.fail "expected Bye after drain"
    | exception Wire.Codec Wire.Truncated -> ());
@@ -478,7 +484,8 @@ let () =
             rows_identical_windowed;
           Alcotest.test_case "typed row accessors" `Quick typed_rows;
           Alcotest.test_case "values flag: 2 and 3 columns, same ids" `Quick values_flag;
-          Alcotest.test_case "version-1 Hello is refused" `Quick old_version_refused;
+          Alcotest.test_case "version-1 Hello is refused" `Quick (old_version_refused 1);
+          Alcotest.test_case "version-2 Hello is refused" `Quick (old_version_refused 2);
           Alcotest.test_case "a statement outlives its cache entry" `Quick
             prepared_outlives_eviction;
         ] );
