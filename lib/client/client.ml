@@ -34,15 +34,20 @@ let recv t =
   | Some resp -> resp
   | exception Wire.Codec e -> raise (Protocol_error (Wire.codec_error_to_string e))
 
-let request t req =
-  if t.closed then raise (Protocol_error "connection is closed");
-  ignore (Wire.send_request t.sbuf t.fd req);
+(* The next response; typed error frames raise. *)
+let reply t =
   match recv t with
   | Wire.Error { code; message } -> raise (Server_error { code; message })
   | Wire.Bye ->
     t.closed <- true;
     raise (Protocol_error "server closed the connection")
   | resp -> resp
+
+(* Send [req], behind any queued [Close_stmt]s, and read its response. *)
+let request t req =
+  if t.closed then raise (Protocol_error "connection is closed");
+  ignore (Wire.send_request t.sbuf t.fd req);
+  reply t
 
 let unexpected what = raise (Protocol_error ("unexpected response to " ^ what))
 
@@ -133,48 +138,50 @@ let columns s = s.cols
 let is_empty s = s.empty
 let sql s = s.sql_text
 
-let fetch_rows t ~first acc0 =
-  let rec go req acc =
-    match request t req with
-    | Wire.Rows { stmt = _; rows; more } ->
-      let acc = List.rev_append rows acc in
-      if more then go (next_fetch req) acc else List.rev acc
-    | _ -> unexpected "Execute/Fetch"
-  and next_fetch = function
-    | Wire.Execute { stmt; window } | Wire.Fetch { stmt; window } ->
-      Wire.Fetch { stmt; window }
-    | _ -> assert false
-  in
-  go first acc0
+(* The rows of a first [Rows] response and of every [Fetch] its [more]
+   asks for. *)
+let rec collect t ~window resp acc =
+  match resp with
+  | Wire.Rows { stmt; rows; more } ->
+    let acc = List.rev_append rows acc in
+    if more then collect t ~window (request t (Wire.Fetch { stmt; window })) acc
+    else List.rev acc
+  | _ -> unexpected "Execute/Fetch"
+
+let names cols = List.map (fun c -> c.Wire.name) cols
 
 let execute_result ?(window = 0) t s =
-  let columns = List.map (fun c -> c.Wire.name) s.cols in
   if s.empty then { Engine.columns = []; rows = [] }
   else
-    let rows = fetch_rows t ~first:(Wire.Execute { stmt = s.id; window }) [] in
-    { Engine.columns; rows }
+    let rows = collect t ~window (request t (Wire.Execute { stmt = s.id; window })) [] in
+    { Engine.columns = names s.cols; rows }
 
 let execute ?window t s =
   let r = execute_result ?window t s in
-  let names = List.map (fun c -> c.Wire.name) s.cols in
-  List.map (Row.create ~columns:names) r.Engine.rows
+  List.map (Row.create ~columns:(names s.cols)) r.Engine.rows
 
-let close_stmt t s =
-  match request t (Wire.Close_stmt { stmt = s.id }) with
-  | Wire.Closed _ -> ()
-  | _ -> unexpected "Close_stmt"
+(* No reply to wait for: the frame goes out with the next request. *)
+let queue_close t stmt =
+  if not t.closed then Wire.queue_request t.sbuf (Wire.Close_stmt { stmt })
+
+let close_stmt t s = queue_close t s.id
+
+let run_result ?(window = 0) ?(values = false) t query =
+  match request t (Wire.Query { query; values; window }) with
+  | Wire.Prepared { stmt; columns; empty; sql = _ } ->
+    let rows =
+      try collect t ~window (reply t) []
+      with e ->
+        (* A failed [Fetch] leaves the statement open on the server. *)
+        queue_close t stmt;
+        raise e
+    in
+    if empty then { Engine.columns = []; rows = [] } else { Engine.columns = names columns; rows }
+  | _ -> unexpected "Query"
 
 let run ?window ?values t query =
-  let s = prepare ?values t query in
-  Fun.protect
-    ~finally:(fun () -> try close_stmt t s with _ -> ())
-    (fun () -> execute ?window t s)
-
-let run_result ?window ?values t query =
-  let s = prepare ?values t query in
-  Fun.protect
-    ~finally:(fun () -> try close_stmt t s with _ -> ())
-    (fun () -> execute_result ?window t s)
+  let r = run_result ?window ?values t query in
+  List.map (Row.create ~columns:r.Engine.columns) r.Engine.rows
 
 let run_ids t query = Translate.result_ids (run_result t query)
 

@@ -1,9 +1,10 @@
 (** Blocking typed client for the ppfx wire protocol.
 
     One connection, one in-flight request: every call sends a frame and
-    waits for the response. [execute]/[fetch_all] transparently walk the
-    server's bounded fetch windows, so arbitrarily large results arrive
-    in backpressured batches. Query-level failures ([Parse_error],
+    waits for its response, except {!close_stmt}, whose reply-less frame
+    is written together with the next request. [execute] and the [run]
+    family transparently walk the server's bounded fetch windows, so
+    arbitrarily large results arrive in backpressured batches. Query-level failures ([Parse_error],
     [Unsupported], [Runtime], [Bad_statement], [Admission]) raise
     {!Server_error} and leave the connection usable; transport and
     framing failures raise {!Protocol_error} (or [Unix_error]) and mean
@@ -71,11 +72,18 @@ val execute_result : ?window:int -> t -> stmt -> Engine.result
     byte-identical comparison. *)
 
 val close_stmt : t -> stmt -> unit
+(** Queue the statement's [Close_stmt]; it is written in the same
+    [write] as the next request, so it costs no round trip. The server
+    handles it first: a later [execute] of the statement raises
+    {!Server_error} with [Bad_statement]. *)
 
 (** {2 One-shot conveniences} *)
 
 val run : ?window:int -> ?values:bool -> t -> string -> Row.t list
-(** [prepare] + [execute] + [close_stmt]. *)
+(** One [Query] frame: the server prepares, executes and answers with
+    the statement's metadata and first window in one write, and closes
+    the statement itself after its last window. One round trip for a
+    result that fits the window; a larger one adds a [Fetch] a window. *)
 
 val run_result : ?window:int -> ?values:bool -> t -> string -> Engine.result
 

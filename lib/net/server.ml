@@ -168,10 +168,12 @@ let columns_of_statement db = function
    one domain. The first [Execute] on another worker prepares the text
    there (a plan-cache lookup on that worker's session); later ones
    neither re-parse nor look up, and still run after the cache has
-   evicted the entry. *)
+   evicted the entry. A statement a [Query] opened is [oneshot]: it
+   closes itself once its last window is sent. *)
 type stmt = {
   text : string;
   values : bool;
+  oneshot : bool;
   mutable handles : (executor * (unit -> Engine.result)) list;
   mutable cursor : Value.t array list;
 }
@@ -179,14 +181,14 @@ type stmt = {
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  rbuf : Wire.buf;  (* frame reassembly and decoding; event loop only *)
+  rbuf : Wire.buf;  (* frame reassembly and decoding; the leader only *)
   wlock : Mutex.t;  (* serializes frame writes to [fd] *)
   wbuf : Wire.buf;  (* frame encoding; under [wlock] *)
   stmts : (int, stmt) Hashtbl.t;  (* worker only (one in-flight request) *)
   mutable next_stmt : int;
   mutable hello_done : bool;
   (* under the server lock: *)
-  pending : Wire.request Queue.t;
+  pending : (Wire.request * float) Queue.t;  (* with its decode time *)
   mutable busy : bool;  (* one of this connection's requests is queued or running *)
   mutable draining : bool;  (* no more reads; close once idle *)
   mutable dead : bool;  (* fd closed, removed from the table *)
@@ -198,21 +200,20 @@ type t = {
   bound_port : int;
   metrics : Metrics.t;
   lock : Mutex.t;
-  cond : Condition.t;
+  cond : Condition.t;  (* idle followers wait here *)
   queue : (conn * Wire.request * float) Queue.t;
   conns : (int, conn) Hashtbl.t;
   mutable next_cid : int;
   mutable busy_count : int;
+  mutable leading : bool;  (* a worker is polling the sockets *)
   mutable stopping : bool;
-  (* set by the event loop once its final stop-time read sweep is done;
-     workers must not exit before it, or late-swept requests would
-     never be served *)
+  (* set by the last leader after its stop-time read sweep; workers must
+     not exit before it, or late-swept requests would never be served *)
   mutable reads_done : bool;
   pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
-  io_buf : Wire.buf;  (* event loop only: admission refusals, the final Bye *)
-  mutable io_domain : unit Domain.t option;
-  mutable worker_domains : unit Domain.t list;
+  pipe_w : Unix.file_descr;  (* [stop] wakes the leader through it *)
+  io_buf : Wire.buf;  (* the leader's admission refusals at accept, then the final Bye *)
+  mutable workers : unit Domain.t list;
 }
 
 let port t = t.bound_port
@@ -221,28 +222,31 @@ let metrics t = t.metrics
 
 let locked t f = Mutex.protect t.lock f
 
-(* Best-effort frame write. Any transport failure marks the connection
-   draining: the event loop stops reading it and it is destroyed once
-   idle. Never raises. *)
-let respond t c resp =
+(* Best-effort write of [first] (when given) and [resp] in one [write].
+   Any transport failure marks the connection draining: the leader
+   stops reading it and it is destroyed once idle. Never raises. *)
+let respond ?first t c resp =
   try
     Mutex.protect c.wlock (fun () ->
+        Option.iter (Wire.queue_response c.wbuf) first;
         Metrics.add t.metrics Metrics.Bytes_out (Wire.send_response c.wbuf c.fd resp))
   with Unix.Unix_error _ | Wire.Codec _ ->
     locked t (fun () -> c.draining <- true)
 
-(* Server lock held. *)
+(* Server lock held. [shutdown] first: a leader blocked in select holds
+   the socket open past [close], unseen by the peer; this wakes it. *)
 let destroy_conn t c =
   if not c.dead then begin
     c.dead <- true;
     c.draining <- true;
     Hashtbl.remove t.conns c.cid;
+    (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     Metrics.connection_closed t.metrics
   end
 
 (* ------------------------------------------------------------------ *)
-(* Request processing (worker side)                                    *)
+(* Request processing                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let take_rows n rows =
@@ -254,19 +258,64 @@ let take_rows n rows =
   in
   go (max 0 n) [] rows
 
-let send_window t c id st window =
+let send_window ?first t c id st window =
   let cap = t.cfg.fetch_window in
   let w = if window <= 0 then cap else min window cap in
   let batch, rest = take_rows w st.cursor in
   st.cursor <- rest;
+  if st.oneshot && rest = [] then Hashtbl.remove c.stmts id;
   Metrics.add t.metrics Metrics.Rows_sent (List.length batch);
-  respond t c (Wire.Rows { stmt = id; rows = batch; more = rest <> [] })
+  respond ?first t c (Wire.Rows { stmt = id; rows = batch; more = rest <> [] })
 
 (* Returns [true] when the connection must drain (quit, fatal error). *)
 let process t exec c (req : Wire.request) =
   let fail ?(close = false) code message =
     respond t c (Wire.Error { code; message });
     close
+  in
+  (* Prepare [query] on this worker as a new statement; returns its id,
+     the statement and its [Prepared] frame. Raises the parse and
+     unsupported errors [compile] answers. *)
+  let open_stmt ~oneshot ~values query =
+    let sql, run = exec.exec_prepare ~values query in
+    let id = c.next_stmt in
+    c.next_stmt <- id + 1;
+    let st = { text = query; values; oneshot; handles = [ (exec, run) ]; cursor = [] } in
+    Hashtbl.replace c.stmts id st;
+    let columns = Option.fold ~none:[] ~some:(columns_of_statement exec.exec_db) sql in
+    (id, st, Wire.Prepared { stmt = id; columns; empty = sql = None; sql = Option.map Sql.to_string sql })
+  in
+  let compile f =
+    try f () with
+    | Xparser.Error { position; message } ->
+      fail Wire.Parse_error (Printf.sprintf "XPath parse error at offset %d: %s" position message)
+    | Translate.Unsupported msg -> fail Wire.Unsupported msg
+  in
+  (* Run statement [id] through this worker's handle and send its first
+     window, behind [first] when given. *)
+  let execute ?first id st window =
+    try
+      let run =
+        match List.assq_opt exec st.handles with
+        | Some run -> run
+        | None ->
+          let _, run = exec.exec_prepare ~values:st.values st.text in
+          st.handles <- (exec, run) :: st.handles;
+          run
+      in
+      st.cursor <- (run ()).Engine.rows;
+      send_window ?first t c id st window;
+      false
+    with e -> (
+      if st.oneshot then Hashtbl.remove c.stmts id;
+      match e with
+      | Engine.Runtime_error msg -> fail Wire.Runtime msg
+      | e -> fail ~close:true Wire.Runtime (Printexc.to_string e))
+  in
+  let with_stmt id f =
+    match Hashtbl.find_opt c.stmts id with
+    | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" id)
+    | Some st -> f st
   in
   if not c.hello_done then
     match req with
@@ -297,58 +346,21 @@ let process t exec c (req : Wire.request) =
       respond t c Wire.Bye;
       true
     | Wire.Prepare { query; values } ->
-      (try
-         let sql, run = exec.exec_prepare ~values query in
-         let id = c.next_stmt in
-         c.next_stmt <- c.next_stmt + 1;
-         Hashtbl.replace c.stmts id
-           { text = query; values; handles = [ (exec, run) ]; cursor = [] };
-         respond t c
-           (Wire.Prepared
-              {
-                stmt = id;
-                columns =
-                  (match sql with
-                   | None -> []
-                   | Some s -> columns_of_statement exec.exec_db s);
-                empty = sql = None;
-                sql = Option.map Sql.to_string sql;
-              });
-         false
-       with
-       | Xparser.Error { position; message } ->
-         fail Wire.Parse_error
-           (Printf.sprintf "XPath parse error at offset %d: %s" position message)
-       | Translate.Unsupported msg -> fail Wire.Unsupported msg)
-    | Wire.Execute { stmt; window } ->
-      (match Hashtbl.find_opt c.stmts stmt with
-       | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" stmt)
-       | Some st ->
-         (try
-            let run =
-              match List.assq_opt exec st.handles with
-              | Some run -> run
-              | None ->
-                let _, run = exec.exec_prepare ~values:st.values st.text in
-                st.handles <- (exec, run) :: st.handles;
-                run
-            in
-            let result = run () in
-            st.cursor <- result.Engine.rows;
-            send_window t c stmt st window;
-            false
-          with
-          | Engine.Runtime_error msg -> fail Wire.Runtime msg
-          | e -> fail ~close:true Wire.Runtime (Printexc.to_string e)))
+      compile (fun () ->
+          let _, _, prepared = open_stmt ~oneshot:false ~values query in
+          respond t c prepared;
+          false)
+    | Wire.Query { query; values; window } ->
+      compile (fun () ->
+          let id, st, prepared = open_stmt ~oneshot:true ~values query in
+          execute ~first:prepared id st window)
+    | Wire.Execute { stmt; window } -> with_stmt stmt (fun st -> execute stmt st window)
     | Wire.Fetch { stmt; window } ->
-      (match Hashtbl.find_opt c.stmts stmt with
-       | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" stmt)
-       | Some st ->
-         send_window t c stmt st window;
-         false)
+      with_stmt stmt (fun st ->
+          send_window t c stmt st window;
+          false)
     | Wire.Close_stmt { stmt } ->
       Hashtbl.remove c.stmts stmt;
-      respond t c (Wire.Closed { stmt });
       false
     | Wire.Update { op } ->
       (try
@@ -371,107 +383,42 @@ let process t exec c (req : Wire.request) =
               message)
        | Engine.Runtime_error msg -> fail Wire.Runtime msg)
 
-let worker_loop t factory () =
-  let exec = factory () in
-  let rec take () =
-    Mutex.lock t.lock;
-    let rec wait () =
-      if not (Queue.is_empty t.queue) then begin
-        let c, req, t_enq = Queue.pop t.queue in
-        t.busy_count <- t.busy_count + 1;
-        Mutex.unlock t.lock;
-        Some (c, req, t_enq)
-      end
-      else if t.stopping && t.reads_done && t.busy_count = 0 then begin
-        Condition.broadcast t.cond;
-        Mutex.unlock t.lock;
-        None
-      end
-      else begin
-        Condition.wait t.cond t.lock;
-        wait ()
-      end
-    in
-    match wait () with
-    | None -> ()
-    | Some (c, req, t_enq) ->
-      let t0 = Metrics.now () in
-      Metrics.record t.metrics Metrics.Queue (t0 -. t_enq);
-      Metrics.incr t.metrics Metrics.Requests;
-      let close =
-        try process t exec c req
-        with e ->
-          respond t c (Wire.Error { code = Wire.Runtime; message = Printexc.to_string e });
-          true
-      in
-      Metrics.record t.metrics Metrics.Request (Metrics.now () -. t0);
-      locked t (fun () ->
-          if close then c.draining <- true;
-          if c.draining then begin
-            Queue.clear c.pending;
-            c.busy <- false;
-            destroy_conn t c
-          end
-          else if not (Queue.is_empty c.pending) then
-            (* keep [busy] set: the connection's next request goes straight
-               back on the dispatch queue, preserving per-connection order *)
-            Queue.push (c, Queue.pop c.pending, Metrics.now ()) t.queue
-          else c.busy <- false;
-          t.busy_count <- t.busy_count - 1;
-          Condition.broadcast t.cond);
-      take ()
-  in
-  take ()
-
 (* ------------------------------------------------------------------ *)
-(* Event loop                                                          *)
+(* Leading: accept, read, admit                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Admission and dispatch for freshly decoded requests. Runs under the
    server lock; admission rejections are returned for writing after the
-   lock is released. *)
+   lock is released. A rejected [Close_stmt] is counted but not
+   answered: a reply would be read as the answer to the client's next
+   request. *)
 let enqueue_requests t c reqs =
   let rejects = ref [] in
+  let reject req message =
+    Metrics.incr t.metrics Metrics.Rejected;
+    match req with
+    | Wire.Close_stmt _ -> ()
+    | _ -> rejects := Wire.Error { code = Wire.Admission; message } :: !rejects
+  in
+  let now = Metrics.now () in
   locked t (fun () ->
       if not c.draining then
         List.iter
           (fun req ->
-            if Queue.length c.pending >= t.cfg.queue_depth then begin
-              Metrics.incr t.metrics Metrics.Rejected;
-              rejects :=
-                Wire.Error
-                  {
-                    code = Wire.Admission;
-                    message = "request queue full, try again later";
-                  }
-                :: !rejects
-            end
+            if Queue.length c.pending >= t.cfg.queue_depth then
+              reject req "request queue full, try again later"
+            else if c.busy then Queue.push (req, now) c.pending
+            else if Queue.length t.queue >= t.cfg.queue_depth then
+              reject req "server overloaded, try again later"
             else begin
-              Queue.push req c.pending;
-              if not c.busy then begin
-                if Queue.length t.queue >= t.cfg.queue_depth then begin
-                  ignore (Queue.pop c.pending);
-                  Metrics.incr t.metrics Metrics.Rejected;
-                  rejects :=
-                    Wire.Error
-                      {
-                        code = Wire.Admission;
-                        message = "server overloaded, try again later";
-                      }
-                    :: !rejects
-                end
-                else begin
-                  c.busy <- true;
-                  Queue.push (c, Queue.pop c.pending, Metrics.now ()) t.queue;
-                  Metrics.note_max t.metrics Metrics.Queue_depth_hwm (Queue.length t.queue);
-                  Condition.broadcast t.cond
-                end
-              end
+              c.busy <- true;
+              Queue.push (c, req, now) t.queue;
+              Metrics.note_max t.metrics Metrics.Queue_depth_hwm (Queue.length t.queue)
             end)
           reqs);
   List.iter (fun resp -> respond t c resp) (List.rev !rejects)
 
-(* Event-loop side protocol failure: answer with a typed error frame and
+(* Leader side protocol failure: answer with a typed error frame and
    drain the connection; in-flight work still completes. *)
 let protocol_fail t c msg =
   respond t c (Wire.Error { code = Wire.Protocol; message = msg });
@@ -482,17 +429,18 @@ let protocol_fail t c msg =
         destroy_conn t c
       end)
 
+(* One sweep of a readable connection: [read_some] stops at the first
+   short read, so a spurious wakeup costs one [EAGAIN]. *)
 let handle_readable t c =
-  let rec read_chunks () =
+  let eof =
     match Wire.read_some c.rbuf c.fd with
     | 0 -> true
     | n ->
       Metrics.add t.metrics Metrics.Bytes_in n;
-      read_chunks ()
+      false
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> false
     | exception Unix.Unix_error _ -> true
   in
-  let eof = read_chunks () in
   let reqs = ref [] in
   let failed =
     match
@@ -588,59 +536,100 @@ let read_ready t conn_fds readable =
         try handle_readable t c with e -> protocol_fail t c (Printexc.to_string e))
     conn_fds
 
-let io_loop t () =
-  let rec loop () =
-    let stopping = locked t (fun () -> t.stopping) in
-    if stopping then drain_and_exit ()
-    else begin
-      let conn_fds = readable_conns t in
-      let read_set = t.listener :: t.pipe_r :: List.map fst conn_fds in
-      match Unix.select read_set [] [] 0.5 with
-      | exception Unix.Unix_error ((EINTR | EBADF), _, _) -> loop ()
-      | readable, _, _ ->
-        if List.mem t.pipe_r readable then begin
-          let scratch = Bytes.create 64 in
-          try ignore (Unix.read t.pipe_r scratch 0 64)
-          with Unix.Unix_error _ -> ()
-        end;
-        if List.mem t.listener readable then handle_accept t;
-        read_ready t conn_fds readable;
-        loop ()
-    end
-  and drain_and_exit () =
-    (* Final read sweep: the drain contract covers every request the
-       kernel had received when stop landed, not just frames this loop
-       had already decoded. One non-blocking select picks up bytes that
-       arrived while we were noticing [stopping]. *)
-    let conn_fds = readable_conns t in
-    (match Unix.select (List.map fst conn_fds) [] [] 0.0 with
+(* One turn as leader: wait until the listener, the wake pipe or a
+   connection is readable, then accept, read and admit. Once [stop] has
+   been called the turn is the final read sweep instead, and no worker
+   leads again: the drain covers every request the kernel had received
+   when stop landed, not just frames already decoded, so one
+   non-blocking select picks up what arrived meanwhile. *)
+let lead t =
+  let conn_fds = readable_conns t in
+  let fds = List.map fst conn_fds in
+  if locked t (fun () -> t.stopping) then begin
+    (match Unix.select fds [] [] 0.0 with
      | exception Unix.Unix_error _ -> ()
      | readable, _, _ -> read_ready t conn_fds readable);
     locked t (fun () ->
         t.reads_done <- true;
-        Condition.broadcast t.cond);
-    (* Drain: every queued and in-flight request finishes and its
-       response is written before any connection is torn down. *)
-    Mutex.lock t.lock;
-    while not (Queue.is_empty t.queue && t.busy_count = 0) do
-      Condition.wait t.cond t.lock
-    done;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.worker_domains;
-    locked t (fun () ->
-        let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-        List.iter
-          (fun c ->
-            (try ignore (Wire.send_response t.io_buf c.fd Wire.Bye)
-             with Unix.Unix_error _ | Wire.Codec _ -> ());
-            destroy_conn t c)
-          cs);
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-    try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+        Condition.broadcast t.cond)
+  end
+  else
+    match Unix.select (t.listener :: t.pipe_r :: fds) [] [] (-1.0) with
+    | exception Unix.Unix_error ((EINTR | EBADF), _, _) -> ()
+    | readable, _, _ ->
+      if List.mem t.pipe_r readable then begin
+        try ignore (Unix.read t.pipe_r (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ()
+      end;
+      if List.mem t.listener readable then handle_accept t;
+      read_ready t conn_fds readable
+
+(* ------------------------------------------------------------------ *)
+(* Workers: leader/followers                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Run one dispatched request, then put its connection's next one on the
+   dispatch queue. Returns with the server lock held. *)
+let run_job t exec (c, req, t_dec) =
+  let t0 = Metrics.now () in
+  Metrics.record t.metrics Metrics.Queue (t0 -. t_dec);
+  Metrics.incr t.metrics Metrics.Requests;
+  let close =
+    try process t exec c req
+    with e ->
+      respond t c (Wire.Error { code = Wire.Runtime; message = Printexc.to_string e });
+      true
   in
-  loop ()
+  Metrics.record t.metrics Metrics.Request (Metrics.now () -. t0);
+  Mutex.lock t.lock;
+  if close then c.draining <- true;
+  if c.draining then begin
+    Queue.clear c.pending;
+    c.busy <- false;
+    destroy_conn t c
+  end
+  else if not (Queue.is_empty c.pending) then begin
+    (* keep [busy] set: the connection's next request goes straight
+       back on the dispatch queue, preserving per-connection order *)
+    let req, t_dec = Queue.pop c.pending in
+    Queue.push (c, req, t_dec) t.queue
+  end
+  else c.busy <- false;
+  t.busy_count <- t.busy_count - 1
+
+(* Each worker loops: take a queued request if there is one, else lead
+   if no one does, else wait as a follower. The leader reads requests,
+   gives up the lead and runs the first one on its own domain; whoever
+   leaves queued work or an empty lead behind wakes one follower for it,
+   so a lone worker reads, runs and writes without a hand-off. *)
+let worker_loop t factory () =
+  let exec = factory () in
+  Mutex.lock t.lock;
+  let rec next () =
+    if not (Queue.is_empty t.queue) then begin
+      let job = Queue.pop t.queue in
+      t.busy_count <- t.busy_count + 1;
+      if not (Queue.is_empty t.queue && (t.leading || t.reads_done)) then
+        Condition.signal t.cond;
+      Mutex.unlock t.lock;
+      run_job t exec job;
+      if t.reads_done && t.busy_count = 0 then Condition.broadcast t.cond;
+      next ()
+    end
+    else if t.reads_done && t.busy_count = 0 then Mutex.unlock t.lock
+    else if not (t.leading || t.reads_done) then begin
+      t.leading <- true;
+      Mutex.unlock t.lock;
+      lead t;
+      Mutex.lock t.lock;
+      t.leading <- false;
+      next ()
+    end
+    else begin
+      Condition.wait t.cond t.lock;
+      next ()
+    end
+  in
+  next ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -679,29 +668,40 @@ let start ?(config = default_config) factory =
       conns = Hashtbl.create 64;
       next_cid = 1;
       busy_count = 0;
+      leading = false;
       stopping = false;
       reads_done = false;
       pipe_r;
       pipe_w;
       io_buf = Wire.buf_create ();
-      io_domain = None;
-      worker_domains = [];
+      workers = [];
     }
   in
-  t.worker_domains <-
-    List.init config.workers (fun _ -> Domain.spawn (worker_loop t factory));
-  t.io_domain <- Some (Domain.spawn (io_loop t));
+  t.workers <- List.init config.workers (fun _ -> Domain.spawn (worker_loop t factory));
   t
 
 let stop t =
-  let io =
+  let workers =
     locked t (fun () ->
         t.stopping <- true;
-        Condition.broadcast t.cond;
-        let io = t.io_domain in
-        t.io_domain <- None;
-        io)
+        let ws = t.workers in
+        t.workers <- [];
+        ws)
   in
-  (try ignore (Unix.write t.pipe_w (Bytes.of_string "x") 0 1)
-   with Unix.Unix_error _ -> ());
-  match io with None -> () | Some d -> Domain.join d
+  if workers <> [] then begin
+    (try ignore (Unix.write_substring t.pipe_w "x" 0 1) with Unix.Unix_error _ -> ());
+    (* The workers exit once the final sweep is read and every queued
+       and in-flight request has finished and written its response. *)
+    List.iter Domain.join workers;
+    locked t (fun () ->
+        let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+        List.iter
+          (fun c ->
+            (try ignore (Wire.send_response t.io_buf c.fd Wire.Bye)
+             with Unix.Unix_error _ | Wire.Codec _ -> ());
+            destroy_conn t c)
+          cs);
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.listener; t.pipe_r; t.pipe_w ]
+  end

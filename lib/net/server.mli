@@ -1,24 +1,35 @@
 (** Concurrent TCP server for the {!Wire} protocol.
 
-    One event-loop domain owns the listening socket and every connection
-    socket: it accepts, assembles length-prefixed frames incrementally
-    (nonblocking reads, per-connection reassembly buffers), and feeds
-    decoded requests into a bounded dispatch queue drained by a pool of
-    worker domains. A connection has at most one request in flight —
-    later frames queue on the connection — so per-connection statement
-    state (prepared statements, open cursors) is only ever touched by
-    one worker at a time and needs no locking.
+    A pool of worker domains serves every socket in the Leader/Followers
+    pattern (Schmidt et al., 2000); there is no separate event-loop
+    domain. An idle worker that finds the dispatch queue empty and no
+    other worker leading becomes the leader: it polls the listening
+    socket, a wake pipe and every live connection, accepts, reads
+    (nonblocking reads into per-connection reassembly buffers, stopping
+    at the first short read) and decodes, and admits the decoded
+    requests into a bounded dispatch queue. It then gives up the lead,
+    waking at most one follower to take it, and runs the first queued
+    request on its own domain. With one worker, the same domain reads,
+    runs and writes a request and no one is woken. A connection has at
+    most one request in flight — later frames queue on the connection —
+    so per-connection statement state (prepared statements, open
+    cursors) is only ever touched by one worker at a time and needs no
+    locking.
 
-    {b Admission control.} Connections beyond [max_connections] are
-    refused at accept with an [Admission] error frame; requests arriving
-    while the dispatch queue holds [queue_depth] entries are answered
+    {b Admission control.} Admission applies at every poll. Connections
+    beyond [max_connections] are refused at accept with an [Admission]
+    error frame; requests arriving while the dispatch queue (or their
+    connection's own queue) holds [queue_depth] entries are answered
     with an [Admission] error instead of being queued (the connection
-    survives). Overload therefore rejects rather than degrades.
+    survives; a rejected [Close_stmt] is counted but, having no reply,
+    not answered). Overload therefore rejects rather than degrades. A
+    burst that arrives while every worker is busy waits in the kernel
+    until the next poll.
 
     {b Backpressure.} Results stream in bounded windows: an [Execute]
-    response carries at most the fetch window of rows, the rest stays in
-    a server-side cursor until the client [Fetch]es — the server never
-    buffers an unbounded response into a socket.
+    or [Query] response carries at most the fetch window of rows, the
+    rest stays in a server-side cursor until the client [Fetch]es — the
+    server never buffers an unbounded response into a socket.
 
     {b Error containment.} Malformed frames and client disconnects are
     per-connection events: the connection gets a [Protocol] error frame
@@ -26,9 +37,11 @@
     Query-level failures (parse, unsupported, runtime) are answered with
     typed error frames on a connection that stays open.
 
-    {b Shutdown.} {!stop} stops accepting and reading, drains queued and
-    in-flight requests (their responses are written), then closes every
-    connection with [Bye] and joins the domains. *)
+    {b Shutdown.} {!stop} wakes the leader through the pipe; it makes a
+    final non-blocking read sweep, and no worker leads again. The
+    workers drain queued and in-flight requests (their responses are
+    written) and exit; {!stop} joins them, then closes every connection
+    with [Bye]. *)
 
 module Session = Ppfx_service.Session
 module Cluster = Ppfx_cluster.Cluster
@@ -40,7 +53,7 @@ module Sql = Ppfx_minidb.Sql
 type config = {
   host : string;  (** bind address, default 127.0.0.1 *)
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
-  workers : int;  (** executor domains, >= 1 *)
+  workers : int;  (** worker domains, >= 1; they take turns leading *)
   max_connections : int;  (** admission bound on concurrent connections *)
   queue_depth : int;  (** admission bound on queued requests *)
   max_frame : int;  (** frames above this are protocol errors *)
@@ -120,9 +133,9 @@ val columns_of_statement : Database.t option -> Sql.statement -> Wire.column lis
 type t
 
 val start : ?config:config -> (unit -> executor) -> t
-(** Bind, listen, spawn the event-loop domain and [workers] executor
-    domains (the factory runs once in each worker domain). SIGPIPE is
-    ignored process-wide so peer resets surface as [EPIPE]. *)
+(** Bind, listen and spawn exactly [workers] domains (the factory runs
+    once in each). SIGPIPE is ignored process-wide so peer resets
+    surface as [EPIPE]. *)
 
 val port : t -> int
 (** The bound port (useful with [port = 0]). *)
@@ -134,7 +147,8 @@ val metrics : t -> Metrics.t
     accepted / rejected / active connections, wire requests served
     ([Requests]) and rows sent ([Rows_sent]), bytes in and out,
     dispatch-queue depth high-water mark, and request latencies ([Queue]
-    = dispatch wait, [Request] = request service time). Plan executions
+    = from decode to the start of its run, [Request] = request service
+    time). Plan executions
     are counted by the executors' own sinks, so the two {!Metrics.absorb}
     into one report. *)
 

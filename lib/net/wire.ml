@@ -1,7 +1,7 @@
 module Value = Ppfx_minidb.Value
 module Codec = Ppfx_minidb.Codec
 
-let protocol_version = 3
+let protocol_version = 4
 
 let default_max_frame = 16 * 1024 * 1024
 
@@ -105,6 +105,7 @@ type request =
   | Ping
   | Quit
   | Update of { op : update_op }
+  | Query of { query : string; values : bool; window : int }
 
 type response =
   | Welcome of { version : int; server : string; shards : int }
@@ -115,7 +116,6 @@ type response =
       sql : string option;
     }
   | Rows of { stmt : int; rows : Value.t array list; more : bool }
-  | Closed of { stmt : int }
   | Pong
   | Error of { code : error_code; message : string }
   | Bye
@@ -185,6 +185,11 @@ let encode_request b = function
   | Update { op } ->
     Buffer.add_char b '\x08';
     put_update_op b op
+  | Query { query; values; window } ->
+    Buffer.add_char b '\x09';
+    Codec.put_string b query;
+    Codec.put_bool b values;
+    Codec.put_varint b window
 
 let put_column b { name; ty } =
   Codec.put_string b name;
@@ -207,9 +212,6 @@ let encode_response b = function
     Codec.put_varint b stmt;
     Codec.put_bool b more;
     Codec.put_list Codec.put_values b rows
-  | Closed { stmt } ->
-    Buffer.add_char b '\x84';
-    Codec.put_varint b stmt
   | Pong -> Buffer.add_char b '\x85'
   | Error { code; message } ->
     Buffer.add_char b '\x86';
@@ -269,6 +271,11 @@ let decode_request d =
   | 0x06 -> Ping
   | 0x07 -> Quit
   | 0x08 -> Update { op = get_update_op d }
+  | 0x09 ->
+    let query = Codec.get_string d in
+    let values = Codec.get_bool d in
+    let window = Codec.get_varint d in
+    Query { query; values; window }
   | t -> raise (Codec (Bad_tag t))
 
 let get_column d =
@@ -294,7 +301,6 @@ let decode_response d =
     let more = Codec.get_bool d in
     let rows = Codec.get_list Codec.get_values d in
     Rows { stmt; rows; more }
-  | 0x84 -> Closed { stmt = Codec.get_varint d }
   | 0x85 -> Pong
   | 0x86 ->
     let code = error_code_of_int (Codec.get_byte d) in
@@ -333,9 +339,10 @@ let response_of_payload s = decode decode_response s ~off:0 ~len:(String.length 
 (* Frame buffers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [b.(0 .. len-1)] holds frame bytes: a frame to write, or bytes read
-   and not yet decoded. [enc] is where a message is encoded before it
-   is framed into [b]. One per connection end, reused for every frame. *)
+(* [b.(0 .. len-1)] holds frame bytes: frames queued to write, or bytes
+   read and not yet decoded. [enc] is where a message is encoded before
+   it is framed into [b]. One per connection end, reused for every
+   frame. *)
 type buf = { enc : Buffer.t; mutable b : Bytes.t; mutable len : int }
 
 let buf_initial = 4096
@@ -360,6 +367,17 @@ let release w =
   if Buffer.length w.enc > buf_retained then Buffer.reset w.enc else Buffer.clear w.enc;
   if Bytes.length w.b > buf_retained then w.b <- Bytes.create buf_initial
 
+(* Drop the first [n] bytes, keeping the rest at the front. *)
+let consume w n =
+  let left = w.len - n in
+  if Bytes.length w.b > buf_retained && left <= buf_retained then begin
+    let b = Bytes.create (max buf_initial left) in
+    Bytes.blit w.b n b 0 left;
+    w.b <- b
+  end
+  else Bytes.blit w.b n w.b 0 left;
+  w.len <- left
+
 let frame_length ~max_frame b off =
   let n = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff in
   if n > max_frame then raise (Codec (Oversized n));
@@ -378,53 +396,72 @@ let rec restart_write fd bytes off len =
       ignore (Unix.select [] [ fd ] [] 1.0);
       restart_write fd bytes off len
 
-(* Encode into [w.enc], frame behind the 4-byte length prefix in [w.b],
-   write from there. *)
-let send encode w fd msg =
-  Fun.protect ~finally:(fun () -> release w) @@ fun () ->
+(* Encode into [w.enc] and frame it behind its 4-byte length prefix at
+   the end of [w.b]. *)
+let append encode w msg =
+  Buffer.clear w.enc;
   encode w.enc msg;
   let n = Buffer.length w.enc in
   reserve w (4 + n);
-  Bytes.set_int32_be w.b 0 (Int32.of_int n);
-  Buffer.blit w.enc 0 w.b 4 n;
-  restart_write fd w.b 0 (4 + n);
-  4 + n
+  Bytes.set_int32_be w.b w.len (Int32.of_int n);
+  Buffer.blit w.enc 0 w.b (w.len + 4) n;
+  w.len <- w.len + 4 + n
+
+let queue_request w req = append encode_request w req
+let queue_response w resp = append encode_response w resp
+
+(* Frame after whatever is queued, write it all from [w.b]. *)
+let send encode w fd msg =
+  Fun.protect ~finally:(fun () -> release w) @@ fun () ->
+  append encode w msg;
+  restart_write fd w.b 0 w.len;
+  w.len
 
 let send_request w fd req = send encode_request w fd req
 let send_response w fd resp = send encode_response w fd resp
 
-(* Read exactly [n] bytes into [w.b.(0 .. n-1)], discarding the old
-   content; [Exit] on a clean close before the first byte,
-   [Codec Truncated] on a close in the middle. *)
-let read_exactly fd w n ~at_start =
-  w.len <- 0;
-  if n > Bytes.length w.b then w.b <- Bytes.create n;
-  let rec go off =
-    if off = n then w.len <- n
-    else
-      match Unix.read fd w.b off (n - off) with
-      | 0 -> if off = 0 && at_start then raise Exit else raise (Codec Truncated)
-      | k -> go (off + k)
-      | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
-        ignore (Unix.select [ fd ] [] [] 1.0);
-        go off
-  in
-  go 0
+(* Read until [w.b] holds at least [need] bytes, taking whatever else is
+   available in the same reads; [false] at end of stream. *)
+let rec fill w fd need =
+  w.len >= need
+  || begin
+    reserve w (max buf_initial (need - w.len));
+    match Unix.read fd w.b w.len (Bytes.length w.b - w.len) with
+    | 0 -> false
+    | k ->
+      w.len <- w.len + k;
+      fill w fd need
+    | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
+      ignore (Unix.select [ fd ] [] [] 1.0);
+      fill w fd need
+  end
+
+(* A stream that cannot continue: drop what it left, raise [e]. *)
+let abandon w e =
+  release w;
+  raise e
 
 let recv_response ?(max_frame = default_max_frame) w fd =
-  Fun.protect ~finally:(fun () -> release w) @@ fun () ->
-  match read_exactly fd w 4 ~at_start:true with
-  | exception Exit -> None
-  | () ->
-    let n = frame_length ~max_frame w.b 0 in
-    read_exactly fd w n ~at_start:false;
-    Some (decode decode_response (Bytes.unsafe_to_string w.b) ~off:0 ~len:n)
+  if not (fill w fd 4) then if w.len = 0 then None else abandon w (Codec Truncated)
+  else begin
+    let n = try frame_length ~max_frame w.b 0 with e -> abandon w e in
+    if not (fill w fd (4 + n)) then abandon w (Codec Truncated);
+    (* The frame is consumed whether or not it decodes. *)
+    Fun.protect ~finally:(fun () -> consume w (4 + n)) @@ fun () ->
+    Some (decode decode_response (Bytes.unsafe_to_string w.b) ~off:4 ~len:n)
+  end
 
 let read_some w fd =
-  reserve w buf_initial;
-  let n = Unix.read fd w.b w.len (Bytes.length w.b - w.len) in
-  w.len <- w.len + n;
-  n
+  let rec go total =
+    reserve w buf_initial;
+    let room = Bytes.length w.b - w.len in
+    match Unix.read fd w.b w.len room with
+    | k ->
+      w.len <- w.len + k;
+      if k = room then go (total + k) else total + k
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) when total > 0 -> total
+  in
+  go 0
 
 let take_requests ?(max_frame = default_max_frame) w f =
   let s = Bytes.unsafe_to_string w.b in

@@ -2,8 +2,9 @@
 
     Every frame on the wire is a 4-byte big-endian payload length
     followed by exactly that many payload bytes; the first payload byte
-    is the message tag. Requests (client to server) use tags [0x01-0x08],
-    responses (server to client) [0x81-0x88]. The payload after the tag
+    is the message tag. Requests (client to server) use tags [0x01-0x09],
+    responses (server to client) [0x81-0x88], where [0x84] is retired
+    (version 3's [Closed]). The payload after the tag
     is written with {!Ppfx_minidb.Codec}'s primitives, the ones the
     database image and the write-ahead log use: integers are zigzag
     LEB128 varints, strings a varint byte length followed by the bytes,
@@ -13,6 +14,11 @@
     decoded without out-of-band schema knowledge, while the {!column}
     metadata sent with {!response.Prepared} gives the client static
     names and type hints.
+
+    Every request is answered by exactly one response frame, except
+    [Close_stmt], which has no reply, and [Query], which is answered by
+    [Prepared] followed by [Rows] (or by one [Error]). A client may
+    therefore write a [Close_stmt] together with its next request.
 
     The codec never reads past the declared payload: every field decode
     is bounds-checked against the length prefix, a payload with leftover
@@ -26,12 +32,14 @@
 module Value = Ppfx_minidb.Value
 
 val protocol_version : int
-(** Version 3, which moved every field to the varint codec (version 2
-    added the [values] byte of [Prepare]). Sent in [Hello], echoed in
-    [Welcome]; a server answers any other version with
-    [Version_mismatch]. An older client's [Hello] bytes do not decode as
-    a version-3 [Hello], so it gets a [Protocol] error instead; either
-    way the connection is closed. *)
+(** Version 4, which made [Close_stmt] reply-less (retiring [Closed])
+    and added the one-shot [Query] (version 3 moved every field to the
+    varint codec, version 2 added the [values] byte of [Prepare]). Sent
+    in [Hello], echoed in [Welcome]; a server answers any other version
+    with [Version_mismatch]. A version-3 [Hello] decodes and gets that;
+    an older client's [Hello] bytes do not decode as a current [Hello],
+    so it gets a [Protocol] error instead; either way the connection is
+    closed. *)
 
 val default_max_frame : int
 (** 16 MiB: the largest frame either side accepts by default. *)
@@ -97,11 +105,20 @@ type request =
   | Fetch of { stmt : int; window : int }
       (** next [window] rows of the statement's open cursor *)
   | Close_stmt of { stmt : int }
+      (** forget the statement and its cursor; no reply. An unknown id
+          is ignored, and a later [Execute] or [Fetch] of a closed id is
+          answered [Bad_statement]. *)
   | Ping
   | Quit
   | Update of { op : update_op }
       (** apply one subtree mutation; answered with [Updated] (or
           [Error] with [Runtime] on invalid targets/fragments) *)
+  | Query of { query : string; values : bool; window : int }
+      (** [Prepare] and [Execute] in one frame, answered in one write by
+          [Prepared] and the first [Rows] window (or by one [Error]).
+          The statement closes itself once its last window is sent: a
+          client [Fetch]es while [more] is set and sends no
+          [Close_stmt]. *)
 
 type response =
   | Welcome of { version : int; server : string; shards : int }
@@ -114,7 +131,6 @@ type response =
   | Rows of { stmt : int; rows : Value.t array list; more : bool }
       (** [more] is the backpressure signal: the cursor holds further
           rows and the client must [Fetch] to receive them *)
-  | Closed of { stmt : int }
   | Pong
   | Error of { code : error_code; message : string }
   | Bye
@@ -142,35 +158,47 @@ val response_of_payload : string -> response
 
     A growable byte buffer owned by one connection end and reused for
     every frame it moves: the server's per-connection send side (used
-    under that connection's write lock) and receive side (event loop
-    only), the event loop's own for frames to connections it does not
-    serve, a client's send and receive sides. A message is encoded once,
-    framed behind its length prefix in the buffer and written from it; a
-    received payload is decoded where it lies, bounded by the frame's
-    declared length, whatever the buffer held before. After a frame
-    larger than 256 KiB the buffer shrinks back to its initial 4 KiB (a
-    512-row window of [(id, dewey_pos)] rows is about 13 KiB). Buffers
-    are per connection, never per domain: two systhreads of one domain
-    may each drive a connection. *)
+    under that connection's write lock) and receive side (read by the
+    current leader only), the leader's own for frames to connections it
+    does not serve, a client's send and receive sides. A message is
+    encoded once, framed behind its length prefix in the buffer and
+    written from it; a receive side keeps whatever it read past the
+    frame it decoded for the next call, and a payload is decoded where it
+    lies, bounded by the frame's declared length. After a frame larger
+    than 256 KiB the buffer shrinks back to its initial 4 KiB (a 512-row
+    window of [(id, dewey_pos)] rows is about 13 KiB). Buffers are per
+    connection, never per domain: two systhreads of one domain may each
+    drive a connection. *)
 
 type buf
 
 val buf_create : unit -> buf
 
+val queue_request : buf -> request -> unit
+val queue_response : buf -> response -> unit
+(** Frame a message into the buffer without writing it: the next send
+    on this buffer writes it first, in the same [write]. *)
+
 val send_request : buf -> Unix.file_descr -> request -> int
 val send_response : buf -> Unix.file_descr -> response -> int
-(** Write one frame from the buffer, looping over partial writes;
-    returns the byte count. *)
+(** Write the queued frames and this one from the buffer, looping over
+    partial writes; returns the byte count. *)
 
 val recv_response : ?max_frame:int -> buf -> Unix.file_descr -> response option
-(** Read one frame into the buffer and decode it; [None] on a clean EOF
-    at a frame boundary. Raises [Codec Truncated] when the peer closes
-    mid-frame, and [Codec (Oversized _)] from the length prefix alone. *)
+(** Decode the next frame, reading only when the buffer does not hold it
+    whole, and then whatever the descriptor has available: several
+    frames that arrive together take one read. [None] on a clean EOF at
+    a frame boundary. A frame that fails to decode is still consumed.
+    Raises [Codec Truncated] when the peer closes mid-frame, and
+    [Codec (Oversized _)] from the length prefix alone. *)
 
 val read_some : buf -> Unix.file_descr -> int
-(** One [Unix.read] appended to the buffer's undecoded bytes; returns
-    its count (0 at end of stream) and raises what [Unix.read] raises,
-    so a nonblocking descriptor raises [EAGAIN] when it has nothing. *)
+(** Append what a nonblocking descriptor has to the buffer's undecoded
+    bytes: [Unix.read]s into the buffer's free room until one comes back
+    short, returning their total (0 at end of stream). Raises what
+    [Unix.read] raises, except that an [EAGAIN] or [EINTR] after a full
+    read ends the sweep, so it raises [EAGAIN] only when the descriptor
+    has nothing. *)
 
 val take_requests : ?max_frame:int -> buf -> (request -> unit) -> unit
 (** Decode every complete request frame at the front of the buffer where

@@ -2,8 +2,9 @@
    loopback: byte-identical results vs the in-process session, windowed
    fetch backpressure, concurrent clients through the pool, error
    containment (a malformed frame kills only its own connection),
-   admission control at both levels, and shutdown that drains in-flight
-   requests. *)
+   admission control at both levels, a reply-less Close_stmt pipelined
+   with the next request, a follower that leads while the leader runs,
+   and shutdown that drains in-flight requests. *)
 
 module Doc = Ppfx_xml.Doc
 module Loader = Ppfx_shred.Loader
@@ -36,6 +37,17 @@ let raw_sbuf = Wire.buf_create ()
 let raw_rbuf = Wire.buf_create ()
 let send fd req = ignore (Wire.send_request raw_sbuf fd req)
 let recv fd = Wire.recv_response raw_rbuf fd
+
+let readable fd = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  send fd (Wire.Hello { version = Wire.protocol_version; client = "raw" });
+  (match recv fd with
+   | Some (Wire.Welcome _) -> ()
+   | _ -> Alcotest.fail "no Welcome on raw connection");
+  fd
 
 (* ------------------------------------------------------------------ *)
 (* Result identity vs the in-process session                           *)
@@ -165,6 +177,37 @@ let old_version_refused version () =
   | Some _ -> Alcotest.fail "connection not closed after Version_mismatch"
   | exception Wire.Codec Wire.Truncated -> ()
 
+(* A [Close_stmt] has no reply, so a client can write it with its next
+   request: Prepare, Execute, Close_stmt and Ping in one write are
+   answered by exactly Prepared, Rows and Pong, and the server has
+   closed the statement before it reads anything later. *)
+let pipelined_close () =
+  with_server @@ fun server ->
+  let fd = raw_connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* Statement ids count from 1 on each connection. *)
+  List.iter (Wire.queue_request raw_sbuf)
+    [
+      Wire.Prepare { query = Xmark.query "Q1"; values = false };
+      Wire.Execute { stmt = 1; window = 0 };
+      Wire.Close_stmt { stmt = 1 };
+    ];
+  send fd Wire.Ping;
+  (match recv fd with
+   | Some (Wire.Prepared { stmt = 1; _ }) -> ()
+   | _ -> Alcotest.fail "expected Prepared");
+  (match recv fd with
+   | Some (Wire.Rows { stmt = 1; rows; more = false }) ->
+     Alcotest.(check bool) "rows" true (rows <> [])
+   | _ -> Alcotest.fail "expected the whole answer in one Rows");
+  (match recv fd with
+   | Some Wire.Pong -> ()
+   | _ -> Alcotest.fail "expected Pong next: Close_stmt has no reply");
+  send fd (Wire.Execute { stmt = 1; window = 0 });
+  match recv fd with
+  | Some (Wire.Error { code = Wire.Bad_statement; _ }) -> ()
+  | _ -> Alcotest.fail "a closed statement still executes"
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency: a pool of clients against one server                   *)
 (* ------------------------------------------------------------------ *)
@@ -215,15 +258,6 @@ let query_error_keeps_connection () =
   Client.ping c;
   Alcotest.(check bool) "still serves queries" true
     (Client.run_ids c (Xmark.query "Q1") <> [])
-
-let raw_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  send fd (Wire.Hello { version = Wire.protocol_version; client = "raw" });
-  (match recv fd with
-   | Some (Wire.Welcome _) -> ()
-   | _ -> Alcotest.fail "no Welcome on raw connection");
-  fd
 
 let malformed_frame_isolated () =
   with_server @@ fun server ->
@@ -427,8 +461,140 @@ let one_dump () =
       (List.exists (fun f -> String.starts_with ~prefix:"requests " f && f <> "requests 0") fields)
 
 (* ------------------------------------------------------------------ *)
+(* Leader/followers                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The run handle of [blocked_query] waits for the latch to open; a
+   worker inside it sets [entered]. *)
+type latch = {
+  m : Mutex.t;
+  cv : Condition.t;
+  mutable entered : bool;
+  mutable opened : bool;
+}
+
+let latch () = { m = Mutex.create (); cv = Condition.create (); entered = false; opened = false }
+
+let blocked_query = Xmark.query "Q1"
+
+let latched_factory l () =
+  let exec = Server.session_executor (Session.create store) in
+  let exec_prepare ~values q =
+    let sql, run = exec.Server.exec_prepare ~values q in
+    if q <> blocked_query then (sql, run)
+    else
+      ( sql,
+        fun () ->
+          Mutex.protect l.m (fun () ->
+              l.entered <- true;
+              Condition.broadcast l.cv;
+              while not l.opened do
+                Condition.wait l.cv l.m
+              done);
+          run () )
+  in
+  { exec with Server.exec_prepare }
+
+let await_entered l =
+  Mutex.protect l.m (fun () ->
+      while not l.entered do
+        Condition.wait l.cv l.m
+      done)
+
+let open_latch l =
+  Mutex.protect l.m (fun () ->
+      l.opened <- true;
+      Condition.broadcast l.cv)
+
+(* A's [Execute] of [blocked_query] on a raw connection, once a worker
+   is blocked inside it. *)
+let start_blocked server l =
+  let a = raw_connect (Server.port server) in
+  send a (Wire.Prepare { query = blocked_query; values = false });
+  (match recv a with
+   | Some (Wire.Prepared { stmt = 1; _ }) -> ()
+   | _ -> Alcotest.fail "prepare failed");
+  send a (Wire.Execute { stmt = 1; window = 0 });
+  await_entered l;
+  a
+
+(* Run [f] on a thread: whether it returned within [secs] (a failure
+   must not hang the suite). *)
+let finishes_within secs f =
+  let finished = Atomic.make false in
+  ignore (Thread.create (fun () -> f (); Atomic.set finished true) ());
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Atomic.get finished
+
+let expect_rows a =
+  match recv a with
+  | Some (Wire.Rows { rows; more = false; _ }) ->
+    Alcotest.(check bool) "A's rows" true (rows <> [])
+  | _ -> Alcotest.fail "expected A's Rows"
+
+(* With two workers and one blocked running A's request, the other reads
+   and runs B's requests itself: B's Ping and a whole [Client.run]
+   finish while A waits, and A's rows come once the latch opens. *)
+let follower_leads () =
+  let l = latch () in
+  let server =
+    Server.start ~config:{ Server.default_config with workers = 2 } (latched_factory l)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      open_latch l;
+      Server.stop server)
+  @@ fun () ->
+  let a = start_blocked server l in
+  Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+  let q = Xmark.query "Q3" and got = ref [] in
+  Alcotest.(check bool) "B's Ping and run finish while A is blocked" true
+    (finishes_within 5.0 (fun () ->
+         with_client server (fun b ->
+             Client.ping b;
+             got := Client.run_ids b q)));
+  Alcotest.(check (list int)) "B's answer" (Session.run_ids (Session.create store) q) !got;
+  Alcotest.(check bool) "nothing for A before the latch opens" false (readable a);
+  open_latch l;
+  expect_rows a
+
+(* ------------------------------------------------------------------ *)
 (* Shutdown drain                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* [stop] wakes the leader through its pipe and the followers through
+   the final sweep: an idle server stops at once, whatever its worker
+   count. *)
+let idle_stop_is_prompt () =
+  List.iter
+    (fun workers ->
+      let server = Server.start ~config:{ Server.default_config with workers } factory in
+      with_client server Client.ping;
+      if not (finishes_within 1.0 (fun () -> Server.stop server)) then
+        Alcotest.failf "stop with %d workers took over 1 s" workers)
+    [ 1; 2; 4 ]
+
+(* A request still running when [stop] lands writes its response, and
+   only then does the connection get [Bye]. *)
+let stop_drains_blocked () =
+  let l = latch () in
+  let server =
+    Server.start ~config:{ Server.default_config with workers = 2 } (latched_factory l)
+  in
+  let a = start_blocked server l in
+  Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+  let stopper = Thread.create Server.stop server in
+  Thread.delay 0.05;
+  open_latch l;
+  expect_rows a;
+  (match recv a with
+   | Some Wire.Bye | None -> ()
+   | Some _ -> Alcotest.fail "expected Bye after the drained response"
+   | exception Wire.Codec Wire.Truncated -> ());
+  Thread.join stopper
 
 let shutdown_drains () =
   let server = Server.start factory in
@@ -486,12 +652,16 @@ let () =
           Alcotest.test_case "values flag: 2 and 3 columns, same ids" `Quick values_flag;
           Alcotest.test_case "version-1 Hello is refused" `Quick (old_version_refused 1);
           Alcotest.test_case "version-2 Hello is refused" `Quick (old_version_refused 2);
+          Alcotest.test_case "version-3 Hello is refused" `Quick (old_version_refused 3);
+          Alcotest.test_case "Close_stmt pipelined without a reply" `Quick pipelined_close;
           Alcotest.test_case "a statement outlives its cache entry" `Quick
             prepared_outlives_eviction;
         ] );
       ( "concurrency",
-        [ Alcotest.test_case "8 threads through a 4-conn pool" `Quick
-            concurrent_pool ] );
+        [
+          Alcotest.test_case "8 threads through a 4-conn pool" `Quick concurrent_pool;
+          Alcotest.test_case "a follower leads while the leader runs" `Quick follower_leads;
+        ] );
       ( "containment",
         [
           Alcotest.test_case "query errors keep the connection" `Quick
@@ -520,6 +690,10 @@ let () =
       ( "shutdown",
         [
           Alcotest.test_case "drains in-flight requests" `Quick shutdown_drains;
+          Alcotest.test_case "idle stop returns within 1 s (1, 2, 4 workers)" `Quick
+            idle_stop_is_prompt;
+          Alcotest.test_case "a blocked request is answered before Bye" `Quick
+            stop_drains_blocked;
           Alcotest.test_case "stopped server refuses" `Quick
             stopped_server_refuses;
         ] );

@@ -85,6 +85,9 @@ let gen_request f =
         map2 (fun stmt window -> Wire.Fetch { stmt; window }) f.int f.int;
         map (fun stmt -> Wire.Close_stmt { stmt }) f.int;
         map (fun op -> Wire.Update { op }) (gen_update_op f);
+        map3
+          (fun query values window -> Wire.Query { query; values; window })
+          (f.bytes 64) bool f.int;
         return Wire.Ping;
         return Wire.Quit;
       ])
@@ -108,7 +111,6 @@ let gen_response f =
           f.int
           (list_size (0 -- 5) (gen_row f))
           bool;
-        map (fun stmt -> Wire.Closed { stmt }) f.int;
         map2
           (fun (inserted, updated, deleted) (new_paths, dead_paths) ->
             Wire.Updated { inserted; updated; deleted; new_paths; dead_paths })
@@ -320,7 +322,18 @@ let frame_layout () =
     (Wire.request_payload (Wire.Execute { stmt = 64; window = -1 }))
 
 let version_pinned () =
-  Alcotest.(check int) "protocol version" 3 Wire.protocol_version
+  Alcotest.(check int) "protocol version" 4 Wire.protocol_version
+
+(* Version 4: [Query] is tag 0x09 (query, values flag, window varint);
+   [Close_stmt] keeps tag 0x05 and its reply, [Closed] (0x84), is gone. *)
+let query_and_close_layout () =
+  Alcotest.(check string) "Query: tag, query, flag, window"
+    "\x09\x04//\x01\x08"
+    (Wire.request_payload (Wire.Query { query = "//"; values = true; window = 4 }));
+  Alcotest.(check string) "Close_stmt" "\x05\x0e"
+    (Wire.request_payload (Wire.Close_stmt { stmt = 7 }));
+  expect_codec "retired Closed tag" (Wire.Bad_tag 0x84) (fun () ->
+      Wire.response_of_payload "\x84\x0e")
 
 (* ------------------------------------------------------------------ *)
 (* Frame buffers                                                       *)
@@ -438,6 +451,29 @@ let prop_receive_buffer =
              ignore (Wire.recv_response w fd);
              Wire.recv_response w fd = None))
 
+(* Frames that arrive together take one read: after the first
+   [recv_response] the pipe is empty, and the rest come out of the
+   buffer, each once and in order, with nothing read past them. *)
+let frames_in_one_read () =
+  with_pipe @@ fun r w ->
+  let msgs = [ Wire.Pong; big_rows 10; Wire.Error { code = Wire.Runtime; message = "x" }; Wire.Bye ] in
+  write_all w (String.concat "" (List.map (fun m -> frame (Wire.response_payload m)) msgs));
+  let buf = Wire.buf_create () in
+  let first = Wire.recv_response buf r in
+  let drained = match Unix.select [ r ] [] [] 0.0 with [], _, _ -> true | _ -> false in
+  Alcotest.(check bool) "one read took every frame" true drained;
+  let got = first :: List.map (fun _ -> Wire.recv_response buf r) (List.tl msgs) in
+  List.iter2
+    (fun m g ->
+      match g with
+      | Some g ->
+        Alcotest.(check string) "frame in order" (Wire.response_payload m) (Wire.response_payload g)
+      | None -> Alcotest.fail "stream ended early")
+    msgs got;
+  write_all w (frame (Wire.response_payload Wire.Pong));
+  Alcotest.(check bool) "the next frame is read afresh" true
+    (Wire.recv_response buf r = Some Wire.Pong)
+
 (* A fetch window as a served read ships it: 512 (id, Dewey label) rows,
    ids near the XMark 10x point's and 18-byte labels (six 3-byte
    components). *)
@@ -512,12 +548,15 @@ let () =
           [ prop_frame_buffer; prop_receive_buffer; prop_reassembly ]
         @ [
             Alcotest.test_case "send from the buffer" `Quick send_from_buffer;
+            Alcotest.test_case "frames that arrive together take one read" `Quick
+              frames_in_one_read;
             Alcotest.test_case "512-row window: size and allocation" `Quick window_pins;
           ] );
       ( "layout",
         [
           Alcotest.test_case "frame layout" `Quick frame_layout;
           Alcotest.test_case "version" `Quick version_pinned;
+          Alcotest.test_case "Query and reply-less Close_stmt" `Quick query_and_close_layout;
           Alcotest.test_case "Prepare values flag" `Quick prepare_flag_layout;
         ] );
     ]
