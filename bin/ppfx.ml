@@ -426,8 +426,8 @@ let serve_cmd =
   in
   let window_arg =
     Arg.(value & opt int 512 & info [ "window" ] ~docv:"ROWS"
-           ~doc:"Server-side cap on rows per response frame; larger results \
-                 stream through Fetch.")
+           ~doc:"Rows per Rows frame; a larger answer goes out as several \
+                 frames written back to back.")
   in
   let data_dir_arg =
     Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"DIR"
@@ -699,11 +699,11 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve prepared XPath queries over the ppfx wire protocol: listen \
-             on TCP (--port), answer Prepare/Execute/Fetch requests from a \
+             on TCP (--port), answer Prepare/Execute/Query requests from a \
              pool of worker domains each owning a session (translation/plan \
              cache) over the shared store, with admission control \
-             (--max-conns, --queue-depth) and windowed result streaming \
-             (--window). With --shards N queries execute scatter-gather \
+             (--max-conns, --queue-depth); each answer goes out whole, \
+             --window rows a frame. With --shards N queries execute scatter-gather \
              across a shard domain pool. --stdio instead answers a batch of \
              queries from stdin/--queries through one in-process session and \
              exits, dumping serving metrics.")

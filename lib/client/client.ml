@@ -138,49 +138,39 @@ let columns s = s.cols
 let is_empty s = s.empty
 let sql s = s.sql_text
 
-(* The rows of a first [Rows] response and of every [Fetch] its [more]
-   asks for. *)
-let rec collect t ~window resp acc =
-  match resp with
-  | Wire.Rows { stmt; rows; more } ->
+(* The rows of an answer's first [Rows] frame and of every frame after
+   it, up to the one without [more]. *)
+let rec collect t acc = function
+  | Wire.Rows { rows; more; _ } ->
     let acc = List.rev_append rows acc in
-    if more then collect t ~window (request t (Wire.Fetch { stmt; window })) acc
-    else List.rev acc
-  | _ -> unexpected "Execute/Fetch"
+    if more then collect t acc (reply t) else List.rev acc
+  | _ -> unexpected "Execute"
 
 let names cols = List.map (fun c -> c.Wire.name) cols
 
-let execute_result ?(window = 0) t s =
+let execute_result t s =
   if s.empty then { Engine.columns = []; rows = [] }
   else
-    let rows = collect t ~window (request t (Wire.Execute { stmt = s.id; window })) [] in
+    let rows = collect t [] (request t (Wire.Execute { stmt = s.id })) in
     { Engine.columns = names s.cols; rows }
 
-let execute ?window t s =
-  let r = execute_result ?window t s in
+let execute t s =
+  let r = execute_result t s in
   List.map (Row.create ~columns:(names s.cols)) r.Engine.rows
 
 (* No reply to wait for: the frame goes out with the next request. *)
-let queue_close t stmt =
-  if not t.closed then Wire.queue_request t.sbuf (Wire.Close_stmt { stmt })
+let close_stmt t s =
+  if not t.closed then Wire.queue_request t.sbuf (Wire.Close_stmt { stmt = s.id })
 
-let close_stmt t s = queue_close t s.id
-
-let run_result ?(window = 0) ?(values = false) t query =
-  match request t (Wire.Query { query; values; window }) with
-  | Wire.Prepared { stmt; columns; empty; sql = _ } ->
-    let rows =
-      try collect t ~window (reply t) []
-      with e ->
-        (* A failed [Fetch] leaves the statement open on the server. *)
-        queue_close t stmt;
-        raise e
-    in
+let run_result ?(values = false) t query =
+  match request t (Wire.Query { query; values }) with
+  | Wire.Prepared { columns; empty; _ } ->
+    let rows = collect t [] (reply t) in
     if empty then { Engine.columns = []; rows = [] } else { Engine.columns = names columns; rows }
   | _ -> unexpected "Query"
 
-let run ?window ?values t query =
-  let r = run_result ?window ?values t query in
+let run ?values t query =
+  let r = run_result ?values t query in
   List.map (Row.create ~columns:r.Engine.columns) r.Engine.rows
 
 let run_ids t query = Translate.result_ids (run_result t query)

@@ -3,8 +3,8 @@
     One connection, one in-flight request: every call sends a frame and
     waits for its response, except {!close_stmt}, whose reply-less frame
     is written together with the next request. [execute] and the [run]
-    family transparently walk the server's bounded fetch windows, so
-    arbitrarily large results arrive in backpressured batches. Query-level failures ([Parse_error],
+    family read an answer's [Rows] frames, which the server writes back
+    to back, up to the last. Query-level failures ([Parse_error],
     [Unsupported], [Runtime], [Bad_statement], [Admission]) raise
     {!Server_error} and leave the connection usable; transport and
     framing failures raise {!Protocol_error} (or [Unix_error]) and mean
@@ -30,8 +30,9 @@ val connect :
     when the server refuses admission or the protocol versions differ.
     [timeout] (seconds) bounds the connect itself (nonblocking +
     select; [ETIMEDOUT] on expiry) and arms the socket send/receive
-    timeouts, so a stalled server surfaces as a [Unix_error] ([EAGAIN])
-    instead of blocking forever. *)
+    timeouts, so a server that stops answering surfaces as a
+    [Unix_error] ([EAGAIN]) once no byte arrives for [timeout], the
+    handshake included, instead of blocking forever. *)
 
 val close : t -> unit
 (** Best-effort [Quit]/[Bye], then close the socket. Idempotent. *)
@@ -62,11 +63,10 @@ val is_empty : stmt -> bool
 val sql : stmt -> string option
 (** The translated SQL text, as reported by the server. *)
 
-val execute : ?window:int -> t -> stmt -> Row.t list
-(** Run the statement and fetch the whole result, [window] rows per
-    round trip (0 = server default). *)
+val execute : t -> stmt -> Row.t list
+(** Run the statement: one round trip, the whole result. *)
 
-val execute_result : ?window:int -> t -> stmt -> Engine.result
+val execute_result : t -> stmt -> Engine.result
 (** Like {!execute} but as a raw {!Engine.result} (column names from the
     statement metadata) — the shape the in-process API returns, for
     byte-identical comparison. *)
@@ -79,13 +79,12 @@ val close_stmt : t -> stmt -> unit
 
 (** {2 One-shot conveniences} *)
 
-val run : ?window:int -> ?values:bool -> t -> string -> Row.t list
-(** One [Query] frame: the server prepares, executes and answers with
-    the statement's metadata and first window in one write, and closes
-    the statement itself after its last window. One round trip for a
-    result that fits the window; a larger one adds a [Fetch] a window. *)
+val run : ?values:bool -> t -> string -> Row.t list
+(** One [Query] frame, one round trip: the server prepares, executes and
+    answers with the statement's metadata and the whole result, and
+    keeps no statement. *)
 
-val run_result : ?window:int -> ?values:bool -> t -> string -> Engine.result
+val run_result : ?values:bool -> t -> string -> Engine.result
 
 val run_ids : t -> string -> int list
 (** [run] projected to sorted distinct element ids — the wire-protocol

@@ -168,14 +168,12 @@ let columns_of_statement db = function
    one domain. The first [Execute] on another worker prepares the text
    there (a plan-cache lookup on that worker's session); later ones
    neither re-parse nor look up, and still run after the cache has
-   evicted the entry. A statement a [Query] opened is [oneshot]: it
-   closes itself once its last window is sent. *)
+   evicted the entry. A [Query]'s statement is never entered here: its
+   answer goes out with its [Prepared] frame. *)
 type stmt = {
   text : string;
   values : bool;
-  oneshot : bool;
   mutable handles : (executor * (unit -> Engine.result)) list;
-  mutable cursor : Value.t array list;
 }
 
 type conn = {
@@ -222,16 +220,15 @@ let metrics t = t.metrics
 
 let locked t f = Mutex.protect t.lock f
 
-(* Best-effort write of [first] (when given) and [resp] in one [write].
-   Any transport failure marks the connection draining: the leader
-   stops reading it and it is destroyed once idle. Never raises. *)
-let respond ?first t c resp =
-  try
-    Mutex.protect c.wlock (fun () ->
-        Option.iter (Wire.queue_response c.wbuf) first;
-        Metrics.add t.metrics Metrics.Bytes_out (Wire.send_response c.wbuf c.fd resp))
-  with Unix.Unix_error _ | Wire.Codec _ ->
-    locked t (fun () -> c.draining <- true)
+(* Best-effort write under the connection's write lock: [write] sends
+   frames and returns their byte count. Any transport failure, a stalled
+   peer's included, marks the connection draining: the leader stops
+   reading it and it is destroyed once idle. Never raises. *)
+let writing t c write =
+  try Mutex.protect c.wlock (fun () -> Metrics.add t.metrics Metrics.Bytes_out (write ()))
+  with Unix.Unix_error _ | Wire.Codec _ -> locked t (fun () -> c.draining <- true)
+
+let respond t c resp = writing t c (fun () -> Wire.send_response c.wbuf c.fd resp)
 
 (* Server lock held. [shutdown] first: a leader blocked in select holds
    the socket open past [close], unseen by the peer; this wakes it. *)
@@ -249,23 +246,26 @@ let destroy_conn t c =
 (* Request processing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let take_rows n rows =
-  let rec go n acc rows =
-    match rows with
-    | [] -> (List.rev acc, [])
-    | _ when n = 0 -> (List.rev acc, rows)
-    | r :: rest -> go (n - 1) (r :: acc) rest
-  in
-  go (max 0 n) [] rows
-
-let send_window ?first t c id st window =
+(* Write [first] (when given) and the whole answer behind it, one walk
+   over the rows: [fetch_window] rows a [Rows] frame, [more] set on
+   every frame but the last, all under one hold of the write lock so no
+   other frame lands between them. *)
+let send_answer ?first t c id rows =
   let cap = t.cfg.fetch_window in
-  let w = if window <= 0 then cap else min window cap in
-  let batch, rest = take_rows w st.cursor in
-  st.cursor <- rest;
-  if st.oneshot && rest = [] then Hashtbl.remove c.stmts id;
-  Metrics.add t.metrics Metrics.Rows_sent (List.length batch);
-  respond ?first t c (Wire.Rows { stmt = id; rows = batch; more = rest <> [] })
+  writing t c @@ fun () ->
+  Option.iter (Wire.queue_response c.wbuf) first;
+  let rec walk bytes sent batch n = function
+    | r :: rest when n < cap -> walk bytes (sent + 1) (r :: batch) (n + 1) rest
+    | rest ->
+      let more = rest <> [] in
+      (* Counted before the last frame goes out: after it, the sink's
+         lock would contend with the work the answer sets off. *)
+      if not more then Metrics.add t.metrics Metrics.Rows_sent sent;
+      let frame = Wire.Rows { stmt = id; rows = List.rev batch; more } in
+      let bytes = bytes + Wire.send_response c.wbuf c.fd frame in
+      if more then walk bytes sent [] 0 rest else bytes
+  in
+  walk 0 0 [] 0 rows
 
 (* Returns [true] when the connection must drain (quit, fatal error). *)
 let process t exec c (req : Wire.request) =
@@ -273,17 +273,15 @@ let process t exec c (req : Wire.request) =
     respond t c (Wire.Error { code; message });
     close
   in
-  (* Prepare [query] on this worker as a new statement; returns its id,
-     the statement and its [Prepared] frame. Raises the parse and
-     unsupported errors [compile] answers. *)
-  let open_stmt ~oneshot ~values query =
+  (* Prepare [query] on this worker under a new statement id; returns
+     the id, the run handle and its [Prepared] frame. Raises the parse
+     and unsupported errors [compile] answers. *)
+  let prepare ~values query =
     let sql, run = exec.exec_prepare ~values query in
     let id = c.next_stmt in
     c.next_stmt <- id + 1;
-    let st = { text = query; values; oneshot; handles = [ (exec, run) ]; cursor = [] } in
-    Hashtbl.replace c.stmts id st;
     let columns = Option.fold ~none:[] ~some:(columns_of_statement exec.exec_db) sql in
-    (id, st, Wire.Prepared { stmt = id; columns; empty = sql = None; sql = Option.map Sql.to_string sql })
+    (id, run, Wire.Prepared { stmt = id; columns; empty = sql = None; sql = Option.map Sql.to_string sql })
   in
   let compile f =
     try f () with
@@ -291,31 +289,24 @@ let process t exec c (req : Wire.request) =
       fail Wire.Parse_error (Printf.sprintf "XPath parse error at offset %d: %s" position message)
     | Translate.Unsupported msg -> fail Wire.Unsupported msg
   in
-  (* Run statement [id] through this worker's handle and send its first
-     window, behind [first] when given. *)
-  let execute ?first id st window =
-    try
-      let run =
-        match List.assq_opt exec st.handles with
-        | Some run -> run
-        | None ->
-          let _, run = exec.exec_prepare ~values:st.values st.text in
-          st.handles <- (exec, run) :: st.handles;
-          run
-      in
-      st.cursor <- (run ()).Engine.rows;
-      send_window ?first t c id st window;
+  (* Run statement [id] and send its whole answer, behind [first] when
+     given. *)
+  let answer ?first id run =
+    match run () with
+    | r ->
+      send_answer ?first t c id r.Engine.rows;
       false
-    with e -> (
-      if st.oneshot then Hashtbl.remove c.stmts id;
-      match e with
-      | Engine.Runtime_error msg -> fail Wire.Runtime msg
-      | e -> fail ~close:true Wire.Runtime (Printexc.to_string e))
+    | exception Engine.Runtime_error msg -> fail Wire.Runtime msg
+    | exception e -> fail ~close:true Wire.Runtime (Printexc.to_string e)
   in
-  let with_stmt id f =
-    match Hashtbl.find_opt c.stmts id with
-    | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" id)
-    | Some st -> f st
+  (* This worker's handle for [st], prepared here on first use. *)
+  let handle st =
+    match List.assq_opt exec st.handles with
+    | Some run -> run
+    | None ->
+      let _, run = exec.exec_prepare ~values:st.values st.text in
+      st.handles <- (exec, run) :: st.handles;
+      run
   in
   if not c.hello_done then
     match req with
@@ -347,18 +338,18 @@ let process t exec c (req : Wire.request) =
       true
     | Wire.Prepare { query; values } ->
       compile (fun () ->
-          let _, _, prepared = open_stmt ~oneshot:false ~values query in
+          let id, run, prepared = prepare ~values query in
+          Hashtbl.replace c.stmts id { text = query; values; handles = [ (exec, run) ] };
           respond t c prepared;
           false)
-    | Wire.Query { query; values; window } ->
+    | Wire.Query { query; values } ->
       compile (fun () ->
-          let id, st, prepared = open_stmt ~oneshot:true ~values query in
-          execute ~first:prepared id st window)
-    | Wire.Execute { stmt; window } -> with_stmt stmt (fun st -> execute stmt st window)
-    | Wire.Fetch { stmt; window } ->
-      with_stmt stmt (fun st ->
-          send_window t c stmt st window;
-          false)
+          let id, run, prepared = prepare ~values query in
+          answer ~first:prepared id run)
+    | Wire.Execute { stmt } ->
+      (match Hashtbl.find_opt c.stmts stmt with
+       | None -> fail Wire.Bad_statement (Printf.sprintf "unknown statement %d" stmt)
+       | Some st -> answer stmt (fun () -> handle st ()))
     | Wire.Close_stmt { stmt } ->
       Hashtbl.remove c.stmts stmt;
       false
@@ -637,6 +628,7 @@ let worker_loop t factory () =
 
 let start ?(config = default_config) factory =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
+  if config.fetch_window < 1 then invalid_arg "Server.start: fetch_window must be >= 1";
   (* Peer resets must surface as EPIPE on write, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

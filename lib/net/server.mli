@@ -12,9 +12,8 @@
     request on its own domain. With one worker, the same domain reads,
     runs and writes a request and no one is woken. A connection has at
     most one request in flight — later frames queue on the connection —
-    so per-connection statement state (prepared statements, open
-    cursors) is only ever touched by one worker at a time and needs no
-    locking.
+    so per-connection statement state (prepared statements) is only ever
+    touched by one worker at a time and needs no locking.
 
     {b Admission control.} Admission applies at every poll. Connections
     beyond [max_connections] are refused at accept with an [Admission]
@@ -26,10 +25,15 @@
     burst that arrives while every worker is busy waits in the kernel
     until the next poll.
 
-    {b Backpressure.} Results stream in bounded windows: an [Execute]
-    or [Query] response carries at most the fetch window of rows, the
-    rest stays in a server-side cursor until the client [Fetch]es — the
-    server never buffers an unbounded response into a socket.
+    {b Backpressure.} The worker that runs an [Execute] or [Query]
+    writes its whole answer, [fetch_window] rows a [Rows] frame, back to
+    back under the connection's write lock; the server keeps no cursor.
+    A frame is encoded into the connection's send buffer and written
+    before the next is encoded, so a worker holds one frame at a time,
+    and the socket's flow control paces it. A peer that stops reading
+    holds the worker only for the write stall bound: once the send
+    buffer has stayed full for 10 s the write fails and the connection
+    is closed.
 
     {b Error containment.} Malformed frames and client disconnects are
     per-connection events: the connection gets a [Protocol] error frame
@@ -57,14 +61,14 @@ type config = {
   max_connections : int;  (** admission bound on concurrent connections *)
   queue_depth : int;  (** admission bound on queued requests *)
   max_frame : int;  (** frames above this are protocol errors *)
-  fetch_window : int;  (** server-side cap on rows per [Rows] frame *)
+  fetch_window : int;  (** rows per [Rows] frame of an answer *)
   server_name : string;  (** advertised in [Welcome] *)
   shards : int;  (** advertised in [Welcome] *)
 }
 
 val default_config : config
 (** 127.0.0.1:0, 2 workers, 64 connections, 64 queued requests, 16 MiB
-    frames, 512-row fetch windows. *)
+    frames, 512 rows a [Rows] frame. *)
 
 (** {2 Executors}
 
@@ -134,7 +138,7 @@ type t
 
 val start : ?config:config -> (unit -> executor) -> t
 (** Bind, listen and spawn exactly [workers] domains (the factory runs
-    once in each). SIGPIPE is ignored process-wide so peer resets
+    once in each); [workers] and [fetch_window] must be at least 1. SIGPIPE is ignored process-wide so peer resets
     surface as [EPIPE]. *)
 
 val port : t -> int

@@ -1,7 +1,7 @@
 module Value = Ppfx_minidb.Value
 module Codec = Ppfx_minidb.Codec
 
-let protocol_version = 4
+let protocol_version = 5
 
 let default_max_frame = 16 * 1024 * 1024
 
@@ -99,13 +99,12 @@ type update_op =
 type request =
   | Hello of { version : int; client : string }
   | Prepare of { query : string; values : bool }
-  | Execute of { stmt : int; window : int }
-  | Fetch of { stmt : int; window : int }
+  | Execute of { stmt : int }
   | Close_stmt of { stmt : int }
   | Ping
   | Quit
   | Update of { op : update_op }
-  | Query of { query : string; values : bool; window : int }
+  | Query of { query : string; values : bool }
 
 type response =
   | Welcome of { version : int; server : string; shards : int }
@@ -169,14 +168,9 @@ let encode_request b = function
     Buffer.add_char b '\x02';
     Codec.put_string b query;
     Codec.put_bool b values
-  | Execute { stmt; window } ->
+  | Execute { stmt } ->
     Buffer.add_char b '\x03';
-    Codec.put_varint b stmt;
-    Codec.put_varint b window
-  | Fetch { stmt; window } ->
-    Buffer.add_char b '\x04';
-    Codec.put_varint b stmt;
-    Codec.put_varint b window
+    Codec.put_varint b stmt
   | Close_stmt { stmt } ->
     Buffer.add_char b '\x05';
     Codec.put_varint b stmt
@@ -185,11 +179,10 @@ let encode_request b = function
   | Update { op } ->
     Buffer.add_char b '\x08';
     put_update_op b op
-  | Query { query; values; window } ->
+  | Query { query; values } ->
     Buffer.add_char b '\x09';
     Codec.put_string b query;
-    Codec.put_bool b values;
-    Codec.put_varint b window
+    Codec.put_bool b values
 
 let put_column b { name; ty } =
   Codec.put_string b name;
@@ -259,14 +252,7 @@ let decode_request d =
     let query = Codec.get_string d in
     let values = Codec.get_bool d in
     Prepare { query; values }
-  | 0x03 ->
-    let stmt = Codec.get_varint d in
-    let window = Codec.get_varint d in
-    Execute { stmt; window }
-  | 0x04 ->
-    let stmt = Codec.get_varint d in
-    let window = Codec.get_varint d in
-    Fetch { stmt; window }
+  | 0x03 -> Execute { stmt = Codec.get_varint d }
   | 0x05 -> Close_stmt { stmt = Codec.get_varint d }
   | 0x06 -> Ping
   | 0x07 -> Quit
@@ -274,8 +260,7 @@ let decode_request d =
   | 0x09 ->
     let query = Codec.get_string d in
     let values = Codec.get_bool d in
-    let window = Codec.get_varint d in
-    Query { query; values; window }
+    Query { query; values }
   | t -> raise (Codec (Bad_tag t))
 
 let get_column d =
@@ -387,14 +372,20 @@ let frame_length ~max_frame b off =
 (* Transport                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Seconds a write waits for room in a full send buffer before it gives
+   up: a peer that stops reading cannot hold a server worker longer. *)
+let write_stall_bound = 10.0
+
 let rec restart_write fd bytes off len =
-  if len = 0 then ()
-  else
+  if len > 0 then
     match Unix.write fd bytes off len with
     | n -> restart_write fd bytes (off + n) (len - n)
-    | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
-      ignore (Unix.select [] [ fd ] [] 1.0);
-      restart_write fd bytes off len
+    | exception Unix.Unix_error (EINTR, _, _) -> restart_write fd bytes off len
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> (
+      match Unix.select [] [ fd ] [] write_stall_bound with
+      | _, [], _ -> raise (Unix.Unix_error (ETIMEDOUT, "write", ""))
+      | _ -> restart_write fd bytes off len
+      | exception Unix.Unix_error (EINTR, _, _) -> restart_write fd bytes off len)
 
 (* Encode into [w.enc] and frame it behind its 4-byte length prefix at
    the end of [w.b]. *)
@@ -421,7 +412,8 @@ let send_request w fd req = send encode_request w fd req
 let send_response w fd resp = send encode_response w fd resp
 
 (* Read until [w.b] holds at least [need] bytes, taking whatever else is
-   available in the same reads; [false] at end of stream. *)
+   available in the same reads; [false] at end of stream. The descriptor
+   blocks, so an [EAGAIN] is an expired receive timeout and raises. *)
 let rec fill w fd need =
   w.len >= need
   || begin
@@ -431,9 +423,7 @@ let rec fill w fd need =
     | k ->
       w.len <- w.len + k;
       fill w fd need
-    | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
-      ignore (Unix.select [ fd ] [] [] 1.0);
-      fill w fd need
+    | exception Unix.Unix_error (EINTR, _, _) -> fill w fd need
   end
 
 (* A stream that cannot continue: drop what it left, raise [e]. *)

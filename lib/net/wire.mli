@@ -3,22 +3,23 @@
     Every frame on the wire is a 4-byte big-endian payload length
     followed by exactly that many payload bytes; the first payload byte
     is the message tag. Requests (client to server) use tags [0x01-0x09],
-    responses (server to client) [0x81-0x88], where [0x84] is retired
-    (version 3's [Closed]). The payload after the tag
-    is written with {!Ppfx_minidb.Codec}'s primitives, the ones the
-    database image and the write-ahead log use: integers are zigzag
-    LEB128 varints, strings a varint byte length followed by the bytes,
-    flags one byte (0 or 1), an optional a flag then the value, a list a
-    varint count then the elements. Cells are self-describing (a
-    one-byte type tag before the value), so a result stream can be
-    decoded without out-of-band schema knowledge, while the {!column}
-    metadata sent with {!response.Prepared} gives the client static
-    names and type hints.
+    where [0x04] is retired (version 4's next-window request); responses
+    (server to client) use [0x81-0x88], where [0x84] is retired (version
+    3's [Closed]). The payload after the tag is written with
+    {!Ppfx_minidb.Codec}'s primitives, the ones the database image and
+    the write-ahead log use: integers are zigzag LEB128 varints, strings
+    a varint byte length followed by the bytes, flags one byte (0 or 1),
+    an optional a flag then the value, a list a varint count then the
+    elements. Cells are self-describing (a one-byte type tag before the
+    value), so a result stream can be decoded without out-of-band schema
+    knowledge, while the {!column} metadata sent with
+    {!response.Prepared} gives the client static names and type hints.
 
     Every request is answered by exactly one response frame, except
-    [Close_stmt], which has no reply, and [Query], which is answered by
-    [Prepared] followed by [Rows] (or by one [Error]). A client may
-    therefore write a [Close_stmt] together with its next request.
+    [Close_stmt], which has no reply, and [Execute] and [Query], whose
+    answer goes out whole: [Rows] frames back to back, after [Prepared]
+    for a [Query] (or one [Error] instead). A client may therefore write
+    a [Close_stmt] together with its next request.
 
     The codec never reads past the declared payload: every field decode
     is bounds-checked against the length prefix, a payload with leftover
@@ -32,14 +33,16 @@
 module Value = Ppfx_minidb.Value
 
 val protocol_version : int
-(** Version 4, which made [Close_stmt] reply-less (retiring [Closed])
-    and added the one-shot [Query] (version 3 moved every field to the
-    varint codec, version 2 added the [values] byte of [Prepare]). Sent
-    in [Hello], echoed in [Welcome]; a server answers any other version
-    with [Version_mismatch]. A version-3 [Hello] decodes and gets that;
-    an older client's [Hello] bytes do not decode as a current [Hello],
-    so it gets a [Protocol] error instead; either way the connection is
-    closed. *)
+(** Version 5, which sends an answer whole (retiring the next-window
+    request and the window fields of [Execute] and [Query]). Version 4
+    made [Close_stmt] reply-less (retiring [Closed]) and added the
+    one-shot [Query], version 3 moved every field to the varint codec,
+    version 2 added the [values] byte of [Prepare]. Sent in [Hello],
+    echoed in [Welcome]; a server answers any other version with
+    [Version_mismatch]. A version-3 or version-4 [Hello] decodes and
+    gets that; an older client's [Hello] bytes do not decode as a
+    current [Hello], so it gets a [Protocol] error instead; either way
+    the connection is closed. *)
 
 val default_max_frame : int
 (** 16 MiB: the largest frame either side accepts by default. *)
@@ -99,26 +102,22 @@ type request =
           With [values], they also project each node's string value as
           [value]. [text()]- and attribute-final statements project
           [value] either way. *)
-  | Execute of { stmt : int; window : int }
-      (** run the prepared statement; stream at most [window] rows back
-          (0 means the server's default fetch window) *)
-  | Fetch of { stmt : int; window : int }
-      (** next [window] rows of the statement's open cursor *)
+  | Execute of { stmt : int }
+      (** run the prepared statement; answered by its whole result as
+          [Rows] frames *)
   | Close_stmt of { stmt : int }
-      (** forget the statement and its cursor; no reply. An unknown id
-          is ignored, and a later [Execute] or [Fetch] of a closed id is
-          answered [Bad_statement]. *)
+      (** forget the statement; no reply. An unknown id is ignored, and
+          a later [Execute] of a closed id is answered [Bad_statement]. *)
   | Ping
   | Quit
   | Update of { op : update_op }
       (** apply one subtree mutation; answered with [Updated] (or
           [Error] with [Runtime] on invalid targets/fragments) *)
-  | Query of { query : string; values : bool; window : int }
-      (** [Prepare] and [Execute] in one frame, answered in one write by
-          [Prepared] and the first [Rows] window (or by one [Error]).
-          The statement closes itself once its last window is sent: a
-          client [Fetch]es while [more] is set and sends no
-          [Close_stmt]. *)
+  | Query of { query : string; values : bool }
+      (** [Prepare] and [Execute] in one frame, answered by [Prepared]
+          and then the whole result as [Rows] frames (or by one
+          [Error]). The statement is not kept: a later [Execute] of its
+          id is answered [Bad_statement]. *)
 
 type response =
   | Welcome of { version : int; server : string; shards : int }
@@ -129,8 +128,7 @@ type response =
       sql : string option;  (** translated SQL text, when any *)
     }
   | Rows of { stmt : int; rows : Value.t array list; more : bool }
-      (** [more] is the backpressure signal: the cursor holds further
-          rows and the client must [Fetch] to receive them *)
+      (** [more]: another frame of this answer follows *)
   | Pong
   | Error of { code : error_code; message : string }
   | Bye
@@ -182,7 +180,9 @@ val queue_response : buf -> response -> unit
 val send_request : buf -> Unix.file_descr -> request -> int
 val send_response : buf -> Unix.file_descr -> response -> int
 (** Write the queued frames and this one from the buffer, looping over
-    partial writes; returns the byte count. *)
+    partial writes; returns the byte count. A send buffer that stays
+    full for 10 s (a peer that stopped reading) fails the write with
+    [Unix_error ETIMEDOUT]. *)
 
 val recv_response : ?max_frame:int -> buf -> Unix.file_descr -> response option
 (** Decode the next frame, reading only when the buffer does not hold it
@@ -190,7 +190,8 @@ val recv_response : ?max_frame:int -> buf -> Unix.file_descr -> response option
     frames that arrive together take one read. [None] on a clean EOF at
     a frame boundary. A frame that fails to decode is still consumed.
     Raises [Codec Truncated] when the peer closes mid-frame, and
-    [Codec (Oversized _)] from the length prefix alone. *)
+    [Codec (Oversized _)] from the length prefix alone. The descriptor
+    must block: an [EAGAIN] (an expired [SO_RCVTIMEO]) raises. *)
 
 val read_some : buf -> Unix.file_descr -> int
 (** Append what a nonblocking descriptor has to the buffer's undecoded

@@ -32,7 +32,7 @@ type counter =
   | Fallbacks  (** cluster queries run on one store: their SQL was not shard-partitionable *)
   | Rows  (** answer rows produced (per shard, or overall) *)
   | Accepted | Rejected  (** connections/requests past or refused by admission control *)
-  | Requests  (** wire requests a server worker served (Prepare, Execute, Fetch, ...) *)
+  | Requests  (** wire requests a server worker served (Prepare, Execute, Query, ...) *)
   | Rows_sent  (** rows a server wrote in [Rows] frames *)
   | Active | Peak_active  (** live connections, and their high-water mark *)
   | Bytes_in | Bytes_out

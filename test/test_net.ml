@@ -1,7 +1,8 @@
 (* Integration tests for the wire-protocol server and typed client over
-   loopback: byte-identical results vs the in-process session, windowed
-   fetch backpressure, concurrent clients through the pool, error
-   containment (a malformed frame kills only its own connection),
+   loopback: byte-identical results vs the in-process session, answers
+   written whole in window-sized frames, concurrent clients through the
+   pool, error containment (a malformed frame kills only its own
+   connection, a peer that stops reading is cut off), client timeouts,
    admission control at both levels, a reply-less Close_stmt pipelined
    with the next request, a follower that leads while the leader runs,
    and shutdown that drains in-flight requests. *)
@@ -65,7 +66,7 @@ let workload_identical () =
     Xmark.queries
 
 let rows_identical_windowed () =
-  (* A 2-row fetch window forces the Execute/Fetch/more loop; the
+  (* A 2-row window splits each answer into many [Rows] frames; the
      reassembled result must still equal the in-process one, row for
      row, value for value. *)
   with_server ~config:{ Server.default_config with fetch_window = 2 }
@@ -189,7 +190,7 @@ let pipelined_close () =
   List.iter (Wire.queue_request raw_sbuf)
     [
       Wire.Prepare { query = Xmark.query "Q1"; values = false };
-      Wire.Execute { stmt = 1; window = 0 };
+      Wire.Execute { stmt = 1 };
       Wire.Close_stmt { stmt = 1 };
     ];
   send fd Wire.Ping;
@@ -203,10 +204,70 @@ let pipelined_close () =
   (match recv fd with
    | Some Wire.Pong -> ()
    | _ -> Alcotest.fail "expected Pong next: Close_stmt has no reply");
-  send fd (Wire.Execute { stmt = 1; window = 0 });
+  send fd (Wire.Execute { stmt = 1 });
   match recv fd with
   | Some (Wire.Error { code = Wire.Bad_statement; _ }) -> ()
   | _ -> Alcotest.fail "a closed statement still executes"
+
+(* The rows an in-process session answers [q] with. *)
+let local_rows q =
+  let session = Session.create store in
+  List.length (Session.execute session (Session.prepare session q)).Ppfx_minidb.Engine.rows
+
+(* [Rows] frames of one answer until the one without [more]: each
+   frame's row count, in order. *)
+let recv_answer fd =
+  let rec go acc =
+    match recv fd with
+    | Some (Wire.Rows { rows; more; _ }) ->
+      let acc = List.length rows :: acc in
+      if more then go acc else List.rev acc
+    | _ -> Alcotest.fail "expected Rows"
+  in
+  go []
+
+(* An answer goes out whole: with a 2-row window, an [Execute] and a
+   [Ping] in one write get ceil(rows/2) [Rows] frames, [more] on all but
+   the last, and then [Pong], with no request in between. *)
+let answer_written_whole () =
+  with_server ~config:{ Server.default_config with fetch_window = 2 } @@ fun server ->
+  let fd = raw_connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let q = "//item/name" in
+  let n = local_rows q in
+  Alcotest.(check bool) "more than two rows" true (n > 2);
+  send fd (Wire.Prepare { query = q; values = false });
+  (match recv fd with
+   | Some (Wire.Prepared { stmt = 1; _ }) -> ()
+   | _ -> Alcotest.fail "expected Prepared");
+  Wire.queue_request raw_sbuf (Wire.Execute { stmt = 1 });
+  send fd Wire.Ping;
+  let frames = recv_answer fd in
+  Alcotest.(check int) "frames" ((n + 1) / 2) (List.length frames);
+  Alcotest.(check int) "rows" n (List.fold_left ( + ) 0 frames);
+  Alcotest.(check bool) "full frames but the last" true
+    (List.for_all (( = ) 2) (List.filteri (fun i _ -> i < List.length frames - 1) frames));
+  match recv fd with
+  | Some Wire.Pong -> ()
+  | _ -> Alcotest.fail "expected Pong after the answer"
+
+(* A [Query]'s statement is not kept: executing its id is answered
+   [Bad_statement]. *)
+let query_stmt_not_kept () =
+  with_server @@ fun server ->
+  let fd = raw_connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Wire.Query { query = Xmark.query "Q1"; values = false });
+  let stmt =
+    match recv fd with
+    | Some (Wire.Prepared { stmt; _ }) -> stmt
+    | _ -> Alcotest.fail "expected Prepared"
+  in
+  ignore (recv_answer fd);
+  send fd (Wire.Execute { stmt });
+  match recv fd with
+  | Some (Wire.Error { code = Wire.Bad_statement; _ }) -> ()
+  | _ -> Alcotest.fail "a Query's statement executes again"
 
 (* ------------------------------------------------------------------ *)
 (* Concurrency: a pool of clients against one server                   *)
@@ -292,7 +353,7 @@ let abrupt_disconnect_isolated () =
   send fd (Wire.Prepare { query = Xmark.query "Q1"; values = false });
   (match recv fd with
    | Some (Wire.Prepared { stmt; _ }) ->
-     send fd (Wire.Execute { stmt; window = 0 })
+     send fd (Wire.Execute { stmt })
    | _ -> Alcotest.fail "prepare failed");
   Unix.close fd;
   (* The server must absorb the dead peer (EPIPE/ECONNRESET on its
@@ -514,7 +575,7 @@ let start_blocked server l =
   (match recv a with
    | Some (Wire.Prepared { stmt = 1; _ }) -> ()
    | _ -> Alcotest.fail "prepare failed");
-  send a (Wire.Execute { stmt = 1; window = 0 });
+  send a (Wire.Execute { stmt = 1 });
   await_entered l;
   a
 
@@ -562,6 +623,79 @@ let follower_leads () =
   expect_rows a
 
 (* ------------------------------------------------------------------ *)
+(* Stalled peers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A server that never answers: a socket that listens but never accepts,
+   so a connect completes in the kernel and the handshake gets no reply.
+   [Client.connect ~timeout] raises instead of waiting, and so does a
+   pool built with [~timeout]. *)
+let client_timeout_fires () =
+  let l = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close l) @@ fun () ->
+  Unix.bind l (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen l 8;
+  let port = match Unix.getsockname l with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  let raised = ref false in
+  Alcotest.(check bool) "connect returns within 2 s" true
+    (finishes_within 2.0 (fun () ->
+         match Client.connect ~timeout:0.3 ~port () with
+         | c -> Client.close c
+         | exception Unix.Unix_error _ -> raised := true));
+  Alcotest.(check bool) "connect raised Unix_error" true !raised;
+  let pool = Pool.create ~size:1 ~retries:2 ~backoff:0.01 ~timeout:0.3 ~port () in
+  let pool_raised = ref false in
+  Alcotest.(check bool) "the pool returns within 2 s" true
+    (finishes_within 2.0 (fun () ->
+         match Pool.run_ids pool "//item" with
+         | _ -> ()
+         | exception Pool.Retries_exhausted _ -> pool_raised := true));
+  Alcotest.(check bool) "the pool raised" true !pool_raised;
+  Pool.close pool
+
+(* A query the test executor answers with [big_rows], about 20 MB on the
+   wire: more than the socket buffers of both ends hold. *)
+let big_query = "big answer"
+
+let big_rows =
+  let text = Ppfx_minidb.Value.Str (String.make 200 'x') in
+  List.init 100_000 (fun i -> [| Ppfx_minidb.Value.Int i; text |])
+
+let big_factory () =
+  let exec = factory () in
+  let exec_prepare ~values q =
+    if q <> big_query then exec.Server.exec_prepare ~values q
+    else (None, fun () -> { Ppfx_minidb.Engine.columns = [ "id"; "value" ]; rows = big_rows })
+  in
+  { exec with Server.exec_prepare }
+
+(* A peer that sends a [Query] with a large answer and never reads holds
+   its worker only for the write stall bound (10 s): meanwhile the other
+   worker serves another client, and then the stalled connection is
+   closed. *)
+let stalled_reader_cut_off () =
+  let server = Server.start ~config:{ Server.default_config with workers = 2 } big_factory in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+  send fd (Wire.Hello { version = Wire.protocol_version; client = "stalled" });
+  (match recv fd with Some (Wire.Welcome _) -> () | _ -> Alcotest.fail "no Welcome");
+  let sent = Unix.gettimeofday () in
+  send fd (Wire.Query { query = big_query; values = false });
+  let q = Xmark.query "Q3" and got = ref [] in
+  Alcotest.(check bool) "another client is served meanwhile" true
+    (finishes_within 5.0 (fun () -> with_client server (fun b -> got := Client.run_ids b q)));
+  Alcotest.(check (list int)) "its answer" (Session.run_ids (Session.create store) q) !got;
+  let m = Server.metrics server in
+  while Metrics.get m Metrics.Active > 0 && Unix.gettimeofday () -. sent < 15.0 do
+    Thread.delay 0.05
+  done;
+  Alcotest.(check int) "the stalled connection is closed within 15 s" 0
+    (Metrics.get m Metrics.Active)
+
+(* ------------------------------------------------------------------ *)
 (* Shutdown drain                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -607,12 +741,12 @@ let shutdown_drains () =
   in
   (* Fire the request and only then stop the server: the response must
      still arrive (drained), followed by Bye. *)
-  send fd (Wire.Execute { stmt; window = 0 });
+  send fd (Wire.Execute { stmt });
   let stopper = Thread.create (fun () -> Server.stop server) () in
   (match recv fd with
    | Some (Wire.Rows { rows; more; _ }) ->
      Alcotest.(check bool) "in-flight request completed" true (rows <> []);
-     Alcotest.(check bool) "no dangling cursor" false more
+     Alcotest.(check bool) "the whole answer in one frame" false more
    | Some r ->
      Alcotest.failf "expected Rows, got %s"
        (match r with
@@ -653,7 +787,10 @@ let () =
           Alcotest.test_case "version-1 Hello is refused" `Quick (old_version_refused 1);
           Alcotest.test_case "version-2 Hello is refused" `Quick (old_version_refused 2);
           Alcotest.test_case "version-3 Hello is refused" `Quick (old_version_refused 3);
+          Alcotest.test_case "version-4 Hello is refused" `Quick (old_version_refused 4);
           Alcotest.test_case "Close_stmt pipelined without a reply" `Quick pipelined_close;
+          Alcotest.test_case "an answer is written whole" `Quick answer_written_whole;
+          Alcotest.test_case "a Query's statement is not kept" `Quick query_stmt_not_kept;
           Alcotest.test_case "a statement outlives its cache entry" `Quick
             prepared_outlives_eviction;
         ] );
@@ -670,6 +807,9 @@ let () =
             malformed_frame_isolated;
           Alcotest.test_case "abrupt disconnect mid-request" `Quick
             abrupt_disconnect_isolated;
+          Alcotest.test_case "a peer that stops reading is cut off" `Quick
+            stalled_reader_cut_off;
+          Alcotest.test_case "client timeouts fire" `Quick client_timeout_fires;
         ] );
       ( "admission",
         [

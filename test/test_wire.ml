@@ -81,13 +81,10 @@ let gen_request f =
           (fun version client -> Wire.Hello { version; client })
           f.int (f.bytes 16);
         map2 (fun query values -> Wire.Prepare { query; values }) (f.bytes 64) bool;
-        map2 (fun stmt window -> Wire.Execute { stmt; window }) f.int f.int;
-        map2 (fun stmt window -> Wire.Fetch { stmt; window }) f.int f.int;
+        map (fun stmt -> Wire.Execute { stmt }) f.int;
         map (fun stmt -> Wire.Close_stmt { stmt }) f.int;
         map (fun op -> Wire.Update { op }) (gen_update_op f);
-        map3
-          (fun query values window -> Wire.Query { query; values; window })
-          (f.bytes 64) bool f.int;
+        map2 (fun query values -> Wire.Query { query; values }) (f.bytes 64) bool;
         return Wire.Ping;
         return Wire.Quit;
       ])
@@ -317,19 +314,22 @@ let frame_layout () =
     (Wire.request_payload Wire.Ping);
   Alcotest.(check string) "Bye is tag 0x87" "\x87"
     (Wire.response_payload Wire.Bye);
-  Alcotest.(check string) "Execute: tag, then zigzag varints"
-    "\x03\x80\x01\x01"
-    (Wire.request_payload (Wire.Execute { stmt = 64; window = -1 }))
+  Alcotest.(check string) "Execute: tag, then a zigzag varint"
+    "\x03\x80\x01"
+    (Wire.request_payload (Wire.Execute { stmt = 64 }))
 
 let version_pinned () =
-  Alcotest.(check int) "protocol version" 4 Wire.protocol_version
+  Alcotest.(check int) "protocol version" 5 Wire.protocol_version
 
-(* Version 4: [Query] is tag 0x09 (query, values flag, window varint);
-   [Close_stmt] keeps tag 0x05 and its reply, [Closed] (0x84), is gone. *)
+(* Version 5: [Query] is tag 0x09 (query, values flag) and [Fetch]
+   (0x04) is gone; [Close_stmt] keeps tag 0x05 and its reply, [Closed]
+   (0x84), is gone. *)
 let query_and_close_layout () =
-  Alcotest.(check string) "Query: tag, query, flag, window"
-    "\x09\x04//\x01\x08"
-    (Wire.request_payload (Wire.Query { query = "//"; values = true; window = 4 }));
+  Alcotest.(check string) "Query: tag, query, flag"
+    "\x09\x04//\x01"
+    (Wire.request_payload (Wire.Query { query = "//"; values = true }));
+  expect_codec "retired Fetch tag" (Wire.Bad_tag 0x04) (fun () ->
+      Wire.request_of_payload "\x04\x02\x00");
   Alcotest.(check string) "Close_stmt" "\x05\x0e"
     (Wire.request_payload (Wire.Close_stmt { stmt = 7 }));
   expect_codec "retired Closed tag" (Wire.Bad_tag 0x84) (fun () ->
