@@ -166,10 +166,10 @@ let create ?pool_size ?(cache_capacity = 256) ?options ~shards:nshards schema tr
 (* ------------------------------------------------------------------ *)
 
 (* A durable cluster's data directory holds one WAL store per physical
-   store: [full/] for the coordinator (its checkpoints carry the shadow
-   forest and the routing extras) and [shard-<k>/] for each shard
-   (db-only: shard replay needs just the changesets and their routed
-   [inserts] flags). *)
+   store: [full/] for the coordinator (its checkpoints carry the
+   shadow's trees and id counters and the routing extras) and
+   [shard-<k>/] for each shard (db-only: shard replay needs just the
+   changesets and their routed [inserts] flags). *)
 let full_dir data_dir = Filename.concat data_dir "full"
 let shard_dir data_dir s = Filename.concat data_dir (Printf.sprintf "shard-%d" s)
 

@@ -82,8 +82,9 @@ val close : t -> unit
 
     A durable cluster keeps one {!Ppfx_wal.Store} per physical store
     under a data directory: [full/] for the coordinator — whose
-    checkpoints carry the shadow forest and the routing extras
-    (partition counts + boundary fks) — and [shard-<k>/] per shard.
+    checkpoints carry the shadow's trees and id counters and the
+    routing extras (partition counts + boundary fks) — and [shard-<k>/]
+    per shard.
     {!update} appends the commit record to every log ({e before}
     applying and acking, fsynced per the durability policy), so at any
     crash point recovery rebuilds exactly the acked prefix. *)
@@ -115,9 +116,9 @@ val open_durable :
   (t, string) result
 (** Cold-start a cluster from its data directory, skipping shredding
     entirely: recover the full store (checkpoint snapshot + WAL replay
-    through {!Wstore.rebuild_full}, re-validating the shadow against the
-    recovered relations), recover every shard named by the routing
-    extras, and reopen all logs for append. The shard count, partition
+    through {!Wstore.rebuild_full}, rebuilding the shadow from the
+    sidecar's trees and the recovered relations), recover every shard
+    named by the routing extras, and reopen all logs for append. The shard count, partition
     counts and boundary-fk set come from the last acked commit's extras.
     Recovery statistics flow into {!metrics} / {!shard_metrics}. *)
 

@@ -159,6 +159,21 @@ let of_raw s =
    | _ -> ());
   s
 
+(* [p]'s bytes, then careting (even) components, then one odd one. The
+   offset is even, so a component's parity is that of its last byte. *)
+let child_of_raw s ~parent:p =
+  let n = String.length s and m = String.length p in
+  if n <= m || (n - m) mod component_bytes <> 0 || not (String.starts_with ~prefix:p s)
+  then invalid "label is not a child of its parent's";
+  let i = ref m in
+  while !i < n do
+    if Char.code s.[!i] land 0x80 <> 0 then invalid "ordpath component with top bit set";
+    let odd = Char.code s.[!i + 2] land 1 = 1 in
+    if odd <> (!i + component_bytes = n) then invalid "label is not a child of its parent's";
+    i := !i + component_bytes
+  done;
+  s
+
 let to_dotted t = String.concat "." (List.map string_of_int (to_components t))
 
 let pp ppf t = Format.pp_print_string ppf (to_dotted t)

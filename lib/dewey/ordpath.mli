@@ -63,5 +63,12 @@ val of_raw : string -> t
     a table's label column). Validates the encoding; raises {!Invalid}
     on malformed bytes. *)
 
+val child_of_raw : string -> parent:t -> t
+(** Re-adopt bytes read back from a label column as a child label of
+    [parent]: [parent]'s bytes, then careting components, then one odd
+    component, as {!child} and {!insert_between} build it. Raises
+    {!Invalid} otherwise. Only the bytes past [parent]'s are decoded, and
+    nothing is allocated. *)
+
 val to_dotted : t -> string
 val pp : Format.formatter -> t -> unit

@@ -67,8 +67,9 @@ let no_write_path _ =
   raise (Update.Update_error "server has no write path (read-only store)")
 
 (* The checkpoint sidecar of a single updatable store: the schema, the
-   shadow forest (so recovery can re-validate and keep mutating), no
-   cluster extras. *)
+   shadow's trees and id counters (recovery rebuilds the shadow from
+   them and the snapshot's rows, then keeps mutating), no cluster
+   extras. *)
 let store_meta u =
   {
     Wrecord.m_schema = Mapping.schema (Update.store u).Loader.mapping;

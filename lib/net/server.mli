@@ -98,8 +98,9 @@ type executor = {
 }
 
 val store_meta : Ppfx_update.Update.t -> Ppfx_wal.Record.meta
-(** The checkpoint sidecar of a single updatable store: current schema +
-    shadow forest, no cluster extras. What {!session_executor}'s WAL
+(** The checkpoint sidecar of a single updatable store: current schema,
+    the shadow's trees and id counters ({!Ppfx_update.Update.shadow}),
+    no cluster extras. What {!session_executor}'s WAL
     checkpoints write, and what a clean shutdown should pass to
     {!Ppfx_wal.Store.close_clean}. *)
 

@@ -10,6 +10,7 @@ type t = {
   mapping : Mapping.t;
   db : Database.t;
   docs : Doc.t list;
+  next_id : int;
 }
 
 exception Rejected of string
@@ -19,10 +20,9 @@ let reject fmt = Format.kasprintf (fun m -> raise (Rejected m)) fmt
 let create mapping =
   let db = Database.create () in
   Mapping.create_tables mapping db;
-  { mapping; db; docs = [] }
+  { mapping; db; docs = []; next_id = 1 }
 
-(* Path ids are 1-based row positions in the Paths table plus one lookup
-   structure kept implicit: we re-find through the table's [path] index. *)
+(* A path's id is found through the Paths table's [path] index. *)
 let path_id t path =
   let paths = Database.table t.db Mapping.paths_table in
   match Table.index_on paths [ "path" ] with
@@ -35,14 +35,25 @@ let path_id t path =
         | Value.Int id -> Some id
         | _ -> None))
 
-let intern_path t path =
+(* A fresh path takes the id after the largest one in Paths, not after
+   the row count: the write path deletes the rows of dead paths, and a
+   snapshot drops them. *)
+let intern_path t ~next path =
   match path_id t path with
   | Some id -> id
   | None ->
     let paths = Database.table t.db Mapping.paths_table in
-    let id = Table.row_count paths + 1 in
+    let id = !next in
+    next := id + 1;
     ignore (Table.insert paths [| Value.Int id; Value.Str path |]);
     id
+
+let next_path_id t =
+  let top = ref 0 in
+  Table.iter_rows
+    (fun _ row -> match row.(0) with Value.Int id -> top := max !top id | _ -> ())
+    (Database.table t.db Mapping.paths_table);
+  !top + 1
 
 (* The stored label of an element: the ORDPATH encoding of the document
    id followed by the element's Dewey vector, every component mapped to
@@ -88,9 +99,10 @@ let load ?keep t doc =
   let ords, sibling_counts = sibling_ranks doc in
   let schema = Mapping.schema t.mapping in
   let doc_id = List.length t.docs + 1 in
-  (* Global ids: offset this document's preorder ids past all previously
-     loaded elements; global label: prefix the doc_id component. *)
-  let offset = List.fold_left (fun acc d -> acc + Doc.size d) 0 t.docs in
+  (* Global ids: number this document's elements from [next_id], past
+     every id handed out before; global label: prefix the doc_id
+     component. *)
+  let offset = t.next_id - 1 in
   let global i = if i = 0 then 0 else i + offset in
   (* Assign schema vertices top-down. *)
   let assignment = Array.make (Doc.size doc + 1) (-1) in
@@ -115,6 +127,7 @@ let load ?keep t doc =
       assignment.(e.Doc.id) <- def.Graph.id;
       def
   in
+  let next_path = ref (next_path_id t) in
   (* Insert in document order so parents precede children. Elements are
      always assigned to schema vertices and their paths always interned —
      even when [keep] drops the row — so every partition of one document
@@ -123,46 +136,22 @@ let load ?keep t doc =
   Doc.iter
     (fun e ->
       let def = assign e in
-      let pid = intern_path t e.Doc.path in
+      let pid = intern_path t ~next:next_path e.Doc.path in
       if keep e then begin
-      let table = Database.table t.db (Mapping.relation t.mapping def) in
-      let parents = Graph.parents schema def in
-      let fk_values =
-        List.map
-          (fun p ->
-            if e.Doc.parent <> 0 && assignment.(e.Doc.parent) = p.Graph.id then
-              Value.Int (global e.Doc.parent)
-            else Value.Null)
-          parents
-      in
-      let doc_col = if e.Doc.parent = 0 then [ Value.Int doc_id ] else [] in
-      let attr_values =
-        List.map
-          (fun a ->
-            match List.assoc_opt a e.Doc.attrs with
-            | Some v -> Value.Str v
-            | None -> Value.Null)
-          def.Graph.attrs
-      in
-      let ord = ords.(e.Doc.id) and sibs = sibling_counts.(e.Doc.id) in
-      let row =
-        Array.of_list
-          ([ Value.Int (global e.Doc.id) ]
-          @ doc_col @ fk_values
-          @ [
-              Value.Bin (label ~doc_id e.Doc.dewey);
-              Value.Int pid;
-              Value.Str e.Doc.string_value;
-              Value.Str e.Doc.text;
-              Value.Int ord;
-              Value.Int sibs;
-            ]
-          @ attr_values)
-      in
-      ignore (Table.insert table row)
+        let parent =
+          if e.Doc.parent = 0 then None
+          else Some (vertex_of assignment.(e.Doc.parent), global e.Doc.parent)
+        in
+        let row =
+          Mapping.row t.mapping def ~id:(global e.Doc.id) ~doc_id ~parent
+            ~label:(label ~doc_id e.Doc.dewey) ~path_id:pid ~text:e.Doc.string_value
+            ~dtext:e.Doc.text ~ord:ords.(e.Doc.id) ~sibs:sibling_counts.(e.Doc.id)
+            ~attr:(fun a -> List.assoc_opt a e.Doc.attrs)
+        in
+        ignore (Table.insert (Database.table t.db (Mapping.relation t.mapping def)) row)
       end)
     doc;
-  { t with docs = t.docs @ [ doc ] }
+  { t with docs = t.docs @ [ doc ]; next_id = t.next_id + Doc.size doc }
 
 let shred schema doc = load (create (Mapping.of_schema schema)) doc
 

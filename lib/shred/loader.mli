@@ -7,6 +7,9 @@ type t = {
   mapping : Mapping.t;
   db : Ppfx_minidb.Database.t;
   docs : Doc.t list;  (** loaded documents, in [doc_id] order starting at 1 *)
+  next_id : int;
+      (** the id the next loaded element receives: one past every id
+          handed out so far *)
 }
 (** A loaded store instance. *)
 
@@ -27,13 +30,13 @@ val load : ?keep:(Doc.element -> bool) -> t -> Doc.t -> t
 (** Shred one document into the store; assigns the next [doc_id]. The
     [Paths] relation grows with any paths not seen before (Section 3.1).
 
-    Element ids are made globally unique by offsetting each document's
-    preorder ids past the previous documents', and stored labels are
+    Element ids are made globally unique by numbering each document's
+    preorder ids from [next_id], and stored labels are
     ORDPATH encodings prefixed with a [doc_id] component (every document
     root becomes a child of a virtual collection root) — see {!label}.
     Structural joins therefore never cross documents; the order axes see
-    the store as one forest ordered by [doc_id]. Raises {!Rejected} on
-    schema mismatch.
+    the store as one forest ordered by [doc_id]. A new path's id is one
+    past the largest in [Paths]. Raises {!Rejected} on schema mismatch.
 
     [keep] (default: keep everything) selects the subset of elements whose
     rows are stored — the cluster layer's partitioned loading. Dropped
@@ -47,8 +50,8 @@ val load : ?keep:(Doc.element -> bool) -> t -> Doc.t -> t
 val locate : t -> int -> int * int
 (** [locate t global_id] is [(doc_index, local_id)]: which loaded
     document (0-based) a global element id belongs to, and its preorder
-    id within that document. Raises [Invalid_argument] when out of
-    range. *)
+    id within that document, for a store built by loads alone. Raises
+    [Invalid_argument] when out of range. *)
 
 val shred : Graph.t -> Doc.t -> t
 (** Convenience: mapping + create + load of a single document. *)

@@ -54,6 +54,31 @@ val dtext_column : string
 val columns_of_def : t -> Graph.def -> Ppfx_minidb.Table.column list
 (** The full column list of the definition's relation, in order. *)
 
+val row :
+  t ->
+  Graph.def ->
+  id:int ->
+  doc_id:int ->
+  parent:(Graph.def * int) option ->
+  label:string ->
+  path_id:int ->
+  text:string ->
+  dtext:string ->
+  ord:int ->
+  sibs:int ->
+  attr:(string -> string option) ->
+  Ppfx_minidb.Value.t array
+(** One element's fact row, laid out as {!columns_of_def}: the one row
+    builder behind the loader and the write path. [parent] is the
+    parent's definition and element id ([None] for a document root,
+    whose row carries [doc_id]); each foreign key other than the
+    parent's is NULL. [attr] looks up a declared attribute's value. *)
+
+val label_pos : t -> Graph.def -> int
+(** Position of [dewey_pos] in the definition's rows; [path_id] follows
+    it. [id] is always column 0, and [doc_id] column 1 of the root
+    relation. *)
+
 val create_tables : t -> Ppfx_minidb.Database.t -> unit
 (** Create all mapping relations (including [Paths]) with their indexes.
     Every element fact table is partitioned by [path_id] with

@@ -70,9 +70,9 @@ let rec iter_subtree f n =
 type t = {
   mutable store : Loader.t;
   mutable roots : node list;  (** document order *)
-  by_id : (int, node) Hashtbl.t;
-  path_ids : (string, int) Hashtbl.t;  (** live paths -> pathid *)
-  path_refs : (int, int) Hashtbl.t;  (** pathid -> live element count *)
+  mutable by_id : (int, node) Hashtbl.t;
+  mutable path_ids : (string, int) Hashtbl.t;  (** live paths -> pathid *)
+  mutable path_refs : (int, int) Hashtbl.t;  (** pathid -> live element count *)
   mutable next_id : int;
   mutable next_path_id : int;
 }
@@ -88,6 +88,7 @@ let find u id =
 
 let node_exists u id = Hashtbl.mem u.by_id id
 let node_path u id = (find u id).n_path
+let node_path_id u id = (find u id).n_path_id
 let node_tag u id = tag (find u id)
 let node_label u id = Ordpath.to_raw (find u id).n_label
 let node_relation u id =
@@ -127,71 +128,23 @@ let rec tree_of_node n =
 let current_trees u = List.map tree_of_node u.roots
 
 (* ------------------------------------------------------------------ *)
-(* Shadow construction                                                 *)
+(* Fragment validation                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let child_def schema parent_def t =
   List.find_opt (fun c -> String.equal c.Graph.name t) (Graph.children schema parent_def)
 
-(* Build the shadow of [tree] with [def] at [root_label], assigning
-   fresh preorder ids and interning paths through [intern]. Does not
-   attach the result anywhere. *)
-let build_subtree u ~doc ~def ~path ~root_label ~intern tree =
-  let schema = Mapping.schema u.store.Loader.mapping in
-  let rec build def path label parent (e : Tree.element) =
-    let id = u.next_id in
-    u.next_id <- id + 1;
-    let pid = intern path in
-    let n =
-      {
-        n_id = id;
-        n_doc = doc;
-        n_def = def;
-        n_label = label;
-        n_path = path;
-        n_path_id = pid;
-        n_attrs = List.filter (fun (a, _) -> List.mem a def.Graph.attrs) e.Tree.attrs;
-        n_items = [];
-        n_parent = parent;
-      }
-    in
-    let seq = ref 0 in
-    n.n_items <-
-      List.map
-        (function
-          | Tree.Text s -> I_text s
-          | Tree.Element c ->
-            incr seq;
-            let cdef =
-              match child_def schema def c.Tree.tag with
-              | Some d -> d
-              | None ->
-                error "element %s at %s does not match the schema" c.Tree.tag path
-            in
-            I_node
-              (build cdef
-                 (path ^ "/" ^ c.Tree.tag)
-                 (Ordpath.child label !seq) (Some n) c))
-        e.Tree.children;
-    Hashtbl.replace u.by_id id n;
-    Hashtbl.replace u.path_refs pid
-      (1 + Option.value ~default:0 (Hashtbl.find_opt u.path_refs pid));
-    n
-  in
-  match tree with
-  | Tree.Text _ -> error "fragment must be an element"
-  | Tree.Element e ->
-    (match def with
-     | Some d when not (String.equal d.Graph.name e.Tree.tag) ->
-       error "fragment root %s does not match expected element %s" e.Tree.tag
-         d.Graph.name
-     | _ -> ());
-    let d =
-      match def with
-      | Some d -> d
-      | None -> error "build_subtree: no definition"
-    in
-    build d path root_label None e
+(* The definition of a child element [t] of a node of [def] at [path]. *)
+let child_def_at schema def ~path t =
+  match child_def schema def t with
+  | Some d -> d
+  | None -> error "element %s at %s does not match the schema" t path
+
+(* Enter a new node into the id and path-reference tables. *)
+let add_node u n =
+  Hashtbl.replace u.by_id n.n_id n;
+  Hashtbl.replace u.path_refs n.n_path_id
+    (1 + Option.value ~default:0 (Hashtbl.find_opt u.path_refs n.n_path_id))
 
 (* Pre-validate a fragment against the schema without touching any
    state, so a rejected fragment leaves the shadow untouched. *)
@@ -215,7 +168,7 @@ let validate_fragment u ~parent_def tree =
   | Tree.Text _ -> error "fragment must be an element"
   | Tree.Element e ->
     (match child_def schema parent_def e.Tree.tag with
-     | Some d -> walk d tree; d
+     | Some d -> walk d tree; d, e
      | None ->
        error "element %s is not a valid child of %s" e.Tree.tag parent_def.Graph.name)
 
@@ -224,42 +177,12 @@ let validate_fragment u ~parent_def tree =
 (* ------------------------------------------------------------------ *)
 
 let build_row u n =
-  let mapping = u.store.Loader.mapping in
-  let schema = Mapping.schema mapping in
-  let def = n.n_def in
-  let fk_cols =
-    List.map
-      (fun p -> Mapping.parent_fk mapping ~child:def ~parent:p, p)
-      (Graph.parents schema def)
-  in
-  let attr_cols = List.map (fun a -> Mapping.attr_column a, a) def.Graph.attrs in
   let ord, sibs = ord_sibs n in
-  let value_of (c : Table.column) =
-    let name = c.Table.name in
-    if String.equal name "id" then Value.Int n.n_id
-    else if String.equal name "doc_id" then
-      match n.n_parent with None -> Value.Int n.n_doc | Some _ -> Value.Null
-    else if String.equal name "dewey_pos" then Value.Bin (Ordpath.to_raw n.n_label)
-    else if String.equal name "path_id" then Value.Int n.n_path_id
-    else if String.equal name Mapping.text_column then Value.Str (string_value n)
-    else if String.equal name Mapping.dtext_column then Value.Str (direct_text n)
-    else if String.equal name "ord" then Value.Int ord
-    else if String.equal name "sibs" then Value.Int sibs
-    else
-      match List.assoc_opt name fk_cols with
-      | Some p -> (
-        match n.n_parent with
-        | Some par when par.n_def.Graph.id = p.Graph.id -> Value.Int par.n_id
-        | Some _ | None -> Value.Null)
-      | None -> (
-        match List.assoc_opt name attr_cols with
-        | Some a -> (
-          match List.assoc_opt a n.n_attrs with
-          | Some v -> Value.Str v
-          | None -> Value.Null)
-        | None -> error "unmapped column %s in relation %s" name def.Graph.relation)
-  in
-  Array.of_list (List.map value_of (Mapping.columns_of_def mapping def))
+  Mapping.row u.store.Loader.mapping n.n_def ~id:n.n_id ~doc_id:n.n_doc
+    ~parent:(Option.map (fun p -> p.n_def, p.n_id) n.n_parent)
+    ~label:(Ordpath.to_raw n.n_label) ~path_id:n.n_path_id ~text:(string_value n)
+    ~dtext:(direct_text n) ~ord ~sibs
+    ~attr:(fun a -> List.assoc_opt a n.n_attrs)
 
 let relation_of u n = Mapping.relation u.store.Loader.mapping n.n_def
 
@@ -412,10 +335,47 @@ let finish u acc ~routing =
     cs_routing = routing;
   }
 
+(* The shadow of a validated fragment element of [def] under [parent]:
+   fresh preorder ids, bulk-load child labels under [label], paths
+   interned and rows queued in [acc]. Not yet among [parent]'s items. *)
+let rec fresh_subtree u acc parent def label (e : Tree.element) =
+  let id = u.next_id in
+  u.next_id <- id + 1;
+  let path = parent.n_path ^ "/" ^ def.Graph.name in
+  let pid = intern_for acc u path in
+  let n =
+    {
+      n_id = id;
+      n_doc = parent.n_doc;
+      n_def = def;
+      n_label = label;
+      n_path = path;
+      n_path_id = pid;
+      n_attrs = List.filter (fun (a, _) -> List.mem a def.Graph.attrs) e.Tree.attrs;
+      n_items = [];
+      n_parent = Some parent;
+    }
+  in
+  add_node u n;
+  acc.a_inserts <- n :: acc.a_inserts;
+  touch_path acc pid;
+  let schema = Mapping.schema u.store.Loader.mapping in
+  let seq = ref 0 in
+  n.n_items <-
+    List.map
+      (function
+        | Tree.Text s -> I_text s
+        | Tree.Element c ->
+          incr seq;
+          let cdef = child_def_at schema def ~path c.Tree.tag in
+          I_node (fresh_subtree u acc n cdef (Ordpath.child label !seq) c))
+      e.Tree.children;
+  n
+
 (* Splice [fragment] under [p] immediately before the child element
    [before] (or at the end). Returns the new subtree root. *)
 let stage_insert u acc p ~before ~left ~right fragment =
-  let fdef = validate_fragment u ~parent_def:p.n_def fragment in
+  let fdef, e = validate_fragment u ~parent_def:p.n_def fragment in
   let root_label =
     match left, right with
     | None, None -> Ordpath.child p.n_label 1
@@ -424,12 +384,7 @@ let stage_insert u acc p ~before ~left ~right fragment =
         (Option.map (fun n -> n.n_label) l)
         (Option.map (fun n -> n.n_label) r)
   in
-  let froot =
-    build_subtree u ~doc:p.n_doc ~def:(Some fdef)
-      ~path:(p.n_path ^ "/" ^ fdef.Graph.name)
-      ~root_label ~intern:(intern_for acc u) fragment
-  in
-  froot.n_parent <- Some p;
+  let froot = fresh_subtree u acc p fdef root_label e in
   let rec splice = function
     | [] -> [ I_node froot ]
     | I_node c :: rest when (match before with Some b -> c == b | None -> false) ->
@@ -437,11 +392,6 @@ let stage_insert u acc p ~before ~left ~right fragment =
     | it :: rest -> it :: splice rest
   in
   p.n_items <- splice p.n_items;
-  iter_subtree
-    (fun c ->
-      acc.a_inserts <- c :: acc.a_inserts;
-      touch_path acc c.n_path_id)
-    froot;
   froot
 
 let insert_neighbors p ~before =
@@ -656,29 +606,45 @@ let exec u op =
   outcome_of cs
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
+(* Construction: the one shadow builder                                *)
+(*                                                                     *)
+(* The relations hold every element's id, label and path id; the       *)
+(* document trees hold what the relations lose, the interleaving of    *)
+(* text and element children. [build] walks the trees in preorder,     *)
+(* which is document order and so label byte order, and takes each     *)
+(* element's row from its relation's rows in Dewey order: one row read *)
+(* per element. Any disagreement between trees and rows raises.        *)
 (* ------------------------------------------------------------------ *)
 
-let add_document u ~doc_id ~offset tree =
-  let schema = Mapping.schema u.store.Loader.mapping in
-  let root_def = Graph.root schema in
-  u.next_id <- offset + 1;
-  let intern path =
-    match Hashtbl.find_opt u.path_ids path with
-    | Some id -> id
-    | None -> error "path %s missing from the interned Paths relation" path
-  in
-  let root =
-    build_subtree u ~doc:doc_id ~def:(Some root_def) ~path:("/" ^ root_def.Graph.name)
-      ~root_label:(Ordpath.child (Ordpath.of_components [ (2 * doc_id) - 1 ]) 1)
-      ~intern tree
-  in
-  u.roots <- u.roots @ [ root ]
+type cursor = {
+  c_table : Table.t;
+  c_rows : int array;  (** live row ids in Dewey order *)
+  mutable c_next : int;
+  c_label : int;  (** position of [dewey_pos]; [path_id] follows *)
+}
 
-let of_store store trees =
-  if List.length trees <> List.length store.Loader.docs then
-    error "of_store: %d trees for %d loaded documents" (List.length trees)
-      (List.length store.Loader.docs);
+let cursor mapping db def =
+  let name = Mapping.relation mapping def in
+  let tbl =
+    match Database.table_opt db name with
+    | Some tbl -> tbl
+    | None -> error "store is missing relation %s" name
+  in
+  let rows = Array.make (Table.live_count tbl) 0 in
+  let n = ref 0 in
+  Table.iter_merged
+    (fun r ->
+      if !n < Array.length rows then rows.(!n) <- r;
+      incr n)
+    tbl
+    (Array.of_list (Table.partition_keys tbl));
+  if !n <> Array.length rows then
+    error "%s has %d live rows but %d in its path partitions" name (Array.length rows) !n;
+  { c_table = tbl; c_rows = rows; c_next = 0; c_label = Mapping.label_pos mapping def }
+
+let build store ~next_id ~next_path_id trees =
+  let mapping = store.Loader.mapping and db = store.Loader.db in
+  let schema = Mapping.schema mapping in
   let u =
     {
       store;
@@ -686,36 +652,98 @@ let of_store store trees =
       by_id = Hashtbl.create 1024;
       path_ids = Hashtbl.create 64;
       path_refs = Hashtbl.create 64;
-      next_id = 1;
-      next_path_id = 1;
+      next_id;
+      next_path_id;
     }
   in
-  let paths = Database.table store.Loader.db Mapping.paths_table in
-  Table.iter_rows
-    (fun _ row ->
-      match row.(0), row.(1) with
-      | Value.Int id, Value.Str p -> Hashtbl.replace u.path_ids p id
-      | _ -> ())
-    paths;
-  u.next_path_id <- Table.row_count paths + 1;
-  List.iteri
-    (fun i tree ->
-      let offset =
-        List.fold_left
-          (fun acc d -> acc + Doc.size d)
-          0
-          (List.filteri (fun j _ -> j < i) store.Loader.docs)
-      in
-      add_document u ~doc_id:(i + 1) ~offset tree)
-    trees;
-  let expected =
-    List.fold_left (fun acc d -> acc + Doc.size d) 0 store.Loader.docs
+  (match Database.table_opt db Mapping.paths_table with
+   | Some paths ->
+     Table.iter_rows
+       (fun _ row ->
+         match row.(0), row.(1) with
+         | Value.Int id, Value.Str p ->
+           Hashtbl.replace u.path_ids p id;
+           u.next_path_id <- max u.next_path_id (id + 1)
+         | _ -> ())
+       paths
+   | None -> error "store has no %s relation" Mapping.paths_table);
+  let cursors = Array.of_list (List.map (cursor mapping db) (Graph.defs schema)) in
+  let last = ref "" in
+  let rec walk def path ~doc parent ~parent_label (e : Tree.element) =
+    let c = cursors.(def.Graph.id) in
+    if c.c_next >= Array.length c.c_rows then
+      error "%s holds no row for the element %s at %s" (Table.name c.c_table) e.Tree.tag path;
+    let row = Table.row c.c_table c.c_rows.(c.c_next) in
+    c.c_next <- c.c_next + 1;
+    let id, raw, pid =
+      match row.(0), row.(c.c_label), row.(c.c_label + 1) with
+      | Value.Int id, Value.Bin raw, Value.Int pid -> id, raw, pid
+      | _ -> error "malformed %s row for the element at %s" (Table.name c.c_table) path
+    in
+    (match Hashtbl.find_opt u.path_ids path with
+     | Some p when p = pid -> ()
+     | Some p -> error "element %d at %s carries path id %d but Paths says %d" id path pid p
+     | None -> error "path %s of element %d is missing from Paths" path id);
+    if id <= 0 || id >= next_id then
+      error "element id %d outside the allocated id space [1, %d)" id next_id;
+    if Hashtbl.mem u.by_id id then error "duplicate element id %d" id;
+    let label =
+      try Ordpath.child_of_raw raw ~parent:parent_label
+      with Ordpath.Invalid m -> error "element %d label: %s" id m
+    in
+    if String.compare raw !last <= 0 then
+      error "element %d's label is out of document order" id;
+    last := raw;
+    if Option.is_none parent && row.(1) <> Value.Int doc then
+      error "root element %d does not carry doc_id %d" id doc;
+    let n =
+      {
+        n_id = id;
+        n_doc = doc;
+        n_def = def;
+        n_label = label;
+        n_path = path;
+        n_path_id = pid;
+        n_attrs = List.filter (fun (a, _) -> List.mem a def.Graph.attrs) e.Tree.attrs;
+        n_items = [];
+        n_parent = parent;
+      }
+    in
+    add_node u n;
+    n.n_items <-
+      List.map
+        (function
+          | Tree.Text s -> I_text s
+          | Tree.Element ce ->
+            let cdef = child_def_at schema def ~path ce.Tree.tag in
+            I_node (walk cdef (path ^ "/" ^ ce.Tree.tag) ~doc (Some n) ~parent_label:label ce))
+        e.Tree.children;
+    n
   in
-  if Hashtbl.length u.by_id <> expected then
-    error "of_store: shadow has %d elements, store has %d" (Hashtbl.length u.by_id)
-      expected;
-  u.next_id <- expected + 1;
+  let root_def = Graph.root schema in
+  u.roots <-
+    List.mapi
+      (fun i tree ->
+        match tree with
+        | Tree.Element e when String.equal e.Tree.tag root_def.Graph.name ->
+          let doc = i + 1 in
+          walk root_def ("/" ^ root_def.Graph.name) ~doc None
+            ~parent_label:(Ordpath.of_components [ (2 * doc) - 1 ])
+            e
+        | Tree.Element e ->
+          error "document %d's root is a %s where the schema expects %s" (i + 1) e.Tree.tag
+            root_def.Graph.name
+        | Tree.Text _ -> error "document %d's root is not an element" (i + 1))
+      trees;
+  Array.iter
+    (fun c ->
+      if c.c_next < Array.length c.c_rows then
+        error "%s holds %d rows that no document element accounts for" (Table.name c.c_table)
+          (Array.length c.c_rows - c.c_next))
+    cursors;
   u
+
+let of_store store trees = build store ~next_id:store.Loader.next_id ~next_path_id:1 trees
 
 let create schema trees =
   let store =
@@ -728,165 +756,57 @@ let create schema trees =
 
 let extend u store' tree =
   (* [store'] is this store with one more document bulk-loaded through
-     Loader.load. The loader offsets the new document's ids by the sum
-     of the previous documents' sizes; ids allocated by caret inserts
-     live past that offset and would collide, so bulk growth is only
-     allowed while the id space is pristine. *)
-  let loaded_offset =
-    List.fold_left
-      (fun acc d -> acc + Doc.size d)
-      0
-      (match List.rev store'.Loader.docs with [] -> [] | _ :: prev -> List.rev prev)
+     Loader.load, which numbered its elements from the [next_id] of the
+     store it was given. Those must lie past every id allocated here: a
+     load through a stale store would reuse caret-inserted ids. *)
+  let first =
+    store'.Loader.next_id
+    - (match List.rev store'.Loader.docs with d :: _ -> Doc.size d | [] -> 0)
   in
-  if u.next_id - 1 > loaded_offset then
-    error
-      "cannot bulk-load after incremental inserts (next id %d is past the \
-       loader offset %d); use Insert_subtree"
-      u.next_id loaded_offset;
-  u.store <- store';
-  let doc_id = List.length store'.Loader.docs in
-  (* New paths were interned by the loader; refresh the shadow copy. *)
-  let paths = Database.table store'.Loader.db Mapping.paths_table in
-  Table.iter_rows
-    (fun _ row ->
-      match row.(0), row.(1) with
-      | Value.Int id, Value.Str p ->
-        if not (Hashtbl.mem u.path_ids p) then Hashtbl.replace u.path_ids p id
-      | _ -> ())
-    paths;
-  u.next_path_id <- max u.next_path_id (Table.row_count paths + 1);
-  add_document u ~doc_id ~offset:loaded_offset tree
+  if first < u.next_id then
+    error "the bulk load numbered its elements from %d, but ids up to %d are allocated" first
+      (u.next_id - 1);
+  let u' =
+    build store' ~next_id:store'.Loader.next_id ~next_path_id:u.next_path_id
+      (current_trees u @ [ tree ])
+  in
+  u.store <- u'.store;
+  u.roots <- u'.roots;
+  u.by_id <- u'.by_id;
+  u.path_ids <- u'.path_ids;
+  u.path_refs <- u'.path_refs;
+  u.next_id <- u'.next_id;
+  u.next_path_id <- u'.next_path_id
 
 let load u tree =
   let doc = Doc.of_tree tree in
-  let store' = Database.with_write (db u) (fun () -> Loader.load u.store doc) in
+  let store' =
+    Database.with_write (db u) (fun () ->
+        Loader.load { u.store with Loader.next_id = u.next_id } doc)
+  in
   extend u store' tree
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (*                                                                     *)
-(* A [shadow] is the pure, store-independent image of the forest: ids, *)
-(* labels, attrs, and the text/element interleaving the relations      *)
-(* cannot answer from. The durability layer persists it next to the    *)
-(* database snapshot so a recovered store can keep staging mutations.  *)
-(* Schema defs and paths are NOT stored — [of_shadow] re-resolves them *)
-(* against the adopted store's mapping and Paths relation and fails    *)
-(* loudly on any disagreement, so a snapshot can never smuggle in a    *)
-(* shape the schema would have rejected.                               *)
+(* What the relations cannot answer from: the current trees, and the   *)
+(* id and path-id counters (ids of deleted elements are never reused). *)
+(* [of_shadow] puts them back together with the adopted store's rows   *)
+(* through [build], so a snapshot can never smuggle in a shape the     *)
+(* schema, the Paths relation or the stored labels disagree with.      *)
 (* ------------------------------------------------------------------ *)
 
-type shadow_item = Sh_text of string | Sh_node of shadow_node
-
-and shadow_node = {
-  sn_id : int;
-  sn_doc : int;
-  sn_tag : string;
-  sn_label : string;  (** raw ORDPATH bytes, {!Ordpath.to_raw} *)
-  sn_path_id : int;
-  sn_attrs : (string * string) list;
-  sn_items : shadow_item list;
-}
-
 type shadow = {
-  sh_roots : shadow_node list;  (** document order *)
+  sh_trees : Tree.node list;
   sh_next_id : int;
   sh_next_path_id : int;
 }
 
 let shadow u =
-  let rec snap n =
-    {
-      sn_id = n.n_id;
-      sn_doc = n.n_doc;
-      sn_tag = tag n;
-      sn_label = Ordpath.to_raw n.n_label;
-      sn_path_id = n.n_path_id;
-      sn_attrs = n.n_attrs;
-      sn_items =
-        List.map (function I_text s -> Sh_text s | I_node c -> Sh_node (snap c)) n.n_items;
-    }
-  in
-  {
-    sh_roots = List.map snap u.roots;
-    sh_next_id = u.next_id;
-    sh_next_path_id = u.next_path_id;
-  }
+  { sh_trees = current_trees u; sh_next_id = u.next_id; sh_next_path_id = u.next_path_id }
 
 let of_shadow store sh =
-  let u =
-    {
-      store;
-      roots = [];
-      by_id = Hashtbl.create 1024;
-      path_ids = Hashtbl.create 64;
-      path_refs = Hashtbl.create 64;
-      next_id = sh.sh_next_id;
-      next_path_id = sh.sh_next_path_id;
-    }
+  let store =
+    { store with Loader.docs = List.map Doc.of_tree sh.sh_trees; next_id = sh.sh_next_id }
   in
-  (match Database.table_opt store.Loader.db Mapping.paths_table with
-   | Some paths ->
-     Table.iter_rows
-       (fun _ row ->
-         match row.(0), row.(1) with
-         | Value.Int id, Value.Str p -> Hashtbl.replace u.path_ids p id
-         | _ -> ())
-       paths
-   | None -> error "of_shadow: store has no %s relation" Mapping.paths_table);
-  let schema = Mapping.schema store.Loader.mapping in
-  let rec rebuild def path parent sn =
-    if not (String.equal def.Graph.name sn.sn_tag) then
-      error "of_shadow: snapshot node %d is a %s where the schema expects %s" sn.sn_id
-        sn.sn_tag def.Graph.name;
-    (match Hashtbl.find_opt u.path_ids path with
-     | Some pid when pid = sn.sn_path_id -> ()
-     | Some pid ->
-       error "of_shadow: node %d at %s carries path id %d but Paths says %d" sn.sn_id
-         path sn.sn_path_id pid
-     | None -> error "of_shadow: path %s of node %d is missing from Paths" path sn.sn_id);
-    if sn.sn_id <= 0 || sn.sn_id >= sh.sh_next_id then
-      error "of_shadow: element id %d outside the allocated id space" sn.sn_id;
-    if Hashtbl.mem u.by_id sn.sn_id then
-      error "of_shadow: duplicate element id %d" sn.sn_id;
-    let label =
-      try Ordpath.of_raw sn.sn_label
-      with Ordpath.Invalid m -> error "of_shadow: node %d label: %s" sn.sn_id m
-    in
-    let n =
-      {
-        n_id = sn.sn_id;
-        n_doc = sn.sn_doc;
-        n_def = def;
-        n_label = label;
-        n_path = path;
-        n_path_id = sn.sn_path_id;
-        n_attrs = List.filter (fun (a, _) -> List.mem a def.Graph.attrs) sn.sn_attrs;
-        n_items = [];
-        n_parent = parent;
-      }
-    in
-    n.n_items <-
-      List.map
-        (function
-          | Sh_text s -> I_text s
-          | Sh_node c ->
-            let cdef =
-              match child_def schema def c.sn_tag with
-              | Some d -> d
-              | None ->
-                error "of_shadow: element %s at %s does not match the schema" c.sn_tag
-                  path
-            in
-            I_node (rebuild cdef (path ^ "/" ^ c.sn_tag) (Some n) c))
-        sn.sn_items;
-    Hashtbl.replace u.by_id sn.sn_id n;
-    Hashtbl.replace u.path_refs sn.sn_path_id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt u.path_refs sn.sn_path_id));
-    n
-  in
-  let root_def = Graph.root schema in
-  u.roots <- List.map (fun sn -> rebuild root_def ("/" ^ root_def.Graph.name) None sn) sh.sh_roots;
-  (* Re-derive docs so size-based guards (extend's id-offset check) see
-     the recovered forest, not the pre-crash bulk-load history. *)
-  u.store <- { store with Loader.docs = List.map Doc.of_tree (current_trees u) };
-  u
+  build store ~next_id:sh.sh_next_id ~next_path_id:sh.sh_next_path_id sh.sh_trees

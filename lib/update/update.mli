@@ -21,7 +21,10 @@
     An {!t} pairs the store with a {e shadow forest}: the live tree shape
     (parent/child adjacency, text/element interleaving, labels) that the
     flat relations cannot answer from. The shadow is the single source of
-    truth for staging; the relations follow it exactly. *)
+    truth for staging; the relations follow it exactly. It is built in
+    one way ({!of_store}, {!of_shadow}, {!load}): from the document trees
+    plus the ids, labels and path ids the relations hold, walking each
+    tree in preorder while reading each relation's rows in Dewey order. *)
 
 module Tree = Ppfx_xml.Tree
 module Graph = Ppfx_schema.Graph
@@ -45,25 +48,29 @@ val create : Graph.t -> Tree.node list -> t
 val of_store : Loader.t -> Tree.node list -> t
 (** Adopt an existing loaded store. [trees] must be the source trees of
     the store's documents, in load order — the relational image does not
-    retain text/element interleaving, so the originals are needed to seed
-    the shadow. Raises {!Update_error} on a count or size mismatch. *)
+    retain text/element interleaving, so the trees are needed to seed
+    the shadow. Element [k] of a tree (in preorder) of definition [d]
+    takes the next row of [d]'s relation in Dewey order; the builder
+    checks that each tag matches the schema, each row's path id matches
+    [Paths], each id is in the allocated space and unique, each label
+    parses, is a child of its parent's label and follows the previous
+    element's, each root row carries its tree's [doc_id], and every fact
+    row is used exactly once. A mismatch raises {!Update_error}. *)
 
 val load : t -> Tree.node -> unit
 (** Bulk-load one more document through {!Loader.load} (under the write
-    lock) and extend the shadow. The loader's raw inserts are not
-    commit-logged, so this conservatively invalidates all prepared
-    plans; use {!exec} [Insert_subtree] for incremental growth.
-
-    Bulk loading is only possible while no caret insert has allocated
-    element ids (the loader's id offsetting would collide with them);
-    after an [Insert_subtree]/[Replace_subtree], {!load} raises
-    {!Update_error}. *)
+    lock) and rebuild the shadow over the grown store. The new
+    document's ids are numbered past every id allocated so far, caret
+    inserts included. The loader's raw inserts are not commit-logged, so
+    this conservatively invalidates all prepared plans; use {!exec}
+    [Insert_subtree] for incremental growth. *)
 
 val extend : t -> Loader.t -> Tree.node -> unit
 (** Adopt [store] — this store's value after an {e external}
     {!Loader.load} of [tree] (e.g. through a session that owns the
-    loader reference) — and extend the shadow. Same id-space restriction
-    as {!load}. *)
+    loader reference) — and rebuild the shadow. Raises {!Update_error}
+    when that load numbered its elements below an id this store has
+    allocated (a load through a store value older than a caret insert). *)
 
 val store : t -> Loader.t
 val db : t -> Database.t
@@ -147,6 +154,7 @@ val outcome_of : changeset -> outcome
 
 val node_exists : t -> int -> bool
 val node_path : t -> int -> string
+val node_path_id : t -> int -> int
 val node_tag : t -> int -> string
 val node_relation : t -> int -> string
 (** Name of the relation storing the element's row. *)
@@ -172,38 +180,25 @@ val ranks : t -> (int, int) Hashtbl.t
 
 (** {1 Snapshots}
 
-    The store-independent image of the shadow forest, for durability:
-    ids, labels, attributes, and the text/element interleaving that the
-    relations do not retain. Schema definitions and path strings are
-    deliberately absent — {!of_shadow} re-resolves both against the
-    adopted store and raises on any disagreement. *)
-
-type shadow_item = Sh_text of string | Sh_node of shadow_node
-
-and shadow_node = {
-  sn_id : int;
-  sn_doc : int;
-  sn_tag : string;
-  sn_label : string;  (** raw ORDPATH bytes ({!node_label}) *)
-  sn_path_id : int;
-  sn_attrs : (string * string) list;
-  sn_items : shadow_item list;
-}
+    What durability must keep beside the database image for a recovered
+    store to go on staging mutations: the current trees, which hold the
+    text/element interleaving the relations lose, and the id counters.
+    Ids, labels and path ids are not repeated here; {!of_shadow} reads
+    them back from the adopted store's rows. *)
 
 type shadow = {
-  sh_roots : shadow_node list;  (** document order *)
-  sh_next_id : int;
+  sh_trees : Tree.node list;  (** {!current_trees}, document order *)
+  sh_next_id : int;  (** the next element id; ids are never reused *)
   sh_next_path_id : int;
 }
 
 val shadow : t -> shadow
-(** A deep, immutable copy of the current forest. *)
+(** An immutable copy of the current forest's trees and counters. *)
 
 val of_shadow : Loader.t -> shadow -> t
 (** Adopt [store] (typically a {!Ppfx_minidb.Codec} snapshot read back
-    from disk) and rebuild the shadow from its persisted image. Every
-    node's tag is re-checked against the schema, every path id against
-    the store's Paths relation, and every label re-validated; any
-    mismatch raises {!Update_error}. The adopted store's [docs] are
-    re-derived from the recovered forest, so {!load}'s id-offset guard
-    reflects the recovered state. *)
+    from disk) and rebuild the shadow from its trees and the store's
+    rows, with every check {!of_store} makes; any mismatch raises
+    {!Update_error}. The adopted store's [docs] are re-derived from the
+    trees, and its [next_id] is [sh_next_id], so a later {!load} numbers
+    past every id ever allocated, as on the live store. *)

@@ -223,66 +223,6 @@ let decode s =
   if remaining d <> 0 then corrupt "trailing bytes after record";
   { r_seq; r_op; r_inserts; r_cs; r_extras }
 
-(* --- shadow snapshots ------------------------------------------------- *)
-
-let rec put_shadow_node b (n : Update.shadow_node) =
-  put_varint b n.Update.sn_id;
-  put_varint b n.Update.sn_doc;
-  put_string b n.Update.sn_tag;
-  put_string b n.Update.sn_label;
-  put_varint b n.Update.sn_path_id;
-  put_list
-    (fun b (k, v) ->
-      put_string b k;
-      put_string b v)
-    b n.Update.sn_attrs;
-  put_list
-    (fun b (it : Update.shadow_item) ->
-      match it with
-      | Update.Sh_text s ->
-        Buffer.add_char b '\000';
-        put_string b s
-      | Update.Sh_node c ->
-        Buffer.add_char b '\001';
-        put_shadow_node b c)
-    b n.Update.sn_items
-
-let rec get_shadow_node d : Update.shadow_node =
-  let sn_id = get_varint d in
-  let sn_doc = get_varint d in
-  let sn_tag = get_string d in
-  let sn_label = get_string d in
-  let sn_path_id = get_varint d in
-  let sn_attrs =
-    get_list
-      (fun d ->
-        let k = get_string d in
-        let v = get_string d in
-        (k, v))
-      d
-  in
-  let sn_items =
-    get_list
-      (fun d : Update.shadow_item ->
-        match get_byte d with
-        | 0 -> Update.Sh_text (get_string d)
-        | 1 -> Update.Sh_node (get_shadow_node d)
-        | tag -> corrupt "unknown shadow item tag %d" tag)
-      d
-  in
-  { Update.sn_id; sn_doc; sn_tag; sn_label; sn_path_id; sn_attrs; sn_items }
-
-let put_shadow b (sh : Update.shadow) =
-  put_list put_shadow_node b sh.Update.sh_roots;
-  put_varint b sh.Update.sh_next_id;
-  put_varint b sh.Update.sh_next_path_id
-
-let get_shadow d : Update.shadow =
-  let sh_roots = get_list get_shadow_node d in
-  let sh_next_id = get_varint d in
-  let sh_next_path_id = get_varint d in
-  { Update.sh_roots; sh_next_id; sh_next_path_id }
-
 (* --- schema ----------------------------------------------------------- *)
 (* Defs in Graph.defs order (Builder.define reproduces ids and the
    tag/tag_2 relation naming deterministically), then nesting edges as
@@ -357,17 +297,33 @@ type meta = {
   m_extras : extras option;
 }
 
+(* The shadow is the current trees and the two id counters; the ids,
+   labels and path ids of its elements are read back from the store's
+   rows ([Update.of_shadow]). *)
 let encode_meta m =
   let b = Buffer.create 1024 in
   put_schema b m.m_schema;
-  put_opt put_shadow b m.m_shadow;
+  put_opt
+    (fun b (sh : Update.shadow) ->
+      put_list put_tree b sh.Update.sh_trees;
+      put_varint b sh.Update.sh_next_id;
+      put_varint b sh.Update.sh_next_path_id)
+    b m.m_shadow;
   put_opt put_extras b m.m_extras;
   Buffer.contents b
 
 let decode_meta s =
   let d = cursor s in
   let m_schema = get_schema d in
-  let m_shadow = get_opt get_shadow d in
+  let m_shadow =
+    get_opt
+      (fun d : Update.shadow ->
+        let sh_trees = get_list get_tree d in
+        let sh_next_id = get_varint d in
+        let sh_next_path_id = get_varint d in
+        { Update.sh_trees; sh_next_id; sh_next_path_id })
+      d
+  in
   let m_extras = get_opt get_extras d in
   if remaining d <> 0 then corrupt "trailing bytes after checkpoint meta";
   { m_schema; m_shadow; m_extras }

@@ -1,6 +1,6 @@
 (** Serialization of the durability layer's payloads: WAL records
-    (sequence number + staged op + changeset + cluster extras), shadow
-    snapshots, the schema graph, and the checkpoint sidecar.
+    (sequence number + staged op + changeset + cluster extras), the
+    schema graph, and the checkpoint sidecar.
 
     Every payload is built from {!Ppfx_minidb.Codec}'s primitives
     (zigzag-LEB128 varints, length-prefixed strings, tagged values); XML
@@ -42,7 +42,11 @@ val decode : string -> t
 
 type meta = {
   m_schema : Graph.t;
-  m_shadow : Update.shadow option;  (** present on full stores *)
+  m_shadow : Update.shadow option;
+      (** present on full stores: the current trees (encoded like a
+          fragment) and the next element and path ids — not the ids,
+          labels and path ids of the elements, which the snapshot's rows
+          hold *)
   m_extras : extras option;
 }
 

@@ -24,9 +24,10 @@ let durability_of_string s =
     | _ -> Error "batch size must be a positive integer")
   | _ -> Error (Printf.sprintf "unknown durability %S (expected off, fsync or batch[:N])" s)
 
-(* Version 2 dropped the layout flag from the sidecar; a version-1
-   sidecar fails the magic check instead of being misdecoded. *)
-let meta_magic = "PPFXMET2"
+(* Version 2 dropped the layout flag from the sidecar; version 3 keeps
+   the current trees instead of a per-node image. An older sidecar
+   fails the magic check instead of being misdecoded. *)
+let meta_magic = "PPFXMET3"
 let db_file gen = Printf.sprintf "checkpoint-%d.db" gen
 let meta_file gen = Printf.sprintf "checkpoint-%d.meta" gen
 let seg_file gen = Printf.sprintf "wal-%d.log" gen
@@ -363,7 +364,7 @@ let rebuild_full ~db ~(meta : Record.meta) records =
     with
     | Some d -> Error (Printf.sprintf "snapshot is missing relation %s" d.Graph.relation)
     | None -> (
-      let loader = { Loader.mapping; db; docs = [] } in
+      let loader = { Loader.mapping; db; docs = []; next_id = 1 } in
       match Update.of_shadow loader shadow with
       | exception Update.Update_error e -> Error ("shadow rebuild: " ^ e)
       | u -> (
@@ -387,4 +388,4 @@ let rebuild_db ~db ~(meta : Record.meta) records =
   List.iter
     (fun (r : Record.t) -> Update.commit ~inserts:r.Record.r_inserts db r.Record.r_cs)
     records;
-  { Loader.mapping; db; docs = [] }
+  { Loader.mapping; db; docs = []; next_id = 1 }

@@ -3,9 +3,13 @@
     write-ahead log of {!Ppfx_update.Update} changesets.
 
     A store directory holds exactly one current generation [g]:
-    - [checkpoint-<g>.db] — the PPFXDB4 database snapshot;
-    - [checkpoint-<g>.meta] — schema graph, shadow-forest image (full
-      stores), cluster extras;
+    - [checkpoint-<g>.db] — the PPFXDB5 database snapshot;
+    - [checkpoint-<g>.meta] — magic [PPFXMET3], then one frame: the
+      schema graph, on full stores the current document trees and the
+      next element and path ids ({!Ppfx_update.Update.shadow}), and the
+      cluster extras. Ids, labels and path ids are not repeated there:
+      recovery reads them from the snapshot's rows. Older sidecars are
+      refused by their magic;
     - [wal-<g>.log] — records acked since the checkpoint;
     - [MANIFEST] — names [g]; atomically replaced, the commit point of
       every rotation.
@@ -134,7 +138,8 @@ val dispose : t -> unit
 val rebuild_full :
   db:Database.t -> meta:Record.meta -> Record.t list -> (Update.t, string) result
 (** Rebuild a full store from a recovery: re-adopt the snapshot through
-    {!Update.of_shadow} (re-validating schema, paths and labels), then
+    {!Update.of_shadow} (the sidecar's trees matched against the
+    snapshot's rows: schema, paths, ids and labels), then
     for each record re-stage its logged op (moving the shadow) and
     commit its logged changeset (the authoritative acked bytes). *)
 

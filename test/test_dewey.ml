@@ -291,6 +291,26 @@ let ordpath_unit_tests =
         Alcotest.(check bool) "not self" false (Ordpath.is_descendant c ~of_:c);
         Alcotest.(check bool) "following" true
           (Ordpath.is_following c ~of_:(Ordpath.child Ordpath.root 1)) );
+    ( "child_of_raw accepts carets, rejects grandchildren and siblings",
+      fun () ->
+        let c1 = Ordpath.child Ordpath.root 1 in
+        let c2 = Ordpath.child Ordpath.root 2 in
+        let caret = Ordpath.insert_between (Some c1) (Some c2) in
+        let child l p =
+          match Ordpath.child_of_raw (Ordpath.to_raw l) ~parent:p with
+          | l' -> Ordpath.compare l l' = 0
+          | exception Ordpath.Invalid _ -> false
+        in
+        Alcotest.(check bool) "bulk child" true (child c1 Ordpath.root);
+        Alcotest.(check bool) "careted child" true (child caret Ordpath.root);
+        Alcotest.(check bool) "grandchild" false (child (Ordpath.child c1 1) Ordpath.root);
+        Alcotest.(check bool) "sibling" false (child c2 c1);
+        Alcotest.(check bool) "self" false (child c1 c1);
+        let top_bit = Ordpath.to_raw Ordpath.root ^ "\x80\x00\x01" in
+        Alcotest.(check bool) "top bit set" false
+          (match Ordpath.child_of_raw top_bit ~parent:Ordpath.root with
+           | _ -> true
+           | exception Ordpath.Invalid _ -> false) );
     ( "invalid labels rejected",
       fun () ->
         (match Ordpath.of_components [ 2 ] with
@@ -332,6 +352,7 @@ let prop_ordpath_insertions =
           !sorted
           && Ordpath.level fresh = 3
           && Ordpath.parent fresh = Some parent
+          && Ordpath.child_of_raw (Ordpath.to_raw fresh) ~parent = fresh
           && Ordpath.is_descendant fresh ~of_:parent)
         ops)
 

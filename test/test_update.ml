@@ -22,6 +22,8 @@ module Xmlparser = Ppfx_xml.Parser
 module Graph = Ppfx_schema.Graph
 module Database = Ppfx_minidb.Database
 module Table = Ppfx_minidb.Table
+module Value = Ppfx_minidb.Value
+module Codec = Ppfx_minidb.Codec
 module Loader = Ppfx_shred.Loader
 module Update = Ppfx_update.Update
 module Session = Ppfx_service.Session
@@ -503,6 +505,111 @@ let prop_labels_never_rewritten =
 (* Loopback: the wire Update request over TCP                          *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* The shadow builder                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything the shadow answers per live element, plus the rank table. *)
+let shadow_view u =
+  ( List.map
+      (fun id ->
+        ( id,
+          Update.node_label u id,
+          Update.node_path_id u id,
+          Update.node_tag u id,
+          Update.node_parent u id,
+          Update.node_children u id ))
+      (live_ids u),
+    List.sort compare (Hashtbl.fold (fun id r acc -> (id, r) :: acc) (Update.ranks u) []) )
+
+(* Rebuilt ≡ live: after every step of a random mutation sequence, the
+   shadow rebuilt from [current_trees] and the store's rows answers like
+   the live one, and staging the next operation on both derives the
+   same changeset (or the same refusal). *)
+let prop_rebuilt_equals_live =
+  QCheck.Test.make ~count:8
+    ~name:"a shadow rebuilt from the trees and rows equals the live one"
+    (steps_arb 10)
+    (fun steps ->
+      let tree = Xmark.generate ~seed:11 ~items_per_region:1 () in
+      let schema = Graph.infer (Doc.of_tree tree) in
+      let pool = fragment_pool tree in
+      let u = Update.create schema [ tree ] in
+      let rebuilt () =
+        let u' = Update.of_shadow (Update.store u) (Update.shadow u) in
+        if shadow_view u <> shadow_view u' then
+          QCheck.Test.fail_report "rebuilt shadow differs from the live one";
+        u'
+      in
+      let stage v op =
+        match Update.stage v op with
+        | cs -> Ok cs
+        | exception Update.Update_error e -> Error e
+      in
+      List.iter
+        (fun step ->
+          let u' = rebuilt () in
+          apply_step ~pool ~u step ~exec:(fun op ->
+              let rebuilt_cs = stage u' op and live_cs = stage u op in
+              if rebuilt_cs <> live_cs then
+                QCheck.Test.fail_report "the rebuilt shadow stages a different changeset";
+              match live_cs with
+              | Ok cs -> Update.commit (Update.db u) cs
+              | Error e -> raise (Update.Update_error e)))
+        steps;
+      ignore (rebuilt ());
+      true)
+
+let rec map_elements f = function
+  | Tree.Text _ as t -> t
+  | Tree.Element e ->
+    f { e with Tree.children = List.map (map_elements f) e.Tree.children }
+
+let refused what store sh =
+  match Update.of_shadow store sh with
+  | _ -> Alcotest.failf "%s: the builder accepted it" what
+  | exception Update.Update_error _ -> ()
+
+let test_builder_rejects_mismatches () =
+  let u, _ = small () in
+  let sh = Update.shadow u in
+  let edit f = { sh with Update.sh_trees = List.map (map_elements f) sh.Update.sh_trees } in
+  let children tag f =
+    edit (fun e ->
+        Tree.Element
+          (if String.equal e.Tree.tag tag then { e with Tree.children = f e.Tree.children }
+           else e))
+  in
+  ignore (Update.of_shadow (Update.store u) sh);
+  let p4 = frag {|<person id="p4"><name>dee</name></person>|} in
+  refused "a tree with an extra element" (Update.store u) (children "people" (fun cs -> cs @ [ p4 ]));
+  refused "a tree missing an element" (Update.store u) (children "items" (fun _ -> []));
+  refused "a wrong tag" (Update.store u)
+    (edit (fun e ->
+         Tree.Element
+           (if String.equal e.Tree.tag "city" then { e with Tree.tag = "name" } else e)));
+  refused "siblings out of label order" (Update.store u) (children "person" List.rev);
+  (* copies of the store with one row edited *)
+  let with_row id col v =
+    let db = Codec.database_of_string (Codec.database_to_string (Update.db u)) in
+    let tbl = Database.table db (Update.node_relation u id) in
+    let pos = Option.get (Table.column_index tbl col) in
+    Table.iter_rows
+      (fun r row ->
+        if row.(0) = Value.Int id then begin
+          let row = Array.copy row in
+          row.(pos) <- v;
+          ignore (Table.update tbl r row)
+        end)
+      tbl;
+    { (Update.store u) with Loader.db = db }
+  in
+  let p2 = List.hd (run_q u "//person[@id='p2']") in
+  refused "a row whose path_id disagrees with its path"
+    (with_row p2 "path_id" (Value.Int (Update.node_path_id u (the_one u "people"))))
+    sh;
+  refused "a root row with another doc_id" (with_row (the_one u "site") "doc_id" (Value.Int 2)) sh
+
 let with_update_server f =
   let tree = Xmlparser.parse small_xml in
   let schema = Graph.infer (Doc.of_tree tree) in
@@ -637,6 +744,12 @@ let () =
             prop_incremental_equals_reshred;
             prop_cluster_incremental_equals_reshred;
             prop_labels_never_rewritten;
+            prop_rebuilt_equals_live;
+          ] );
+      ( "builder",
+        List.map tc
+          [
+            "mismatches raise Update_error", test_builder_rejects_mismatches;
           ] );
       ( "wire",
         List.map tc

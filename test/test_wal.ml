@@ -327,10 +327,8 @@ let test_golden_bytes () =
     (hex (Record.encode record));
   Alcotest.(check string) "checkpoint sidecar"
     ("08087369746500000c70656f706c6500000c706572736f6e0204696400086e616d650001" ^
-     "06000202040406000102020208736974650c4000014000010200020104020c70656f706c" ^
-     "65124000014000014000010400020106020c706572736f6e184000014000014000014000" ^
-     "01060204696404703102010802086e616d651e4000014000014000014000014000010800" ^
-     "020006616e6e0a0a00")
+     "060002020404060001020108736974650002010c70656f706c650002010c706572736f6e" ^
+     "020469640470310201086e616d6500020006616e6e0a0a00")
     (hex (Record.encode_meta (Server.store_meta (golden_store ()))));
   Alcotest.(check string) "database image"
     ("50504658444235020876616c730a04696400026b0002660102730202620301026b046964" ^
@@ -363,6 +361,73 @@ let test_meta_old_magic_rejected () =
   match Wstore.recover ~dir () with
   | Ok _ -> Alcotest.fail "a version-1 sidecar must not be decoded"
   | Error e -> Alcotest.(check string) "bad magic" "checkpoint meta: bad magic" e
+
+(* The same store's sidecar payload as version 2 wrote it: a per-node
+   image (id, doc, tag, label, path id, attributes, items) in place of
+   the trees. Its magic must reject it before decoding. *)
+let v2_golden_payload =
+  "08087369746500000c70656f706c6500000c706572736f6e0204696400086e616d650001" ^
+  "06000202040406000102020208736974650c4000014000010200020104020c70656f706c" ^
+  "65124000014000014000010400020106020c706572736f6e184000014000014000014000" ^
+  "01060204696404703102010802086e616d651e4000014000014000014000014000010800" ^
+  "020006616e6e0a0a00"
+
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_meta_v2_magic_rejected () =
+  with_dir @@ fun dir ->
+  let u = golden_store () in
+  let w =
+    Wstore.init ~durability:Wstore.Fsync ~dir ~db:(Update.db u) ~meta:(Server.store_meta u) ()
+  in
+  Wstore.close w;
+  Out_channel.with_open_bin (Filename.concat dir "checkpoint-0.meta") (fun oc ->
+      output_string oc ("PPFXMET2" ^ Log.frame (unhex v2_golden_payload)));
+  match Wstore.recover ~dir () with
+  | Ok _ -> Alcotest.fail "a version-2 sidecar must not be decoded"
+  | Error e -> Alcotest.(check string) "bad magic" "checkpoint meta: bad magic" e
+
+(* A recovered store accepts the bulk loads the live one does. After a
+   delete the sidecar's trees hold fewer elements than ids were
+   allocated; the recovered loader must still number past all of them.
+   Deleting the only address also kills two paths, whose Paths rows the
+   snapshot drops: the load's new paths must not reuse a live path id.
+   A caret insert allocates ids past the loaded documents' too. *)
+let test_recovered_store_bulk_loads () =
+  let u = small () in
+  let p2 = List.hd (run_q u "//person[@id='p2']") in
+  ignore (Update.exec u (Update.Delete_subtree { target = p2 }));
+  ignore (Update.exec u (Update.Delete_subtree { target = the_one u "address" }));
+  ignore (Update.exec u (small_op_insert u));
+  let meta = Record.decode_meta (Record.encode_meta (Server.store_meta u)) in
+  let db = Codec.database_of_string (Codec.database_to_string (Update.db u)) in
+  let u' =
+    match Wstore.rebuild_full ~db ~meta [] with
+    | Ok u' -> u'
+    | Error e -> Alcotest.failf "rebuild: %s" e
+  in
+  let allocated = (Update.shadow u).Update.sh_next_id in
+  let before = List.sort compare (Hashtbl.fold (fun id _ l -> id :: l) (Update.ranks u') []) in
+  let doc2 =
+    frag
+      {|<site>
+  <people><person id="q1"><name>dan</name><address><city>rome</city></address></person></people>
+  <items><item id="i9"><name>tin cup</name></item></items>
+</site>|}
+  in
+  Update.load u doc2;
+  (try Update.load u' doc2
+   with Update.Update_error e -> Alcotest.failf "the recovered store refused the load: %s" e);
+  Hashtbl.iter
+    (fun id _ ->
+      if (not (List.mem id before)) && id < allocated then
+        Alcotest.failf "the load reused allocated id %d (next id was %d)" id allocated)
+    (Update.ranks u');
+  List.iter
+    (fun q -> Alcotest.(check (list int)) q (run_q u q) (run_q u' q))
+    [ "//person"; "//person/name"; "//item[@id='i9']/name"; "//person/address/city"; "//*" ]
 
 (* ------------------------------------------------------------------ *)
 (* Unit: store lifecycle                                               *)
@@ -982,6 +1047,9 @@ let () =
             "record round trip", test_record_round_trip;
             "checkpoint sidecar round trip", test_meta_round_trip;
             "version-1 sidecar rejected by magic", test_meta_old_magic_rejected;
+            "a version-2 sidecar is refused", test_meta_v2_magic_rejected;
+            "a recovered store accepts the live store's bulk loads",
+            test_recovered_store_bulk_loads;
             "golden bytes", test_golden_bytes;
           ] );
       ( "store",
