@@ -742,7 +742,9 @@ let minor_words_per_exec plan =
 (* A fixed 96k-element point (items_per_region 200), whatever --small
    says: the warm full-optimizer plans of the engine queries on a
    document large enough that per-row work — DISTINCT, the partition
-   merge — dominates the execution. Q3 is ROADMAP item 2's yardstick. *)
+   merge — dominates the execution. Q3 ([//keyword]: every row of one
+   relation, merged across its path partitions) times that merge with
+   almost no join work around it. *)
 let engine_point_scale = 200
 
 let engine_point () =

@@ -129,19 +129,19 @@ let boundary_fks_of full doc p =
 let create ?pool_size ?(cache_capacity = 256) ?options ~shards:nshards schema trees =
   if nshards < 1 then invalid_arg "Cluster.create: shards must be >= 1";
   let pool_size = match pool_size with Some n -> n | None -> nshards in
-  let docs = List.map Doc.of_tree trees in
   let mapping = Mapping.of_schema schema in
   let full = ref (Loader.create mapping) in
   let stores = ref (Array.init nshards (fun _ -> Loader.create mapping)) in
   let counts = Array.make nshards 0 in
   let bfks = ref [] in
   List.iter
-    (fun doc ->
+    (fun tree ->
+      let doc = Doc.of_tree tree in
       full := Loader.load !full doc;
       let stores', p = partition_into ~counts !stores doc in
       stores := stores';
       bfks := List.sort_uniq compare (boundary_fks_of !full doc p @ !bfks))
-    docs;
+    trees;
   let t =
     {
       session = Session.create ~cache_capacity ?options !full;
@@ -253,12 +253,18 @@ let load t tree =
     invalid_arg
       "Cluster.load: bulk document loads are not WAL-logged; load documents \
        before make_durable";
-  let doc = Doc.of_tree tree in
-  Session.load t.session doc;
-  Update.extend t.update (Session.store t.session) tree;
-  let stores, p = partition_into ~counts:t.partition_counts t.shard_stores doc in
+  let doc = Update.load t.update tree in
+  let full = Update.store t.update in
+  (* The shards take the numbering this load chose: their own counters
+     know nothing of caret inserts. *)
+  let numbered st =
+    { st with Loader.doc_count = full.Loader.doc_count - 1; next_id = full.next_id - Doc.size doc }
+  in
+  let stores, p =
+    partition_into ~counts:t.partition_counts (Array.map numbered t.shard_stores) doc
+  in
   t.shard_stores <- stores;
-  add_boundary_fks t (boundary_fks_of (Session.store t.session) doc p);
+  add_boundary_fks t (boundary_fks_of full doc p);
   refresh_shard_gauge t
 
 (* ------------------------------------------------------------------ *)

@@ -48,11 +48,13 @@ val create :
     [Invalid_argument] when [shards < 1]. *)
 
 val load : t -> Tree.node -> unit
-(** Shred one more document into the full store and, partitioned, into
-    every shard store. Bulk loads are conservative: every store's epoch
-    bumps and all cached plans re-prepare on next use (mutations through
-    {!update} commit fine-grained instead). Same id-space restriction as
-    {!Update.load}: raises [Update_error] after a caret insert. *)
+(** Shred one more document into the full store through {!Update.load}
+    and, partitioned, into every shard store with the ids and [doc_id]
+    that load chose, so ids stay past every caret insert's. Bulk loads
+    are conservative: every store's epoch bumps and all cached plans
+    re-prepare on next use (mutations through {!update} commit
+    fine-grained instead). A document the schema rejects raises
+    {!Loader.Rejected} and changes no store. *)
 
 val update : t -> Update.op -> Update.outcome
 (** Execute one subtree mutation cluster-wide. The changeset is staged

@@ -20,7 +20,7 @@ type entry = {
 }
 
 type t = {
-  mutable store : Loader.t;
+  store : Loader.t;
   translator : Translate.t;
   fingerprint : string;
   cache : entry Lru.t;
@@ -42,8 +42,6 @@ let create ?(cache_capacity = 256) ?options store =
 let of_doc ?cache_capacity ?options ?schema doc =
   let schema = match schema with Some s -> s | None -> Graph.infer doc in
   create ?cache_capacity ?options (Loader.shred schema doc)
-
-let load t doc = t.store <- Loader.load t.store doc
 
 let db t = t.store.Loader.db
 

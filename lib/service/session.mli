@@ -15,10 +15,11 @@
     surface form, so [//a [ b ]] and [//a[b]] share one cache entry.
 
     Plans are tied to the store epoch ({!Ppfx_minidb.Database.epoch}).
-    Loading another document — or any other table mutation — moves the
-    epoch; a subsequent {!execute} detects the stale plan, re-plans
-    against the new contents (the translated SQL stays valid: it depends
-    only on the schema), and counts an invalidation in {!metrics}. *)
+    Loading another document through the write path — or any other
+    table mutation — moves the epoch; a subsequent {!execute} detects the
+    stale plan, re-plans against the new contents (the translated SQL
+    stays valid: it depends only on the schema), and counts an
+    invalidation in {!metrics}. *)
 
 module Doc = Ppfx_xml.Doc
 module Graph = Ppfx_schema.Graph
@@ -40,10 +41,6 @@ val of_doc : ?cache_capacity:int -> ?options:Translate.options ->
   ?schema:Graph.t -> Doc.t -> t
 (** Shred a document (inferring the schema unless given) and open a
     session over the resulting store. *)
-
-val load : t -> Doc.t -> unit
-(** Shred one more document into the session's store. Bumps the store
-    epoch, so every cached plan re-plans on its next execution. *)
 
 (** {2 The prepared-query protocol} *)
 

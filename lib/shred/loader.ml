@@ -9,7 +9,7 @@ module Value = Ppfx_minidb.Value
 type t = {
   mapping : Mapping.t;
   db : Database.t;
-  docs : Doc.t list;
+  doc_count : int;
   next_id : int;
 }
 
@@ -20,7 +20,7 @@ let reject fmt = Format.kasprintf (fun m -> raise (Rejected m)) fmt
 let create mapping =
   let db = Database.create () in
   Mapping.create_tables mapping db;
-  { mapping; db; docs = []; next_id = 1 }
+  { mapping; db; doc_count = 0; next_id = 1 }
 
 (* A path's id is found through the Paths table's [path] index. *)
 let path_id t path =
@@ -98,49 +98,44 @@ let load ?keep t doc =
   let keep = match keep with None -> fun _ -> true | Some f -> f in
   let ords, sibling_counts = sibling_ranks doc in
   let schema = Mapping.schema t.mapping in
-  let doc_id = List.length t.docs + 1 in
+  let doc_id = t.doc_count + 1 in
   (* Global ids: number this document's elements from [next_id], past
      every id handed out before; global label: prefix the doc_id
      component. *)
   let offset = t.next_id - 1 in
   let global i = if i = 0 then 0 else i + offset in
   (* Assign schema vertices top-down. *)
-  let assignment = Array.make (Doc.size doc + 1) (-1) in
-  let def_by_id = Hashtbl.create 16 in
-  List.iter (fun d -> Hashtbl.replace def_by_id d.Graph.id d) (Graph.defs schema);
-  let vertex_of id = Hashtbl.find def_by_id id in
+  let root = Graph.root schema in
+  let assignment = Array.make (Doc.size doc + 1) root in
   let assign (e : Doc.element) =
     let def =
-      if e.Doc.parent = 0 then begin
-        let root = Graph.root schema in
+      if e.Doc.parent = 0 then
         if String.equal root.Graph.name e.Doc.tag then Some root else None
-      end
       else
-        let parent_def = vertex_of assignment.(e.Doc.parent) in
         List.find_opt
           (fun c -> String.equal c.Graph.name e.Doc.tag)
-          (Graph.children schema parent_def)
+          (Graph.children schema assignment.(e.Doc.parent))
     in
     match def with
     | None -> reject "element %s at %s does not match the schema" e.Doc.tag e.Doc.path
-    | Some def ->
-      assignment.(e.Doc.id) <- def.Graph.id;
-      def
+    | Some def -> assignment.(e.Doc.id) <- def
   in
+  (* Assign every element — kept or not — before the first write: every
+     partition of a document rejects what a full load rejects, and a
+     rejected document leaves no row and no path behind. *)
+  Doc.iter assign doc;
   let next_path = ref (next_path_id t) in
-  (* Insert in document order so parents precede children. Elements are
-     always assigned to schema vertices and their paths always interned —
-     even when [keep] drops the row — so every partition of one document
-     builds the identical [Paths] relation and rejects the same
-     non-conforming documents as a full load. *)
+  (* Insert in document order so parents precede children. Paths are
+     always interned — even when [keep] drops the row — so every
+     partition of one document builds the identical [Paths] relation. *)
   Doc.iter
     (fun e ->
-      let def = assign e in
       let pid = intern_path t ~next:next_path e.Doc.path in
       if keep e then begin
+        let def = assignment.(e.Doc.id) in
         let parent =
           if e.Doc.parent = 0 then None
-          else Some (vertex_of assignment.(e.Doc.parent), global e.Doc.parent)
+          else Some (assignment.(e.Doc.parent), global e.Doc.parent)
         in
         let row =
           Mapping.row t.mapping def ~id:(global e.Doc.id) ~doc_id ~parent
@@ -151,20 +146,9 @@ let load ?keep t doc =
         ignore (Table.insert (Database.table t.db (Mapping.relation t.mapping def)) row)
       end)
     doc;
-  { t with docs = t.docs @ [ doc ]; next_id = t.next_id + Doc.size doc }
+  { t with doc_count = doc_id; next_id = t.next_id + Doc.size doc }
 
 let shred schema doc = load (create (Mapping.of_schema schema)) doc
-
-let locate t global_id =
-  if global_id < 1 then invalid_arg "Loader.locate: id out of range";
-  let rec go idx offset = function
-    | [] -> invalid_arg "Loader.locate: id out of range"
-    | doc :: rest ->
-      let n = Doc.size doc in
-      if global_id <= offset + n then idx, global_id - offset
-      else go (idx + 1) (offset + n) rest
-  in
-  go 0 0 t.docs
 
 let def_of_element t ~doc id =
   let schema = Mapping.schema t.mapping in

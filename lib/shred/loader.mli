@@ -6,12 +6,15 @@ module Doc = Ppfx_xml.Doc
 type t = {
   mapping : Mapping.t;
   db : Ppfx_minidb.Database.t;
-  docs : Doc.t list;  (** loaded documents, in [doc_id] order starting at 1 *)
+  doc_count : int;
+      (** documents loaded so far: the last one's [doc_id], the next one
+          takes [doc_count + 1] *)
   next_id : int;
       (** the id the next loaded element receives: one past every id
           handed out so far *)
 }
-(** A loaded store instance. *)
+(** A loaded store instance. The relations are the documents: the
+    store keeps no other copy of them. *)
 
 exception Rejected of string
 (** Raised when a document does not conform to the mapping's schema. *)
@@ -36,7 +39,9 @@ val load : ?keep:(Doc.element -> bool) -> t -> Doc.t -> t
     root becomes a child of a virtual collection root) — see {!label}.
     Structural joins therefore never cross documents; the order axes see
     the store as one forest ordered by [doc_id]. A new path's id is one
-    past the largest in [Paths]. Raises {!Rejected} on schema mismatch.
+    past the largest in [Paths]. Raises {!Rejected} on schema mismatch;
+    every element is checked before the first write, so a rejected
+    document leaves the store as it was.
 
     [keep] (default: keep everything) selects the subset of elements whose
     rows are stored — the cluster layer's partitioned loading. Dropped
@@ -46,12 +51,6 @@ val load : ?keep:(Doc.element -> bool) -> t -> Doc.t -> t
     what a full load would store (ids, Dewey, [ord]/[sibs] and string
     values are computed from the whole document), and (b) every partition
     of the same document sequence builds the identical [Paths] relation. *)
-
-val locate : t -> int -> int * int
-(** [locate t global_id] is [(doc_index, local_id)]: which loaded
-    document (0-based) a global element id belongs to, and its preorder
-    id within that document, for a store built by loads alone. Raises
-    [Invalid_argument] when out of range. *)
 
 val shred : Graph.t -> Doc.t -> t
 (** Convenience: mapping + create + load of a single document. *)

@@ -754,20 +754,16 @@ let create schema trees =
   in
   of_store store trees
 
-let extend u store' tree =
-  (* [store'] is this store with one more document bulk-loaded through
-     Loader.load, which numbered its elements from the [next_id] of the
-     store it was given. Those must lie past every id allocated here: a
-     load through a stale store would reuse caret-inserted ids. *)
-  let first =
-    store'.Loader.next_id
-    - (match List.rev store'.Loader.docs with d :: _ -> Doc.size d | [] -> 0)
+let load u tree =
+  let doc = Doc.of_tree tree in
+  (* Number past every id allocated here, caret inserts included: the
+     store's own [next_id] only counts bulk loads. *)
+  let store =
+    Database.with_write (db u) (fun () ->
+        Loader.load { u.store with Loader.next_id = u.next_id } doc)
   in
-  if first < u.next_id then
-    error "the bulk load numbered its elements from %d, but ids up to %d are allocated" first
-      (u.next_id - 1);
   let u' =
-    build store' ~next_id:store'.Loader.next_id ~next_path_id:u.next_path_id
+    build store ~next_id:store.Loader.next_id ~next_path_id:u.next_path_id
       (current_trees u @ [ tree ])
   in
   u.store <- u'.store;
@@ -776,15 +772,8 @@ let extend u store' tree =
   u.path_ids <- u'.path_ids;
   u.path_refs <- u'.path_refs;
   u.next_id <- u'.next_id;
-  u.next_path_id <- u'.next_path_id
-
-let load u tree =
-  let doc = Doc.of_tree tree in
-  let store' =
-    Database.with_write (db u) (fun () ->
-        Loader.load { u.store with Loader.next_id = u.next_id } doc)
-  in
-  extend u store' tree
+  u.next_path_id <- u'.next_path_id;
+  doc
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -807,6 +796,6 @@ let shadow u =
 
 let of_shadow store sh =
   let store =
-    { store with Loader.docs = List.map Doc.of_tree sh.sh_trees; next_id = sh.sh_next_id }
+    { store with Loader.doc_count = List.length sh.sh_trees; next_id = sh.sh_next_id }
   in
   build store ~next_id:sh.sh_next_id ~next_path_id:sh.sh_next_path_id sh.sh_trees

@@ -57,20 +57,18 @@ val of_store : Loader.t -> Tree.node list -> t
     element's, each root row carries its tree's [doc_id], and every fact
     row is used exactly once. A mismatch raises {!Update_error}. *)
 
-val load : t -> Tree.node -> unit
+val load : t -> Tree.node -> Ppfx_xml.Doc.t
 (** Bulk-load one more document through {!Loader.load} (under the write
-    lock) and rebuild the shadow over the grown store. The new
-    document's ids are numbered past every id allocated so far, caret
-    inserts included. The loader's raw inserts are not commit-logged, so
-    this conservatively invalidates all prepared plans; use {!exec}
+    lock) and rebuild the shadow over the grown store: the one way a
+    document enters an updatable store. The new document's ids are
+    numbered past every id allocated so far, caret inserts included, and
+    it takes [doc_id] [(store t).doc_count]. Returns the indexed document,
+    so a caller that stores it elsewhere too (a cluster's shards) need
+    not index it again. A document the schema rejects raises
+    {!Loader.Rejected} and leaves the store and the shadow as they were.
+    The loader's raw inserts are not commit-logged, so this
+    conservatively invalidates all prepared plans; use {!exec}
     [Insert_subtree] for incremental growth. *)
-
-val extend : t -> Loader.t -> Tree.node -> unit
-(** Adopt [store] — this store's value after an {e external}
-    {!Loader.load} of [tree] (e.g. through a session that owns the
-    loader reference) — and rebuild the shadow. Raises {!Update_error}
-    when that load numbered its elements below an id this store has
-    allocated (a load through a store value older than a caret insert). *)
 
 val store : t -> Loader.t
 val db : t -> Database.t
@@ -199,6 +197,5 @@ val of_shadow : Loader.t -> shadow -> t
 (** Adopt [store] (typically a {!Ppfx_minidb.Codec} snapshot read back
     from disk) and rebuild the shadow from its trees and the store's
     rows, with every check {!of_store} makes; any mismatch raises
-    {!Update_error}. The adopted store's [docs] are re-derived from the
-    trees, and its [next_id] is [sh_next_id], so a later {!load} numbers
-    past every id ever allocated, as on the live store. *)
+    {!Update_error}. The adopted store's [doc_count] is the number of
+    trees, and its [next_id] is [sh_next_id], as on the live store. *)

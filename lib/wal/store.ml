@@ -364,7 +364,7 @@ let rebuild_full ~db ~(meta : Record.meta) records =
     with
     | Some d -> Error (Printf.sprintf "snapshot is missing relation %s" d.Graph.relation)
     | None -> (
-      let loader = { Loader.mapping; db; docs = []; next_id = 1 } in
+      let loader = { Loader.mapping; db; doc_count = 0; next_id = 1 } in
       match Update.of_shadow loader shadow with
       | exception Update.Update_error e -> Error ("shadow rebuild: " ^ e)
       | u -> (
@@ -388,4 +388,4 @@ let rebuild_db ~db ~(meta : Record.meta) records =
   List.iter
     (fun (r : Record.t) -> Update.commit ~inserts:r.Record.r_inserts db r.Record.r_cs)
     records;
-  { Loader.mapping; db; docs = []; next_id = 1 }
+  { Loader.mapping; db; doc_count = 0; next_id = 1 }

@@ -21,6 +21,7 @@ module Partition = Ppfx_cluster.Partition
 module Analysis = Ppfx_cluster.Analysis
 module Merge = Ppfx_cluster.Merge
 module Cluster = Ppfx_cluster.Cluster
+module Update = Ppfx_update.Update
 
 let schema = Xmark.schema ()
 
@@ -536,8 +537,8 @@ let test_cluster_load_invalidates () =
       in
       Alcotest.(check bool) "shard plans re-prepared after the load" true
         (invalidations >= 1);
-      let session = Session.of_doc ~schema (Lazy.force doc1) in
-      Session.load session (Lazy.force doc1);
+      let store = Loader.shred schema (Lazy.force doc1) in
+      let session = Session.create (Loader.load store (Lazy.force doc1)) in
       Alcotest.(check (list int)) "agrees with unsharded session after load"
         (Session.run_ids session "//keyword") after)
 
@@ -545,13 +546,60 @@ let test_cluster_multi_doc_create () =
   Cluster.with_cluster ~pool_size:0 ~shards:3 schema
     [ Lazy.force tree1; Lazy.force tree2 ]
     (fun c ->
-      let session = Session.of_doc ~schema (Lazy.force doc1) in
-      Session.load session (Lazy.force doc2);
+      let store = Loader.shred schema (Lazy.force doc1) in
+      let session = Session.create (Loader.load store (Lazy.force doc2)) in
       List.iter
         (fun q ->
           Alcotest.(check (list int)) (q ^ " over two documents")
             (Session.run_ids session q) (Cluster.run_ids c q))
         [ "//keyword"; "//person[.//name]"; "//item/following-sibling::item" ])
+
+(* A bulk load after a caret insert numbers its elements past the
+   inserted ones, on the coordinator and on every shard: the cluster
+   then answers as an unsharded store that ran the same history, and its
+   shadow still rebuilds from the coordinator's rows. *)
+let test_cluster_load_after_caret_insert () =
+  let t1 = Xmark.generate ~seed:1 ~items_per_region:1 () in
+  let t2 = Xmark.generate ~seed:2 ~items_per_region:1 () in
+  let reference = Update.create schema [ t1 ] in
+  (* a caret insert: the new person goes before the last person of the
+     last document *)
+  let caret name =
+    let tagged tag =
+      List.sort compare
+        (Hashtbl.fold
+           (fun id _ acc -> if Update.node_tag reference id = tag then id :: acc else acc)
+           (Update.ranks reference) [])
+    in
+    let last l = List.nth l (List.length l - 1) in
+    Update.Insert_subtree
+      {
+        parent = last (tagged "people");
+        before = Some (last (tagged "person"));
+        fragment =
+          Ppfx_xml.Parser.parse
+            (Printf.sprintf {|<person id="%s"><name>%s</name></person>|} name name);
+      }
+  in
+  Cluster.with_cluster ~pool_size:0 ~shards:2 schema [ t1 ] (fun c ->
+      let step op =
+        ignore (Cluster.update c op);
+        ignore (Update.exec reference op)
+      in
+      step (caret "p-one");
+      Cluster.load c t2;
+      ignore (Update.load reference t2);
+      step (caret "p-two");
+      let s_ref = Session.create (Update.store reference) in
+      List.iter
+        (fun (name, q) ->
+          Alcotest.(check (list int)) name (Session.run_ids s_ref q) (Cluster.run_ids c q))
+        (Xmark.queries @ [ "all", "//*"; "documents", "/site" ]);
+      Alcotest.(check int) "two documents" 2 (List.length (Cluster.run_ids c "/site"));
+      let u = Cluster.full_update c in
+      match Update.of_shadow (Update.store u) (Update.shadow u) with
+      | _ -> ()
+      | exception Update.Update_error e -> Alcotest.failf "the shadow no longer rebuilds: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties                                             *)
@@ -694,6 +742,7 @@ let () =
             "order-scatter shard counts", test_cluster_order_scatter_counts;
             "load invalidates", test_cluster_load_invalidates;
             "multi-document create", test_cluster_multi_doc_create;
+            "load after a caret insert", test_cluster_load_after_caret_insert;
           ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -17,6 +17,7 @@ module Session = Ppfx_service.Session
 module Lru = Ppfx_service.Lru
 module Metrics = Ppfx_service.Metrics
 module Batch = Ppfx_service.Batch
+module Update = Ppfx_update.Update
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
@@ -24,8 +25,15 @@ module Batch = Ppfx_service.Batch
 
 let schema = Xmark.schema ()
 
-let doc1 = lazy (Doc.of_tree (Xmark.generate ~seed:1 ~items_per_region:3 ()))
-let doc2 = lazy (Doc.of_tree (Xmark.generate ~seed:2 ~items_per_region:2 ()))
+let tree1 = lazy (Xmark.generate ~seed:1 ~items_per_region:3 ())
+let tree2 = lazy (Xmark.generate ~seed:2 ~items_per_region:2 ())
+let doc1 = lazy (Doc.of_tree (Lazy.force tree1))
+let doc2 = lazy (Doc.of_tree (Lazy.force tree2))
+
+(* A session over a store that grows through the write path. *)
+let updatable_session () =
+  let u = Update.create schema [ Lazy.force tree1 ] in
+  u, Session.create (Update.store u)
 
 let shared =
   lazy
@@ -451,12 +459,12 @@ let test_session_provably_empty () =
   Alcotest.(check (list int)) "no ids" [] (Session.execute_ids session p)
 
 let test_session_epoch_invalidation () =
-  let session = Session.of_doc ~schema (Lazy.force doc1) in
+  let u, session = updatable_session () in
   let m = Session.metrics session in
   let p = Session.prepare session "//keyword" in
   let before = Session.execute_ids session p in
   let e0 = Session.epoch session in
-  Session.load session (Lazy.force doc2);
+  ignore (Update.load u (Lazy.force tree2));
   Alcotest.(check bool) "epoch moved" true (Session.epoch session <> e0);
   let after = Session.execute_ids session p in
   Alcotest.(check int) "invalidation counted" 1 (Metrics.get m Metrics.Invalidations);
@@ -576,12 +584,12 @@ let prop_invalidation_preserves_results =
     ~name:"epoch bump invalidates cached plans and preserves results"
     (QCheck.make ~print:(fun q -> q) gen_query)
     (fun query ->
-      let session = Session.of_doc ~schema (Lazy.force doc1) in
+      let u, session = updatable_session () in
       (match Session.run_ids session query with
        | exception Xparser.Error _ -> QCheck.assume_fail ()
        | exception Translate.Unsupported _ -> QCheck.assume_fail ()
        | _warm_before ->
-         Session.load session (Lazy.force doc2);
+         ignore (Update.load u (Lazy.force tree2));
          let cold = cold_render (Session.store session) query in
          let warm = warm_render session query in
          if warm <> cold then

@@ -148,7 +148,19 @@ let mapping_tests =
         Alcotest.(check int) "doc1 paths" 4 n_after_one;
         (* doc2 adds only the two new paths (E and F). *)
         Alcotest.(check int) "incremental interning" 6 n_after_two;
-        Alcotest.(check int) "two docs loaded" 2 (List.length store.Loader.docs) );
+        Alcotest.(check int) "two docs loaded" 2 store.Loader.doc_count );
+    ( "the store keeps no copy of a shredded document",
+      fun () ->
+        let slot = Weak.create 1 in
+        let[@inline never] shred () =
+          let doc = fig1_doc () in
+          Weak.set slot 0 (Some doc);
+          Loader.shred (fig1_schema ()) doc
+        in
+        let store = shred () in
+        Gc.full_major ();
+        Alcotest.(check bool) "document collected" false (Weak.check slot 0);
+        Alcotest.(check int) "one document loaded" 1 store.Loader.doc_count );
   ]
 
 let edge_tests =

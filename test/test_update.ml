@@ -610,6 +610,35 @@ let test_builder_rejects_mismatches () =
     sh;
   refused "a root row with another doc_id" (with_row (the_one u "site") "doc_id" (Value.Int 2)) sh
 
+(* A document the schema rejects writes nothing: every relation keeps
+   its live rows, Paths its rows, and the shadow still rebuilds from the
+   store, so a checkpoint taken afterwards recovers. *)
+let test_rejected_load_writes_nothing () =
+  let u = Update.create (Xmark.schema ()) [ Xmark.generate ~seed:1 ~items_per_region:1 () ] in
+  let live () =
+    List.map (fun t -> Table.name t, Table.live_count t) (Database.tables (Update.db u))
+  in
+  let paths () =
+    let rows = ref [] in
+    Table.iter_rows
+      (fun _ row -> rows := Array.to_list (Array.map Value.to_string row) :: !rows)
+      (Database.table (Update.db u) "paths");
+    List.sort compare !rows
+  in
+  let live0 = live () and paths0 = paths () and sites = run_q u "/site" in
+  (match
+     Update.load u
+       (frag "<site><people><person id='z'><name>a</name></person></people><bogus/></site>")
+   with
+   | _ -> Alcotest.fail "a document with <bogus/> was loaded"
+   | exception Loader.Rejected _ -> ());
+  Alcotest.(check (list (pair string int))) "live rows per relation" live0 (live ());
+  Alcotest.(check (list (list string))) "Paths rows" paths0 (paths ());
+  Alcotest.(check (list int)) "documents" sites (run_q u "/site");
+  match Update.of_shadow (Update.store u) (Update.shadow u) with
+  | _ -> ()
+  | exception Update.Update_error e -> Alcotest.failf "the shadow no longer rebuilds: %s" e
+
 let with_update_server f =
   let tree = Xmlparser.parse small_xml in
   let schema = Graph.infer (Doc.of_tree tree) in
@@ -750,6 +779,7 @@ let () =
         List.map tc
           [
             "mismatches raise Update_error", test_builder_rejects_mismatches;
+            "a rejected load writes nothing", test_rejected_load_writes_nothing;
           ] );
       ( "wire",
         List.map tc
