@@ -1,38 +1,56 @@
 (** Query planning and execution.
 
-    The planner turns a {!Sql.statement} into a pipeline of index-driven
-    steps: WHERE conjuncts are classified per table alias, a greedy
-    join-order heuristic picks the cheapest next table, and each step
-    accesses its table through the best available path — equality lookup,
-    range scan (the Dewey structural joins of paper Section 4.2, order
-    axes and containment alike — [d > a || 0xFF], [d < a],
-    [d BETWEEN a AND a || 0xFF] — become per-outer-row index range scans
-    or prefix lookups), a pruned partition scan (a heap merge of the
-    matched path partitions' Dewey-sorted segments), a hash join for
-    equijoins with no usable index, a memoized hash semi-join for
-    decorrelated [EXISTS], or a full scan. All conjuncts are re-checked
-    as residual filters, so access-path choice can never change results,
-    only speed. When the chosen pipeline already emits rows in the
-    requested ORDER BY order (the outermost step walks an index, or
-    partition segments, sorted on the single sort column), the final
-    stable sort is elided (EXPLAIN: [order: preserved]). When declared
-    keys prove a [SELECT DISTINCT]'s rows distinct, DISTINCT is elided;
-    otherwise it hashes on the projected key where there is one (see
-    {!explain}). Hash joins and decorrelated [EXISTS] key on typed
-    canonical values: integral numbers as integers, other numbers as
-    floats, [VARCHAR] and [RAW] as one string key, NULL as none.
+    The planner works on one {e join graph} per select, built once when
+    the select is planned. Its nodes are the FROM aliases with their
+    tables. Its edges are the WHERE conjuncts, each classified once into
+    the shapes the translator emits, with its free aliases: a column
+    equality ([f.fk = p.id], [a.text = b.text], [x.c = 3]), a range on a
+    column (a comparison or [BETWEEN]; the Dewey structural joins of
+    paper Section 4.2 — [d > a || 0xFF], [d < a],
+    [d BETWEEN a AND a || 0xFF] — and the relaxation of [col || sfx <= e]
+    to [col < e]), an ancestor prefix ([e BETWEEN col AND col || sfx]),
+    and a path regex ([REGEXP_LIKE(p.path, pat)]). A conjunct over one
+    alias is that node's filter. The planning passes read these shapes,
+    and none matches SQL syntax itself:
 
-    Before any of that, an optimizer pass performs {e path-filter
-    semi-join reduction}: a dimension alias whose only uses are an
-    integer equijoin and a [REGEXP_LIKE] on one of its columns — the
-    shape of every PPF the translator emits against the [paths] table —
-    is evaluated at plan time and replaced by an O(1) integer set probe
-    on the fact column, eliminating both the join and all per-row regex
-    execution. When the fact table is partitioned on the probed column
-    and the dimension's id is a declared key, only the dimension rows of
-    the fact table's partition keys are evaluated; otherwise every
-    dimension row is. The materialized set lives on the plan and is
-    invalidated with it ({!plan_compatible}).
+    - {e path-filter semi-join reduction}: a dimension alias whose only
+      two conjuncts are an integer equijoin and a [REGEXP_LIKE] on one of
+      its columns — the shape of every PPF the translator emits against
+      the [paths] table — is evaluated at plan time and replaced by an
+      O(1) integer set probe on the fact column, eliminating both the
+      join and all per-row regex execution. When the fact table is
+      partitioned on the probed column and the dimension's id is a
+      declared key, only the dimension rows of the fact table's
+      partition keys are evaluated; otherwise every dimension row is.
+      The materialized set lives on the plan and is invalidated with it
+      ({!plan_compatible});
+    - DISTINCT elision: when declared keys, joined through column
+      equalities, prove a [SELECT DISTINCT]'s rows distinct, DISTINCT is
+      elided; otherwise it hashes on the projected key where there is
+      one (see {!explain});
+    - [EXISTS] classification: a sub-select's graph is split into its
+      correlated equalities and the rest; uncorrelated blocks run once,
+      blocks correlated only through hash-compatible equalities become a
+      memoized hash semi-join, the rest run per outer binding;
+    - a greedy join-order heuristic picks the cheapest next alias from
+      row counts, per-column distinct counts and the pathid sets, each
+      conjunct is placed on the first step that binds its aliases, and
+      each step accesses its table through the best available path —
+      equality lookup, range scan, prefix lookups, a pruned partition
+      scan (a heap merge of the matched path partitions' Dewey-sorted
+      segments), a hash join for equijoins with no usable index, or a
+      full scan.
+
+    All conjuncts are re-checked as residual filters, so access-path
+    choice can never change results, only speed. When the chosen
+    pipeline already emits rows in the requested ORDER BY order (the
+    outermost step walks an index, or partition segments, sorted on the
+    single sort column), the final stable sort is elided (EXPLAIN:
+    [order: preserved]). Hash joins and decorrelated [EXISTS] key on
+    typed canonical values: integral numbers as integers, other numbers
+    as floats, [VARCHAR] and [RAW] as one string key, NULL as none. One
+    executor runs the steps the passes build, for serving, EXPLAIN and
+    profiling alike.
 
     [run_naive] executes the same statement by brute-force cross products
     with every optimization disabled and is the test oracle for the
