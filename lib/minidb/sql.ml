@@ -65,17 +65,19 @@ let rec simplify = function
 
 module Sset = Set.Make (String)
 
+(* The immediate sub-expressions, not entering sub-selects. *)
+let children = function
+  | Col _ | Const _ | Bool_const _ | Exists _ | Count_subquery _ -> []
+  | Cmp (_, a, b) | Arith (_, a, b) | Concat (a, b) | And (a, b) | Or (a, b) -> [ a; b ]
+  | Between (a, b, c) -> [ a; b; c ]
+  | Not a | To_number a | Length a | Is_not_null a | Regexp_like (a, _) -> [ a ]
+
+let rec fold f acc e = List.fold_left (fold f) (f acc e) (children e)
+
 let rec free_set bound = function
   | Col (alias, _) -> if Sset.mem alias bound then Sset.empty else Sset.singleton alias
-  | Const _ -> Sset.empty
-  | Cmp (_, a, b) | Arith (_, a, b) | Concat (a, b) | And (a, b) | Or (a, b) ->
-    Sset.union (free_set bound a) (free_set bound b)
-  | Between (a, b, c) ->
-    Sset.union (free_set bound a) (Sset.union (free_set bound b) (free_set bound c))
-  | Not a | To_number a | Length a | Is_not_null a -> free_set bound a
-  | Regexp_like (a, _) -> free_set bound a
-  | Bool_const _ -> Sset.empty
   | Exists sel | Count_subquery sel -> free_set_select bound sel
+  | e -> List.fold_left (fun acc x -> Sset.union acc (free_set bound x)) Sset.empty (children e)
 
 and free_set_select bound sel =
   let bound = List.fold_left (fun acc (_, alias) -> Sset.add alias acc) bound sel.from in

@@ -60,6 +60,11 @@ val simplify : expr -> expr
 (** Boolean constant folding: [x AND 1=1 -> x], [x OR 1=0 -> x],
     [NOT 1=0 -> 1=1], and so on, recursively (also inside [EXISTS]). *)
 
+val fold : ('a -> expr -> 'a) -> 'a -> expr -> 'a
+(** [fold f acc e] applies [f] to [e] and to every sub-expression, in
+    pre-order, left to right. [Exists] and [Count_subquery] nodes are
+    visited, but their sub-selects are not entered. *)
+
 val free_aliases : expr -> string list
 (** Aliases referenced by the expression, exluding those bound by inner
     [Exists] sub-selects. Sorted, distinct. *)
